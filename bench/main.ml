@@ -3,15 +3,13 @@
    The ICDE'96 paper has no quantitative tables — its "results" are the
    architecture and the qualitative claims about which guarantees hold
    under which interface/strategy combinations (§4.2.3, §5, §6).  Each
-   experiment E1–E10 below is the executable form of one such claim (see
+   experiment below is the executable form of one such claim (see
    DESIGN.md §6 and EXPERIMENTS.md); the harness prints one table per
-   experiment.  A Bechamel micro-benchmark section measures the toolkit
-   itself.
+   experiment.  Timing the toolkit itself is perf/cmbench's job.
 
-   Usage:  dune exec bench/main.exe                 (all experiments + micro)
+   Usage:  dune exec bench/main.exe                 (all experiments)
            dune exec bench/main.exe -- --exp e4     (one experiment)
-           dune exec bench/main.exe -- --no-micro   (skip Bechamel)
-           dune exec bench/main.exe -- --smoke      (reduced E15/E17 sweeps) *)
+           dune exec bench/main.exe -- --smoke      (reduced E17/E20 sweeps) *)
 
 open Cm_rule
 module Sim = Cm_sim.Sim
@@ -55,6 +53,9 @@ let write_snapshots path =
   close_out oc
 
 let check ?ignore_after ~horizon tl g = Guarantee.check ?ignore_after ~horizon tl g
+
+(* Set by --smoke: reduced E17/E20 sweeps sized for CI. *)
+let smoke_mode = ref false
 
 (* ------------------------------------------------------------------ *)
 (* E1: propagation validates guarantees (1)-(4)  (§4.2.3, first part) *)
@@ -686,112 +687,6 @@ let exp_e8 () =
      guarantee is a real claim, not a tautology.\n"
 
 (* ------------------------------------------------------------------ *)
-(* E9: toolkit scalability                                             *)
-(* ------------------------------------------------------------------ *)
-
-let multi_pair_run ~pairs ~employees ~updates =
-  let locator item =
-    let base = item.Item.base in
-    (* SalaryA<k> at site a<k>, SalaryB<k> at b<k>. *)
-    let k = String.sub base 7 (String.length base - 7) in
-    if String.length base > 6 && base.[6] = 'A' then "a" ^ k else "b" ^ k
-  in
-  let system = Sys_.create ~config:(Cm_core.System.Config.seeded 900) locator in
-  let sim = Sys_.sim system in
-  let trs = ref [] in
-  for k = 1 to pairs do
-    let sk = string_of_int k in
-    let make ~site ~base ~notify =
-      let shell = Sys_.add_shell system ~site in
-      let db = Db.create () in
-      ignore
-        (Db.exec db "CREATE TABLE employees (empid TEXT PRIMARY KEY, salary INT NOT NULL)");
-      for e = 1 to employees do
-        ignore
-          (Db.exec db "INSERT INTO employees VALUES ($n, 100)"
-             ~params:[ ("n", Value.Str ("e" ^ string_of_int e)) ])
-      done;
-      let tr =
-        Tr_rel.create ~sim ~db ~site
-          ~emit:(Shell.emitter_for shell ~site)
-          ~report:(fun r -> Shell.report_failure shell r)
-          [
-            {
-              Tr_rel.base;
-              params = [ "n" ];
-              read_sql = Some "SELECT salary FROM employees WHERE empid = $n";
-              write_sql = Some "UPDATE employees SET salary = $b WHERE empid = $n";
-              delete_sql = None;
-              notify =
-                Some
-                  {
-                    Tr_rel.table = "employees";
-                    column = "salary";
-                    key_column = "empid";
-                    send = notify;
-                    filter = None;
-                    filter_expr = None;
-                  };
-              no_spontaneous = false;
-    periodic = None;
-            };
-          ]
-      in
-      Sys_.register_translator system ~shell (Tr_rel.cmi tr);
-      tr
-    in
-    let tr_a = make ~site:("a" ^ sk) ~base:("SalaryA" ^ sk) ~notify:true in
-    let _tr_b = make ~site:("b" ^ sk) ~base:("SalaryB" ^ sk) ~notify:false in
-    Sys_.install system
-      (Strategy.propagate ~prefix:("p" ^ sk) ~delta:10.0
-         ~source:(Interface.family ("SalaryA" ^ sk) [ "n" ])
-         ~target:(Interface.family ("SalaryB" ^ sk) [ "n" ])
-         ());
-    trs := tr_a :: !trs
-  done;
-  let trs = Array.of_list !trs in
-  let rng = Cm_util.Prng.split (Sim.rng sim) in
-  for i = 1 to updates do
-    Sim.schedule_at sim (float_of_int i *. 1.0) (fun () ->
-        let tr = trs.(Cm_util.Prng.int rng (Array.length trs)) in
-        let emp = "e" ^ string_of_int (1 + Cm_util.Prng.int rng employees) in
-        ignore
-          (Tr_rel.exec_app tr "UPDATE employees SET salary = $b WHERE empid = $n"
-             ~params:[ ("b", Value.Int (Cm_util.Prng.int rng 10000)); ("n", Value.Str emp) ]))
-  done;
-  let t0 = Sys.time () in
-  Sys_.run system ~until:(float_of_int updates +. 100.0);
-  let elapsed = Sys.time () -. t0 in
-  let events = Trace.length (Sys_.trace system) in
-  (events, elapsed, Net.messages_sent (Sys_.net system))
-
-let exp_e9 () =
-  let table =
-    Table.create
-      ~title:"E9: toolkit scalability — event throughput vs sites and constraints"
-      ~columns:
-        [ "site pairs"; "employees/pair"; "updates"; "trace events"; "events/s (wall)";
-          "messages" ]
-  in
-  List.iter
-    (fun (pairs, employees) ->
-      let updates = 500 in
-      let events, elapsed, msgs = multi_pair_run ~pairs ~employees ~updates in
-      Table.add_row table
-        [
-          string_of_int pairs;
-          string_of_int employees;
-          string_of_int updates;
-          string_of_int events;
-          (if elapsed > 0.0 then
-             Printf.sprintf "%.0f" (float_of_int events /. elapsed)
-           else "inf");
-          string_of_int msgs;
-        ])
-    [ (1, 10); (4, 10); (16, 10); (4, 100); (4, 1000) ];
-  Table.print table
-
-(* ------------------------------------------------------------------ *)
 (* E10: conditional notify reduces message traffic (§3.1.1)            *)
 (* ------------------------------------------------------------------ *)
 
@@ -855,110 +750,6 @@ let exp_e10 () =
     "Shape check: higher thresholds suppress more notifications; guarantee (1)\n\
      survives (the target only ever sees real source values) while (2) fails\n\
      as soon as any update is filtered.\n"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro_benchmarks () =
-  let open Bechamel in
-  let open Toolkit in
-  (* Fixtures shared by the micro-benchmarks. *)
-  let rule_text = "cached: N(Salary1(n), b) ->[5] (Cx != b) ? WR(Salary2(n), b), W(Cx, b)" in
-  let rule = Cm_rule.Parser.parse_rule rule_text in
-  let desc =
-    Event.n (Item.make "Salary1" ~params:[ Value.Str "e7" ]) (Value.Int 4242)
-  in
-  let sql = "UPDATE employees SET salary = $b WHERE empid = $n" in
-  let db = Db.create () in
-  ignore (Db.exec db "CREATE TABLE employees (empid TEXT PRIMARY KEY, salary INT NOT NULL)");
-  for i = 1 to 100 do
-    ignore
-      (Db.exec db "INSERT INTO employees VALUES ($n, 100)"
-         ~params:[ ("n", Value.Str ("e" ^ string_of_int i)) ])
-  done;
-  let stmt = Cm_relational.Sql_parser.parse sql in
-  (* A fixed trace for guarantee checking. *)
-  let trace = Trace.create () in
-  let x = Item.make "X" and y = Item.make "Y" in
-  for i = 1 to 200 do
-    let t = float_of_int i in
-    ignore (Trace.record trace ~time:t ~site:"a" (Event.ws x (Value.Int i)));
-    ignore (Trace.record trace ~time:(t +. 0.4) ~site:"b" (Event.w y (Value.Int i)))
-  done;
-  let tl = Timeline.of_trace trace in
-  let pair = { Guarantee.leader = x; follower = y } in
-  (* A 800-event engine-produced trace for the validity checker. *)
-  let vp = Payroll.create ~config:(Cm_core.System.Config.seeded 2) ~employees:5 () in
-  Payroll.install_propagation vp;
-  Payroll.random_updates vp ~mean_interarrival:5.0 ~until:1000.0;
-  Sys_.run vp.Payroll.system ~until:1100.0;
-  let validity_rules = Sys_.all_rules vp.Payroll.system in
-  let validity_trace = Sys_.trace vp.Payroll.system in
-  let propagation_round () =
-    let p = Payroll.create ~config:(Cm_core.System.Config.seeded 1) ~employees:2 () in
-    Payroll.install_propagation p;
-    Payroll.schedule_update p ~at:1.0 ~emp:"e1" ~salary:123;
-    Sys_.run p.Payroll.system ~until:20.0
-  in
-  let tests =
-    [
-      Test.make ~name:"rule-parse" (Staged.stage (fun () ->
-          ignore (Cm_rule.Parser.parse_rule rule_text)));
-      Test.make ~name:"template-match" (Staged.stage (fun () ->
-          ignore (Template.matches rule.Rule.lhs desc ~seed:Expr.empty_env)));
-      Test.make ~name:"sql-parse" (Staged.stage (fun () ->
-          ignore (Cm_relational.Sql_parser.parse sql)));
-      Test.make ~name:"sql-update" (Staged.stage (fun () ->
-          ignore
-            (Db.exec_stmt db stmt
-               ~params:[ ("b", Value.Int 500); ("n", Value.Str "e50") ])));
-      Test.make ~name:"guarantee-check-400ev" (Staged.stage (fun () ->
-          ignore (Guarantee.check ~horizon:300.0 tl (Guarantee.Follows pair))));
-      Test.make ~name:"timeline-build-400ev" (Staged.stage (fun () ->
-          ignore (Timeline.of_trace trace)));
-      Test.make
-        ~name:
-          (Printf.sprintf "validity-check-%dev" (Trace.length validity_trace))
-        (Staged.stage (fun () ->
-             ignore
-               (Validity.check ~initial:vp.Payroll.initial ~rules:validity_rules
-                  ~locator:(Sys_.locator vp.Payroll.system) validity_trace)));
-      Test.make ~name:"propagation-roundtrip" (Staged.stage propagation_round);
-    ]
-  in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"cm" tests) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let table =
-    Table.create ~title:"micro-benchmarks (Bechamel, monotonic clock)"
-      ~columns:[ "operation"; "time/run" ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (t :: _) -> t
-        | _ -> nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  List.iter
-    (fun (name, ns) ->
-      let human =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      Table.add_row table [ name; human ])
-    (List.sort compare !rows);
-  Table.print table
 
 (* ------------------------------------------------------------------ *)
 (* E11 (ablation): why in-order message processing matters (App. A.2)  *)
@@ -1260,170 +1051,6 @@ let exp_e14 () =
      extra appends for a shorter replay.\n"
 
 (* ------------------------------------------------------------------ *)
-(* E15: rule/event discrimination index — indexed vs naive dispatch    *)
-(* ------------------------------------------------------------------ *)
-
-(* Set by --smoke: reduced E15/E17 sweeps sized for CI. *)
-let smoke_mode = ref false
-
-(* One measured run: [sites] shells, [constraints] rules per shell (all
-   sharing the descriptor name "Upd", so only the discrimination
-   index's base bucketing separates them), [events] update events
-   spread round-robin over sites at [rate] events per simulated second.
-   Each event matches exactly one rule, whose RHS chains a site-free
-   "Done" event that matches nothing — so the naive dispatcher pays two
-   full scans per update (the hit and the chained miss) exactly as the
-   pre-index shell did, while the indexed dispatcher touches one
-   single-entry bucket and two empty ones. *)
-let e15_run ~dispatch ~sites ~constraints ~events ~rate =
-  let site_of s = "s" ^ string_of_int s in
-  let base_of s k = Printf.sprintf "X%d_%d" s k in
-  let locator item =
-    let base = item.Item.base in
-    match String.index_opt base '_' with
-    | Some i -> "s" ^ String.sub base 1 (i - 1)
-    | None -> site_of 0
-  in
-  let config = Sys_.Config.(seeded 1500 |> with_dispatch dispatch) in
-  let system = Sys_.create ~config locator in
-  let sim = Sys_.sim system in
-  let shells =
-    Array.init sites (fun s -> Sys_.add_shell system ~site:(site_of s))
-  in
-  let done_step =
-    {
-      Rule.guard = Expr.Const (Value.Bool true);
-      template = Template.make "Done" [ Expr.Var "v" ];
-    }
-  in
-  (* Rules are distributed by LHS site (§4.1): each shell receives only
-     the [constraints] rules it is responsible for triggering. *)
-  Array.iteri
-    (fun s shell ->
-      let rules =
-        List.init constraints (fun k ->
-            Rule.make
-              ~id:(Printf.sprintf "r%d_%d" s k)
-              ~lhs:(Template.make "Upd" [ Expr.Item (base_of s k, []); Expr.Var "v" ])
-              (Rule.Steps [ done_step ]))
-      in
-      Shell.install_strategy shell rules)
-    shells;
-  let emitters =
-    Array.init sites (fun s -> Shell.emitter_for shells.(s) ~site:(site_of s))
-  in
-  let interval = 1.0 /. rate in
-  (* A self-rescheduling driver, not [events] pre-queued closures: the
-     sim heap stays shallow, so the measurement is dominated by dispatch
-     cost rather than by priority-queue depth. *)
-  let i = ref 0 in
-  let rec drive () =
-    if !i < events then begin
-      let s = !i mod sites in
-      let k = !i / sites mod constraints in
-      let item = Item.make (base_of s k) in
-      let desc =
-        { Event.name = "Upd"; args = [ Event.Ai item; Event.Av (Value.Int !i) ] }
-      in
-      incr i;
-      ignore (emitters.(s) desc ~kind:Event.Spontaneous);
-      Sim.schedule sim ~delay:interval drive
-    end
-  in
-  Sim.schedule_at sim 0.0 drive;
-  let t0 = Sys.time () in
-  let g0 = Gc.quick_stat () in
-  Sys_.run system ~until:(float_of_int events *. interval +. 100.0);
-  let g1 = Gc.quick_stat () in
-  let elapsed = Sys.time () -. t0 in
-  let trace_events = Trace.length (Sys_.trace system) in
-  let alloc_words =
-    g1.Gc.minor_words -. g0.Gc.minor_words
-    +. (g1.Gc.major_words -. g0.Gc.major_words)
-  in
-  let throughput =
-    if elapsed > 0.0 then float_of_int trace_events /. elapsed else infinity
-  in
-  ( trace_events,
-    throughput,
-    alloc_words /. float_of_int (max 1 events),
-    Shell.rule_index_stats shells.(0) )
-
-let exp_e15 () =
-  let table =
-    Table.create
-      ~title:
-        "E15: rule/event discrimination index — event throughput, indexed vs \
-         retained naive matcher"
-      ~columns:
-        [ "sites"; "rules/site"; "rate"; "events"; "trace events";
-          "naive ev/s"; "indexed ev/s"; "speedup"; "alloc w/ev (idx)";
-          "buckets (s0)" ]
-  in
-  let events = if !smoke_mode then 4_000 else 30_000 in
-  let sweep =
-    if !smoke_mode then [ (4, 16, 100.0); (32, 256, 100.0) ]
-    else
-      [ (4, 16, 100.0); (8, 64, 100.0); (16, 128, 100.0); (16, 128, 1000.0);
-        (32, 256, 100.0) ]
-  in
-  let obs = Obs.create () in
-  let largest_speedup = ref 0.0 in
-  List.iter
-    (fun (sites, constraints, rate) ->
-      let n_events, naive_tput, _, _ =
-        e15_run ~dispatch:Shell.Naive ~sites ~constraints ~events ~rate
-      in
-      let n_events', indexed_tput, alloc_per_event, (buckets, largest_bucket) =
-        e15_run ~dispatch:Shell.Indexed ~sites ~constraints ~events ~rate
-      in
-      (* Differential sanity at benchmark scale: both dispatchers must
-         generate the exact same number of trace events. *)
-      if n_events <> n_events' then
-        failwith
-          (Printf.sprintf "E15: naive produced %d events, indexed %d" n_events
-             n_events');
-      let speedup = indexed_tput /. naive_tput in
-      if sites >= 32 && constraints >= 256 then largest_speedup := speedup;
-      let labels =
-        [ ("sites", string_of_int sites);
-          ("constraints", string_of_int constraints);
-          ("rate", Printf.sprintf "%.0f" rate) ]
-      in
-      Obs.gauge obs "e15_events_per_sec" ~labels:(("dispatch", "naive") :: labels)
-        naive_tput;
-      Obs.gauge obs "e15_events_per_sec"
-        ~labels:(("dispatch", "indexed") :: labels)
-        indexed_tput;
-      Obs.gauge obs "e15_speedup" ~labels speedup;
-      Obs.gauge obs "e15_alloc_words_per_event" ~labels alloc_per_event;
-      Obs.gauge obs "e15_index_buckets" ~labels (float_of_int buckets);
-      Obs.gauge obs "e15_index_largest_bucket" ~labels
-        (float_of_int largest_bucket);
-      Table.add_row table
-        [
-          string_of_int sites;
-          string_of_int constraints;
-          Printf.sprintf "%.0f" rate;
-          string_of_int events;
-          string_of_int n_events;
-          Printf.sprintf "%.0f" naive_tput;
-          Printf.sprintf "%.0f" indexed_tput;
-          Printf.sprintf "%.1fx" speedup;
-          Printf.sprintf "%.0f" alloc_per_event;
-          Printf.sprintf "%d (max %d)" buckets largest_bucket;
-        ])
-    sweep;
-  record_snapshot "e15" obs;
-  Table.print table;
-  Printf.printf
-    "Shape check: indexed dispatch >= 5x naive at 32 sites x 256 rules/site: %s\n\
-     (matching stays byte-identical: the differential suite and the golden\n\
-     traces hold both dispatchers to the same firings in the same order)\n"
-    (if !largest_speedup >= 5.0 then "yes"
-     else Printf.sprintf "NO (%.1fx)" !largest_speedup)
-
-(* ------------------------------------------------------------------ *)
 (* E16: runtime evolution — guarantee survival across the §4.2.3       *)
 (* interface change, and incremental cutover cost vs full rebuild      *)
 (* ------------------------------------------------------------------ *)
@@ -1712,391 +1339,6 @@ let exp_e17 () =
     (if monotone then "yes" else "NO")
 
 (* ------------------------------------------------------------------ *)
-(* E18: streaming-monitor soak — dispatch-indexed event throughput     *)
-(* with and without live §3.3 monitors attached                        *)
-(* ------------------------------------------------------------------ *)
-
-(* E15's "Upd" events change no item state, so the monitor fast-rejects
-   them and measures nothing.  E18 reuses E15's discrimination shape
-   (32 shells × 256 single-bucket rules, indexed dispatch) but drives
-   real writes: every event is a [W] the monitor must fold into its
-   κ-window / follows-set / order-queue state.  One copy pair per site
-   is watched as a full §3.3.1 family — the leader's k=0 item mirrored
-   into a follower written in the same instant, so the streamed
-   guarantees hold and the measurement is steady-state bookkeeping, not
-   violation handling. *)
-let e18_run ~monitor:with_monitor ~sites ~constraints ~events ~rate =
-  let module Monitor = Cm_core.Monitor in
-  let site_of s = "s" ^ string_of_int s in
-  let base_of s k = Printf.sprintf "X%d_%d" s k in
-  let follower_of s = base_of s 0 ^ "c" in
-  let locator item =
-    let base = item.Item.base in
-    match String.index_opt base '_' with
-    | Some i -> "s" ^ String.sub base 1 (i - 1)
-    | None -> site_of 0
-  in
-  let config = Sys_.Config.(seeded 1800 |> with_dispatch Shell.Indexed) in
-  let system = Sys_.create ~config locator in
-  let sim = Sys_.sim system in
-  let shells =
-    Array.init sites (fun s -> Sys_.add_shell system ~site:(site_of s))
-  in
-  let done_step =
-    {
-      Rule.guard = Expr.Const (Value.Bool true);
-      template = Template.make "Done" [ Expr.Var "v" ];
-    }
-  in
-  Array.iteri
-    (fun s shell ->
-      let rules =
-        List.init constraints (fun k ->
-            Rule.make
-              ~id:(Printf.sprintf "r%d_%d" s k)
-              ~lhs:(Template.make "W" [ Expr.Item (base_of s k, []); Expr.Var "v" ])
-              (Rule.Steps [ done_step ]))
-      in
-      Shell.install_strategy shell rules)
-    shells;
-  let m =
-    if not with_monitor then None
-    else begin
-      let m = Monitor.create ~sim ~tick:1.0 () in
-      Monitor.attach m (Sys_.trace system);
-      for s = 0 to sites - 1 do
-        (* κ far above the ~82 s re-write period of a watched leader at
-           the full sweep size, so the soak measures bookkeeping, not
-           staleness churn. *)
-        Monitor.watch_copy m ~source:(base_of s 0) ~target:(follower_of s)
-          ~kappa:(Some 200.0)
-      done;
-      Some m
-    end
-  in
-  let emitters =
-    Array.init sites (fun s -> Shell.emitter_for shells.(s) ~site:(site_of s))
-  in
-  let interval = 1.0 /. rate in
-  let i = ref 0 in
-  let rec drive () =
-    if !i < events then begin
-      let s = !i mod sites in
-      let k = !i / sites mod constraints in
-      let v = Value.Int !i in
-      let desc = Event.w (Item.make (base_of s k)) v in
-      incr i;
-      ignore (emitters.(s) desc ~kind:Event.Spontaneous);
-      (* Mirror the watched leader into its follower within the same
-         instant: same-batch take keeps every streamed guarantee green. *)
-      if k = 0 then
-        ignore
-          (emitters.(s) (Event.w (Item.make (follower_of s)) v)
-             ~kind:Event.Spontaneous);
-      Sim.schedule sim ~delay:interval drive
-    end
-  in
-  Sim.schedule_at sim 0.0 drive;
-  let horizon = (float_of_int events *. interval) +. 100.0 in
-  (* Wall clock, not [Sys.time]: the CPU clock ticks at 10 ms on Linux,
-     which is ±6% of a ~170 ms run — more than the overhead being
-     measured.  The alternated best-of rounds absorb wall-clock noise. *)
-  let t0 = Unix.gettimeofday () in
-  Sys_.run system ~until:horizon;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let trace = Sys_.trace system in
-  let trace_events = Trace.length trace in
-  let throughput =
-    if elapsed > 0.0 then float_of_int trace_events /. elapsed else infinity
-  in
-  (* Differential teeth: on the monitored run, every streamed family
-     verdict must equal the post-hoc fold over the same trace. *)
-  let mismatches =
-    match m with
-    | None -> 0
-    | Some m ->
-      Monitor.finalize m ~horizon;
-      let tl = Timeline.of_trace trace in
-      List.length
-        (List.filter
-           (fun (g, v) ->
-             let rep = check ~horizon tl g in
-             v.Monitor.v_holds <> rep.Guarantee.holds
-             || v.Monitor.v_points <> rep.Guarantee.checked_points)
-           (List.concat
-              (List.init sites (fun s ->
-                   Monitor.family_verdicts m ~source:(base_of s 0)
-                     ~target:(follower_of s)))))
-  in
-  (trace_events, throughput, mismatches)
-
-let exp_e18 () =
-  let table =
-    Table.create
-      ~title:
-        "E18: streaming-monitor soak — indexed dispatch throughput with live \
-         §3.3 monitors on vs off"
-      ~columns:
-        [ "sites"; "rules/site"; "rate"; "events"; "trace events";
-          "monitor off ev/s"; "monitor on ev/s"; "overhead"; "fold mismatches" ]
-  in
-  (* No reduced smoke sweep here: the whole experiment is nine ~170 ms
-     run pairs (~4 s), and shrinking the timed section toward 10 ms
-     turns the overhead column into noise even with nine rounds. *)
-  let events = 50_000 in
-  let sites = 32 and constraints = 256 and rate = 100.0 in
-  (* Alternated best-of-three per configuration, each run from a
-     compacted heap: a run retains a ~200k-event trace, so without the
-     compaction the second configuration always measures on a grown,
-     fragmented major heap and the few percent being measured drown in
-     GC pacing.  Best-of (not mean) because noise only ever slows a run
-     down. *)
-  let timed ~monitor =
-    Gc.compact ();
-    e18_run ~monitor ~sites ~constraints ~events ~rate
-  in
-  let best (n1, t1, m1) (n2, t2, m2) =
-    if n1 <> n2 then
-      failwith (Printf.sprintf "E18: repeat produced %d events vs %d" n2 n1);
-    (n1, Float.max t1 t2, max m1 m2)
-  in
-  (* Discard one small untimed run first: the first simulation of a
-     process pays ~40 ms of page faults and lazy initialisation, which
-     is ~15% of a timed run and would land entirely on whichever
-     configuration happens to go first. *)
-  ignore (e18_run ~monitor:true ~sites ~constraints ~events:(events / 20) ~rate);
-  (* Alternate which configuration goes first in a round: the second
-     run of a pair inherits the first's heap and cache footprint, and
-     that position tax would otherwise land on one side of every
-     ratio. *)
-  let rounds =
-    List.init 9 (fun i ->
-        if i mod 2 = 0 then (timed ~monitor:false, timed ~monitor:true)
-        else
-          let on = timed ~monitor:true in
-          (timed ~monitor:false, on))
-  in
-  let offs = List.map fst rounds and ons = List.map snd rounds in
-  let n_off, tput_off, _ = List.fold_left best (List.hd offs) (List.tl offs) in
-  let n_on, tput_on, mismatches = List.fold_left best (List.hd ons) (List.tl ons) in
-  (* Overhead from the ratio of per-configuration median throughputs.
-     A per-round ratio compounds the noise of both its runs, so even
-     the median of nine ratios swings by several points between
-     invocations; each config's own median is far steadier, and the
-     alternated ordering above keeps the two medians comparable. *)
-  let median side =
-    let ts = List.map (fun (_, tput, _) -> tput) side |> List.sort Float.compare in
-    List.nth ts (List.length ts / 2)
-  in
-  let overhead = 1.0 -. (median ons /. median offs) in
-  (* The monitor observes the trace; it must not add to it. *)
-  if n_off <> n_on then
-    failwith
-      (Printf.sprintf "E18: monitor-off produced %d events, monitor-on %d" n_off
-         n_on);
-  if mismatches > 0 then
-    failwith
-      (Printf.sprintf "E18: %d streamed verdicts disagree with the fold"
-         mismatches);
-  let obs = Obs.create () in
-  let labels =
-    [ ("sites", string_of_int sites);
-      ("constraints", string_of_int constraints);
-      ("rate", Printf.sprintf "%.0f" rate) ]
-  in
-  Obs.gauge obs "e18_events_per_sec" ~labels:(("monitor", "off") :: labels)
-    tput_off;
-  Obs.gauge obs "e18_events_per_sec" ~labels:(("monitor", "on") :: labels) tput_on;
-  Obs.gauge obs "e18_overhead_pct" ~labels (100.0 *. overhead);
-  Obs.gauge obs "e18_watched_copies" ~labels (float_of_int sites);
-  Table.add_row table
-    [
-      string_of_int sites;
-      string_of_int constraints;
-      Printf.sprintf "%.0f" rate;
-      string_of_int events;
-      string_of_int n_on;
-      Printf.sprintf "%.0f" tput_off;
-      Printf.sprintf "%.0f" tput_on;
-      Printf.sprintf "%.1f%%" (100.0 *. overhead);
-      string_of_int mismatches;
-    ];
-  record_snapshot "e18" obs;
-  Table.print table;
-  Printf.printf
-    "Shape check: streaming monitors cost <= 10%% of indexed dispatch \
-     throughput\nat 32 sites x 256 rules/site: %s\n(every streamed verdict was \
-     cross-checked against the post-hoc fold)\n"
-    (if overhead <= 0.10 then "yes" else Printf.sprintf "NO (%.1f%%)" (100.0 *. overhead))
-
-(* ------------------------------------------------------------------ *)
-(* E19: chase-compiled vs hand-written rules — compile equivalence     *)
-(* and dispatch-throughput parity at one E15 grid point                *)
-(* ------------------------------------------------------------------ *)
-
-module Chase = Cm_chase.Chase
-
-(* The same copy program twice: hand-written §4.2 propagation rules,
-   and the rules Chase.to_rules compiles from the equivalent TGDs
-   [X{s}_{k}(v) -> Y{s}_{k}(v)].  Both lists must render identically —
-   the compile-time half of the differential that test_chase runs at
-   execution level on the payroll workload. *)
-let e19_rules ~sites ~constraints =
-  let hand =
-    List.concat
-      (List.init sites (fun s ->
-           List.init constraints (fun k ->
-               Rule.make
-                 ~id:(Printf.sprintf "r%d_%d" s k)
-                 ~delta:5.0
-                 ~lhs:
-                   (Template.make "N"
-                      [ Expr.Item (Printf.sprintf "X%d_%d" s k, []); Expr.Var "v" ])
-                 (Rule.Steps
-                    [
-                      {
-                        Rule.guard = Expr.Const (Value.Bool true);
-                        template =
-                          Template.make "WR"
-                            [ Expr.Item (Printf.sprintf "Y%d_%d" s k, []); Expr.Var "v" ];
-                      };
-                    ]))))
-  in
-  let deps =
-    List.concat
-      (List.init sites (fun s ->
-           List.init constraints (fun k ->
-               match
-                 Chase.parse
-                   (Printf.sprintf "r%d_%d: X%d_%d(v) -> Y%d_%d(v)" s k s k s k)
-               with
-               | Ok d -> d
-               | Error m -> failwith ("E19: dependency does not parse: " ^ m))))
-  in
-  if not (Chase.weakly_acyclic deps) then
-    failwith "E19: the copy program must be weakly acyclic";
-  let compiled =
-    match Chase.to_rules deps with
-    | Ok rs -> rs
-    | Error m -> failwith ("E19: to_rules refused the program: " ^ m)
-  in
-  (hand, compiled, deps)
-
-let e19_run ~rules ~sites ~constraints ~events ~rate =
-  let site_of s = "s" ^ string_of_int s in
-  let base_of s k = Printf.sprintf "X%d_%d" s k in
-  let locator item =
-    let base = item.Item.base in
-    match String.index_opt base '_' with
-    | Some i -> "s" ^ String.sub base 1 (i - 1)
-    | None -> site_of 0
-  in
-  let config = Sys_.Config.(seeded 1900 |> with_dispatch Shell.Indexed) in
-  let system = Sys_.create ~config locator in
-  let sim = Sys_.sim system in
-  let shells =
-    Array.init sites (fun s -> Sys_.add_shell system ~site:(site_of s))
-  in
-  (* Distribute by LHS site exactly as Toolkit.build does (§4.1): rule
-     r{s}_{k} triggers on X{s}_{k}, which locates to site s. *)
-  let by_site = Array.make sites [] in
-  List.iter
-    (fun r ->
-      let s =
-        match String.index_opt r.Rule.id '_' with
-        | Some i -> int_of_string (String.sub r.Rule.id 1 (i - 1))
-        | None -> failwith ("E19: unexpected rule id " ^ r.Rule.id)
-      in
-      by_site.(s) <- r :: by_site.(s))
-    rules;
-  Array.iteri
-    (fun s shell -> Shell.install_strategy shell (List.rev by_site.(s)))
-    shells;
-  let emitters =
-    Array.init sites (fun s -> Shell.emitter_for shells.(s) ~site:(site_of s))
-  in
-  let interval = 1.0 /. rate in
-  let i = ref 0 in
-  let rec drive () =
-    if !i < events then begin
-      let s = !i mod sites in
-      let k = !i / sites mod constraints in
-      let item = Item.make (base_of s k) in
-      let desc =
-        { Event.name = "N"; args = [ Event.Ai item; Event.Av (Value.Int !i) ] }
-      in
-      incr i;
-      ignore (emitters.(s) desc ~kind:Event.Spontaneous);
-      Sim.schedule sim ~delay:interval drive
-    end
-  in
-  Sim.schedule_at sim 0.0 drive;
-  let t0 = Sys.time () in
-  Sys_.run system ~until:(float_of_int events *. interval +. 100.0);
-  let elapsed = Sys.time () -. t0 in
-  let trace_events = Trace.length (Sys_.trace system) in
-  let throughput =
-    if elapsed > 0.0 then float_of_int trace_events /. elapsed else infinity
-  in
-  (trace_events, throughput)
-
-let exp_e19 () =
-  let sites = 32 and constraints = 256 and rate = 100.0 in
-  let events = if !smoke_mode then 4_000 else 30_000 in
-  let hand, compiled, deps = e19_rules ~sites ~constraints in
-  (* Compile-time differential: byte-identical rule text. *)
-  let hand_text = List.map Rule.to_string hand in
-  let compiled_text = List.map Rule.to_string compiled in
-  if hand_text <> compiled_text then
-    failwith "E19: chase-compiled rules differ from the hand-written program";
-  let n_hand, hand_tput = e19_run ~rules:hand ~sites ~constraints ~events ~rate in
-  let n_chase, chase_tput =
-    e19_run ~rules:compiled ~sites ~constraints ~events ~rate
-  in
-  if n_hand <> n_chase then
-    failwith
-      (Printf.sprintf "E19: hand-written produced %d events, chase-compiled %d"
-         n_hand n_chase);
-  let ratio = chase_tput /. hand_tput in
-  let table =
-    Table.create
-      ~title:
-        "E19: chase-compiled vs hand-written rules — same text, same trace, \
-         same throughput"
-      ~columns:
-        [ "sites"; "rules/site"; "deps"; "events"; "trace events";
-          "hand ev/s"; "chase ev/s"; "ratio" ]
-  in
-  Table.add_row table
-    [
-      string_of_int sites;
-      string_of_int constraints;
-      string_of_int (List.length deps);
-      string_of_int events;
-      string_of_int n_hand;
-      Printf.sprintf "%.0f" hand_tput;
-      Printf.sprintf "%.0f" chase_tput;
-      Printf.sprintf "%.2fx" ratio;
-    ];
-  let obs = Obs.create () in
-  let labels =
-    [ ("sites", string_of_int sites); ("constraints", string_of_int constraints) ]
-  in
-  Obs.gauge obs "e19_events_per_sec" ~labels:(("program", "hand") :: labels)
-    hand_tput;
-  Obs.gauge obs "e19_events_per_sec" ~labels:(("program", "chase") :: labels)
-    chase_tput;
-  Obs.gauge obs "e19_throughput_ratio" ~labels ratio;
-  Obs.gauge obs "e19_rules" ~labels (float_of_int (List.length compiled));
-  record_snapshot "e19" obs;
-  Table.print table;
-  Printf.printf
-    "Shape check: chase-compiled throughput within 2x of hand-written: %s\n\
-     (rule text is byte-identical, so any gap is measurement noise)\n"
-    (if ratio >= 0.5 && ratio <= 2.0 then "yes"
-     else Printf.sprintf "NO (%.2fx)" ratio)
-
-(* ------------------------------------------------------------------ *)
 (* E20: sharded multi-domain fabric — near-linear domain scaling      *)
 (* ------------------------------------------------------------------ *)
 
@@ -2128,11 +1370,9 @@ let e20_run ~sites ~constraints ~events ~rate ~shards =
     | None -> 0
   in
   let config =
-    Sys_.Config.(
-      seeded 2000 |> with_shards shards
-      |> with_latency { Net.base = 1.0; jitter = 0.0 })
+    Sys_.Config.(seeded 2000 |> with_latency { Net.base = 1.0; jitter = 0.0 })
   in
-  let fab = Fabric.create ~config ~assign locator in
+  let fab = Fabric.create ~config ~shards ~assign locator in
   let shells =
     Array.init sites (fun s -> Fabric.add_shell fab ~site:(site_of s))
   in
@@ -2173,7 +1413,7 @@ let e20_run ~sites ~constraints ~events ~rate ~shards =
   (* Event j is injected at time j * interval at site j mod sites with
      value j.  [sites mod shards = 0], so event j belongs to shard
      [j mod shards]: each shard drives its own arithmetic subsequence
-     on its own wheel (self-rescheduling, like E15). *)
+     on its own wheel (self-rescheduling, so the heap stays shallow). *)
   for p = 0 to shards - 1 do
     if p < events then begin
       let sim = Sys_.sim (Fabric.system fab p) in
@@ -2301,17 +1541,13 @@ let experiments =
     ("e6", exp_e6);
     ("e7", exp_e7);
     ("e8", exp_e8);
-    ("e9", exp_e9);
     ("e10", exp_e10);
     ("e11", exp_e11);
     ("e12", exp_e12);
     ("e13", exp_e13);
     ("e14", exp_e14);
-    ("e15", exp_e15);
     ("e16", exp_e16);
     ("e17", exp_e17);
-    ("e18", exp_e18);
-    ("e19", exp_e19);
     ("e20", exp_e20);
   ]
 
@@ -2326,14 +1562,14 @@ let () =
     Option.map String.lowercase_ascii (find_opt_arg "--exp" args)
   in
   let json_out = find_opt_arg "--json" args in
-  let micro = not (List.mem "--no-micro" args) in
   smoke_mode := List.mem "--smoke" args;
   (match wanted with
    | Some name -> (
      match List.assoc_opt name experiments with
      | Some f -> f ()
      | None ->
-       Printf.eprintf "unknown experiment %s (e1..e20)\n" name;
+       Printf.eprintf "unknown experiment %s (%s)\n" name
+         (String.concat " " (List.map fst experiments));
        exit 1)
    | None ->
      List.iter
@@ -2341,8 +1577,7 @@ let () =
          Printf.printf "---------------------------------------------------------- %s\n"
            (String.uppercase_ascii name);
          f ())
-       experiments;
-     if micro then micro_benchmarks ());
+       experiments);
   match json_out with
   | Some path ->
     write_snapshots path;

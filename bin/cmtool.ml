@@ -810,6 +810,7 @@ let run_faults seed drop dup minutes employees no_reliable heartbeat =
   if List.for_all snd checks then 0 else 1
 
 let faults_cmd_run seed drop dup minutes employees no_reliable heartbeat no_check =
+  Cmtool_cli.require_at_least "--employees" ~min:1 employees;
   if not (preflight ~label:"payroll" ~no_check Cm_chaos.Chaos.Payroll) then 1
   else run_faults seed drop dup minutes employees no_reliable heartbeat
 
@@ -850,6 +851,11 @@ let faults_cmd =
 let chaos_cmd_run seed events crashes crash_min crash_max workload durability
     churn heal shards sites no_check =
   let module Chaos = Cm_chaos.Chaos in
+  Cmtool_cli.require_at_least "--events" ~min:0 events;
+  Cmtool_cli.require_at_least "--crashes" ~min:0 crashes;
+  Cmtool_cli.require_at_least "--churn" ~min:0 churn;
+  Cmtool_cli.require_at_least "--shards" ~min:0 shards;
+  if shards > 0 then Cmtool_cli.require_at_least "--sites" ~min:4 sites;
   let chaos_workload =
     match Chaos.workload_of_string workload with
     | Some w -> w

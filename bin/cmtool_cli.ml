@@ -24,6 +24,14 @@ let no_check_arg =
 let seed_arg ?(default = 42) ?(doc = "Simulation seed") () =
   Arg.(value & opt int default & info [ "seed" ] ~docv:"N" ~doc)
 
+(* A count flag below its floor is a usage error: one line on stderr,
+   exit 2, like an unknown enum value. *)
+let require_at_least flag ~min v =
+  if v < min then begin
+    Printf.eprintf "%s must be >= %d (got %d)\n" flag min v;
+    exit 2
+  end
+
 (* ---- CONFIG [RULES…] positionals ---- *)
 
 let config_pos = Arg.(required & pos 0 (some file) None & info [] ~docv:"CONFIG")

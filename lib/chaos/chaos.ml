@@ -51,6 +51,17 @@ let default_spec =
     churn = 0;
   }
 
+(* Malformed counts are refused up front, naming the field, rather than
+   escaping later from deep inside schedule derivation. *)
+let require_at_least fn field ~min v =
+  if v < min then
+    invalid_arg (Printf.sprintf "Chaos.%s: %s must be >= %d (got %d)" fn field min v)
+
+let validate fn spec =
+  require_at_least fn "events" ~min:0 spec.events;
+  require_at_least fn "crashes" ~min:0 spec.crashes;
+  require_at_least fn "churn" ~min:0 spec.churn
+
 type fault =
   | Crash of { site : string; at : float; restart_at : float }
   | Loss_window of { at : float; until : float; drop : float; dup : float }
@@ -222,11 +233,13 @@ let derive_churn spec rng ~inject_end =
     end
 
 let schedule spec =
+  validate "schedule" spec;
   let ops_rng, fault_rng, _, _ = streams spec in
   let _, inject_end = derive_ops spec ops_rng in
   derive_faults spec fault_rng ~inject_end ~sites:(sites spec.chaos_workload)
 
 let churn_schedule spec =
+  validate "churn_schedule" spec;
   let ops_rng, _, churn_rng, _ = streams spec in
   let _, inject_end = derive_ops spec ops_rng in
   derive_churn spec churn_rng ~inject_end
@@ -717,6 +730,7 @@ let static_rules w =
   (Sys_.interface_rules system, Sys_.strategy_rules system, Sys_.locator system)
 
 let run spec =
+  validate "run" spec;
   let (oracle, _, _, _), (chaos, faults, churns, horizon) =
     match spec.chaos_workload with
     | Payroll -> (run_payroll spec ~faulty:false, run_payroll spec ~faulty:true)
@@ -872,6 +886,7 @@ let derive_drops spec rng ~inject_end =
    other; the reader arrivals consume the same stream lazily during the
    run, after both up-front draws. *)
 let heal_schedule spec =
+  validate "heal_schedule" spec;
   let ops_rng, _, _, heal_rng = streams spec in
   let _, inject_end = derive_ops spec ops_rng in
   let drops = derive_drops spec heal_rng ~inject_end in
@@ -881,6 +896,7 @@ let heal_schedule spec =
   (drops, bad_at)
 
 let run_heal spec =
+  validate "run_heal" spec;
   if spec.chaos_workload <> Payroll then
     invalid_arg "Chaos.run_heal: heal schedules are defined over the payroll workload";
   let config = Sys_.Config.with_monitor true (chaos_config spec) in
@@ -1249,9 +1265,13 @@ let shard_rules m =
    instants and deliveries off shared instants — cross-layout digest
    equality needs causally unrelated events to stay on distinct
    times. *)
+let validate_shard fn spec =
+  require_at_least fn "ss_sites" ~min:4 spec.ss_sites;
+  require_at_least fn "ss_shards" ~min:1 spec.ss_shards;
+  require_at_least fn "ss_events" ~min:0 spec.ss_events;
+  require_at_least fn "ss_crashes" ~min:0 spec.ss_crashes
+
 let shard_schedule spec =
-  if spec.ss_sites < 4 then
-    invalid_arg "Chaos.shard_schedule: need at least 4 sites";
   let m = spec.ss_sites in
   let ops_rng = Prng.of_key ~seed:spec.ss_seed "shard-chaos-ops" in
   let ops =
@@ -1279,7 +1299,7 @@ let shard_schedule spec =
     faults := Crash { site; at; restart_at } :: !faults
   done;
   let faults =
-    if spec.ss_crashes > 0 && m >= 4 then
+    if spec.ss_crashes > 0 then
       (* one partitioned ring edge (even source -> odd target) for
          mirrored-flag coverage *)
       let at = 5.0 +. float_of_int (Prng.int fault_rng 6) +. 0.19 in
@@ -1297,22 +1317,22 @@ let shard_schedule spec =
   (ops, List.rev faults, horizon)
 
 let shard_schedule_faults spec =
+  validate_shard "shard_schedule_faults" spec;
   let _, faults, _ = shard_schedule spec in
   faults
 
 let run_sharded spec =
-  if spec.ss_shards < 1 then invalid_arg "Chaos.run_sharded: shards < 1";
+  validate_shard "run_sharded" spec;
   let m = spec.ss_sites in
   let ops, faults, horizon = shard_schedule spec in
   let config =
     Sys_.Config.(
       seeded spec.ss_seed
-      |> with_shards spec.ss_shards
       |> with_durability spec.ss_durability
       |> with_obs (Obs.create ()))
   in
   let fab =
-    Fabric.create ~config ~keyed_single:true
+    Fabric.create ~config ~keyed_single:true ~shards:spec.ss_shards
       ~assign:(fun s ->
         match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
         | Some i -> i mod spec.ss_shards

@@ -135,7 +135,10 @@ val static_rules :
 
 val run : spec -> report
 (** Execute oracle and faulty runs and check invariants.  Pure in the
-    spec: no wall clock, no global state. *)
+    spec: no wall clock, no global state.
+    @raise Invalid_argument naming the field when [events], [crashes] or
+    [churn] is negative (so do {!schedule}, {!churn_schedule},
+    {!heal_schedule} and {!run_heal}). *)
 
 val passed : report -> bool
 (** All invariants hold. *)
@@ -268,7 +271,8 @@ val shard_schedule_faults : shard_spec -> fault list
 val run_sharded : shard_spec -> shard_report
 (** Build the ring on a fabric with [ss_shards] shards, run the derived
     schedule, and check invariants.  Pure in the spec.
-    @raise Invalid_argument when [ss_sites < 4] or [ss_shards < 1]. *)
+    @raise Invalid_argument naming the field when [ss_sites < 4],
+    [ss_shards < 1], or [ss_events] or [ss_crashes] is negative. *)
 
 val shard_passed : shard_report -> bool
 

@@ -2,11 +2,6 @@ module Sim = Cm_sim.Sim
 module Net = Cm_net.Net
 open Cm_rule
 
-(* Rule matching strategy for Shell.occurred: the discrimination index
-   is the production path; the naive linear scan is retained as the
-   oracle for the differential test harness and the E15 benchmark. *)
-type dispatch = Indexed | Naive
-
 (* Everything a shell shares with its siblings — built once by
    System.create from its Config and handed to every add_shell. *)
 type ctx = {
@@ -17,7 +12,6 @@ type ctx = {
   ctx_locator : Item.locator;
   ctx_obs : Obs.t;
   ctx_journals : Journal.registry option;
-  ctx_dispatch : dispatch;
 }
 
 (* One versioned rule program at this site (ISSUE 6).  Epoch 0 is the
@@ -46,7 +40,6 @@ type t = {
   locator : Item.locator;
   obs : Obs.t;
   site : string;
-  dispatch_mode : dispatch;
   store : Store.t;
   journal : Journal.t option;
   mutable translators : Cmi.t list;
@@ -240,19 +233,11 @@ let journaled_store_set t item v =
 
 (* --- event intake: record, then match strategy rules --- *)
 
-(* Candidate rules for an event, already site-filtered.  Indexed pulls
-   only the discrimination buckets the event can touch; Naive is the
-   pre-index linear scan over every installed rule, retained as the
-   oracle (both return registration order, so firing order is
-   identical). *)
+(* Candidate rules for an event, already site-filtered: only the
+   discrimination buckets the event can touch, in registration order. *)
 let candidate_rules t (event : Event.t) =
-  match t.dispatch_mode with
-  | Indexed ->
-    Rule_index.select t.lhs_rules ~local_site:t.site ~event_site:event.site
-      ~desc:event.desc
-  | Naive ->
-    Rule_index.select_naive t.lhs_rules ~local_site:t.site
-      ~event_site:event.site
+  Rule_index.select t.lhs_rules ~local_site:t.site ~event_site:event.site
+    ~desc:event.desc
 
 let rec occurred t (event : Event.t) =
   t.events_seen <- t.events_seen + 1;
@@ -479,7 +464,7 @@ and handle_msg t = function
 let create ctx ~site =
   let { ctx_sim = sim; ctx_net = net; ctx_reliable = reliable;
         ctx_trace = trace; ctx_locator = locator; ctx_obs = obs;
-        ctx_journals = journals; ctx_dispatch = dispatch_mode } = ctx
+        ctx_journals = journals } = ctx
   in
   let send_msg =
     match reliable with
@@ -495,7 +480,6 @@ let create ctx ~site =
       locator;
       obs;
       site;
-      dispatch_mode;
       store = Store.create ();
       journal = Option.map (fun reg -> Journal.for_site reg ~site) journals;
       translators = [];
@@ -598,7 +582,6 @@ let broadcast_reset t =
 let fires_sent t = t.fires_sent
 let fires_executed t = t.fires_executed
 let events_seen t = t.events_seen
-let rule_index_stats t = Rule_index.bucket_stats t.lhs_rules
 
 (* -- crash-recovery hooks (driven by Cm_core.Recovery) -- *)
 

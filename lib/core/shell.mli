@@ -24,14 +24,6 @@
 
 type t
 
-type dispatch = Indexed | Naive
-(** How {!occurred} selects candidate rules for an event.  [Indexed]
-    (the default) consults the {!Cm_rule.Rule_index} discrimination
-    buckets — O(candidates) per event.  [Naive] is the pre-index linear
-    scan over every installed rule, retained as the oracle for the
-    differential test harness and the E15 benchmark.  Both produce the
-    same matches in the same order. *)
-
 type ctx = {
   ctx_sim : Cm_sim.Sim.t;
   ctx_net : Msg.t Cm_net.Net.t;
@@ -40,7 +32,6 @@ type ctx = {
   ctx_locator : Cm_rule.Item.locator;
   ctx_obs : Obs.t;
   ctx_journals : Journal.registry option;
-  ctx_dispatch : dispatch;
 }
 (** The per-system context every shell shares: simulation clock,
     network, optional reliable-delivery layer, global trace, item
@@ -123,10 +114,6 @@ val set_peer_sites : t -> string list -> unit
 val fires_sent : t -> int
 val fires_executed : t -> int
 val events_seen : t -> int
-
-val rule_index_stats : t -> int * int
-(** [(buckets, largest)] of the rule discrimination index — see
-    {!Cm_rule.Rule_index.bucket_stats}. *)
 
 (** {2 Rule epochs}
 

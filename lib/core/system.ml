@@ -11,10 +11,8 @@ module Config = struct
     reliable : Reliable.config option;
     obs : Obs.t option;
     durability : Journal.durability;
-    dispatch : Shell.dispatch;
     monitor : bool;
     monitor_tick : float;
-    shards : int;
     shard_slot : (int * int) option;
   }
 
@@ -27,10 +25,8 @@ module Config = struct
       reliable = None;
       obs = None;
       durability = Journal.None;
-      dispatch = Shell.Indexed;
       monitor = false;
       monitor_tick = 1.0;
-      shards = 1;
       shard_slot = None;
     }
 
@@ -42,14 +38,8 @@ module Config = struct
   let with_reliable reliable t = { t with reliable = Some reliable }
   let with_obs obs t = { t with obs = Some obs }
   let with_durability durability t = { t with durability }
-  let with_dispatch dispatch t = { t with dispatch }
   let with_monitor monitor t = { t with monitor }
   let with_monitor_tick monitor_tick t = { t with monitor_tick }
-
-  let with_shards shards t =
-    if shards < 1 then invalid_arg "Config.with_shards: shards must be >= 1";
-    { t with shards }
-
   let with_shard_slot slot t = { t with shard_slot = Some slot }
 end
 
@@ -184,7 +174,6 @@ type t = {
   obs : Obs.t;
   shells : (string, Shell.t) Hashtbl.t;  (* by primary site *)
   site_to_shell : (string, Shell.t) Hashtbl.t;  (* any handled site *)
-  dispatch : Shell.dispatch;
   mutable interface_rules : Rule.t list;
   mutable strategy_rules : Rule.t list;
   guarantees_by_site : (string, guarantee_entry list ref) Hashtbl.t;
@@ -281,7 +270,6 @@ let create ?(config = Config.default) locator =
     obs;
     shells = Hashtbl.create 8;
     site_to_shell = Hashtbl.create 8;
-    dispatch = config.Config.dispatch;
     interface_rules = [];
     strategy_rules = [];
     guarantees_by_site = Hashtbl.create 8;
@@ -418,7 +406,6 @@ let add_shell t ~site =
         ctx_locator = t.locator;
         ctx_obs = t.obs;
         ctx_journals = t.journals;
-        ctx_dispatch = t.dispatch;
       }
       ~site
   in

@@ -47,13 +47,6 @@ module Config : sig
             {!Journal} and a {!Recovery} manager, and make the reliable
             layer epoch-aware, so {!restart_site} replays, re-queues,
             and reports the crash as a metric failure (§5). *)
-    dispatch : Shell.dispatch;
-        (** rule matching strategy for every shell:
-            {!Shell.dispatch.Indexed} (default) dispatches events through
-            the {!Cm_rule.Rule_index} discrimination buckets;
-            {!Shell.dispatch.Naive} retains the pre-index linear scan —
-            the oracle the E15 benchmark and the differential tests
-            compare against.  Both produce byte-identical traces. *)
     monitor : bool;
         (** stream every declared copy constraint through
             {!Monitor} ([false] by default): per parameter vector, the
@@ -66,13 +59,6 @@ module Config : sig
         (** staleness re-evaluation period of the monitor (default 1.0
             s) — the "poll period" in the κ + tick detection bound for
             silently dying notification channels (§5 [Silent_drop]). *)
-    shards : int;
-        (** how many OCaml domains the world is partitioned across
-            (default 1 — today's sequential single-wheel execution,
-            byte-identical to every release before sharding existed).
-            A plain {!System} ignores values above 1: partitioned
-            execution is built by [Cm_shard.Fabric], which reads this
-            field and assembles one shard-slot system per shard. *)
     shard_slot : (int * int) option;
         (** [Some (k, n)]: this system is shard [k] of [n] in a
             [Cm_shard.Fabric] — its sim seed is derived per shard, its
@@ -94,12 +80,8 @@ module Config : sig
   val with_reliable : Reliable.config -> t -> t
   val with_obs : Obs.t -> t -> t
   val with_durability : Journal.durability -> t -> t
-  val with_dispatch : Shell.dispatch -> t -> t
   val with_monitor : bool -> t -> t
   val with_monitor_tick : float -> t -> t
-
-  val with_shards : int -> t -> t
-  (** @raise Invalid_argument when below 1. *)
 
   val with_shard_slot : int * int -> t -> t
   (** Fabric-internal; see {!type-t.shard_slot}. *)

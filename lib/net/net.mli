@@ -20,7 +20,7 @@
 
     Message payloads are a type parameter of the endpoint handlers; the
     CM layer sends rule-firing envelopes.  Per-link statistics feed the
-    message-cost experiments (E9, E10, E13). *)
+    message-cost experiments (E10, E13). *)
 
 type 'msg t
 

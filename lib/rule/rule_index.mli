@@ -17,7 +17,7 @@
     subsequence of {!select_naive} that is guaranteed to contain every
     entry whose template can match the event, in the same (installation)
     order.  [select_naive] is retained as the oracle for the
-    differential test harness and the E15 benchmark, not as a fallback.
+    differential test harness, not as a fallback.
 
     Site discipline (paper §4.1 rule distribution): an entry installed
     with [site = Some s] is a candidate for events occurring at [s]; an

@@ -58,10 +58,9 @@ module Fabric = struct
     | Some (k, _) -> t.systems.(k)
     | None -> invalid_arg ("Fabric.owner: unknown site " ^ site)
 
-  let create ?(config = System.Config.default) ?(keyed_single = false) ~assign
-      locator =
-    let n = config.System.Config.shards in
-    if n < 1 then invalid_arg "Fabric.create: config.shards must be >= 1";
+  let create ?(config = System.Config.default) ?(keyed_single = false) ~shards:n
+      ~assign locator =
+    if n < 1 then invalid_arg "Fabric.create: shards must be >= 1";
     let single = n = 1 && not keyed_single in
     if config.System.Config.monitor && not single then
       invalid_arg

@@ -40,7 +40,7 @@
     layouts; worlds compared across shard counts keep distinct times on
     distinct causal chains (the suites do, by construction).
 
-    [shards = 1] (the config default) builds one plain {!Cm_core.System}
+    [~shards:1] builds one plain {!Cm_core.System}
     and delegates everything to it — stream draws, dense trace ids, the
     exact sequential path every release before sharding ran, preserved
     as the differential oracle.  *)
@@ -51,12 +51,13 @@ module Fabric : sig
   val create :
     ?config:Cm_core.System.Config.t ->
     ?keyed_single:bool ->
+    shards:int ->
     assign:(string -> int) ->
     Cm_rule.Item.locator ->
     t
-  (** [create ~config ~assign locator] builds [config.shards] shard
+  (** [create ~config ~shards ~assign locator] builds [shards] shard
       systems; [assign site] names the shard (in [[0, shards)]) that
-      owns a site.  With [config.shards = 1] the fabric is a thin
+      owns a site.  With [~shards:1] the fabric is a thin
       wrapper around one plain sequential {!Cm_core.System} — unless
       [keyed_single] is set, which builds the single system in
       shard-slot form (keyed network draws, shard-derived sim seed) so
@@ -68,7 +69,7 @@ module Fabric : sig
       counters with {!counter_value} / {!counter_total}, or a single
       shard's registry via {!system}.
 
-      @raise Invalid_argument if [config.shards < 1], or if
+      @raise Invalid_argument if [shards < 1], or if
       [config.monitor] is set with more than one shard (the streaming
       monitor attaches to a single trace; run it unsharded). *)
 
@@ -154,7 +155,7 @@ module Fabric : sig
   val run : ?lookahead:float -> t -> until:float -> unit
   (** Run every shard to [until] (events at [until] inclusive, like
       {!Cm_core.System.run}): windowed parallel execution over
-      [config.shards] domains when the lookahead is positive, safe
+      {!shard_count} domains when the lookahead is positive, safe
       serialization when it is not.  [?lookahead] overrides the computed
       window — it must not exceed the true minimum cross-shard latency
       or conservativeness is lost.  An exception raised inside a shard

@@ -43,7 +43,9 @@ let schedule t ~delay action =
   schedule_at t (t.clock +. delay) action
 
 let every t ?start ~period action ~cancel =
-  if period <= 0.0 then invalid_arg "Sim.every: period must be positive";
+  (* Written so NaN fails too: a NaN tick would re-arm at time NaN, which
+     no horizon comparison ever stops. *)
+  if not (period > 0.0) then invalid_arg "Sim.every: period must be positive";
   let first = match start with Some s -> s | None -> t.clock +. period in
   let live () = not (cancel ()) in
   let rec tick () =

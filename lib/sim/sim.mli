@@ -39,7 +39,8 @@ val every : t -> ?start:time -> period:time -> (unit -> unit) -> cancel:(unit ->
 (** [every t ~period f ~cancel] runs [f] at [start] (default [now + period])
     and then every [period] simulated seconds, until [cancel ()] returns
     [true] (checked before each occurrence).  Implements the paper's
-    periodic events [P(p)]. *)
+    periodic events [P(p)].
+    @raise Invalid_argument unless [period > 0.] (NaN included). *)
 
 val run : ?until:time -> t -> unit
 (** Process queued events in time order.  Stops when the queue drains, when

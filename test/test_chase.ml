@@ -358,6 +358,39 @@ let test_differential_end_to_end () =
   Alcotest.(check bool) "the runs actually propagated" true
     (List.mem "2600" (fst hand))
 
+let test_differential_compile_at_scale () =
+  (* The copy program at 32 sites x 256 families: 8192 dependencies
+     X{s}_{k}(v) -> Y{s}_{k}(v) parse, are weakly acyclic, and compile to
+     rule text byte-identical to the hand-written N -> WR propagation
+     rules.  Identical text means identical dispatch, so no run is
+     needed to compare the two programs' traces or throughput. *)
+  let sites = 32 and families = 256 in
+  let grid f = List.concat (List.init sites (fun s -> List.init families (f s))) in
+  let hand =
+    grid (fun s k ->
+        Rule.make
+          ~id:(Printf.sprintf "r%d_%d" s k)
+          ~delta:5.0
+          ~lhs:(Template.make "N" [ Expr.Item (Printf.sprintf "X%d_%d" s k, []); Expr.Var "v" ])
+          (Rule.Steps
+             [
+               {
+                 Rule.guard = Expr.Const (Value.Bool true);
+                 template =
+                   Template.make "WR"
+                     [ Expr.Item (Printf.sprintf "Y%d_%d" s k, []); Expr.Var "v" ];
+               };
+             ]))
+  in
+  let deps =
+    grid (fun s k -> parse_ok (Printf.sprintf "r%d_%d: X%d_%d(v) -> Y%d_%d(v)" s k s k s k))
+  in
+  Alcotest.(check int) "dependency count" (sites * families) (List.length deps);
+  Alcotest.(check bool) "weakly acyclic" true (Chase.weakly_acyclic deps);
+  Alcotest.(check (list string)) "compiled text = hand-written text"
+    (List.map Rule.to_string hand)
+    (List.map Rule.to_string (to_rules_ok deps))
+
 let () =
   Alcotest.run "chase"
     [
@@ -410,5 +443,7 @@ let () =
             test_differential_instance_level;
           Alcotest.test_case "end to end on payroll" `Quick
             test_differential_end_to_end;
+          Alcotest.test_case "compile at 32x256" `Quick
+            test_differential_compile_at_scale;
         ] );
     ]

@@ -77,7 +77,7 @@ let e13_trace () =
 
 (* ---- sharded runs of the same workloads ----------------------------
 
-   A Fabric with [shards = 1] (the config default) is documented to BE
+   A Fabric with [~shards:1] is documented to BE
    the sequential path — plain delegation, stream draws, dense ids.
    These variants rebuild E1/E4/E13 on a one-shard fabric (the workload
    constructors accept the fabric-owned system via [?system]) and must
@@ -87,9 +87,8 @@ module Fabric = Cm_shard.Shard.Fabric
 
 let e1_sharded_trace () =
   let fab =
-    Fabric.create
-      ~config:Sys_.Config.(seeded 101 |> with_shards 1)
-      ~assign:(fun _ -> 0) Payroll.locator
+    Fabric.create ~config:(Sys_.Config.seeded 101) ~shards:1 ~assign:(fun _ -> 0)
+      Payroll.locator
   in
   let p = Payroll.create ~system:(Fabric.system fab 0) ~employees:20 () in
   Payroll.install_propagation p;
@@ -99,9 +98,8 @@ let e1_sharded_trace () =
 
 let e4_sharded_trace () =
   let fab =
-    Fabric.create
-      ~config:Sys_.Config.(seeded 42 |> with_shards 1)
-      ~assign:(fun _ -> 0) Bank.locator
+    Fabric.create ~config:(Sys_.Config.seeded 42) ~shards:1 ~assign:(fun _ -> 0)
+      Bank.locator
   in
   let b =
     Bank.create ~system:(Fabric.system fab 0)
@@ -126,9 +124,9 @@ let e13_sharded_trace () =
     Sys_.Config.(
       seeded 1300
       |> with_faults { Net.drop_prob = 0.2; dup_prob = 0.1 }
-      |> with_reliable Reliable.default_config |> with_shards 1)
+      |> with_reliable Reliable.default_config)
   in
-  let fab = Fabric.create ~config ~assign:(fun _ -> 0) Payroll.locator in
+  let fab = Fabric.create ~config ~shards:1 ~assign:(fun _ -> 0) Payroll.locator in
   let p = Payroll.create ~system:(Fabric.system fab 0) ~employees:3 () in
   Payroll.install_propagation p;
   Payroll.random_updates p ~mean_interarrival:20.0 ~until:500.0;
@@ -167,9 +165,8 @@ let chain_rules =
 let chain_updates = [ (0, 1001, 0.5); (1, 1002, 1.1); (3, 1003, 1.7); (0, 1004, 2.3); (2, 1005, 2.9) ]
 
 let chain_digest ~shards () =
-  let config = Sys_.Config.(seeded 7700 |> with_shards shards) in
   let fab =
-    Fabric.create ~config
+    Fabric.create ~config:(Sys_.Config.seeded 7700) ~shards
       ~assign:(fun s -> if shards > 1 && (s = "s1" || s = "s3") then 1 else 0)
       chain_locator
   in

@@ -337,6 +337,34 @@ let twenty_five_seed_sharded_chaos () =
     end
   done
 
+(* Malformed counts are refused before any schedule is derived, with a
+   message naming the offending field — not an exception from deep
+   inside List.init or Prng. *)
+let malformed_specs_name_the_field () =
+  let refused label expected f =
+    Alcotest.check_raises label (Invalid_argument expected) (fun () -> ignore (f ()))
+  in
+  let spec = Chaos.default_spec in
+  refused "negative events" "Chaos.run: events must be >= 0 (got -5)" (fun () ->
+      Chaos.run { spec with events = -5 });
+  refused "negative crashes" "Chaos.run: crashes must be >= 0 (got -3)" (fun () ->
+      Chaos.run { spec with crashes = -3 });
+  refused "negative churn" "Chaos.run: churn must be >= 0 (got -1)" (fun () ->
+      Chaos.run { spec with churn = -1 });
+  refused "heal, negative events" "Chaos.run_heal: events must be >= 0 (got -1)"
+    (fun () -> Chaos.run_heal { spec with events = -1 });
+  let ss = Chaos.default_shard_spec in
+  refused "ring below 4 sites" "Chaos.run_sharded: ss_sites must be >= 4 (got 3)"
+    (fun () -> Chaos.run_sharded { ss with ss_sites = 3 });
+  refused "zero shards" "Chaos.run_sharded: ss_shards must be >= 1 (got 0)"
+    (fun () -> Chaos.run_sharded { ss with ss_shards = 0 });
+  refused "sharded, negative events"
+    "Chaos.run_sharded: ss_events must be >= 0 (got -2)" (fun () ->
+      Chaos.run_sharded { ss with ss_events = -2 });
+  refused "sharded, negative crashes"
+    "Chaos.run_sharded: ss_crashes must be >= 0 (got -1)" (fun () ->
+      Chaos.run_sharded { ss with ss_crashes = -1 })
+
 let () =
   Alcotest.run "cm_recovery"
     [
@@ -364,6 +392,11 @@ let () =
           Alcotest.test_case "journal replay" `Quick
             journal_replay_is_deterministic;
           Alcotest.test_case "chaos report" `Quick chaos_report_is_deterministic;
+        ] );
+      ( "validation",
+        [
+          Alcotest.test_case "malformed specs name the field" `Quick
+            malformed_specs_name_the_field;
         ] );
       ( "acceptance",
         [

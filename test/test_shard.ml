@@ -84,12 +84,9 @@ let link_latency m i j =
   { Cm_net.Net.base = 0.3 +. (0.0053 *. float_of_int ((i * m) + j)); jitter = 0.0 }
 
 let build_fabric ~case ~shards ~assignment w =
-  let config =
-    Config.seeded (4242 + case) |> Config.with_shards shards
-    |> Config.with_obs (Obs.create ())
-  in
+  let config = Config.seeded (4242 + case) |> Config.with_obs (Obs.create ()) in
   let fab =
-    Fabric.create ~config
+    Fabric.create ~config ~shards
       ~assign:(fun s ->
         match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
         | Some i when i < Array.length assignment -> assignment.(i)
@@ -236,9 +233,10 @@ let zero_lookahead_serializes () =
     }
   in
   let build shards assignment =
-    let config = Config.seeded 77 |> Config.with_shards shards in
     let fab =
-      Fabric.create ~config ~assign:(fun s -> assignment.(int_of_string (String.sub s 1 1))) locator
+      Fabric.create ~config:(Config.seeded 77) ~shards
+        ~assign:(fun s -> assignment.(int_of_string (String.sub s 1 1)))
+        locator
     in
     for i = 0 to w.m - 1 do
       ignore (Fabric.add_shell fab ~site:(site i))
@@ -296,10 +294,14 @@ let empty_shard_unbounded_lookahead () =
   Alcotest.(check int) "nothing crossed shards" 0 (Fabric.messages_forwarded fab)
 
 let monitor_rejected_under_shards () =
-  let config = Config.seeded 1 |> Config.with_shards 2 |> Config.with_monitor true in
-  match Fabric.create ~config ~assign:(fun _ -> 0) locator with
+  let config = Config.seeded 1 |> Config.with_monitor true in
+  match Fabric.create ~config ~shards:2 ~assign:(fun _ -> 0) locator with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
+
+let shards_below_one_rejected () =
+  Alcotest.check_raises "shards 0" (Invalid_argument "Fabric.create: shards must be >= 1")
+    (fun () -> ignore (Fabric.create ~shards:0 ~assign:(fun _ -> 0) locator))
 
 let repeated_runs_identical () =
   let rng = Prng.create ~seed:100_007 in
@@ -330,6 +332,8 @@ let () =
             empty_shard_unbounded_lookahead;
           Alcotest.test_case "monitor rejected under shards" `Quick
             monitor_rejected_under_shards;
+          Alcotest.test_case "shards below one rejected" `Quick
+            shards_below_one_rejected;
           Alcotest.test_case "repeated sharded runs byte-identical" `Quick
             repeated_runs_identical;
         ] );

@@ -234,7 +234,7 @@ let foreign_site_rhs_routed () =
   Alcotest.(check (option string)) "written at c" (Some "5")
     (Cm_sources.Kvfile.read fs "xc")
 
-(* ---- dispatch edge cases (indexed vs naive) ---- *)
+(* ---- dispatch edge cases ---- *)
 
 let chaining_rule_fires_only_locally () =
   (* A rule mentioning no item on either side has no LHS site: it is
@@ -286,30 +286,6 @@ let custom_handlers_coexist_with_rules () =
   Alcotest.(check (option value)) "rule fired too" (Some (Value.Int 9))
     (Shell.read_aux sb (Item.make "Cache"))
 
-let naive_dispatch_equivalent () =
-  (* The retained naive matcher is a drop-in: the same workload under
-     Config.with_dispatch Naive ends in the same state. *)
-  let run dispatch =
-    let locator item = match item.Item.base with "Xa" -> "a" | _ -> "b" in
-    let config =
-      Cm_core.System.Config.(seeded 5 |> with_dispatch dispatch)
-    in
-    let system = Sys_.create ~config locator in
-    let sa = Sys_.add_shell system ~site:"a" in
-    let sb = Sys_.add_shell system ~site:"b" in
-    Sys_.install system
-      (strategy_of
-         {|r1: Ping(Xa, v) ->[5] Pong(Xa, v)
-           r2: Pong(Xa, v) ->[5] W(Cache, v)|});
-    emit_at sa ~site:"a" (custom "Ping" [ ai "Xa"; av (Value.Int 4) ]);
-    Sys_.run system ~until:20.0;
-    (Shell.read_aux sb (Item.make "Cache"), Trace.length (Sys_.trace system))
-  in
-  let indexed = run Shell.Indexed in
-  let naive = run Shell.Naive in
-  Alcotest.(check (pair (option value) int))
-    "indexed and naive runs end identically" naive indexed
-
 let () =
   Alcotest.run "cm_shell"
     [
@@ -336,8 +312,6 @@ let () =
             chaining_rule_fires_only_locally;
           Alcotest.test_case "custom handlers coexist" `Quick
             custom_handlers_coexist_with_rules;
-          Alcotest.test_case "naive dispatch equivalent" `Quick
-            naive_dispatch_equivalent;
         ] );
       ("store", [ Alcotest.test_case "aux write" `Quick aux_write_records_event ]);
       ( "failures",

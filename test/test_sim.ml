@@ -101,6 +101,18 @@ let every_with_start () =
   Alcotest.(check (list (float 1e-9))) "ticks at 0,5,10" [ 0.0; 5.0; 10.0 ]
     (List.rev !ticks)
 
+let every_rejects_non_positive_periods () =
+  (* NaN must be refused with the rest: a NaN tick would re-arm at time
+     NaN, which [run ~until] never stops on. *)
+  List.iter
+    (fun period ->
+      let sim = Sim.create () in
+      Alcotest.check_raises
+        (Printf.sprintf "period %g" period)
+        (Invalid_argument "Sim.every: period must be positive")
+        (fun () -> Sim.every sim ~period (fun () -> ()) ~cancel:(fun () -> false)))
+    [ Float.nan; 0.0; -1.0 ]
+
 let step_one_at_a_time () =
   let sim = Sim.create () in
   let count = ref 0 in
@@ -176,6 +188,8 @@ let () =
           Alcotest.test_case "stop exception" `Quick stop_exception;
           Alcotest.test_case "every" `Quick every_fires_periodically;
           Alcotest.test_case "every with start" `Quick every_with_start;
+          Alcotest.test_case "every rejects non-positive periods" `Quick
+            every_rejects_non_positive_periods;
           Alcotest.test_case "step" `Quick step_one_at_a_time;
           Alcotest.test_case "counters" `Quick counters;
           Alcotest.test_case "pending ignores cancelled periodics" `Quick
