@@ -6,7 +6,7 @@ type table = {
   checks : expr list;
   pk : string option;
   rows : (int, Row.t) Hashtbl.t;  (* rowid -> row *)
-  pk_index : (Value.t, int) Hashtbl.t;
+  pk_index : (Value.t, int) Hashtbl.t;  (* index_key of the pk value -> rowid *)
   mutable next_rowid : int;
 }
 
@@ -141,6 +141,24 @@ let truthy params row e =
   (not (is_null v))
   && (try Value.truthy v with Invalid_argument m -> raise (Fail (Type_mismatch m)))
 
+let rec require_params params = function
+  | Param p -> if not (List.mem_assoc p params) then raise (Fail (Unbound_param p))
+  | Lit _ | Col _ -> ()
+  | Unary (_, e) | Is_null (e, _) -> require_params params e
+  | Binary (_, a, b) ->
+    require_params params a;
+    require_params params b
+
+(* One hash key per [Value.equal] class, so [2] and [2.0], or [0.0] and
+   [-0.0], share an index slot: integral floats in int range become ints,
+   and every NaN is one NaN.  (Beyond 2^53, where int-to-float conversion
+   rounds, [Value.equal] itself is not transitive.) *)
+let index_key = function
+  | Value.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+    Value.Int (Float.to_int f)
+  | Value.Float f when Float.is_nan f -> Value.Float Float.nan
+  | v -> v
+
 (* --- integrity checks --- *)
 
 let value_fits col v =
@@ -176,15 +194,51 @@ let rows_in_order tbl =
   Hashtbl.fold (fun rowid row acc -> (rowid, row) :: acc) tbl.rows []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+let rec column_free = function
+  | Col _ -> false
+  | Lit _ | Param _ -> true
+  | Unary (_, e) | Is_null (e, _) -> column_free e
+  | Binary (_, a, b) -> column_free a && column_free b
+
+(* [col = e] or [e = col], [e] column-free, as the leftmost top-level AND
+   conjunct: the conjunct the scan evaluates first on every row. *)
+let rec probe = function
+  | Binary (And, a, _) -> probe a
+  | Binary (Eq, Col col, e) when column_free e -> Some (col, e)
+  | Binary (Eq, e, Col col) when column_free e -> Some (col, e)
+  | _ -> None
+
+(* The rows a WHERE selects, in rowid order.  A probe on the primary key
+   answers from [pk_index]: an equality never raises, and its other side
+   is row-independent, so the one indexed row passing the whole WHERE is
+   exactly what the scan keeps, errors included.  Params and the probe's
+   key are checked before any row is read, so errors do not depend on
+   whether the table has rows. *)
 let matching params tbl where =
-  let keep (_, row) =
-    match where with None -> true | Some e -> truthy params row e
-  in
-  List.filter keep (rows_in_order tbl)
+  match where with
+  | None -> rows_in_order tbl
+  | Some where -> (
+    require_params params where;
+    let passes (_, row) = truthy params row where in
+    let scan () = List.filter passes (rows_in_order tbl) in
+    match probe where with
+    | None -> scan ()
+    | Some (col, e) -> (
+      let key = eval params Row.empty e in
+      match tbl.pk with
+      | Some pk when String.equal pk col -> (
+        match Hashtbl.find_opt tbl.pk_index (index_key key) with
+        | Some rowid ->
+          let entry = (rowid, Hashtbl.find tbl.rows rowid) in
+          if passes entry then [ entry ] else []
+        | None -> [])
+      | _ -> scan ()))
 
 let exec_create db table cols checks =
   if Hashtbl.mem db.tables table then raise (Fail (Table_exists table));
   if cols = [] then raise (Fail (Parse_failed "a table needs at least one column"));
+  (* PRIMARY KEY implies NOT NULL. *)
+  let cols = List.map (fun c -> { c with not_null = c.not_null || c.primary_key }) cols in
   let pks = List.filter (fun c -> c.primary_key) cols in
   let pk =
     match pks with
@@ -240,23 +294,48 @@ let exec_insert db params table cols values =
    | None -> ()
    | Some pk_col ->
      let key = Row.get_or_null row pk_col in
-     if Hashtbl.mem tbl.pk_index key then
+     if Hashtbl.mem tbl.pk_index (index_key key) then
        raise (Fail (Duplicate_key (Value.to_string key))));
   let rowid = tbl.next_rowid in
   tbl.next_rowid <- rowid + 1;
   Hashtbl.replace tbl.rows rowid row;
   (match tbl.pk with
    | None -> ()
-   | Some pk_col -> Hashtbl.replace tbl.pk_index (Row.get_or_null row pk_col) rowid);
+   | Some pk_col ->
+     Hashtbl.replace tbl.pk_index (index_key (Row.get_or_null row pk_col)) rowid);
   notify db (Inserted { table; row });
   Affected 1
+
+(* Keys stay unique after an UPDATE: no two [rekeyed] rows (those whose key
+   changes) land on one key, and none lands on the key of a row that keeps
+   its key. *)
+let require_unique_keys tbl pk_col rekeyed =
+  let moving = Hashtbl.create 16 in
+  List.iter (fun (rowid, _, _) -> Hashtbl.replace moving rowid ()) rekeyed;
+  let landed = Hashtbl.create 16 in
+  List.iter
+    (fun (_, _, new_row) ->
+      let key = Row.get_or_null new_row pk_col in
+      let slot = index_key key in
+      let taken =
+        Hashtbl.mem landed slot
+        ||
+        match Hashtbl.find_opt tbl.pk_index slot with
+        | Some owner -> not (Hashtbl.mem moving owner)
+        | None -> false
+      in
+      if taken then raise (Fail (Duplicate_key (Value.to_string key)));
+      Hashtbl.replace landed slot ())
+    rekeyed
 
 let exec_update db params table sets where =
   let tbl = find_table db table in
   List.iter (fun (c, _) -> require_col table tbl c) sets;
   let targets = matching params tbl where in
-  (* Two-phase: validate all updated rows first so a CHECK failure leaves
-     the table untouched (statement atomicity). *)
+  List.iter (fun (_, e) -> require_params params e) sets;
+  (* Two-phase: validate all updated rows (CHECKs, then key uniqueness)
+     first so a rejection leaves the table untouched (statement
+     atomicity). *)
   let updated =
     List.map
       (fun (rowid, old_row) ->
@@ -272,29 +351,25 @@ let exec_update db params table sets where =
   (match tbl.pk with
    | None -> ()
    | Some pk_col ->
-     List.iter
-       (fun (rowid, old_row, new_row) ->
-         let old_key = Row.get_or_null old_row pk_col in
-         let new_key = Row.get_or_null new_row pk_col in
-         if not (Value.equal old_key new_key) then begin
-           (match Hashtbl.find_opt tbl.pk_index new_key with
-            | Some other when other <> rowid ->
-              raise (Fail (Duplicate_key (Value.to_string new_key)))
-            | _ -> ())
-         end)
-       updated);
+     let key row = Row.get_or_null row pk_col in
+     let rekeyed =
+       List.filter (fun (_, old_row, new_row) ->
+           not (Value.equal (key old_row) (key new_row)))
+         updated
+     in
+     if rekeyed <> [] then begin
+       require_unique_keys tbl pk_col rekeyed;
+       List.iter
+         (fun (_, old_row, _) -> Hashtbl.remove tbl.pk_index (index_key (key old_row)))
+         rekeyed;
+       List.iter
+         (fun (rowid, _, new_row) ->
+           Hashtbl.replace tbl.pk_index (index_key (key new_row)) rowid)
+         rekeyed
+     end);
+  List.iter (fun (rowid, _, new_row) -> Hashtbl.replace tbl.rows rowid new_row) updated;
   List.iter
-    (fun (rowid, old_row, new_row) ->
-      Hashtbl.replace tbl.rows rowid new_row;
-      (match tbl.pk with
-       | None -> ()
-       | Some pk_col ->
-         let old_key = Row.get_or_null old_row pk_col in
-         let new_key = Row.get_or_null new_row pk_col in
-         if not (Value.equal old_key new_key) then begin
-           Hashtbl.remove tbl.pk_index old_key;
-           Hashtbl.replace tbl.pk_index new_key rowid
-         end);
+    (fun (_, old_row, new_row) ->
       if not (Row.equal old_row new_row) then
         notify db (Updated { table; old_row; new_row }))
     updated;
@@ -308,7 +383,7 @@ let exec_delete db params table where =
       Hashtbl.remove tbl.rows rowid;
       (match tbl.pk with
        | None -> ()
-       | Some pk_col -> Hashtbl.remove tbl.pk_index (Row.get_or_null row pk_col));
+       | Some pk_col -> Hashtbl.remove tbl.pk_index (index_key (Row.get_or_null row pk_col)));
       notify db (Deleted { table; row }))
     targets;
   Affected (List.length targets)

@@ -13,7 +13,32 @@
 
     Execution is synchronous and deterministic; latency is modelled by
     the translator, not here.  SELECT without ORDER BY returns rows in
-    insertion order. *)
+    insertion order.
+
+    {b Primary keys.}  At most one column is [PRIMARY KEY]; it implies
+    [NOT NULL] ([Not_null_violated] names the column).  Keys are unique
+    under [Cm_rule.Value.equal], so a [REAL] key holds [1] or [1.0], not
+    both, and [0.0]/[-0.0] or two NaNs collide ([Duplicate_key]).
+    Uniqueness is checked after the whole statement: an UPDATE is
+    rejected, with the table untouched, when two of its rows end on one
+    key or one lands on a key another row keeps, so [SET k = k + 1] over
+    every row is legal.
+
+    {b Access path.}  When the leftmost top-level [AND] conjunct of a
+    WHERE is [pk = e] or [e = pk] and [e] names no column, [e] is
+    evaluated once and the statement (UPDATE, DELETE, SELECT, aggregates)
+    sees at most the one row holding that key, if it passes the whole
+    WHERE.  Every other WHERE scans the table in rowid order.  Both paths
+    select the same rows and raise the same errors; the probe replaces
+    the scan and its sort with one hash lookup.
+
+    {b Errors and empty tables.}  Before any row is read, every
+    [$param] in the WHERE and the SET list must be bound
+    ([Unbound_param]), and the key side [e] of a leading [col = e]
+    conjunct is evaluated (on any table, so a type error in it is
+    reported even when the table is empty).  Errors that need a row
+    value (a CHECK, a type error against a column) can still only arise
+    from the rows the statement touches. *)
 
 type t
 
@@ -57,7 +82,8 @@ val exec_stmt :
 val on_change : t -> (change -> unit) -> unit
 (** Register an after-change observer, called synchronously after each
     successful insert/update/delete, once per affected row.  Several
-    observers run in registration order. *)
+    observers run in registration order.  An UPDATE notifies after all
+    of its rows are written. *)
 
 val table_names : t -> string list
 val columns_of : t -> string -> string list option

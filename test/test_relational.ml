@@ -212,6 +212,104 @@ let pk_update_reindexes () =
   insert db "e1" 1 "x";
   Alcotest.(check (option int)) "two rows" (Some 2) (Database.row_count db "emp")
 
+(* ---- primary keys ---- *)
+
+let keyed_db ?(ty = "INT") keys =
+  let db = Database.create () in
+  ignore
+    (ok (Database.exec db (Printf.sprintf "CREATE TABLE t (k %s PRIMARY KEY, v INT)" ty)));
+  List.iter
+    (fun (k, v) ->
+      ignore
+        (ok (Database.exec db "INSERT INTO t VALUES ($k, $v)" ~params:[ ("k", k); ("v", V.Int v) ])))
+    keys;
+  db
+
+let table_dump db =
+  List.map (List.map V.to_string) (rows (ok (Database.exec db "SELECT * FROM t")))
+
+let count_where db ?(params = []) where =
+  List.length (rows (ok (Database.exec db ~params ("SELECT v FROM t WHERE " ^ where))))
+
+let multi_row_update_duplicate_keys () =
+  let db = keyed_db [ (V.Int 1, 0); (V.Int 2, 0); (V.Int 3, 1) ] in
+  let events = ref 0 in
+  Database.on_change db (fun _ -> incr events);
+  let before = table_dump db in
+  let dup = function Database.Duplicate_key _ -> true | _ -> false in
+  expect_error dup "two updated rows end on key 5"
+    (Database.exec db "UPDATE t SET k = 5 WHERE v = 0");
+  expect_error dup "lands on a row the statement leaves alone"
+    (Database.exec db "UPDATE t SET k = 3 WHERE v = 0 AND k = 1");
+  expect_error dup "lands on an updated row that keeps its key"
+    (Database.exec db "UPDATE t SET k = 2, v = 5 WHERE v = 0");
+  Alcotest.(check (list (list string))) "table untouched" before (table_dump db);
+  Alcotest.(check int) "no events" 0 !events;
+  (match ok (Database.exec db "UPDATE t SET k = k + 1") with
+   | Database.Affected n -> Alcotest.(check int) "shift all keys" 3 n
+   | _ -> Alcotest.fail "expected Affected");
+  ignore (ok (Database.exec db "UPDATE t SET k = 6 - k"));
+  List.iter
+    (fun k ->
+      Alcotest.(check int) (Printf.sprintf "key %d reachable" k) 1
+        (count_where db (Printf.sprintf "k = %d" k)))
+    [ 2; 3; 4 ];
+  Alcotest.(check int) "old key 1 gone" 0 (count_where db "k = 1");
+  Alcotest.(check int) "three updates notified twice" 5 !events
+
+let canonical_index_keys () =
+  let db = keyed_db ~ty:"REAL" [ (V.Int 1, 0); (V.Float 0.0, 1); (V.Float Float.nan, 2) ] in
+  let dup = function Database.Duplicate_key _ -> true | _ -> false in
+  let insert k = Database.exec db "INSERT INTO t VALUES ($k, 9)" ~params:[ ("k", k) ] in
+  expect_error dup "1.0 duplicates 1" (insert (V.Float 1.0));
+  expect_error dup "-0.0 duplicates 0.0" (insert (V.Float (-0.0)));
+  expect_error dup "0 duplicates 0.0" (insert (V.Int 0));
+  expect_error dup "NaN duplicates NaN" (insert (V.Float (Float.neg Float.nan)));
+  Alcotest.(check int) "k = 1 finds one row" 1 (count_where db "k = 1");
+  Alcotest.(check int) "k = 1.0 finds one row" 1 (count_where db "k = 1.0");
+  ignore (ok (insert (V.Float 1.5)));
+  expect_error dup "update onto 1.0"
+    (Database.exec db "UPDATE t SET k = 1.0 WHERE k = 1.5");
+  ignore (ok (Database.exec db "DELETE FROM t WHERE k = 1.0"));
+  ignore (ok (insert (V.Float 1.0)));
+  let ints = keyed_db [ (V.Int 1, 10); (V.Int 2, 20) ] in
+  Alcotest.(check (list (list string))) "INT key probed with 2.0" [ [ "20" ] ]
+    (List.map (List.map V.to_string)
+       (rows (ok (Database.exec ints "SELECT v FROM t WHERE k = 2.0"))))
+
+let primary_key_not_null () =
+  let db = keyed_db [ (V.Int 1, 0) ] in
+  let pk_null = function Database.Not_null_violated "k" -> true | _ -> false in
+  expect_error pk_null "missing key" (Database.exec db "INSERT INTO t (v) VALUES (1)");
+  expect_error pk_null "explicit NULL key" (Database.exec db "INSERT INTO t VALUES (NULL, 1)");
+  expect_error pk_null "update to NULL" (Database.exec db "UPDATE t SET k = NULL");
+  Alcotest.(check int) "k = NULL selects nothing" 0 (count_where db "k = NULL");
+  Alcotest.(check (list (list string))) "unchanged" [ [ "1"; "0" ] ] (table_dump db)
+
+let errors_independent_of_rows () =
+  List.iter
+    (fun pk ->
+      let db = Database.create () in
+      ignore
+        (ok (Database.exec db (Printf.sprintf "CREATE TABLE e (k INT%s, v INT)" pk)));
+      let same_error_with_and_without_rows pred what src =
+        expect_error pred (what ^ ", empty table") (Database.exec db src);
+        ignore (ok (Database.exec db "INSERT INTO e VALUES (1, 0)"));
+        expect_error pred (what ^ ", one row") (Database.exec db src);
+        ignore (ok (Database.exec db "DELETE FROM e"))
+      in
+      let unbound = function Database.Unbound_param _ -> true | _ -> false in
+      let mismatch = function Database.Type_mismatch _ -> true | _ -> false in
+      same_error_with_and_without_rows unbound "unbound probe key"
+        "UPDATE e SET v = 1 WHERE k = $n";
+      same_error_with_and_without_rows unbound "unbound SET param"
+        "UPDATE e SET v = $b WHERE k = 7";
+      same_error_with_and_without_rows unbound "unbound param past the probe"
+        "SELECT * FROM e WHERE k = 7 AND v = $x";
+      same_error_with_and_without_rows mismatch "ill-typed probe key"
+        "DELETE FROM e WHERE k = 'a' + 1")
+    [ " PRIMARY KEY"; "" ]
+
 let null_semantics () =
   let db = fresh () in
   insert db "e1" 100 "sales";
@@ -401,6 +499,264 @@ let qcheck_sql_roundtrip =
       let s2 = Sql_ast.stmt_to_string (Sql_parser.parse s1) in
       s1 = s2)
 
+(* ---- differential: primary-key access path vs the scan ----
+
+   Each case runs one random statement sequence on two tables with the
+   same columns: [keyed] declares [k] PRIMARY KEY, so point statements
+   take the index; the oracle does not, so every statement scans.  A
+   statement the keyed table accepts must give both sides the same
+   result (or error) and the same observer change stream.  When the keyed
+   table rejects one for its key alone (duplicate or NULL), the oracle
+   must end up holding a duplicate or NULL key if it accepts it; it is
+   then rebuilt from the keyed table's rows.  After every statement both
+   tables hold the same rows in the same order, and every keyed row is
+   reachable through [WHERE k = key]. *)
+
+let show_value = function V.Float f -> Printf.sprintf "%h" f | v -> V.to_string v
+
+let show_row row =
+  String.concat "," (List.map (fun (c, v) -> c ^ "=" ^ show_value v) (Row.to_list row))
+
+let show_result = function
+  | Ok (Database.Rows { columns; rows }) ->
+    String.concat "," columns ^ ":"
+    ^ String.concat ";" (List.map (fun r -> String.concat "," (List.map show_value r)) rows)
+  | Ok (Database.Affected n) -> Printf.sprintf "affected %d" n
+  | Ok Database.Done -> "done"
+  | Error e -> "error " ^ Database.error_to_string e
+
+type side = { db : Database.t; changes : string list ref }
+
+let diff_side ~keyed ty =
+  let db = Database.create () in
+  let changes = ref [] in
+  Database.on_change db (fun c ->
+      changes :=
+        (match c with
+         | Database.Inserted { row; _ } -> "ins " ^ show_row row
+         | Database.Updated { old_row; new_row; _ } ->
+           "upd " ^ show_row old_row ^ " -> " ^ show_row new_row
+         | Database.Deleted { row; _ } -> "del " ^ show_row row)
+        :: !changes);
+  ignore
+    (ok
+       (Database.exec db
+          (Printf.sprintf
+             "CREATE TABLE t (k %s%s, v INT, w TEXT, CHECK (v IS NULL OR v < 50))" ty
+             (if keyed then " PRIMARY KEY" else ""))));
+  { db; changes }
+
+let dump side =
+  match Database.exec side.db "SELECT k, v, w FROM t" with
+  | Ok (Database.Rows { rows; _ }) -> rows
+  | r -> Alcotest.fail ("dump: " ^ show_result r)
+
+module Prng = Cm_util.Prng
+open Sql_ast
+
+(* Keys from a small domain so statements collide, with cross-kind
+   numerics (an INT key probed with 2.0; REAL keys 1, 1.0, -0.0), NULLs
+   and wrong-kind values. *)
+let gen_key rng ty =
+  let i = Prng.int rng 6 in
+  match Prng.int rng 12, ty with
+  | 0, _ -> V.Null
+  | 1, "TEXT" -> V.Int i
+  | 1, _ -> V.Str "a"
+  | _, "INT" -> if Prng.int rng 4 = 0 then V.Float (float_of_int i) else V.Int i
+  | _, "REAL" -> (
+    match Prng.int rng 4 with
+    | 0 -> V.Int i
+    | 1 -> V.Float (float_of_int i +. 0.5)
+    | 2 when i = 0 -> V.Float (-0.0)
+    | _ -> V.Float (float_of_int i))
+  | _ -> V.Str (String.make 1 (Char.chr (Char.code 'a' + i)))
+
+(* A column-free key expression: a literal, a bound $param, arithmetic
+   over one (ill-typed for TEXT keys), or rarely an unbound $param. *)
+let gen_key_expr rng ty params =
+  let v = gen_key rng ty in
+  match Prng.int rng 20 with
+  | 0 -> Param "unbound"
+  | 1 | 2 -> Binary (Add, Lit v, Lit (V.Int 0))
+  | n when n < 10 ->
+    let name = Printf.sprintf "p%d" (List.length !params) in
+    params := (name, v) :: !params;
+    Param name
+  | _ -> Lit v
+
+let gen_rest rng ty params =
+  match Prng.int rng 8 with
+  | 0 -> Binary (Gt, Col "v", Lit (V.Int (Prng.int rng 50)))
+  | 1 -> Binary (Eq, Col "w", Lit (V.Str (if Prng.bool rng then "x" else "y")))
+  | 2 -> Is_null (Col "v", Prng.bool rng)
+  | 3 -> Binary (Ne, Col "k", gen_key_expr rng ty params)
+  | 4 -> Binary (Le, Col "k", Lit (gen_key rng ty))
+  | 5 -> Binary (Gt, Binary (Add, Col "v", Col "k"), Lit (V.Int 3))
+  | 6 -> Lit (V.Int 5)  (* not a boolean: Type_mismatch where evaluated *)
+  | _ -> Binary (Eq, Col "v", Col "k")
+
+let gen_where rng ty params =
+  let key_eq () =
+    let e = gen_key_expr rng ty params in
+    if Prng.bool rng then Binary (Eq, Col "k", e) else Binary (Eq, e, Col "k")
+  in
+  let rest () = gen_rest rng ty params in
+  match Prng.int rng 9 with
+  | 0 -> None
+  | 1 | 2 -> Some (key_eq ())
+  | 3 -> Some (Binary (And, key_eq (), rest ()))
+  | 4 -> Some (Binary (And, rest (), key_eq ()))
+  | 5 -> Some (Binary (Or, key_eq (), rest ()))
+  | 6 -> Some (rest ())
+  | 7 -> Some (Binary (And, Binary (And, key_eq (), rest ()), rest ()))
+  | _ -> Some (Binary (And, key_eq (), Binary (And, rest (), rest ())))
+
+let gen_v rng =
+  match Prng.int rng 8 with 0 -> Lit V.Null | _ -> Lit (V.Int (Prng.int rng 55))
+
+let gen_w rng =
+  match Prng.int rng 4 with
+  | 0 -> Lit V.Null
+  | n -> Lit (V.Str (if n = 1 then "x" else "y"))
+
+let gen_stmt rng ty =
+  let params = ref [] in
+  let stmt =
+    match Prng.int rng 12 with
+    | 0 | 1 | 2 | 3 ->
+      Insert
+        { table = "t"; cols = None;
+          values = [ gen_key_expr rng ty params; gen_v rng; gen_w rng ] }
+    | 4 -> Insert { table = "t"; cols = Some [ "v"; "w" ]; values = [ gen_v rng; gen_w rng ] }
+    | 5 | 6 ->
+      let set_k =
+        match Prng.int rng 3, ty with
+        | 0, "TEXT" -> Col "w"
+        | 0, _ -> Binary (Add, Col "k", Lit (V.Int 1))
+        | _ -> gen_key_expr rng ty params
+      in
+      let sets =
+        match Prng.int rng 4 with
+        | 0 -> [ ("v", Binary (Add, Col "v", Lit (V.Int 1))) ]
+        | 1 -> [ ("w", gen_w rng); ("v", gen_v rng) ]
+        | 2 -> [ ("k", set_k) ]
+        | _ -> [ ("k", set_k); ("v", gen_v rng) ]
+      in
+      Update { table = "t"; sets; where = gen_where rng ty params }
+    | 7 -> Delete { table = "t"; where = gen_where rng ty params }
+    | 8 | 9 ->
+      let order_by = if Prng.bool rng then Some ("v", Desc) else None in
+      Select
+        { table = "t"; projection = None; where = gen_where rng ty params;
+          group_by = None; order_by }
+    | 10 ->
+      Select
+        { table = "t";
+          projection = Some [ S_agg (Count, None); S_agg (Sum, Some "v"); S_agg (Min, Some "k") ];
+          where = gen_where rng ty params; group_by = None; order_by = None }
+    | _ ->
+      Select
+        { table = "t"; projection = Some [ S_col "w"; S_agg (Count, Some "k") ];
+          where = gen_where rng ty params; group_by = Some "w"; order_by = None }
+  in
+  (stmt, !params)
+
+type coverage = { mutable probe_hits : int; mutable key_rejections : int }
+
+(* The shape the keyed table answers from its index. *)
+let rec leads_with_key_eq = function
+  | Binary (And, a, _) -> leads_with_key_eq a
+  | Binary (Eq, Col "k", e) | Binary (Eq, e, Col "k") -> (
+    match e with Col _ -> false | _ -> true)
+  | _ -> false
+
+let has_duplicate_or_null_key rows =
+  let keys = List.map List.hd rows in
+  List.exists (fun k -> k = V.Null) keys
+  || List.exists
+       (fun k -> List.length (List.filter (fun k' -> V.equal k k') keys) > 1)
+       keys
+
+let rebuild_oracle ty keyed =
+  let oracle = diff_side ~keyed:false ty in
+  List.iter
+    (function
+      | [ k; v; w ] ->
+        ignore
+          (ok
+             (Database.exec oracle.db "INSERT INTO t VALUES ($k, $v, $w)"
+                ~params:[ ("k", k); ("v", v); ("w", w) ]))
+      | _ -> Alcotest.fail "row shape")
+    (dump keyed);
+  oracle.changes := [];
+  oracle
+
+let run_case coverage case =
+  let rng = Prng.create ~seed:case in
+  let ty = [| "INT"; "TEXT"; "REAL" |].(case mod 3) in
+  let keyed = diff_side ~keyed:true ty in
+  let oracle = ref (diff_side ~keyed:false ty) in
+  let fail step what = Alcotest.failf "case %d (%s), step %d: %s" case ty step what in
+  for step = 1 to 10 + Prng.int rng 30 do
+    let stmt, params = gen_stmt rng ty in
+    let src = stmt_to_string stmt in
+    let before = dump keyed in
+    keyed.changes := [];
+    !oracle.changes := [];
+    let rk = Database.exec_stmt keyed.db ~params stmt in
+    let ro = Database.exec_stmt !oracle.db ~params stmt in
+    (match rk with
+     | Error (Database.Duplicate_key _ | Database.Not_null_violated "k") ->
+       coverage.key_rejections <- coverage.key_rejections + 1;
+       if dump keyed <> before || !(keyed.changes) <> [] then
+         fail step (src ^ ": a rejected statement changed the keyed table");
+       if Result.is_ok ro then begin
+         if not (has_duplicate_or_null_key (dump !oracle)) then
+           fail step (src ^ ": keyed rejected a statement that keeps keys unique");
+         oracle := rebuild_oracle ty keyed
+       end
+     | _ ->
+       if show_result rk <> show_result ro then
+         fail step
+           (Printf.sprintf "%s: keyed %s, oracle %s" src (show_result rk) (show_result ro));
+       if !(keyed.changes) <> !(!oracle.changes) then
+         fail step (src ^ ": change streams differ");
+       let probed_row =
+         match stmt, rk with
+         | (Update { where = Some w; _ } | Delete { where = Some w; _ }), Ok (Database.Affected n)
+           -> n > 0 && leads_with_key_eq w
+         | Select { where = Some w; projection = None; _ }, Ok (Database.Rows { rows; _ }) ->
+           rows <> [] && leads_with_key_eq w
+         | _ -> false
+       in
+       if probed_row then coverage.probe_hits <- coverage.probe_hits + 1);
+    let after = dump keyed in
+    let rows = List.map (List.map show_value) after in
+    if rows <> List.map (List.map show_value) (dump !oracle) then
+      fail step (src ^ ": tables differ");
+    List.iter2
+      (fun shown row ->
+        match
+          Database.exec keyed.db "SELECT k, v, w FROM t WHERE k = $key"
+            ~params:[ ("key", List.hd row) ]
+        with
+        | Ok (Database.Rows { rows = [ found ]; _ }) when List.map show_value found = shown -> ()
+        | r ->
+          fail step
+            (Printf.sprintf "%s: row %s not reachable by key (%s)" src
+               (String.concat "," shown) (show_result r)))
+      rows after
+  done
+
+let differential_pk_vs_scan () =
+  let coverage = { probe_hits = 0; key_rejections = 0 } in
+  for case = 0 to 1199 do
+    run_case coverage case
+  done;
+  Alcotest.(check bool) "probes exercised" true (coverage.probe_hits > 500);
+  Alcotest.(check bool) "key rejections exercised" true (coverage.key_rejections > 1000)
+
 let () =
   Alcotest.run "cm_relational"
     [
@@ -432,6 +788,16 @@ let () =
           Alcotest.test_case "check update atomic" `Quick check_constraint_update_atomic;
           Alcotest.test_case "pk update reindexes" `Quick pk_update_reindexes;
           Alcotest.test_case "null semantics" `Quick null_semantics;
+        ] );
+      ( "primary key",
+        [
+          Alcotest.test_case "multi-row update keeps keys unique" `Quick
+            multi_row_update_duplicate_keys;
+          Alcotest.test_case "canonical index keys" `Quick canonical_index_keys;
+          Alcotest.test_case "primary key implies not null" `Quick primary_key_not_null;
+          Alcotest.test_case "errors independent of rows" `Quick errors_independent_of_rows;
+          Alcotest.test_case "1200 seeded cases, index vs scan" `Quick
+            differential_pk_vs_scan;
         ] );
       ( "aggregates",
         [
