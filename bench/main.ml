@@ -997,13 +997,12 @@ let exp_e14 () =
      cannot ride out. *)
   let spec durability =
     {
-      Chaos.default_spec with
-      seed = 1400;
+      Chaos.seed = 1400;
       events = 300;
-      crashes = 8;
-      crash_min_len = 20.0;
-      crash_max_len = 120.0;
       durability;
+      mode =
+        Chaos.Payroll_faults
+          { plan = { crashes = 8; crash_min_len = 20.0; crash_max_len = 120.0 }; churn = 0 };
     }
   in
   let table =
@@ -1018,21 +1017,24 @@ let exp_e14 () =
   in
   List.iter
     (fun (durability, label) ->
-      let r = Chaos.run (spec durability) in
-      Table.add_row table
-        [
-          label;
-          string_of_int r.Chaos.journal_appends;
-          string_of_int r.Chaos.journal_checkpoints;
-          string_of_int r.Chaos.replayed_records;
-          string_of_int r.Chaos.requeued;
-          string_of_int r.Chaos.give_ups;
-          string_of_int r.Chaos.lost_firings;
-          string_of_int r.Chaos.duplicate_firings;
-          string_of_int r.Chaos.logical_notices;
-          string_of_int r.Chaos.metric_notices;
-          yes_no r.Chaos.final_state_matches;
-        ])
+      match (Chaos.run (spec durability)).Chaos.result with
+      | Chaos.Recovered r ->
+        let c = r.Chaos.chaos in
+        Table.add_row table
+          [
+            label;
+            string_of_int c.Chaos.journal_appends;
+            string_of_int c.Chaos.journal_checkpoints;
+            string_of_int c.Chaos.replayed_records;
+            string_of_int c.Chaos.requeued;
+            string_of_int c.Chaos.give_ups;
+            string_of_int r.Chaos.lost_firings;
+            string_of_int r.Chaos.duplicate_firings;
+            string_of_int c.Chaos.logical_notices;
+            string_of_int c.Chaos.metric_notices;
+            yes_no r.Chaos.final_state_matches;
+          ]
+      | Chaos.Healed _ | Chaos.Sharded _ -> assert false)
     [
       (Journal.None, "none");
       (Journal.Journal, "journal");

@@ -856,72 +856,41 @@ let chaos_cmd_run seed events crashes crash_min crash_max workload durability
   Cmtool_cli.require_at_least "--churn" ~min:0 churn;
   Cmtool_cli.require_at_least "--shards" ~min:0 shards;
   if shards > 0 then Cmtool_cli.require_at_least "--sites" ~min:4 sites;
+  Cmtool_cli.require_seconds "--crash-min" crash_min;
+  Cmtool_cli.require_seconds "--crash-max" crash_max;
+  let usage = Cmtool_cli.usage_error in
+  if crash_min > crash_max then
+    usage "--crash-min must be <= --crash-max (got %g > %g)" crash_min crash_max;
   let chaos_workload =
     match Chaos.workload_of_string workload with
     | Some w -> w
-    | None ->
-      Printf.eprintf "unknown workload %S (payroll|bank)\n" workload;
-      exit 2
+    | None -> usage "unknown workload %S (payroll|bank)" workload
   in
-  if churn > 0 && chaos_workload <> Chaos.Payroll then begin
-    Printf.eprintf "--churn is only defined for the payroll workload\n";
-    exit 2
-  end;
-  if heal && chaos_workload <> Chaos.Payroll then begin
-    Printf.eprintf "--heal is only defined for the payroll workload\n";
-    exit 2
-  end;
+  if churn > 0 && chaos_workload <> Chaos.Payroll then
+    usage "--churn is only defined for the payroll workload";
+  if heal && chaos_workload <> Chaos.Payroll then
+    usage "--heal is only defined for the payroll workload";
   let durability =
     match Cm_core.Journal.durability_of_string durability with
     | Some d -> d
-    | None ->
-      Printf.eprintf
-        "unknown durability %S (none|journal|journal+checkpoint)\n" durability;
-      exit 2
+    | None -> usage "unknown durability %S (none|journal|journal+checkpoint)" durability
   in
-  if shards > 0 then begin
-    if heal || churn > 0 then begin
-      Printf.eprintf "--shards cannot be combined with --heal or --churn\n";
-      exit 2
-    end;
-    let spec =
-      {
-        Chaos.ss_seed = seed;
-        ss_sites = sites;
-        ss_shards = shards;
-        ss_events = events;
-        ss_crashes = crashes;
-        ss_durability = durability;
-      }
-    in
-    let report = Chaos.run_sharded spec in
-    print_string (Chaos.shard_report_to_string report);
-    if Chaos.shard_passed report then 0 else 1
-  end
-  else if not (preflight ~label:workload ~no_check chaos_workload) then 1
+  if shards > 0 && (heal || churn > 0) then
+    usage "--shards cannot be combined with --heal or --churn";
+  let plan = { Chaos.crashes; crash_min_len = crash_min; crash_max_len = crash_max } in
+  let mode =
+    if shards > 0 then Chaos.Ring { sites; shards; crashes }
+    else if heal then Chaos.Heal
+    else
+      match chaos_workload with
+      | Chaos.Payroll -> Chaos.Payroll_faults { plan; churn }
+      | Chaos.Bank -> Chaos.Bank_faults plan
+  in
+  if shards = 0 && not (preflight ~label:workload ~no_check chaos_workload) then 1
   else begin
-    let spec =
-      {
-        Chaos.seed;
-        events;
-        crashes;
-        crash_min_len = crash_min;
-        crash_max_len = crash_max;
-        durability;
-        chaos_workload;
-        churn;
-      }
-    in
-    if heal then begin
-      let report = Chaos.run_heal spec in
-      print_string (Chaos.heal_report_to_string report);
-      if Chaos.heal_passed report then 0 else 1
-    end
-    else begin
-      let report = Chaos.run spec in
-      print_string (Chaos.report_to_string report);
-      if Chaos.passed report then 0 else 1
-    end
+    let report = Chaos.run { Chaos.seed; events; durability; mode } in
+    print_string (Chaos.report_to_string report);
+    if Chaos.passed report then 0 else 1
   end
 
 let chaos_cmd =

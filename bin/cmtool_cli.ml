@@ -24,13 +24,22 @@ let no_check_arg =
 let seed_arg ?(default = 42) ?(doc = "Simulation seed") () =
   Arg.(value & opt int default & info [ "seed" ] ~docv:"N" ~doc)
 
-(* A count flag below its floor is a usage error: one line on stderr,
-   exit 2, like an unknown enum value. *)
+(* A malformed flag is a usage error: one line on stderr, exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline s;
+      exit 2)
+    fmt
+
+(* A count flag below its floor, or a duration flag that is not a
+   finite, non-negative number of seconds. *)
 let require_at_least flag ~min v =
-  if v < min then begin
-    Printf.eprintf "%s must be >= %d (got %d)\n" flag min v;
-    exit 2
-  end
+  if v < min then usage_error "%s must be >= %d (got %d)" flag min v
+
+let require_seconds flag v =
+  if not (Float.is_finite v && v >= 0.0) then
+    usage_error "%s must be a finite number >= 0 (got %g)" flag v
 
 (* ---- CONFIG [RULES…] positionals ---- *)
 

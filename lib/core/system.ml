@@ -13,7 +13,6 @@ module Config = struct
     durability : Journal.durability;
     monitor : bool;
     monitor_tick : float;
-    shard_slot : (int * int) option;
   }
 
   let default =
@@ -27,7 +26,6 @@ module Config = struct
       durability = Journal.None;
       monitor = false;
       monitor_tick = 1.0;
-      shard_slot = None;
     }
 
   let seeded seed = { default with seed }
@@ -40,7 +38,6 @@ module Config = struct
   let with_durability durability t = { t with durability }
   let with_monitor monitor t = { t with monitor }
   let with_monitor_tick monitor_tick t = { t with monitor_tick }
-  let with_shard_slot slot t = { t with shard_slot = Some slot }
 end
 
 type guarantee_entry = {
@@ -188,14 +185,14 @@ type t = {
          that owns the site handles it *)
 }
 
-let create ?(config = Config.default) locator =
+let create ?(config = Config.default) ?shard_slot locator =
   (* A shard-slot system is one partition of a sharded world: its sim is
      seeded per shard (streams must not collide across wheels), its
      network draws are keyed per link (so fault/jitter decisions agree
      across shard layouts), and its trace ids are strided (globally
      unique without coordination).  Without a slot nothing changes. *)
   let sim =
-    match config.Config.shard_slot with
+    match shard_slot with
     | None -> Sim.create ~seed:config.Config.seed ()
     | Some (k, _) -> Sim.create ~seed:(config.Config.seed + ((k + 1) * 1000003)) ()
   in
@@ -203,7 +200,7 @@ let create ?(config = Config.default) locator =
     Net.create ~sim ?latency:config.Config.latency ~fifo:config.Config.fifo
       ?faults:config.Config.faults
       ?draws:
-        (match config.Config.shard_slot with
+        (match shard_slot with
          | None -> None
          | Some _ -> Some (Net.Keyed config.Config.seed))
       ()
@@ -247,7 +244,7 @@ let create ?(config = Config.default) locator =
       journals
   in
   let trace =
-    match config.Config.shard_slot with
+    match shard_slot with
     | None -> Trace.create ()
     | Some (k, n) -> Trace.create ~first_id:k ~stride:n ()
   in
@@ -276,7 +273,7 @@ let create ?(config = Config.default) locator =
     copies = Hashtbl.create 8;
     copy_order = [];
     monitor;
-    partitioned = config.Config.shard_slot <> None;
+    partitioned = shard_slot <> None;
   }
 
 let sim t = t.sim

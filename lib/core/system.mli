@@ -59,14 +59,6 @@ module Config : sig
         (** staleness re-evaluation period of the monitor (default 1.0
             s) — the "poll period" in the κ + tick detection bound for
             silently dying notification channels (§5 [Silent_drop]). *)
-    shard_slot : (int * int) option;
-        (** [Some (k, n)]: this system is shard [k] of [n] in a
-            [Cm_shard.Fabric] — its sim seed is derived per shard, its
-            network runs keyed per-link draws, its trace ids are strided
-            ([k, k+n, …]), and strategy state for sites this shard does
-            not hold is skipped rather than an error.  Set by the
-            fabric, not by applications; [None] (default) is the whole
-            world. *)
   }
 
   val default : t
@@ -82,17 +74,20 @@ module Config : sig
   val with_durability : Journal.durability -> t -> t
   val with_monitor : bool -> t -> t
   val with_monitor_tick : float -> t -> t
-
-  val with_shard_slot : int * int -> t -> t
-  (** Fabric-internal; see {!type-t.shard_slot}. *)
 end
 
-val create : ?config:Config.t -> Cm_rule.Item.locator -> t
+val create : ?config:Config.t -> ?shard_slot:int * int -> Cm_rule.Item.locator -> t
 (** Build the simulated world described by [config] (default
     {!Config.default}).  When [config.obs] is set, the network's
     send/drop/duplicate/latency hooks, the reliable layer's counters,
     every shell's match/fire/guard instruments, and the system's
-    guarantee bookkeeping all record into that registry. *)
+    guarantee bookkeeping all record into that registry.
+
+    [shard_slot = (k, n)] is for [Cm_shard.Fabric] only: the system is
+    shard [k] of [n] — its sim seed is derived per shard, its network
+    runs keyed per-link draws, its trace ids are strided
+    ([k, k+n, …]), and strategy state for sites this shard does not
+    hold is skipped rather than an error. *)
 
 val sim : t -> Cm_sim.Sim.t
 val net : t -> Msg.t Cm_net.Net.t

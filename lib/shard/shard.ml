@@ -20,7 +20,6 @@ module Fabric = struct
 
   type t = {
     seed : int;
-    single : bool;  (* plain sequential delegation: the oracle path *)
     systems : System.t array;
     assign : string -> int;
     (* site -> (owning shard, primary site of the shell serving it).
@@ -37,13 +36,16 @@ module Fabric = struct
   }
 
   let shard_count t = Array.length t.systems
+
+  (* One shard is plain sequential delegation: the oracle path. *)
+  let single t = Array.length t.systems = 1
   let system t k = t.systems.(k)
 
   let shard_of t ~site =
     match Hashtbl.find_opt t.site_owner site with
     | Some (k, _) -> k
     | None ->
-      if t.single then 0
+      if single t then 0
       else begin
         let k = t.assign site in
         if k < 0 || k >= Array.length t.systems then
@@ -58,33 +60,29 @@ module Fabric = struct
     | Some (k, _) -> t.systems.(k)
     | None -> invalid_arg ("Fabric.owner: unknown site " ^ site)
 
-  let create ?(config = System.Config.default) ?(keyed_single = false) ~shards:n
-      ~assign locator =
+  let create ?(config = System.Config.default) ~shards:n ~assign locator =
     if n < 1 then invalid_arg "Fabric.create: shards must be >= 1";
-    let single = n = 1 && not keyed_single in
+    let single = n = 1 in
     if config.System.Config.monitor && not single then
       invalid_arg
         "Fabric.create: the streaming monitor attaches to a single trace; \
          run monitored configurations at shards = 1";
     let systems =
       Array.init n (fun k ->
-          let c =
-            if single then config
-            else begin
-              (* Each shard gets its own registry when observability is
-                 on — a single Obs.t shared across domains would race. *)
-              let c = System.Config.with_shard_slot (k, n) config in
-              match c.System.Config.obs with
-              | None -> c
-              | Some _ -> System.Config.with_obs (Obs.create ()) c
-            end
-          in
-          System.create ~config:c locator)
+          if single then System.create ~config locator
+          else
+            (* Each shard gets its own registry when observability is
+               on — a single Obs.t shared across domains would race. *)
+            let config =
+              match config.System.Config.obs with
+              | None -> config
+              | Some _ -> System.Config.with_obs (Obs.create ()) config
+            in
+            System.create ~config ~shard_slot:(k, n) locator)
     in
     let t =
       {
         seed = config.System.Config.seed;
-        single;
         systems;
         assign;
         site_owner = Hashtbl.create 32;
@@ -219,30 +217,27 @@ module Fabric = struct
     counts
 
   let lookahead t =
-    if t.single then infinity
+    let counts = primary_counts t in
+    let total = Array.fold_left ( + ) 0 counts in
+    let cross_pairs =
+      Array.fold_left (fun acc c -> acc + (c * (total - c))) 0 counts
+    in
+    if cross_pairs = 0 then infinity
     else begin
-      let counts = primary_counts t in
-      let total = Array.fold_left ( + ) 0 counts in
-      let cross_pairs =
-        Array.fold_left (fun acc c -> acc + (c * (total - c))) 0 counts
-      in
-      if cross_pairs = 0 then infinity
-      else begin
-        let covered = ref 0 and min_override = ref infinity in
-        Hashtbl.iter
-          (fun (f, tt) base ->
-            match
-              Hashtbl.find_opt t.site_owner f, Hashtbl.find_opt t.site_owner tt
-            with
-            | Some (kf, pf), Some (kt, pt)
-              when kf <> kt && String.equal pf f && String.equal pt tt ->
-              incr covered;
-              if base < !min_override then min_override := base
-            | _ -> ())
-          t.overrides;
-        if !covered >= cross_pairs then !min_override
-        else Float.min t.default_base !min_override
-      end
+      let covered = ref 0 and min_override = ref infinity in
+      Hashtbl.iter
+        (fun (f, tt) base ->
+          match
+            Hashtbl.find_opt t.site_owner f, Hashtbl.find_opt t.site_owner tt
+          with
+          | Some (kf, pf), Some (kt, pt)
+            when kf <> kt && String.equal pf f && String.equal pt tt ->
+            incr covered;
+            if base < !min_override then min_override := base
+          | _ -> ())
+        t.overrides;
+      if !covered >= cross_pairs then !min_override
+      else Float.min t.default_base !min_override
     end
 
   (* Wire the global view into every shell before running: foreign
@@ -250,27 +245,25 @@ module Fabric = struct
      shard's shells), and failure/reset notices broadcast to every
      shell site in the federation, not just same-shard ones. *)
   let prepare t =
-    if not t.single then begin
-      let peers =
-        Hashtbl.fold
-          (fun site (_, prim) acc -> if String.equal site prim then site :: acc else acc)
-          t.site_owner []
-        |> List.sort String.compare
-      in
-      let route site =
-        match Hashtbl.find_opt t.site_owner site with
-        | Some (_, prim) -> prim
-        | None -> site
-      in
-      Array.iter
-        (fun sys ->
-          List.iter
-            (fun (_, shell) ->
-              Shell.set_route shell route;
-              Shell.set_peer_sites shell peers)
-            (System.shells sys))
-        t.systems
-    end
+    let peers =
+      Hashtbl.fold
+        (fun site (_, prim) acc -> if String.equal site prim then site :: acc else acc)
+        t.site_owner []
+      |> List.sort String.compare
+    in
+    let route site =
+      match Hashtbl.find_opt t.site_owner site with
+      | Some (_, prim) -> prim
+      | None -> site
+    in
+    Array.iter
+      (fun sys ->
+        List.iter
+          (fun (_, shell) ->
+            Shell.set_route shell route;
+            Shell.set_peer_sites shell peers)
+          (System.shells sys))
+      t.systems
 
   (* Drain every outbox and inject the parcels into their destination
      shards in one deterministic order: (delivery time, source shard,
@@ -438,14 +431,11 @@ module Fabric = struct
     match !failure with Some e -> raise e | None -> ()
 
   let run ?lookahead:l t ~until =
-    if t.single then System.run t.systems.(0) ~until
+    if single t then System.run t.systems.(0) ~until
     else begin
       prepare t;
       let l = match l with Some l -> l | None -> lookahead t in
-      if Array.length t.systems = 1 then
-        (* keyed single: same wheel semantics as the sequential path *)
-        System.run t.systems.(0) ~until
-      else if l > 0.0 then run_windowed t ~until ~l
+      if l > 0.0 then run_windowed t ~until ~l
       else run_serialized t ~until
     end
 

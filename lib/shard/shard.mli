@@ -50,7 +50,6 @@ module Fabric : sig
 
   val create :
     ?config:Cm_core.System.Config.t ->
-    ?keyed_single:bool ->
     shards:int ->
     assign:(string -> int) ->
     Cm_rule.Item.locator ->
@@ -58,11 +57,10 @@ module Fabric : sig
   (** [create ~config ~shards ~assign locator] builds [shards] shard
       systems; [assign site] names the shard (in [[0, shards)]) that
       owns a site.  With [~shards:1] the fabric is a thin
-      wrapper around one plain sequential {!Cm_core.System} — unless
-      [keyed_single] is set, which builds the single system in
-      shard-slot form (keyed network draws, shard-derived sim seed) so
-      its behaviour is comparable across shard counts; the chaos
-      harness uses this for its cross-[N] byte-identical reports.
+      wrapper around one plain sequential {!Cm_core.System}, the
+      differential oracle every multi-shard layout is compared against;
+      with more, each shard is a [~shard_slot] system
+      ({!Cm_core.System.create}).
 
       When [config.obs] is set, each shard gets its {e own} fresh
       registry (a shared one would race across domains); query merged

@@ -454,12 +454,24 @@ let fifty_seed_churn_chaos () =
   let claimed = ref 0 in
   for seed = 1 to 50 do
     let spec =
-      { Chaos.default_spec with seed; events = 150; crashes = 3; churn = 3 }
+      {
+        Chaos.default_spec with
+        seed;
+        events = 150;
+        mode =
+          Chaos.Payroll_faults
+            { plan = { crashes = 3; crash_min_len = 10.0; crash_max_len = 60.0 }; churn = 3 };
+      }
     in
-    let r = Chaos.run spec in
-    if not (Chaos.passed r) then
+    let report = Chaos.run spec in
+    if not (Chaos.passed report) then
       Alcotest.failf "churn chaos seed %d FAIL:\n%s" seed
-        (Chaos.report_to_string r);
+        (Chaos.report_to_string report);
+    let r =
+      match report.Chaos.result with
+      | Chaos.Recovered { Chaos.evolution = Some ev; _ } -> ev
+      | _ -> Alcotest.fail "not a payroll recovery report"
+    in
     Alcotest.(check (list string))
       (Printf.sprintf "seed %d: both-epoch guarantee violations" seed)
       [] r.Chaos.both_epoch_violations;
