@@ -14,6 +14,7 @@ open Cmdliner
 module Interface = Cm_core.Interface
 module Suggest = Cm_core.Suggest
 module Analysis = Cm_analysis.Analysis
+module Json = Cm_util.Json
 
 let read_file = Cmtool_cli.read_file
 let preflight = Cmtool_cli.preflight
@@ -238,18 +239,6 @@ let check_cmd =
 
 module Chase = Cm_chase.Chase
 
-let deps_json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let deps_cmd_run config_file json =
   match Cmtool_cli.load_config config_file with
   | Error c -> c
@@ -286,14 +275,14 @@ let deps_cmd_run config_file json =
       if json then begin
         let buf = Buffer.create 1024 in
         Buffer.add_string buf
-          (Printf.sprintf "{\"config\":\"%s\",\"dependencies\":[" (deps_json_escape config_file));
+          (Printf.sprintf "{\"config\":\"%s\",\"dependencies\":[" (Json.escape config_file));
         List.iteri
           (fun i (line, (dep : Chase.dep)) ->
             if i > 0 then Buffer.add_char buf ',';
             Buffer.add_string buf
               (Printf.sprintf "{\"label\":\"%s\",\"kind\":\"%s\",\"line\":%d,\"text\":\"%s\"}"
-                 (deps_json_escape dep.Chase.d_label) (Chase.kind_name dep) line
-                 (deps_json_escape (Chase.to_string dep))))
+                 (Json.escape dep.Chase.d_label) (Chase.kind_name dep) line
+                 (Json.escape (Chase.to_string dep))))
           deps;
         Buffer.add_string buf "],\"edges\":[";
         List.iteri
@@ -303,7 +292,7 @@ let deps_cmd_run config_file json =
               (Printf.sprintf "{\"src\":\"%s\",\"dst\":\"%s\",\"special\":%b,\"dep\":\"%s\"}"
                  (Chase.position_to_string e.Chase.e_src)
                  (Chase.position_to_string e.Chase.e_dst)
-                 e.Chase.e_special (deps_json_escape e.Chase.e_dep)))
+                 e.Chase.e_special (Json.escape e.Chase.e_dep)))
           edges;
         Buffer.add_string buf
           (Printf.sprintf "],\"weakly_acyclic\":%b,\"special_cycles\":[" (cycles = []));
@@ -317,7 +306,7 @@ let deps_cmd_run config_file json =
                        (fun p -> "\"" ^ Chase.position_to_string p ^ "\"")
                        c.Chase.c_positions))
                  (String.concat ","
-                    (List.map (fun l -> "\"" ^ deps_json_escape l ^ "\"") c.Chase.c_labels))))
+                    (List.map (fun l -> "\"" ^ Json.escape l ^ "\"") c.Chase.c_labels))))
           cycles;
         Buffer.add_string buf "],\"interaction_cycles\":[";
         List.iteri
@@ -327,7 +316,7 @@ let deps_cmd_run config_file json =
               (Printf.sprintf "[%s]"
                  (String.concat ","
                     (List.map
-                       (fun (d : Chase.dep) -> "\"" ^ deps_json_escape d.Chase.d_label ^ "\"")
+                       (fun (d : Chase.dep) -> "\"" ^ Json.escape d.Chase.d_label ^ "\"")
                        group))))
           interactions;
         (match compiled with
@@ -337,12 +326,12 @@ let deps_cmd_run config_file json =
             (fun i r ->
               if i > 0 then Buffer.add_char buf ',';
               Buffer.add_string buf
-                ("\"" ^ deps_json_escape (Cm_rule.Rule.to_string r) ^ "\""))
+                ("\"" ^ Json.escape (Cm_rule.Rule.to_string r) ^ "\""))
             rules;
           Buffer.add_string buf "]}"
         | Error m ->
           Buffer.add_string buf
-            (Printf.sprintf "],\"rules\":null,\"rules_error\":\"%s\"}" (deps_json_escape m)));
+            (Printf.sprintf "],\"rules\":null,\"rules_error\":\"%s\"}" (Json.escape m)));
         print_endline (Buffer.contents buf)
       end
       else begin

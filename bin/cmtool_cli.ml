@@ -92,40 +92,16 @@ let build_config ?sys_config file =
 
 (* ---- interface merge (check/evolve/route agree on it) ---- *)
 
-(* Base item an interface statement serves: the LHS item if there is one,
-   else the first RHS item (periodic-notify rules have a P(...) LHS). *)
-let iface_base (r : Cm_rule.Rule.t) =
-  match Cm_rule.Template.item_base r.Cm_rule.Rule.lhs with
-  | Some b -> Some b
-  | None ->
-    List.find_map
-      (fun (s : Cm_rule.Rule.step) ->
-        Cm_rule.Template.item_base s.Cm_rule.Rule.template)
-      (Cm_rule.Rule.rhs_steps r)
-
-let iface_key r =
-  match Interface.classify r with
-  | None -> None
-  | Some kind -> Option.map (fun b -> (kind, b)) (iface_base r)
-
 (* Split extra rule files against a system's synthesized interfaces:
-   interface statements extend the declared set — except restatements of
-   a capability the translators already declared, which are the same
-   interface, not a second channel — and everything else is strategy. *)
+   interface statements extend the declared set unless they restate a
+   declared one ({!Interface.restates}); everything else is strategy. *)
 let merge_program ~system extra_rules =
-  let is_iface r = Interface.classify r <> None in
   let synth = Cm_core.System.interface_rules system in
-  let synth_keys = List.filter_map iface_key synth in
-  let extra_ifaces, extra_strategy = List.partition is_iface extra_rules in
-  let extra_ifaces =
-    List.filter
-      (fun r ->
-        match iface_key r with
-        | Some k -> not (List.mem k synth_keys)
-        | None -> true)
-      extra_ifaces
+  let extra_ifaces, extra_strategy =
+    List.partition (fun r -> Interface.classify r <> None) extra_rules
   in
-  ( synth @ extra_ifaces,
+  let restated = Interface.restates ~declared:synth in
+  ( synth @ List.filter (fun r -> not (restated r)) extra_ifaces,
     Cm_core.System.strategy_rules system @ extra_strategy )
 
 (* ---- preflight gates ---- *)

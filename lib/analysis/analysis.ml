@@ -7,6 +7,8 @@ module Parser = Cm_rule.Parser
 module Cmrid = Cm_core.Cmrid
 module Chase = Cm_chase.Chase
 module Interface = Cm_core.Interface
+module Toolkit = Cm_core.Toolkit
+module Json = Cm_util.Json
 module Derive = Cm_core.Derive
 module Guarantee_view = Cm_core.System.Guarantee_view
 
@@ -66,35 +68,20 @@ let to_text findings =
     String.concat "\n" (List.map finding_to_string fs)
     ^ Printf.sprintf "\n%d error(s), %d warning(s), %d info(s)" errors warnings infos
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ~checked findings =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "{\"checked\":\"%s\",\"findings\":[" (json_escape checked));
+  Buffer.add_string buf (Printf.sprintf "{\"checked\":\"%s\",\"findings\":[" (Json.escape checked));
   List.iteri
     (fun i f ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf "{\"code\":\"%s\",\"severity\":\"%s\",\"file\":\"%s\",\"line\":%s,\"site\":%s,\"message\":\"%s\"}"
-           (json_escape f.code)
+           (Json.escape f.code)
            (severity_to_string f.severity)
-           (json_escape f.file)
+           (Json.escape f.file)
            (match f.line with Some l -> string_of_int l | None -> "null")
-           (match f.site with Some s -> "\"" ^ json_escape s ^ "\"" | None -> "null")
-           (json_escape f.message)))
+           (match f.site with Some s -> "\"" ^ Json.escape s ^ "\"" | None -> "null")
+           (Json.escape f.message)))
     findings;
   let errors, warnings, infos = summary findings in
   Buffer.add_string buf
@@ -196,19 +183,9 @@ let body_string (r : Rule.t) =
   let p = String.length r.Rule.id + 2 in
   if String.length s >= p then String.sub s p (String.length s - p) else s
 
-(* The item family an interface statement serves: the LHS item, or the
-   first RHS item for P-triggered forms. *)
-let iface_base lr =
-  match Template.item_base lr.rule.Rule.lhs with
-  | Some b -> Some b
-  | None ->
-    List.find_map
-      (fun (s : Rule.step) -> Template.item_base s.Rule.template)
-      (Rule.rhs_steps lr.rule)
-
 let iface_kinds_for ctx base =
   List.filter_map
-    (fun lr -> if iface_base lr = Some base then lr.kind else None)
+    (fun lr -> if Interface.served_base lr.rule = Some base then lr.kind else None)
     ctx.ifaces
 
 let rule_ids lrs = List.sort_uniq compare (List.map (fun lr -> lr.rule.Rule.id) lrs)
@@ -231,68 +208,24 @@ let dedup_exact lrs =
     lrs
 
 (* ------------------------------------------------------------------ *)
-(* Interface synthesis: the statements the CM-Translators would report
-   for these declarations (mirrors Tr_relational/Tr_kvfile).           *)
-
-let op_value ops op ~default =
-  match List.assoc_opt op ops with Some v -> v | None -> default
+(* Interface synthesis: the statements the translators Toolkit.build
+   configures report, each pointing at its item declaration.           *)
 
 let synth_interfaces ~file (config : Cmrid.t) =
-  let of_rule ~line r = { rule = r; rfile = file; rline = Some line; kind = Interface.classify r } in
   List.concat_map
     (fun (src : Cmrid.source_decl) ->
-      let id base k = Printf.sprintf "%s/%s/%s" src.Cmrid.s_site base k in
-      match src.Cmrid.s_kind with
-      | Cmrid.Relational ->
-        let lat op d = op_value src.Cmrid.s_latencies op ~default:d in
-        let del op l = op_value src.Cmrid.s_deltas op ~default:(l *. 5.0) in
-        let d_read = del Cmrid.Read_op (lat Cmrid.Read_op 0.2)
-        and d_write = del Cmrid.Write_op (lat Cmrid.Write_op 0.2)
-        and d_notify = del Cmrid.Notify_op (lat Cmrid.Notify_op 1.0)
-        and d_delete = del Cmrid.Delete_op (lat Cmrid.Delete_op 0.2) in
-        List.concat_map
-          (fun (it : Cmrid.item_decl) ->
-            let pattern = Interface.family it.Cmrid.i_base it.Cmrid.i_params in
-            let line = it.Cmrid.i_line in
-            let base = it.Cmrid.i_base in
-            let rules = ref [] in
-            let add r = rules := of_rule ~line r :: !rules in
-            if it.Cmrid.i_write <> None then
-              add (Interface.write ~id:(id base "write") ~delta:d_write pattern);
-            if it.Cmrid.i_read <> None then
-              add (Interface.read ~id:(id base "read") ~delta:d_read pattern);
-            if it.Cmrid.i_delete <> None then
-              add (Interface.delete ~id:(id base "delete") ~delta:d_delete pattern);
-            (match it.Cmrid.i_notify with
-            | Some { Cmrid.n_send = true; n_threshold = None; _ } ->
-              add (Interface.notify ~id:(id base "notify") ~delta:d_notify pattern)
-            | Some { Cmrid.n_send = true; n_threshold = Some threshold; _ } ->
-              add
-                (Interface.conditional_notify ~id:(id base "notify") ~delta:d_notify
-                   ~condition:(Interface.relative_change_condition ~threshold)
-                   pattern)
-            | _ -> ());
-            if it.Cmrid.i_no_spontaneous then
-              add (Interface.no_spontaneous_write ~id:(id base "nospont") pattern);
-            List.rev !rules)
-          src.Cmrid.s_items
-      | Cmrid.Kvfile ->
-        let latency = op_value src.Cmrid.s_latencies Cmrid.Read_op ~default:0.1 in
-        let delta = op_value src.Cmrid.s_deltas Cmrid.Read_op ~default:(latency *. 5.0) in
-        List.concat_map
-          (fun (it : Cmrid.item_decl) ->
-            let pattern = Interface.family it.Cmrid.i_base it.Cmrid.i_params in
-            let line = it.Cmrid.i_line in
-            let base = it.Cmrid.i_base in
-            let reads = [ of_rule ~line (Interface.read ~id:(id base "read") ~delta pattern) ] in
-            if it.Cmrid.i_writable then
-              reads
-              @ [
-                  of_rule ~line (Interface.write ~id:(id base "write") ~delta pattern);
-                  of_rule ~line (Interface.delete ~id:(id base "delete") ~delta pattern);
-                ]
-            else reads)
-          src.Cmrid.s_items)
+      List.concat_map
+        (fun (it : Cmrid.item_decl) ->
+          List.map
+            (fun r ->
+              {
+                rule = r;
+                rfile = file;
+                rline = Some it.Cmrid.i_line;
+                kind = Interface.classify r;
+              })
+            (Toolkit.item_interfaces src it))
+        src.Cmrid.s_items)
     config.Cmrid.sources
 
 (* ------------------------------------------------------------------ *)
@@ -1040,12 +973,8 @@ let check_config ?(rule_files = []) ~file text =
   let synth = synth_interfaces ~file config in
   (* Interface statements in rule files extend the synthesized set; a
      statement restating a declared capability is the same interface. *)
-  let synth_keys = List.map (fun lr -> (lr.kind, iface_base lr)) synth in
-  let extra =
-    List.filter
-      (fun lr -> lr.kind <> None && not (List.mem (lr.kind, iface_base lr) synth_keys))
-      user_rules
-  in
+  let restated = Interface.restates ~declared:(List.map (fun lr -> lr.rule) synth) in
+  let extra = List.filter (fun lr -> lr.kind <> None && not (restated lr.rule)) user_rules in
   let strategy = List.filter (fun lr -> lr.kind = None) user_rules in
   let ifaces =
     (* Synthesized rules carry [rline] of their item declaration but are

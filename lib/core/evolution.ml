@@ -19,6 +19,7 @@
    and `cmtool evolve`. *)
 
 module Sim = Cm_sim.Sim
+module Json = Cm_util.Json
 open Cm_rule
 
 (* -- guarantee survival across one transition -- *)
@@ -157,20 +158,6 @@ let survivals_to_text css =
     css;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let verdict_json_fields prefix = function
   | Derive.Proved { kappa; _ } ->
     Printf.sprintf "\"%s\": \"proved\"" prefix
@@ -180,12 +167,12 @@ let verdict_json_fields prefix = function
     | None -> "")
   | Derive.Unprovable reason ->
     Printf.sprintf "\"%s\": \"unprovable\", \"%s_reason\": \"%s\"" prefix prefix
-      (json_escape reason)
+      (Json.escape reason)
 
 let survivals_to_json css =
   let guarantee g =
     Printf.sprintf "      { \"name\": \"%s\", \"status\": \"%s\", %s, %s }"
-      (json_escape g.gs_name)
+      (Json.escape g.gs_name)
       (survival_status g.gs_survival)
       (verdict_json_fields "before" g.gs_before)
       (verdict_json_fields "after" g.gs_after)
@@ -193,7 +180,7 @@ let survivals_to_json css =
   let constraint_ cs =
     Printf.sprintf
       "  { \"source\": \"%s\", \"target\": \"%s\",\n    \"guarantees\": [\n%s\n    ] }"
-      (json_escape cs.cs_source) (json_escape cs.cs_target)
+      (Json.escape cs.cs_source) (Json.escape cs.cs_target)
       (String.concat ",\n" (List.map guarantee cs.cs_guarantees))
   in
   Printf.sprintf "{ \"constraints\": [\n%s\n] }\n"

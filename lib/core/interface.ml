@@ -87,3 +87,20 @@ let classify (rule : Rule.t) =
 let kinds_of_rules rules =
   let kinds = List.filter_map classify rules in
   List.fold_left (fun acc k -> if List.mem k acc then acc else acc @ [ k ]) [] kinds
+
+let served_base (rule : Rule.t) =
+  match Template.item_base rule.lhs with
+  | Some b -> Some b
+  | None ->
+    List.find_map
+      (fun (s : Rule.step) -> Template.item_base s.template)
+      (Rule.rhs_steps rule)
+
+let key rule =
+  match classify rule with
+  | None -> None
+  | Some kind -> Option.map (fun base -> (kind, base)) (served_base rule)
+
+let restates ~declared =
+  let keys = List.filter_map key declared in
+  fun rule -> match key rule with Some k -> List.mem k keys | None -> false

@@ -53,3 +53,13 @@ val classify : Cm_rule.Rule.t -> kind option
 
 val kinds_of_rules : Cm_rule.Rule.t list -> kind list
 (** Distinct kinds among the recognizable rules, in stable order. *)
+
+val served_base : Cm_rule.Rule.t -> string option
+(** The item family an interface statement serves: its LHS item, or the
+    first RHS item for P-triggered forms. *)
+
+val restates : declared:Cm_rule.Rule.t list -> Cm_rule.Rule.t -> bool
+(** An interface statement in a rule file adds to the declared set unless
+    it restates one: [restates ~declared r] holds when [r] is an
+    interface statement of a kind and base some statement of [declared]
+    already offers — the same interface, not a second channel. *)

@@ -146,20 +146,7 @@ let snapshot t =
 
 (* -- rendering (hand-rolled: no JSON dependency in the switch) -- *)
 
-let buf_add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+let buf_add_json_string buf s = Printf.bprintf buf "\"%s\"" (Cm_util.Json.escape s)
 
 (* %.17g would print float noise; %g keeps snapshots stable and readable
    while still round-tripping every value the registry actually holds

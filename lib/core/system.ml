@@ -422,7 +422,7 @@ let shell t ~site =
 let register_translator t ~shell (cmi : Cmi.t) =
   Shell.attach_translator shell cmi;
   Hashtbl.replace t.site_to_shell cmi.Cmi.site shell;
-  t.interface_rules <- t.interface_rules @ cmi.Cmi.interface_rules ();
+  t.interface_rules <- t.interface_rules @ cmi.Cmi.interface_rules;
   refresh_routing t
 
 let interface_rules t = t.interface_rules

@@ -12,23 +12,26 @@ type built = {
 let op_value ops op ~default =
   match List.assoc_opt op ops with Some v -> v | None -> default
 
-let latencies_of decl =
-  let get op default = op_value decl.Cmrid.s_latencies op ~default in
-  {
-    Tr_relational.read = get Cmrid.Read_op 0.2;
-    write = get Cmrid.Write_op 0.2;
-    notify = get Cmrid.Notify_op 1.0;
-    delete = get Cmrid.Delete_op 0.2;
-  }
+(* A source's [latency] and [delta] lines over its translator's default
+   latencies, op by op; a δ the source leaves unset is the translator's
+   default for the configured latency. *)
+let timing decl (default : Cmi.timing) =
+  let over ops (d : Cmi.timing) =
+    {
+      Cmi.read = op_value ops Cmrid.Read_op ~default:d.read;
+      write = op_value ops Cmrid.Write_op ~default:d.write;
+      notify = op_value ops Cmrid.Notify_op ~default:d.notify;
+      delete = op_value ops Cmrid.Delete_op ~default:d.delete;
+    }
+  in
+  let latency = over decl.Cmrid.s_latencies default in
+  (latency, over decl.Cmrid.s_deltas (Cmi.default_deltas latency))
 
-let deltas_of decl (latencies : Tr_relational.latencies) =
-  let get op default = op_value decl.Cmrid.s_deltas op ~default in
-  {
-    Tr_relational.read = get Cmrid.Read_op (latencies.Tr_relational.read *. 5.0);
-    write = get Cmrid.Write_op (latencies.Tr_relational.write *. 5.0);
-    notify = get Cmrid.Notify_op (latencies.Tr_relational.notify *. 5.0);
-    delete = get Cmrid.Delete_op (latencies.Tr_relational.delete *. 5.0);
-  }
+(* A kvfile translator has one latency and one δ; the source's [read]
+   figures set them. *)
+let kvfile_timing decl =
+  let latency, delta = timing decl (Cmi.uniform Tr_kvfile.default_latency) in
+  (latency.Cmi.read, delta.Cmi.read)
 
 let relational_binding (item : Cmrid.item_decl) =
   let notify =
@@ -71,17 +74,25 @@ let relational_binding (item : Cmrid.item_decl) =
     periodic = None;
   }
 
+(* The key template only matters to a built store: [build] refuses an
+   item without one, while [item_interfaces] derives its statements. *)
 let kvfile_binding (item : Cmrid.item_decl) =
-  match item.Cmrid.i_key_template with
-  | None -> Error (Printf.sprintf "item %s: kvfile items need a key template" item.Cmrid.i_base)
-  | Some key_template ->
-    Ok
-      {
-        Tr_kvfile.base = item.Cmrid.i_base;
-        params = item.Cmrid.i_params;
-        key_template;
-        writable = item.Cmrid.i_writable;
-      }
+  {
+    Tr_kvfile.base = item.Cmrid.i_base;
+    params = item.Cmrid.i_params;
+    key_template = Option.value item.Cmrid.i_key_template ~default:"";
+    writable = item.Cmrid.i_writable;
+  }
+
+let item_interfaces decl item =
+  let site = decl.Cmrid.s_site in
+  match decl.Cmrid.s_kind with
+  | Cmrid.Relational ->
+    let _, deltas = timing decl Tr_relational.default_latencies in
+    Tr_relational.interfaces ~site ~deltas (relational_binding item)
+  | Cmrid.Kvfile ->
+    let _, delta = kvfile_timing decl in
+    Tr_kvfile.interfaces ~site ~delta (kvfile_binding item)
 
 let build ?(config = System.Config.default) cmrid =
   let ( let* ) r f = Result.bind r f in
@@ -124,11 +135,11 @@ let build ?(config = System.Config.default) cmrid =
               Error (Printf.sprintf "site %s init failed: %s" site (Db.error_to_string e)))
           (Ok ()) decl.Cmrid.s_init
       in
-      let latencies = latencies_of decl in
+      let latencies, deltas = timing decl Tr_relational.default_latencies in
       let* tr =
         match
           Tr_relational.create ~sim:(System.sim system) ~db ~site ~emit ~report
-            ~latencies ~deltas:(deltas_of decl latencies)
+            ~latencies ~deltas
             (List.map relational_binding decl.Cmrid.s_items)
         with
         | tr -> Ok tr
@@ -138,20 +149,20 @@ let build ?(config = System.Config.default) cmrid =
       Ok ((site, tr) :: relational, kvfiles, (site, db) :: databases, stores)
     | Cmrid.Kvfile ->
       let fs = Cm_sources.Kvfile.create () in
-      let* bindings =
-        List.fold_left
-          (fun acc item ->
-            let* bs = acc in
-            let* b = kvfile_binding item in
-            Ok (b :: bs))
-          (Ok []) decl.Cmrid.s_items
+      let* () =
+        match
+          List.find_opt (fun i -> i.Cmrid.i_key_template = None) decl.Cmrid.s_items
+        with
+        | Some item ->
+          Error
+            (Printf.sprintf "item %s: kvfile items need a key template" item.Cmrid.i_base)
+        | None -> Ok ()
       in
-      let latency = op_value decl.Cmrid.s_latencies Cmrid.Read_op ~default:0.1 in
-      let delta = op_value decl.Cmrid.s_deltas Cmrid.Read_op ~default:(latency *. 5.0) in
+      let latency, delta = kvfile_timing decl in
       let* tr =
         match
           Tr_kvfile.create ~sim:(System.sim system) ~fs ~site ~emit ~report ~latency
-            ~delta (List.rev bindings)
+            ~delta (List.map kvfile_binding decl.Cmrid.s_items)
         with
         | tr -> Ok tr
         | exception Invalid_argument m -> Error m

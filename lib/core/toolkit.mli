@@ -25,6 +25,12 @@ val build : ?config:System.Config.t -> Cmrid.t -> (built, string) result
     seed, network latency/fault model, optional reliable-delivery layer,
     and optional observability registry (see {!System.create}). *)
 
+val item_interfaces : Cmrid.source_decl -> Cmrid.item_decl -> Cm_rule.Rule.t list
+(** The interface statements the translator {!build} configures for this
+    source reports for this item — same ids, δ bounds and bodies —
+    derived without building anything.  The static checker sees a
+    configuration through this function. *)
+
 val interface_summary : built -> (string * string list) list
 (** For each item base, the interface kinds its translator reports —
     input for {!Suggest.for_constraint}. *)

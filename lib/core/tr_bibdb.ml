@@ -1,22 +1,12 @@
-module Sim = Cm_sim.Sim
 module Bibdb = Cm_sources.Bibdb
 module Health = Cm_sources.Health
 open Cm_rule
 
-type t = {
-  sim : Sim.t;
-  db : Bibdb.t;
-  site : string;
-  emit : Cmi.emit;
-  report : Cmi.failure_report;
-  latency : float;
-  delta : float;
-  base : string;
-}
+type t = { db : Bibdb.t; base : string; port : Cmi.port; cmi : Cmi.t }
 
 let health t = Bibdb.health t.db
-
-let rule_id t kind = Printf.sprintf "%s/%s/%s" t.site t.base kind
+let cmi t = t.cmi
+let interface_rules t = t.cmi.Cmi.interface_rules
 
 let key_of_item (item : Item.t) =
   match item.Item.params with
@@ -24,50 +14,27 @@ let key_of_item (item : Item.t) =
   | [ v ] -> Some (Value.to_string v)
   | _ -> None
 
-let current_value t (item : Item.t) =
-  if Health.mode (health t) = Health.Down then None
-  else if not (String.equal item.Item.base t.base) then None
+let read db base (item : Item.t) =
+  if not (String.equal item.Item.base base) then None
   else
     Option.bind (key_of_item item) (fun key ->
-        Option.map (fun p -> Value.Str p.Bibdb.title) (Bibdb.lookup t.db key))
-
-let interface_rules t =
-  [ Interface.read ~id:(rule_id t "read") ~delta:t.delta (Interface.family t.base [ "k" ]) ]
-
-let request t desc ~kind =
-  let event = t.emit desc ~kind in
-  match desc.Event.name, desc.Event.args with
-  | "RR", [ Event.Ai item ] -> (
-    if Health.mode (health t) = Health.Down then t.report Msg.Logical
-    else
-      match current_value t item with
-      | None -> ()
-      | Some v ->
-        let provenance =
-          Event.Generated { rule_id = rule_id t "read"; trigger = event.Event.id }
-        in
-        let delay = t.latency +. Health.extra_latency (health t) in
-        Sim.schedule t.sim ~delay (fun () ->
-            ignore (t.emit (Event.r item v) ~kind:provenance);
-            if delay > t.delta then t.report Msg.Metric))
-  | name, _ ->
-    Logs.err (fun m ->
-        m "translator %s: bibdb is read-only, cannot serve %s" t.site name)
+        Option.map (fun p -> Value.Str p.Bibdb.title) (Bibdb.lookup db key))
 
 let create ~sim ~db ~site ~emit ~report ?(latency = 0.5) ?delta ~base () =
-  let delta = Option.value delta ~default:(latency *. 5.0) in
-  { sim; db; site; emit; report; latency; delta; base }
-
-let cmi t =
-  {
-    Cmi.site = t.site;
-    name = "bibdb";
-    owns = String.equal t.base;
-    bases = [ t.base ];
-    interface_rules = (fun () -> interface_rules t);
-    current_value = current_value t;
-    request = request t;
-  }
+  let port =
+    Cmi.port ~sim ~site ~emit ~report ~health:(Bibdb.health db)
+      ~latency:(Cmi.uniform latency) ?delta:(Option.map Cmi.uniform delta) ()
+  in
+  let cmi =
+    Cmi.make port ~bases:[ base ]
+      ~interfaces:
+        [
+          Interface.read ~id:(Cmi.rule_id ~site base "read") ~delta:port.Cmi.delta.read
+            (Interface.family base [ "k" ]);
+        ]
+      ~read:(read db base) ()
+  in
+  { db; base; port; cmi }
 
 let papers_by_author t author =
   Health.check (health t) ~name:"bibdb";
@@ -76,12 +43,12 @@ let papers_by_author t author =
 let add_app t paper =
   Bibdb.add t.db paper;
   let item = Item.make t.base ~params:[ Value.Str paper.Bibdb.key ] in
-  ignore (t.emit (Event.ins item) ~kind:Event.Spontaneous)
+  ignore (t.port.Cmi.emit (Event.ins item) ~kind:Event.Spontaneous)
 
 let withdraw_app t key =
   let existed = Bibdb.withdraw t.db key in
   if existed then begin
     let item = Item.make t.base ~params:[ Value.Str key ] in
-    ignore (t.emit (Event.del item) ~kind:Event.Spontaneous)
+    ignore (t.port.Cmi.emit (Event.del item) ~kind:Event.Spontaneous)
   end;
   existed

@@ -1,6 +1,4 @@
-module Sim = Cm_sim.Sim
 module Kvfile = Cm_sources.Kvfile
-module Health = Cm_sources.Health
 open Cm_rule
 
 type item_binding = {
@@ -11,17 +9,16 @@ type item_binding = {
 }
 
 type t = {
-  sim : Sim.t;
   fs : Kvfile.t;
-  site : string;
-  emit : Cmi.emit;
-  report : Cmi.failure_report;
-  latency : float;
-  delta : float;
   bindings : (string, item_binding) Hashtbl.t;
+  port : Cmi.port;
+  cmi : Cmi.t;
 }
 
+let default_latency = 0.1
 let health t = Kvfile.health t.fs
+let cmi t = t.cmi
+let interface_rules t = t.cmi.Cmi.interface_rules
 
 let substitute template names values =
   let buf = Buffer.create (String.length template) in
@@ -52,10 +49,12 @@ let substitute template names values =
   done;
   Buffer.contents buf
 
-let key_of t (item : Item.t) =
-  match Hashtbl.find_opt t.bindings item.Item.base with
+let key_in bindings (item : Item.t) =
+  match Hashtbl.find_opt bindings item.Item.base with
   | None -> None
   | Some b -> Some (substitute b.key_template b.params item.Item.params)
+
+let key_of t item = key_in t.bindings item
 
 let decode data = Option.value (Value.of_string_literal data) ~default:(Value.Str data)
 
@@ -63,133 +62,53 @@ let encode = function
   | Value.Str s -> s
   | v -> Value.to_string v
 
-let current_value t item =
-  if Health.mode (health t) = Health.Down then None
-  else
-    match key_of t item with
-    | None -> None
-    | Some key -> Option.map decode (Kvfile.read t.fs key)
+let interfaces ~site ~delta b =
+  let pattern = Interface.family b.base b.params in
+  let id = Cmi.rule_id ~site b.base in
+  Interface.read ~id:(id "read") ~delta pattern
+  ::
+  (if b.writable then
+     [
+       Interface.write ~id:(id "write") ~delta pattern;
+       Interface.delete ~id:(id "delete") ~delta pattern;
+     ]
+   else [])
 
-let rule_id t base kind = Printf.sprintf "%s/%s/%s" t.site base kind
-
-let interface_rules t =
-  Hashtbl.fold
-    (fun base b acc ->
-      let pattern = Interface.family base b.params in
-      let rules =
-        Interface.read ~id:(rule_id t base "read") ~delta:t.delta pattern
-        ::
-        (if b.writable then
-           [
-             Interface.write ~id:(rule_id t base "write") ~delta:t.delta pattern;
-             Interface.delete ~id:(rule_id t base "delete") ~delta:t.delta pattern;
-           ]
-         else [])
-      in
-      rules @ acc)
-    t.bindings []
-  |> List.sort (fun a b -> compare a.Rule.id b.Rule.id)
-
-let down t =
-  if Health.mode (health t) = Health.Down then begin
-    t.report Msg.Logical;
-    true
-  end
-  else false
-
-let delayed t perform =
-  let delay = t.latency +. Health.extra_latency (health t) in
-  Sim.schedule t.sim ~delay (fun () ->
-      perform ();
-      if delay > t.delta then t.report Msg.Metric)
-
-let request t desc ~kind =
-  let event = t.emit desc ~kind in
-  match desc.Event.name, desc.Event.args with
-  | "WR", [ Event.Ai item; Event.Av v ] -> (
-    if not (down t) then
-      match Hashtbl.find_opt t.bindings item.Item.base, key_of t item with
-      | Some { writable = true; _ }, Some key ->
-        let provenance =
-          Event.Generated
-            { rule_id = rule_id t item.Item.base "write"; trigger = event.Event.id }
-        in
-        delayed t (fun () ->
-            if Health.mode (health t) = Health.Down then t.report Msg.Logical
-            else begin
-              Kvfile.write t.fs key (encode v);
-              ignore (t.emit (Event.w item v) ~kind:provenance)
-            end)
-      | _ ->
-        Logs.err (fun m ->
-            m "translator %s: no write interface for %s" t.site (Item.to_string item)))
-  | "RR", [ Event.Ai item ] -> (
-    if not (down t) then
-      match current_value t item with
-      | None -> ()
-      | Some v ->
-        let provenance =
-          Event.Generated
-            { rule_id = rule_id t item.Item.base "read"; trigger = event.Event.id }
-        in
-        delayed t (fun () -> ignore (t.emit (Event.r item v) ~kind:provenance)))
-  | "DR", [ Event.Ai item ] -> (
-    if not (down t) then
-      match Hashtbl.find_opt t.bindings item.Item.base, key_of t item with
-      | Some { writable = true; _ }, Some key ->
-        let provenance =
-          Event.Generated
-            { rule_id = rule_id t item.Item.base "delete"; trigger = event.Event.id }
-        in
-        delayed t (fun () ->
-            if Health.mode (health t) = Health.Down then t.report Msg.Logical
-            else begin
-              ignore (Kvfile.remove t.fs key);
-              ignore (t.emit (Event.del item) ~kind:provenance)
-            end)
-      | _ ->
-        Logs.err (fun m ->
-            m "translator %s: no delete interface for %s" t.site (Item.to_string item)))
-  | name, _ ->
-    Logs.err (fun m -> m "translator %s: unsupported request %s" t.site name)
-
-let create ~sim ~fs ~site ~emit ~report ?(latency = 0.1) ?delta bindings =
-  let delta = Option.value delta ~default:(latency *. 5.0) in
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun b ->
-      if Hashtbl.mem table b.base then
-        invalid_arg ("Tr_kvfile: duplicate binding for " ^ b.base);
-      Hashtbl.replace table b.base b)
-    bindings;
-  { sim; fs; site; emit; report; latency; delta; bindings = table }
-
-let cmi t =
-  {
-    Cmi.site = t.site;
-    name = "kvfile";
-    owns = Hashtbl.mem t.bindings;
-    bases =
-      List.sort String.compare
-        (Hashtbl.fold (fun base _ acc -> base :: acc) t.bindings []);
-    interface_rules = (fun () -> interface_rules t);
-    current_value = current_value t;
-    request = request t;
-  }
+let create ~sim ~fs ~site ~emit ~report ?(latency = default_latency) ?delta bindings =
+  let table = Cmi.index ~what:"Tr_kvfile" (fun b -> b.base) bindings in
+  let port =
+    Cmi.port ~sim ~site ~emit ~report ~health:(Kvfile.health fs)
+      ~latency:(Cmi.uniform latency) ?delta:(Option.map Cmi.uniform delta) ()
+  in
+  (* The native operation on a writable item's file, bound on arrival. *)
+  let on_file op (item : Item.t) =
+    match Hashtbl.find_opt table item.Item.base, key_in table item with
+    | Some { writable = true; _ }, Some key -> Some (op key)
+    | _ -> None
+  in
+  let cmi =
+    Cmi.make port
+      ~bases:(List.map (fun b -> b.base) bindings)
+      ~interfaces:(List.concat_map (interfaces ~site ~delta:port.Cmi.delta.read) bindings)
+      ~read:(fun item ->
+        Option.map decode (Option.bind (key_in table item) (Kvfile.read fs)))
+      ~write:(on_file (fun key v -> Kvfile.write fs key (encode v); Ok ()))
+      ~delete:(on_file (fun key () -> ignore (Kvfile.remove fs key); Ok ()))
+      ()
+  in
+  { fs; bindings = table; port; cmi }
 
 let write_app t item v =
   match key_of t item with
   | None -> invalid_arg ("Tr_kvfile.write_app: unknown item " ^ Item.to_string item)
   | Some key ->
-    let old = Option.map decode (Kvfile.read t.fs key) in
+    let old_value = Option.fold ~none:Value.Null ~some:decode (Kvfile.read t.fs key) in
     Kvfile.write t.fs key (encode v);
-    ignore
-      (t.emit (Event.ws ?old:(Some (Option.value old ~default:Value.Null)) item v)
-         ~kind:Event.Spontaneous)
+    Cmi.changed t.port ~notify:false item ~old_value ~new_value:v
 
 let remove_app t item =
   match key_of t item with
   | None -> invalid_arg ("Tr_kvfile.remove_app: unknown item " ^ Item.to_string item)
   | Some key ->
     ignore (Kvfile.remove t.fs key);
-    ignore (t.emit (Event.del item) ~kind:Event.Spontaneous)
+    ignore (t.port.Cmi.emit (Event.del item) ~kind:Event.Spontaneous)

@@ -31,12 +31,19 @@ val create :
   ?delta:float ->
   item_binding list ->
   t
-(** [latency] (default 0.1 s) applies to each operation; [delta] (default
-    5 × latency) is the reported interface bound. *)
+(** [latency] (default {!default_latency}) applies to each operation;
+    [delta] (default 5 × latency) is the reported interface bound. *)
+
+val default_latency : float
+(** 0.1 s. *)
 
 val cmi : t -> Cmi.t
 val interface_rules : t -> Cm_rule.Rule.t list
 val health : t -> Cm_sources.Health.t
+
+val interfaces : site:string -> delta:float -> item_binding -> Cm_rule.Rule.t list
+(** One binding's interface statements, as a translator at [site] with
+    bound [delta] reports them — computed without a file store. *)
 
 val key_of : t -> Cm_rule.Item.t -> string option
 (** The file key an item maps to. *)

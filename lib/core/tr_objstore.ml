@@ -1,4 +1,3 @@
-module Sim = Cm_sim.Sim
 module Objstore = Cm_sources.Objstore
 module Health = Cm_sources.Health
 open Cm_rule
@@ -19,31 +18,11 @@ type item_binding = {
   notify : notify_mode;
 }
 
-type t = {
-  sim : Sim.t;
-  store : Objstore.t;
-  site : string;
-  emit : Cmi.emit;
-  report : Cmi.failure_report;
-  latency : float;
-  notify_latency : float;
-  delta : float;
-  notify_delta : float;
-  bindings : (string, item_binding) Hashtbl.t;
-  mutable self_write : bool;
-}
+type t = { store : Objstore.t; bindings : (string, item_binding) Hashtbl.t; cmi : Cmi.t }
 
 let health t = Objstore.health t.store
-
-let rule_id t base kind = Printf.sprintf "%s/%s/%s" t.site base kind
-
-let current_value t (item : Item.t) =
-  if Health.mode (health t) = Health.Down then None
-  else
-    match Hashtbl.find_opt t.bindings item.Item.base, item.Item.params with
-    | Some b, [ Value.Str id ] -> Objstore.get_attr t.store ~cls:b.cls ~id ~attr:b.attr
-    | Some b, [] -> Objstore.get_attr t.store ~cls:b.cls ~id:"singleton" ~attr:b.attr
-    | _ -> None
+let cmi t = t.cmi
+let interface_rules t = t.cmi.Cmi.interface_rules
 
 let id_of_item (item : Item.t) =
   match item.Item.params with
@@ -52,159 +31,90 @@ let id_of_item (item : Item.t) =
   | [ v ] -> Value.to_string v
   | _ -> invalid_arg ("Tr_objstore: too many parameters on " ^ Item.to_string item)
 
-let interface_rules t =
-  Hashtbl.fold
-    (fun base b acc ->
-      let pattern =
-        if b.cls = "" then Interface.plain base else Interface.family base [ "n" ]
-      in
-      let rules = ref [ Interface.read ~id:(rule_id t base "read") ~delta:t.delta pattern ] in
-      if b.writable then
-        rules :=
-          Interface.write ~id:(rule_id t base "write") ~delta:t.delta pattern :: !rules;
+let read store bindings (item : Item.t) =
+  match Hashtbl.find_opt bindings item.Item.base, item.Item.params with
+  | Some b, [ Value.Str id ] -> Objstore.get_attr store ~cls:b.cls ~id ~attr:b.attr
+  | Some b, [] -> Objstore.get_attr store ~cls:b.cls ~id:"singleton" ~attr:b.attr
+  | _ -> None
+
+let interfaces ~site ~(delta : Cmi.timing) b =
+  let pattern =
+    if b.cls = "" then Interface.plain b.base else Interface.family b.base [ "n" ]
+  in
+  let id = Cmi.rule_id ~site b.base in
+  List.concat
+    [
+      [ Interface.read ~id:(id "read") ~delta:delta.read pattern ];
+      (if b.writable then [ Interface.write ~id:(id "write") ~delta:delta.write pattern ]
+       else []);
       (match b.notify with
-       | No_notify -> ()
-       | Plain ->
-         rules :=
-           Interface.notify ~id:(rule_id t base "notify") ~delta:t.notify_delta pattern
-           :: !rules
+       | No_notify -> []
+       | Plain -> [ Interface.notify ~id:(id "notify") ~delta:delta.notify pattern ]
        | Filtered { filter_expr; _ } ->
-         rules :=
-           Interface.conditional_notify ~id:(rule_id t base "notify")
-             ~delta:t.notify_delta ~condition:filter_expr pattern
-           :: !rules);
-      !rules @ acc)
-    t.bindings []
-  |> List.sort (fun a b -> compare a.Rule.id b.Rule.id)
+         [
+           Interface.conditional_notify ~id:(id "notify") ~delta:delta.notify
+             ~condition:filter_expr pattern;
+         ]);
+    ]
 
-let down t =
-  if Health.mode (health t) = Health.Down then begin
-    t.report Msg.Logical;
-    true
-  end
-  else false
-
-let delayed t ~latency ~bound perform =
-  let delay = latency +. Health.extra_latency (health t) in
-  Sim.schedule t.sim ~delay (fun () ->
-      perform ();
-      if delay > bound then t.report Msg.Metric)
-
-let request t desc ~kind =
-  let event = t.emit desc ~kind in
-  match desc.Event.name, desc.Event.args with
-  | "WR", [ Event.Ai item; Event.Av v ] -> (
-    if not (down t) then
-      match Hashtbl.find_opt t.bindings item.Item.base with
-      | Some ({ writable = true; _ } as b) ->
-        let provenance =
-          Event.Generated
-            { rule_id = rule_id t item.Item.base "write"; trigger = event.Event.id }
-        in
-        delayed t ~latency:t.latency ~bound:t.delta (fun () ->
-            if Health.mode (health t) = Health.Down then t.report Msg.Logical
-            else begin
-              t.self_write <- true;
-              let ok =
-                Objstore.set_attr t.store ~cls:b.cls ~id:(id_of_item item) ~attr:b.attr v
-              in
-              t.self_write <- false;
-              if ok then ignore (t.emit (Event.w item v) ~kind:provenance)
-              else begin
-                Logs.warn (fun m ->
-                    m "translator %s: object for %s missing" t.site (Item.to_string item));
-                t.report Msg.Logical
-              end
-            end)
-      | _ ->
-        Logs.err (fun m ->
-            m "translator %s: no write interface for %s" t.site (Item.to_string item)))
-  | "RR", [ Event.Ai item ] -> (
-    if not (down t) then
-      match current_value t item with
-      | None -> ()
-      | Some v ->
-        let provenance =
-          Event.Generated
-            { rule_id = rule_id t item.Item.base "read"; trigger = event.Event.id }
-        in
-        delayed t ~latency:t.latency ~bound:t.delta (fun () ->
-            ignore (t.emit (Event.r item v) ~kind:provenance)))
-  | name, _ ->
-    Logs.err (fun m -> m "translator %s: unsupported request %s" t.site name)
-
-let subscribe_binding t b =
-  (* Subscribe unfiltered so spontaneous-write ground truth (Ws) is always
-     recorded; the notify condition then decides whether an N is sent —
-     semantically the in-source filtering of §3.1.1, since translator and
-     source are co-located and the saved communication is the CM hop. *)
-  let filter =
-    match b.notify with
-    | Filtered { filter; _ } -> Some filter
-    | Plain | No_notify -> None
-  in
+(* Subscribe unfiltered so spontaneous-write ground truth (Ws) is always
+   recorded; the notify condition then decides whether an N is sent —
+   semantically the in-source filtering of §3.1.1, since translator and
+   source are co-located and the saved communication is the CM hop. *)
+let subscribe port store self_write b =
+  let filter = match b.notify with Filtered { filter; _ } -> Some filter | _ -> None in
   let callback ~id ~old_value ~new_value =
-    if not t.self_write then begin
+    if not !self_write then
       let item = Item.make b.base ~params:(if b.cls = "" then [] else [ Value.Str id ]) in
-      let ws = t.emit (Event.ws ~old:old_value item new_value) ~kind:Event.Spontaneous in
-      let wanted =
-        match filter with None -> true | Some f -> f ~old_value ~new_value
-      in
-      if wanted && not (Health.dropping_notifications (health t)) then begin
-        let provenance =
-          Event.Generated { rule_id = rule_id t b.base "notify"; trigger = ws.Event.id }
-        in
-        delayed t ~latency:t.notify_latency ~bound:t.notify_delta (fun () ->
-            ignore (t.emit (Event.n item new_value) ~kind:provenance))
-      end
-    end
+      Cmi.changed port ~notify:true ?filter item ~old_value ~new_value
   in
-  ignore (Objstore.subscribe t.store ~cls:b.cls ~attr:b.attr callback)
+  ignore (Objstore.subscribe store ~cls:b.cls ~attr:b.attr callback)
 
 let create ~sim ~store ~site ~emit ~report ?(latency = 0.1) ?(notify_latency = 0.5)
     ?delta ?notify_delta bindings =
-  let delta = Option.value delta ~default:(latency *. 5.0) in
-  let notify_delta = Option.value notify_delta ~default:(notify_latency *. 5.0) in
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun b ->
-      if Hashtbl.mem table b.base then
-        invalid_arg ("Tr_objstore: duplicate binding for " ^ b.base);
-      Hashtbl.replace table b.base b)
-    bindings;
-  let t =
+  let table = Cmi.index ~what:"Tr_objstore" (fun b -> b.base) bindings in
+  let latency = { (Cmi.uniform latency) with Cmi.notify = notify_latency } in
+  let default = Cmi.default_deltas latency in
+  let delta =
     {
-      sim;
-      store;
-      site;
-      emit;
-      report;
-      latency;
-      notify_latency;
-      delta;
-      notify_delta;
-      bindings = table;
-      self_write = false;
+      (Cmi.uniform (Option.value delta ~default:default.Cmi.read)) with
+      Cmi.notify = Option.value notify_delta ~default:default.Cmi.notify;
     }
+  in
+  let port =
+    Cmi.port ~sim ~site ~emit ~report ~health:(Objstore.health store) ~latency ~delta ()
+  in
+  let self_write = ref false in
+  let write (item : Item.t) =
+    match Hashtbl.find_opt table item.Item.base with
+    | Some ({ writable = true; _ } as b) ->
+      Some
+        (fun v ->
+          let id = id_of_item item in
+          self_write := true;
+          let ok = Objstore.set_attr store ~cls:b.cls ~id ~attr:b.attr v in
+          self_write := false;
+          if ok then Ok ()
+          else begin
+            Logs.warn (fun m ->
+                m "translator %s: object for %s missing" site (Item.to_string item));
+            Error Msg.Logical
+          end)
+    | _ -> None
+  in
+  let cmi =
+    Cmi.make port
+      ~bases:(List.map (fun b -> b.base) bindings)
+      ~interfaces:(List.concat_map (interfaces ~site ~delta) bindings)
+      ~read:(read store table) ~write ()
   in
   Hashtbl.iter
     (fun _ b ->
-      match b.notify with No_notify -> () | Plain | Filtered _ -> subscribe_binding t b)
-    t.bindings;
-  t
-
-let cmi t =
-  {
-    Cmi.site = t.site;
-    name = "objstore";
-    owns = Hashtbl.mem t.bindings;
-    bases =
-      List.sort String.compare
-        (Hashtbl.fold (fun base _ acc -> base :: acc) t.bindings []);
-    interface_rules = (fun () -> interface_rules t);
-    current_value = current_value t;
-    request = request t;
-  }
+      match b.notify with
+      | No_notify -> ()
+      | Plain | Filtered _ -> subscribe port store self_write b)
+    table;
+  { store; bindings = table; cmi }
 
 let set_app t item v =
   Health.check (health t) ~name:"objstore";

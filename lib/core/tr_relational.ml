@@ -1,4 +1,3 @@
-module Sim = Cm_sim.Sim
 module Db = Cm_relational.Database
 module Health = Cm_sources.Health
 open Cm_rule
@@ -25,7 +24,12 @@ type item_binding = {
   periodic : float option;
 }
 
-type latencies = { read : float; write : float; notify : float; delete : float }
+type latencies = Cmi.timing = {
+  read : float;
+  write : float;
+  notify : float;
+  delete : float;
+}
 
 let default_latencies = { read = 0.2; write = 0.2; notify = 1.0; delete = 0.2 }
 
@@ -38,21 +42,11 @@ type compiled = {
   delete_stmt : Cm_relational.Sql_ast.stmt option;
 }
 
-type t = {
-  sim : Sim.t;
-  db : Db.t;
-  site : string;
-  emit : Cmi.emit;
-  report : Cmi.failure_report;
-  latencies : latencies;
-  deltas : deltas;
-  bindings : (string, compiled) Hashtbl.t;  (* by base *)
-  existence : existence_spec list;
-  health : Health.t;
-  mutable self_write : bool;
-}
+type t = { db : Db.t; port : Cmi.port; cmi : Cmi.t }
 
-let health t = t.health
+let health t = t.port.Cmi.health
+let cmi t = t.cmi
+let interface_rules t = t.cmi.Cmi.interface_rules
 
 let compile_sql what base = function
   | None -> None
@@ -62,170 +56,87 @@ let compile_sql what base = function
     | exception Cm_relational.Sql_parser.Parse_error m ->
       invalid_arg (Printf.sprintf "Tr_relational: bad %s SQL for %s: %s" what base m))
 
-let sql_params t (item : Item.t) extra =
-  match Hashtbl.find_opt t.bindings item.Item.base with
-  | None -> extra
-  | Some c -> (
-    match List.combine c.binding.params item.Item.params with
-    | pairs -> pairs @ extra
-    | exception Invalid_argument _ ->
-      invalid_arg
-        (Printf.sprintf "Tr_relational: item %s has wrong parameter count"
-           (Item.to_string item)))
+let compile b =
+  {
+    binding = b;
+    read_stmt = compile_sql "read" b.base b.read_sql;
+    write_stmt = compile_sql "write" b.base b.write_sql;
+    delete_stmt = compile_sql "delete" b.base b.delete_sql;
+  }
+
+let sql_params c (item : Item.t) extra =
+  match List.combine c.binding.params item.Item.params with
+  | pairs -> pairs @ extra
+  | exception Invalid_argument _ ->
+    invalid_arg
+      (Printf.sprintf "Tr_relational: item %s has wrong parameter count"
+         (Item.to_string item))
 
 let single_value = function
   | Db.Rows { rows = (v :: _) :: _; _ } -> Some v
   | Db.Rows _ -> None
   | Db.Affected _ | Db.Done -> None
 
-let current_value t item =
-  if Health.mode t.health = Health.Down then None
-  else
-    match Hashtbl.find_opt t.bindings item.Item.base with
-    | None -> None
-    | Some { read_stmt = None; _ } -> None
-    | Some { read_stmt = Some stmt; _ } -> (
-      match Db.exec_stmt t.db ~params:(sql_params t item []) stmt with
-      | Ok result -> single_value result
-      | Error _ -> None)
-
-let rule_id t base kind = Printf.sprintf "%s/%s/%s" t.site base kind
-
-let interface_rules t =
-  Hashtbl.fold
-    (fun base c acc ->
-      let b = c.binding in
-      let pattern = Interface.family base b.params in
-      let rules = ref [] in
-      let add r = rules := r :: !rules in
-      if b.write_sql <> None then
-        add (Interface.write ~id:(rule_id t base "write") ~delta:t.deltas.write pattern);
-      if b.read_sql <> None then
-        add (Interface.read ~id:(rule_id t base "read") ~delta:t.deltas.read pattern);
-      if b.delete_sql <> None then
-        add (Interface.delete ~id:(rule_id t base "delete") ~delta:t.deltas.delete pattern);
+let interfaces ~site ~deltas b =
+  let pattern = Interface.family b.base b.params in
+  let id = Cmi.rule_id ~site b.base in
+  let offered sql rule = Option.map (fun _ -> rule ()) sql in
+  List.filter_map Fun.id
+    [
+      offered b.write_sql (fun () -> Interface.write ~id:(id "write") ~delta:deltas.write pattern);
+      offered b.read_sql (fun () -> Interface.read ~id:(id "read") ~delta:deltas.read pattern);
+      offered b.delete_sql (fun () ->
+          Interface.delete ~id:(id "delete") ~delta:deltas.delete pattern);
       (match b.notify with
        | Some { send = true; filter_expr = None; _ } ->
-         add (Interface.notify ~id:(rule_id t base "notify") ~delta:t.deltas.notify pattern)
+         Some (Interface.notify ~id:(id "notify") ~delta:deltas.notify pattern)
        | Some { send = true; filter_expr = Some condition; _ } ->
-         add
-           (Interface.conditional_notify ~id:(rule_id t base "notify")
-              ~delta:t.deltas.notify ~condition pattern)
-       | _ -> ());
-      if b.no_spontaneous then
-        add (Interface.no_spontaneous_write ~id:(rule_id t base "nospont") pattern);
-      (match b.periodic with
-       | Some period ->
-         add
-           (Interface.periodic_notify ~id:(rule_id t base "pnotify") ~period
-              ~delta:t.deltas.notify pattern)
-       | None -> ());
-      !rules @ acc)
-    t.bindings []
-  |> List.sort (fun a b -> compare a.Rule.id b.Rule.id)
+         Some
+           (Interface.conditional_notify ~id:(id "notify") ~delta:deltas.notify ~condition
+              pattern)
+       | _ -> None);
+      (if b.no_spontaneous then
+         Some (Interface.no_spontaneous_write ~id:(id "nospont") pattern)
+       else None);
+      Option.map
+        (fun period ->
+          Interface.periodic_notify ~id:(id "pnotify") ~period ~delta:deltas.notify pattern)
+        b.periodic;
+    ]
 
-(* --- request handling (WR / RR / DR) --- *)
+(* --- native operations --- *)
 
-let delayed_op t ~latency ~bound ~perform =
-  let extra = Health.extra_latency t.health in
-  let delay = latency +. extra in
-  Sim.schedule t.sim ~delay (fun () ->
-      perform ();
-      if delay > bound then t.report Msg.Metric)
+let read db bindings (item : Item.t) =
+  match Hashtbl.find_opt bindings item.Item.base with
+  | Some ({ read_stmt = Some stmt; _ } as c) -> (
+    match Db.exec_stmt db ~params:(sql_params c item []) stmt with
+    | Ok result -> single_value result
+    | Error _ -> None)
+  | _ -> None
 
-let down t =
-  if Health.mode t.health = Health.Down then begin
-    t.report Msg.Logical;
-    true
-  end
-  else false
-
-let perform_write t item v stmt ~provenance =
-  if Health.mode t.health = Health.Down then t.report Msg.Logical
-  else begin
-    t.self_write <- true;
-    let result = Db.exec_stmt t.db ~params:(sql_params t item [ ("b", v) ]) stmt in
-    t.self_write <- false;
-    match result with
-    | Ok _ -> ignore (t.emit (Event.w item v) ~kind:provenance)
-    | Error e ->
-      Logs.warn (fun m ->
-          m "translator %s: write to %s rejected: %s" t.site (Item.to_string item)
-            (Db.error_to_string e));
-      (* A CHECK rejection of a CMS-generated write means the local guard
-         held against a decision computed from a stale view (e.g. a limit
-         grant queued across a peer's crash).  The constraint is intact
-         and the managing rules will re-derive a fresh decision, so the
-         write is late, not wrong: a metric failure.  Anything else
-         (missing table, type error) is a logical one. *)
-      (match e with
-       | Db.Check_failed _ -> t.report Msg.Metric
-       | _ -> t.report Msg.Logical)
-  end
-
-let perform_delete t item stmt ~provenance =
-  if Health.mode t.health = Health.Down then t.report Msg.Logical
-  else begin
-    t.self_write <- true;
-    let result = Db.exec_stmt t.db ~params:(sql_params t item []) stmt in
-    t.self_write <- false;
-    match result with
-    | Ok _ -> ignore (t.emit (Event.del item) ~kind:provenance)
-    | Error e ->
-      Logs.warn (fun m ->
-          m "translator %s: delete of %s rejected: %s" t.site (Item.to_string item)
-            (Db.error_to_string e));
-      (match e with
-       | Db.Check_failed _ -> t.report Msg.Metric
-       | _ -> t.report Msg.Logical)
-  end
-
-let request t desc ~kind =
-  let event = t.emit desc ~kind in
-  match desc.Event.name, desc.Event.args with
-  | "WR", [ Event.Ai item; Event.Av v ] -> (
-    if not (down t) then
-      match Hashtbl.find_opt t.bindings item.Item.base with
-      | Some { write_stmt = Some stmt; _ } ->
-        let provenance =
-          Event.Generated
-            { rule_id = rule_id t item.Item.base "write"; trigger = event.Event.id }
-        in
-        delayed_op t ~latency:t.latencies.write ~bound:t.deltas.write ~perform:(fun () ->
-            perform_write t item v stmt ~provenance)
-      | _ ->
-        Logs.err (fun m ->
-            m "translator %s: no write interface for %s" t.site (Item.to_string item)))
-  | "RR", [ Event.Ai item ] -> (
-    if not (down t) then
-      match current_value t item with
-      | None -> ()  (* item absent: the read interface's condition X=b is false *)
-      | Some v ->
-        let provenance =
-          Event.Generated
-            { rule_id = rule_id t item.Item.base "read"; trigger = event.Event.id }
-        in
-        delayed_op t ~latency:t.latencies.read ~bound:t.deltas.read ~perform:(fun () ->
-            ignore (t.emit (Event.r item v) ~kind:provenance)))
-  | "DR", [ Event.Ai item ] -> (
-    if not (down t) then
-      match Hashtbl.find_opt t.bindings item.Item.base with
-      | Some { delete_stmt = Some stmt; _ } ->
-        let provenance =
-          Event.Generated
-            { rule_id = rule_id t item.Item.base "delete"; trigger = event.Event.id }
-        in
-        delayed_op t ~latency:t.latencies.delete ~bound:t.deltas.delete
-          ~perform:(fun () -> perform_delete t item stmt ~provenance)
-      | _ ->
-        Logs.err (fun m ->
-            m "translator %s: no delete interface for %s" t.site (Item.to_string item)))
-  | name, _ ->
-    Logs.err (fun m -> m "translator %s: unsupported request %s" t.site name)
+(* A CMS-generated write or delete, run with the change triggers muted
+   so it is not mistaken for a spontaneous change. *)
+let exec_self db self_write ~site ~what c item stmt params =
+  self_write := true;
+  let result = Db.exec_stmt db ~params:(sql_params c item params) stmt in
+  self_write := false;
+  match result with
+  | Ok _ -> Ok ()
+  | Error e ->
+    Logs.warn (fun m ->
+        m "translator %s: %s %s rejected: %s" site what (Item.to_string item)
+          (Db.error_to_string e));
+    (* A CHECK rejection of a CMS-generated write means the local guard
+       held against a decision computed from a stale view (e.g. a limit
+       grant queued across a peer's crash).  The constraint is intact
+       and the managing rules will re-derive a fresh decision, so the
+       write is late, not wrong: a metric failure.  Anything else
+       (missing table, type error) is a logical one. *)
+    (match e with Db.Check_failed _ -> Error Msg.Metric | _ -> Error Msg.Logical)
 
 (* --- trigger (observer) handling: spontaneous changes --- *)
 
-let watched_change t ~table ~column ~old_row ~new_row =
+let watched_change bindings ~table ~column ~old_row ~new_row =
   Hashtbl.fold
     (fun base c acc ->
       match c.binding.notify with
@@ -246,7 +157,7 @@ let watched_change t ~table ~column ~old_row ~new_row =
           in
           (item, spec, old_value, new_value) :: acc
       | _ -> acc)
-    t.bindings []
+    bindings []
 
 let columns_changed old_row new_row =
   List.filter_map
@@ -254,151 +165,77 @@ let columns_changed old_row new_row =
       if Value.equal v (Cm_relational.Row.get_or_null old_row col) then None else Some col)
     (Cm_relational.Row.to_list new_row)
 
-let on_db_change t change =
-  if not t.self_write then
+let on_db_change port bindings existence self_write change =
+  let existence_event event table row =
+    List.iter
+      (fun spec ->
+        if String.equal spec.ex_table table then begin
+          let key = Cm_relational.Row.get_or_null row spec.ex_key_column in
+          let item = Item.make spec.ex_base ~params:[ key ] in
+          ignore (port.Cmi.emit (event item) ~kind:Event.Spontaneous)
+        end)
+      existence
+  in
+  if not !self_write then
     match change with
     | Db.Updated { table; old_row; new_row } ->
       List.iter
         (fun column ->
           List.iter
             (fun (item, spec, old_value, new_value) ->
-              let ws =
-                t.emit (Event.ws ~old:old_value item new_value) ~kind:Event.Spontaneous
-              in
-              let wanted =
-                spec.send
-                &&
-                match spec.filter with
-                | None -> true
-                | Some f -> f ~old_value ~new_value
-              in
-              if wanted && not (Health.dropping_notifications t.health) then begin
-                let provenance =
-                  Event.Generated
-                    {
-                      rule_id = rule_id t item.Item.base "notify";
-                      trigger = ws.Event.id;
-                    }
-                in
-                delayed_op t ~latency:t.latencies.notify ~bound:t.deltas.notify
-                  ~perform:(fun () ->
-                    if Health.mode t.health = Health.Down then t.report Msg.Logical
-                    else ignore (t.emit (Event.n item new_value) ~kind:provenance))
-              end)
-            (watched_change t ~table ~column ~old_row ~new_row))
+              Cmi.changed port ~notify:spec.send ?filter:spec.filter item ~old_value
+                ~new_value)
+            (watched_change bindings ~table ~column ~old_row ~new_row))
         (columns_changed old_row new_row)
-    | Db.Inserted { table; row } ->
-      List.iter
-        (fun spec ->
-          if String.equal spec.ex_table table then begin
-            let key = Cm_relational.Row.get_or_null row spec.ex_key_column in
-            let item = Item.make spec.ex_base ~params:[ key ] in
-            ignore (t.emit (Event.ins item) ~kind:Event.Spontaneous)
-          end)
-        t.existence
-    | Db.Deleted { table; row } ->
-      List.iter
-        (fun spec ->
-          if String.equal spec.ex_table table then begin
-            let key = Cm_relational.Row.get_or_null row spec.ex_key_column in
-            let item = Item.make spec.ex_base ~params:[ key ] in
-            ignore (t.emit (Event.del item) ~kind:Event.Spontaneous)
-          end)
-        t.existence
+    | Db.Inserted { table; row } -> existence_event Event.ins table row
+    | Db.Deleted { table; row } -> existence_event Event.del table row
 
 let create ~sim ~db ~site ~emit ~report ?(latencies = default_latencies) ?deltas
     ?(existence = []) bindings =
-  let deltas =
-    match deltas with
-    | Some d -> d
-    | None ->
-      {
-        read = latencies.read *. 5.0;
-        write = latencies.write *. 5.0;
-        notify = latencies.notify *. 5.0;
-        delete = latencies.delete *. 5.0;
-      }
+  let bindings = List.map compile bindings in
+  let table = Cmi.index ~what:"Tr_relational" (fun c -> c.binding.base) bindings in
+  let port =
+    Cmi.port ~sim ~site ~emit ~report ~health:(Health.create ()) ~latency:latencies
+      ?delta:deltas ()
   in
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun b ->
-      if Hashtbl.mem table b.base then
-        invalid_arg ("Tr_relational: duplicate binding for " ^ b.base);
-      Hashtbl.replace table b.base
-        {
-          binding = b;
-          read_stmt = compile_sql "read" b.base b.read_sql;
-          write_stmt = compile_sql "write" b.base b.write_sql;
-          delete_stmt = compile_sql "delete" b.base b.delete_sql;
-        })
-    bindings;
-  let t =
-    {
-      sim;
-      db;
-      site;
-      emit;
-      report;
-      latencies;
-      deltas;
-      bindings = table;
-      existence;
-      health = Health.create ();
-      self_write = false;
-    }
+  let self_write = ref false in
+  let exec = exec_self db self_write ~site in
+  let write (item : Item.t) =
+    match Hashtbl.find_opt table item.Item.base with
+    | Some ({ write_stmt = Some stmt; _ } as c) ->
+      Some (fun v -> exec ~what:"write to" c item stmt [ ("b", v) ])
+    | _ -> None
   in
-  Db.on_change db (on_db_change t);
-  (* Periodic-notify interfaces: the source pushes the current value
-     every period, whether or not it changed (§3.1.1). *)
-  Hashtbl.iter
-    (fun base c ->
-      match c.binding.periodic with
-      | None -> ()
-      | Some period ->
-        if c.binding.params <> [] then
-          invalid_arg
-            ("Tr_relational: periodic notify needs a parameter-free item: " ^ base);
-        let item = Item.make base in
-        Sim.every sim ~period
-          (fun () ->
-            if Health.mode t.health = Health.Down then t.report Msg.Logical
-            else begin
-              let p_event = t.emit (Event.p period) ~kind:Event.Spontaneous in
-              if not (Health.dropping_notifications t.health) then
-                match current_value t item with
-                | None -> ()
-                | Some v ->
-                  let provenance =
-                    Event.Generated
-                      { rule_id = rule_id t base "pnotify"; trigger = p_event.Event.id }
-                  in
-                  delayed_op t ~latency:t.latencies.notify ~bound:t.deltas.notify
-                    ~perform:(fun () ->
-                      ignore (t.emit (Event.n item v) ~kind:provenance))
-            end)
-          ~cancel:(fun () -> false))
-    t.bindings;
-  t
-
-let cmi t =
-  {
-    Cmi.site = t.site;
-    name = "relational";
-    owns =
-      (fun base ->
-        Hashtbl.mem t.bindings base
-        || List.exists (fun s -> String.equal s.ex_base base) t.existence);
-    bases =
-      List.sort_uniq String.compare
-        (Hashtbl.fold
-           (fun base _ acc -> base :: acc)
-           t.bindings
-           (List.map (fun s -> s.ex_base) t.existence));
-    interface_rules = (fun () -> interface_rules t);
-    current_value = current_value t;
-    request = request t;
-  }
+  let delete (item : Item.t) =
+    match Hashtbl.find_opt table item.Item.base with
+    | Some ({ delete_stmt = Some stmt; _ } as c) ->
+      Some (fun () -> exec ~what:"delete of" c item stmt [])
+    | _ -> None
+  in
+  let periodic =
+    List.filter_map
+      (fun c ->
+        Option.map
+          (fun period ->
+            if c.binding.params <> [] then
+              invalid_arg
+                ("Tr_relational: periodic notify needs a parameter-free item: "
+                ^ c.binding.base);
+            (Item.make c.binding.base, period))
+          c.binding.periodic)
+      bindings
+  in
+  let cmi =
+    Cmi.make port
+      ~bases:(List.map (fun c -> c.binding.base) bindings @ List.map (fun s -> s.ex_base) existence)
+      ~interfaces:
+        (List.concat_map (fun c -> interfaces ~site ~deltas:port.Cmi.delta c.binding) bindings)
+      ~read:(read db table) ~write ~delete ~periodic ()
+  in
+  (* Declare the triggers: an after-change observer on the database. *)
+  Db.on_change db (on_db_change port table existence self_write);
+  { db; port; cmi }
 
 let exec_app t ?params src =
-  Health.check t.health ~name:"relational";
+  Health.check (health t) ~name:"relational";
   Db.exec t.db ?params src

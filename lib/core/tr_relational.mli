@@ -6,18 +6,16 @@
     ["UPDATE employees SET salary = $b WHERE empid = $n"] is instantiated
     and sent to the SQL engine.  The translator:
 
-    - serves WR/RR/DR requests from the shell, recording the request
-      receipt and emitting the W/R/DEL response after the configured
-      latency (plus any health-injected degradation);
+    - answers WR/RR/DR requests through the {!Cmi} protocol with the
+      compiled read, write and delete statements;
     - implements notify interfaces by declaring a trigger (an after-change
-      observer) on the underlying table and emitting [Ws] ground truth
-      plus [N] notifications for spontaneous changes — changes performed
-      by the translator itself are recognized and not treated as
-      spontaneous;
+      observer) on the underlying table and feeding spontaneous changes
+      to {!Cmi.changed} — changes performed by the translator itself are
+      recognized and not treated as spontaneous;
     - tracks row existence for the referential-integrity scenario,
       emitting [INS]/[DEL] events;
-    - maps SQL errors and outage to logical failures and degradation to
-      metric failures, reported through the shell (§5). *)
+    - maps a CHECK rejection of a CM write to a metric failure and any
+      other SQL error to a logical one (§5). *)
 
 type notify_spec = {
   table : string;
@@ -56,7 +54,7 @@ type item_binding = {
           parameterized family would need per-instance enumeration. *)
 }
 
-type latencies = { read : float; write : float; notify : float; delete : float }
+type latencies = Cmi.timing = { read : float; write : float; notify : float; delete : float }
 
 val default_latencies : latencies
 (** 0.2 s per operation, 1 s notification lag. *)
@@ -80,7 +78,7 @@ val create :
 (** Declares the needed triggers on [db] (observers) immediately.
 
     A [Down] source loses the notifications that come due while it is
-    out and reports a {e logical} failure.  §5's "remember messages that
+    out and reports a {e logical} failure (see {!Cmi.make}).  §5's "remember messages that
     need to be sent out upon recovery" facility is no longer a
     translator-local queue: it is the write-ahead {!Journal} plus the
     {!Recovery} restart protocol, configured system-wide through
@@ -91,6 +89,10 @@ val health : t -> Cm_sources.Health.t
 val interface_rules : t -> Cm_rule.Rule.t list
 (** The generated interface statements, with stable ids
     ["<site>/<base>/<kind>"]. *)
+
+val interfaces : site:string -> deltas:deltas -> item_binding -> Cm_rule.Rule.t list
+(** One binding's interface statements, as a translator at [site] with
+    these δ bounds reports them — computed without a database. *)
 
 val exec_app :
   t -> ?params:(string * Cm_rule.Value.t) list -> string ->

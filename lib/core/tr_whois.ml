@@ -1,24 +1,18 @@
-module Sim = Cm_sim.Sim
 module Whois = Cm_sources.Whois
-module Health = Cm_sources.Health
 open Cm_rule
 
 type item_binding = { base : string; field : string }
 
 type t = {
-  sim : Sim.t;
   server : Whois.t;
-  site : string;
-  emit : Cmi.emit;
-  report : Cmi.failure_report;
-  latency : float;
-  delta : float;
   bindings : (string, item_binding) Hashtbl.t;
+  port : Cmi.port;
+  cmi : Cmi.t;
 }
 
 let health t = Whois.health t.server
-
-let rule_id t base kind = Printf.sprintf "%s/%s/%s" t.site base kind
+let cmi t = t.cmi
+let interface_rules t = t.cmi.Cmi.interface_rules
 
 let name_of_item (item : Item.t) =
   match item.Item.params with
@@ -26,68 +20,30 @@ let name_of_item (item : Item.t) =
   | [ v ] -> Some (Value.to_string v)
   | _ -> None
 
-let current_value t (item : Item.t) =
-  if Health.mode (health t) = Health.Down then None
-  else
-    match Hashtbl.find_opt t.bindings item.Item.base, name_of_item item with
-    | Some b, Some name ->
-      Option.bind (Whois.query t.server name) (fun fields ->
-          Option.map (fun s -> Value.Str s) (List.assoc_opt b.field fields))
-    | _ -> None
-
-let interface_rules t =
-  Hashtbl.fold
-    (fun base _ acc ->
-      Interface.read ~id:(rule_id t base "read") ~delta:t.delta
-        (Interface.family base [ "n" ])
-      :: acc)
-    t.bindings []
-  |> List.sort (fun a b -> compare a.Rule.id b.Rule.id)
-
-let request t desc ~kind =
-  let event = t.emit desc ~kind in
-  match desc.Event.name, desc.Event.args with
-  | "RR", [ Event.Ai item ] -> (
-    if Health.mode (health t) = Health.Down then t.report Msg.Logical
-    else
-      match current_value t item with
-      | None -> ()
-      | Some v ->
-        let provenance =
-          Event.Generated
-            { rule_id = rule_id t item.Item.base "read"; trigger = event.Event.id }
-        in
-        let delay = t.latency +. Health.extra_latency (health t) in
-        Sim.schedule t.sim ~delay (fun () ->
-            ignore (t.emit (Event.r item v) ~kind:provenance);
-            if delay > t.delta then t.report Msg.Metric))
-  | name, _ ->
-    Logs.err (fun m ->
-        m "translator %s: whois is read-only, cannot serve %s" t.site name)
+let read server bindings (item : Item.t) =
+  match Hashtbl.find_opt bindings item.Item.base, name_of_item item with
+  | Some b, Some name ->
+    Option.bind (Whois.query server name) (fun fields ->
+        Option.map (fun s -> Value.Str s) (List.assoc_opt b.field fields))
+  | _ -> None
 
 let create ~sim ~server ~site ~emit ~report ?(latency = 0.3) ?delta bindings =
-  let delta = Option.value delta ~default:(latency *. 5.0) in
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun b ->
-      if Hashtbl.mem table b.base then
-        invalid_arg ("Tr_whois: duplicate binding for " ^ b.base);
-      Hashtbl.replace table b.base b)
-    bindings;
-  { sim; server; site; emit; report; latency; delta; bindings = table }
-
-let cmi t =
-  {
-    Cmi.site = t.site;
-    name = "whois";
-    owns = Hashtbl.mem t.bindings;
-    bases =
-      List.sort String.compare
-        (Hashtbl.fold (fun base _ acc -> base :: acc) t.bindings []);
-    interface_rules = (fun () -> interface_rules t);
-    current_value = current_value t;
-    request = request t;
-  }
+  let table = Cmi.index ~what:"Tr_whois" (fun b -> b.base) bindings in
+  let port =
+    Cmi.port ~sim ~site ~emit ~report ~health:(Whois.health server)
+      ~latency:(Cmi.uniform latency) ?delta:(Option.map Cmi.uniform delta) ()
+  in
+  let read_interface b =
+    Interface.read ~id:(Cmi.rule_id ~site b.base "read") ~delta:port.Cmi.delta.read
+      (Interface.family b.base [ "n" ])
+  in
+  let cmi =
+    Cmi.make port
+      ~bases:(List.map (fun b -> b.base) bindings)
+      ~interfaces:(List.map read_interface bindings)
+      ~read:(read server table) ()
+  in
+  { server; bindings = table; port; cmi }
 
 (* Administrative operations record ground truth for every bound field. *)
 
@@ -95,11 +51,9 @@ let record_ws t ~name ~field ~old_value ~value =
   Hashtbl.iter
     (fun base b ->
       if String.equal b.field field then
-        let item = Item.make base ~params:[ Value.Str name ] in
-        ignore
-          (t.emit
-             (Event.ws ~old:old_value item (Value.Str value))
-             ~kind:Event.Spontaneous))
+        Cmi.changed t.port ~notify:false
+          (Item.make base ~params:[ Value.Str name ])
+          ~old_value ~new_value:(Value.Str value))
     t.bindings
 
 let register_app t ~name ~fields =
@@ -127,6 +81,6 @@ let unregister_app t ~name =
     Hashtbl.iter
       (fun base _ ->
         let item = Item.make base ~params:[ Value.Str name ] in
-        ignore (t.emit (Event.del item) ~kind:Event.Spontaneous))
+        ignore (t.port.Cmi.emit (Event.del item) ~kind:Event.Spontaneous))
       t.bindings;
   existed

@@ -6,6 +6,7 @@ module Cmrid = Cm_core.Cmrid
 module Obs = Cm_core.Obs
 module Monitor = Cm_core.Monitor
 module Guarantee_view = System.Guarantee_view
+module Json = Cm_util.Json
 
 type outcome = Replica | Master | Forced_poll
 
@@ -402,35 +403,21 @@ let report_to_text ?slo t decisions =
     decisions;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let report_to_json ?slo t decisions =
   let catalog =
     List.map
       (fun (e : Guarantee_view.entry) ->
         Printf.sprintf
           "    { \"source\": \"%s\", \"target\": \"%s\", \"master_site\": \"%s\", \"site\": \"%s\", \"kappa\": %s, \"valid\": %b, \"survival\": \"%s\" }"
-          (json_escape e.Guarantee_view.gv_source)
-          (json_escape e.Guarantee_view.gv_target)
-          (json_escape e.Guarantee_view.gv_master_site)
-          (json_escape e.Guarantee_view.gv_site)
+          (Json.escape e.Guarantee_view.gv_source)
+          (Json.escape e.Guarantee_view.gv_target)
+          (Json.escape e.Guarantee_view.gv_master_site)
+          (Json.escape e.Guarantee_view.gv_site)
           (match e.Guarantee_view.gv_kappa with
           | Some k -> fg k
           | None -> "null")
           e.Guarantee_view.gv_valid
-          (json_escape (survival_summary e)))
+          (Json.escape (survival_summary e)))
       (System.guarantee_view t.system)
   in
   let skips d =
@@ -438,8 +425,8 @@ let report_to_json ?slo t decisions =
       (fun s ->
         Printf.sprintf
           "        { \"target\": \"%s\", \"site\": \"%s\", \"reason\": \"%s\" }"
-          (json_escape s.sk_target) (json_escape s.sk_site)
-          (json_escape s.sk_reason))
+          (Json.escape s.sk_target) (Json.escape s.sk_site)
+          (Json.escape s.sk_reason))
       d.d_skips
   in
   let routes =
@@ -447,10 +434,10 @@ let report_to_json ?slo t decisions =
       (fun d ->
         Printf.sprintf
           "    { \"client\": \"%s\", \"base\": \"%s\", \"outcome\": \"%s\", \"served_base\": \"%s\", \"served_site\": \"%s\", \"kappa\": %s, \"latency\": %s,\n      \"skips\": [%s] }"
-          (json_escape d.d_client_site) (json_escape d.d_base)
+          (Json.escape d.d_client_site) (Json.escape d.d_base)
           (outcome_to_string d.d_outcome)
-          (json_escape d.d_served_base)
-          (json_escape d.d_served_site)
+          (Json.escape d.d_served_base)
+          (Json.escape d.d_served_site)
           (fg d.d_served_kappa) (fg d.d_latency)
           (match skips d with
           | [] -> ""

@@ -1,0 +1,13 @@
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf

@@ -316,6 +316,52 @@ source b relational
         (String.length m > 0)
     | Ok _ -> Alcotest.fail "duplicate bases must be rejected")
 
+(* The statements [cmtool check] derives from a configuration are exactly
+   the ones the built translators report: same ids, bodies and δ. *)
+let derived_equals_built name text =
+  match Cmrid.parse text with
+  | Error es -> Alcotest.fail (Cmrid.errors_to_string es)
+  | Ok config -> (
+    let key (r : Rule.t) = (r.Rule.id, Rule.to_string r, r.Rule.delta) in
+    let sorted rules = List.sort compare (List.map key rules) in
+    let derived =
+      List.concat_map
+        (fun (s : Cmrid.source_decl) ->
+          List.concat_map (Toolkit.item_interfaces s) s.Cmrid.s_items)
+        config.Cmrid.sources
+    in
+    match Toolkit.build config with
+    | Error m -> Alcotest.fail m
+    | Ok built ->
+      let installed = Sys_.interface_rules built.Toolkit.system in
+      Alcotest.(check bool) (name ^ ": some statements") true (installed <> []);
+      Alcotest.(check (list (triple string string (float 0.0)))) name
+        (sorted installed) (sorted derived))
+
+let derivation_matches_build () =
+  derived_equals_built "payroll.cmrid"
+    (In_channel.with_open_text "../examples/config/payroll.cmrid" In_channel.input_all);
+  derived_equals_built "sample_config" sample_config;
+  derived_equals_built "overrides"
+    {|source a relational
+  init CREATE TABLE t (k TEXT PRIMARY KEY, v INT NOT NULL)
+  item V(n)
+    read SELECT v FROM t WHERE k = $n
+    write UPDATE t SET v = $b WHERE k = $n
+    delete DELETE FROM t WHERE k = $n
+    notify t.v key k threshold 0.1
+    no_spontaneous
+  latency read 0.4
+  latency notify 2.0
+  delta write 3.0
+source b kvfile
+  item F(n)
+    key f.$n
+    writable
+  latency read 0.3
+  delta read 4.0
+|}
+
 let () =
   Alcotest.run "cm_toolkit"
     [
@@ -347,5 +393,6 @@ let () =
           Alcotest.test_case "config rules installed" `Quick toolkit_config_rules_installed;
           Alcotest.test_case "bad config rules rejected" `Quick
             toolkit_config_bad_rules_rejected;
+          Alcotest.test_case "derived interfaces = built" `Quick derivation_matches_build;
         ] );
     ]

@@ -120,8 +120,8 @@ let kv_interfaces_reported () =
   Alcotest.(check bool) "write" true (List.mem Cm_core.Interface.Write kinds);
   Alcotest.(check bool) "no notify" true
     (not (List.mem Cm_core.Interface.Notify kinds));
-  Alcotest.(check bool) "owns Phone" true (cmi.Cmi.owns "Phone");
-  Alcotest.(check bool) "does not own Zzz" false (cmi.Cmi.owns "Zzz")
+  Alcotest.(check bool) "owns Phone" true (List.mem "Phone" cmi.Cmi.bases);
+  Alcotest.(check bool) "does not own Zzz" false (List.mem "Zzz" cmi.Cmi.bases)
 
 let kv_down_reports_logical () =
   let w, fs, _tr, cmi = kv_setup () in
@@ -229,6 +229,17 @@ let obj_silent_drop_suppresses_n () =
   Alcotest.(check int) "no N" 0 (List.length (named w "N"));
   Alcotest.(check int) "no failure notice either" 0 (List.length !(w.failures))
 
+let obj_down_drops_notification_in_flight () =
+  (* notify_latency 0.5 s: the store goes Down while the N is in flight. *)
+  let w, store, tr, _cmi = obj_setup () in
+  ignore (Cm_core.Tr_objstore.set_app tr (ophone "ann") (Value.Int 2));
+  run w ~until:0.2;
+  Health.set (Cm_sources.Objstore.health store) Health.Down;
+  run w ~until:10.0;
+  Alcotest.(check int) "Ws recorded" 1 (List.length (named w "Ws"));
+  Alcotest.(check int) "no N sent" 0 (List.length (named w "N"));
+  Alcotest.(check bool) "logical failure" true (List.mem Msg.Logical !(w.failures))
+
 (* ---------- whois translator ---------- *)
 
 let whois_setup () =
@@ -261,6 +272,14 @@ let whois_write_rejected () =
   request cmi (Event.wr (wphone "ann") (Value.Str "x"));
   run w ~until:10.0;
   Alcotest.(check int) "no W from a read-only source" 0 (List.length (named w "W"))
+
+let whois_down_write_reports_logical () =
+  let w, server, _tr, cmi = whois_setup () in
+  Health.set (Cm_sources.Whois.health server) Health.Down;
+  request cmi (Event.wr (wphone "ann") (Value.Str "x"));
+  run w ~until:10.0;
+  Alcotest.(check bool) "logical failure" true (List.mem Msg.Logical !(w.failures));
+  Alcotest.(check int) "no W" 0 (List.length (named w "W"))
 
 let whois_update_app_records_ws () =
   let w, _server, tr, _cmi = whois_setup () in
@@ -371,6 +390,16 @@ let rel_periodic_notify () =
   (* The reported interfaces include the periodic-notify statement. *)
   ()
 
+let rel_periodic_down_in_flight () =
+  (* The tick at 10 s sends an N due at 11 s; the source is Down by then. *)
+  let w, _db, tr, _cmi = rel_setup ~periodic:(Some 10.0) () in
+  run w ~until:10.5;
+  Alcotest.(check int) "P tick" 1 (List.length (named w "P"));
+  Health.set (Cm_core.Tr_relational.health tr) Health.Down;
+  run w ~until:15.0;
+  Alcotest.(check int) "no N sent" 0 (List.length (named w "N"));
+  Alcotest.(check bool) "logical failure" true (List.mem Msg.Logical !(w.failures))
+
 let rel_periodic_interface_reported () =
   let _w, _db, tr, _cmi = rel_setup ~periodic:(Some 10.0) () in
   let kinds =
@@ -452,11 +481,14 @@ let () =
           Alcotest.test_case "read" `Quick obj_read_request;
           Alcotest.test_case "missing object" `Quick obj_write_missing_object_reports;
           Alcotest.test_case "silent drop" `Quick obj_silent_drop_suppresses_n;
+          Alcotest.test_case "down drops N in flight" `Quick
+            obj_down_drops_notification_in_flight;
         ] );
       ( "whois",
         [
           Alcotest.test_case "read" `Quick whois_read;
           Alcotest.test_case "write rejected" `Quick whois_write_rejected;
+          Alcotest.test_case "down write -> logical" `Quick whois_down_write_reports_logical;
           Alcotest.test_case "update_app Ws" `Quick whois_update_app_records_ws;
           Alcotest.test_case "read-only interfaces" `Quick whois_interfaces_read_only;
         ] );
@@ -470,6 +502,7 @@ let () =
         [
           Alcotest.test_case "existence events" `Quick rel_existence_events;
           Alcotest.test_case "periodic notify" `Quick rel_periodic_notify;
+          Alcotest.test_case "periodic down in flight" `Quick rel_periodic_down_in_flight;
           Alcotest.test_case "periodic interface" `Quick rel_periodic_interface_reported;
           Alcotest.test_case "periodic rejects families" `Quick
             rel_periodic_rejects_families;

@@ -179,6 +179,29 @@ let table_cells () =
   Alcotest.(check string) "pct" "12.5%" (Cm_util.Table.cell_pct 0.125);
   Alcotest.(check string) "bool" "yes" (Cm_util.Table.cell_bool true)
 
+(* ---- json ---- *)
+
+let json_control_characters () =
+  for code = 0 to 31 do
+    let expected =
+      match Char.chr code with
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | _ -> Printf.sprintf "\\u%04x" code
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "U+%04X" code)
+      ("a" ^ expected ^ "b")
+      (Cm_util.Json.escape (Printf.sprintf "a%cb" (Char.chr code)))
+  done
+
+let json_quotes_and_text () =
+  Alcotest.(check string) "quote and backslash" {|say \"hi\" C:\\tmp|}
+    (Cm_util.Json.escape {|say "hi" C:\tmp|});
+  Alcotest.(check string) "DEL and UTF-8 pass through" "\x7f\xc3\xa9 ok"
+    (Cm_util.Json.escape "\x7f\xc3\xa9 ok")
+
 let () =
   Alcotest.run "cm_util"
     [
@@ -216,5 +239,10 @@ let () =
         [
           Alcotest.test_case "renders" `Quick table_renders;
           Alcotest.test_case "cells" `Quick table_cells;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "control characters" `Quick json_control_characters;
+          Alcotest.test_case "quotes and text" `Quick json_quotes_and_text;
         ] );
     ]
