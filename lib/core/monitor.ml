@@ -105,9 +105,9 @@ type watcher = {
   w_g : Guarantee.t;
   w_left : Item.t;  (* leader / smaller *)
   w_right : Item.t;  (* follower / larger *)
-  w_lt : track;
-  w_rt : track;
-  w_form : form;
+  mutable w_lt : track;
+  mutable w_rt : track;
+  mutable w_form : form;
   w_ignore_after : float option;  (* Leads only *)
   w_labels : (string * string) list;
   mutable w_points : int;
@@ -118,18 +118,17 @@ type watcher = {
   mutable w_right_takes : (float * Value.t) list;  (* rev order *)
   mutable w_down : bool;
       (* homed at a crashed site: volatile state wiped, live feed
-         suspended until {!relearn} rebuilds it from the journal *)
+         suspended until {!relearn} rebuilds it from the history *)
 }
 
 type handle = watcher
 
 (* --- copy families and live staleness --- *)
 
-type stale_state = {
-  ss_window : window;
-  ss_track : track;  (* the copy's current value *)
-  mutable ss_stale : bool;
-}
+(* Live staleness reads the instance's metric-follows watcher: the copy
+   is stale when its current value (the follower track) is not in the
+   leader's κ window. *)
+type stale_state = { ss_metric : watcher; mutable ss_stale : bool }
 
 type instance = {
   in_watchers : watcher list;  (* §3.3.1 order *)
@@ -183,6 +182,7 @@ type t = {
   mutable finalized : bool;
   mutable ticking : bool;
   mutable wiped_families : family list;  (* families with down instances *)
+  mutable initial : (Item.t * Value.t) list;  (* {!note_initial}, in order *)
 }
 
 let create ?sim ?(obs = Obs.noop) ?(tick = 1.0) () =
@@ -209,6 +209,7 @@ let create ?sim ?(obs = Obs.noop) ?(tick = 1.0) () =
     finalized = false;
     ticking = false;
     wiped_families = [];
+    initial = [];
   }
 
 let now_of t = match t.sim with Some sim -> Sim.now sim | None -> t.batch_time
@@ -246,21 +247,22 @@ let register_item t item w =
   | Some bucket -> bucket := w :: !bucket
   | None -> Itbl.replace t.by_item item (ref [ w ])
 
+(* A guarantee's watched items and its form's initial state. *)
+let shape = function
+  | Guarantee.Follows { leader; follower } -> leader, follower, F_follows (Vtbl.create 16)
+  | Guarantee.Leads { leader; follower } -> leader, follower, F_leads { pending = [] }
+  | Guarantee.Strictly_follows { leader; follower } ->
+    leader, follower, F_strictly { remaining = Queue.create (); pend = Queue.create () }
+  | Guarantee.Metric_follows ({ leader; follower }, kappa) ->
+    leader, follower, F_metric (fresh_window kappa)
+  | Guarantee.Always_leq { smaller; larger } -> smaller, larger, F_leq
+  | g ->
+    invalid_arg
+      (Printf.sprintf "Monitor.watch: %s is not an online-checkable form"
+         (Guarantee.name g))
+
 let make_watcher t ?ignore_after g =
-  let left, right, form =
-    match g with
-    | Guarantee.Follows { leader; follower } -> leader, follower, F_follows (Vtbl.create 16)
-    | Guarantee.Leads { leader; follower } -> leader, follower, F_leads { pending = [] }
-    | Guarantee.Strictly_follows { leader; follower } ->
-      leader, follower, F_strictly { remaining = Queue.create (); pend = Queue.create () }
-    | Guarantee.Metric_follows ({ leader; follower }, kappa) ->
-      leader, follower, F_metric (fresh_window kappa)
-    | Guarantee.Always_leq { smaller; larger } -> smaller, larger, F_leq
-    | g ->
-      invalid_arg
-        (Printf.sprintf "Monitor.watch: %s is not an online-checkable form"
-           (Guarantee.name g))
-  in
+  let left, right, form = shape g in
   let w =
     {
       w_g = g;
@@ -386,49 +388,14 @@ let flush_watcher t w ~at =
 (* --- staleness --- *)
 
 let eval_stale ss ~now =
-  match ss.ss_track.cur with
-  | None -> false
-  | Some v ->
-    window_prune ss.ss_window ~now;
-    not (window_holds ss.ss_window ~at:now v)
+  match ss.ss_metric.w_rt.cur, ss.ss_metric.w_form with
+  | Some v, F_metric window ->
+    window_prune window ~now;
+    not (window_holds window ~at:now v)
+  | _ -> false
 
-let refresh_family t fa ~now =
-  let stale = ref false in
-  Hashtbl.iter
-    (fun _ inst ->
-      match inst.in_stale with
-      | None -> ()
-      | Some ss ->
-        (* A down instance's verdict is frozen at its pre-crash value
-           until the journal relearn rebuilds the window. *)
-        if not inst.in_down then ss.ss_stale <- eval_stale ss ~now;
-        if ss.ss_stale then stale := true)
-    fa.fa_instances;
-  if !stale <> fa.fa_stale then begin
-    fa.fa_stale <- !stale;
-    if Obs.enabled t.obs then begin
-      let labels = [ ("source", fa.fa_source); ("target", fa.fa_target) ] in
-      Obs.gauge t.obs "monitor_stale" ~labels (if !stale then 1.0 else 0.0);
-      if !stale then Obs.incr t.obs "monitor_stale_transitions" ~labels
-    end;
-    List.iter
-      (fun f -> f ~source:fa.fa_source ~target:fa.fa_target ~at:now ~stale:!stale)
-      t.stale_subs
-  end
-
-let refresh_instance t fa inst ~now =
-  inst.in_touched <- false;
-  (match inst.in_stale with
-  | None -> ()
-  | Some ss -> ss.ss_stale <- eval_stale ss ~now);
-  (* Aggregate over the whole family, so one instance going fresh does
-     not mask another still stale. *)
-  let stale =
-    Hashtbl.fold
-      (fun _ i acc ->
-        acc || match i.in_stale with Some ss -> ss.ss_stale | None -> false)
-      fa.fa_instances false
-  in
+(* Publish a family's aggregate verdict when it changes. *)
+let publish_stale t fa ~now stale =
   if stale <> fa.fa_stale then begin
     fa.fa_stale <- stale;
     if Obs.enabled t.obs then begin
@@ -440,6 +407,33 @@ let refresh_instance t fa inst ~now =
       (fun f -> f ~source:fa.fa_source ~target:fa.fa_target ~at:now ~stale)
       t.stale_subs
   end
+
+let refresh_family t fa ~now =
+  let stale = ref false in
+  Hashtbl.iter
+    (fun _ inst ->
+      match inst.in_stale with
+      | None -> ()
+      | Some ss ->
+        (* A down instance's verdict is frozen at its pre-crash value
+           until the relearn rebuilds its metric watcher. *)
+        if not inst.in_down then ss.ss_stale <- eval_stale ss ~now;
+        if ss.ss_stale then stale := true)
+    fa.fa_instances;
+  publish_stale t fa ~now !stale
+
+let refresh_instance t fa inst ~now =
+  inst.in_touched <- false;
+  (match inst.in_stale with
+  | None -> ()
+  | Some ss -> ss.ss_stale <- eval_stale ss ~now);
+  (* Aggregate over the whole family, so one instance going fresh does
+     not mask another still stale. *)
+  publish_stale t fa ~now
+    (Hashtbl.fold
+       (fun _ i acc ->
+         acc || match i.in_stale with Some ss -> ss.ss_stale | None -> false)
+       fa.fa_instances false)
 
 (* --- the batch engine --- *)
 
@@ -479,7 +473,7 @@ let flush t =
           List.iter
             (fun w ->
               if w.w_down then ()  (* crashed site: its monitor is dead;
-                                      the journal relearn catches it up *)
+                                      the relearn catches it up *)
               else begin
               if not w.w_touched then begin
                 w.w_touched <- true;
@@ -533,18 +527,11 @@ let flush t =
               with
               | None -> ()
               | Some inst when inst.in_down -> ()
-              | Some inst -> (
+              | Some inst ->
                 if not inst.in_touched then begin
                   inst.in_touched <- true;
                   t.touched_instances <- (fa, inst) :: t.touched_instances
-                end;
-                match inst.in_stale with
-                | None -> ()
-                | Some ss ->
-                  if String.equal item.Item.base fa.fa_source then
-                    window_change ss.ss_window ~time:at v;
-                  if String.equal item.Item.base fa.fa_target then
-                    ignore (track_change ss.ss_track v)))
+                end)
             !fams)
       entries;
     (* Stage 2: evaluate the instant's obligations against the settled
@@ -574,26 +561,23 @@ let ensure_instances t item =
           let source = Item.make fa.fa_source ~params:item.Item.params in
           let target = Item.make fa.fa_target ~params:item.Item.params in
           let pair = { Guarantee.leader = source; follower = target } in
-          let forms =
-            [ Guarantee.Follows pair; Guarantee.Leads pair;
-              Guarantee.Strictly_follows pair ]
-            @
-            match fa.fa_kappa with
-            | Some kappa -> [ Guarantee.Metric_follows (pair, kappa) ]
-            | None -> []
+          let logical =
+            List.map (fun g -> make_watcher t g)
+              [ Guarantee.Follows pair; Guarantee.Leads pair;
+                Guarantee.Strictly_follows pair ]
           in
-          let watchers = List.map (fun g -> make_watcher t g) forms in
-          let stale =
+          let metric =
             Option.map
-              (fun kappa ->
-                { ss_window = fresh_window kappa;
-                  ss_track = fresh_track ();
-                  ss_stale = false })
+              (fun kappa -> make_watcher t (Guarantee.Metric_follows (pair, kappa)))
               fa.fa_kappa
           in
           Hashtbl.replace fa.fa_instances key
-            { in_watchers = watchers; in_stale = stale; in_touched = false;
-              in_down = false };
+            {
+              in_watchers = logical @ Option.to_list metric;
+              in_stale = Option.map (fun w -> { ss_metric = w; ss_stale = false }) metric;
+              in_touched = false;
+              in_down = false;
+            };
           fa.fa_order <- key :: fa.fa_order
         end)
       !fams
@@ -648,6 +632,7 @@ let feed t (e : Event.t) =
   | _ -> ()
 
 let note_initial t bindings =
+  t.initial <- t.initial @ bindings;
   List.iter
     (fun (item, v) ->
       ensure_instances t item;
@@ -729,42 +714,34 @@ let watch_copy t ~source ~target ~kappa =
 let watched_copies t =
   List.rev_map (fun fa -> (fa.fa_source, fa.fa_target)) t.families
 
-(* --- crash recovery: volatile wipe + journal-backed relearn ---
+(* --- crash recovery: volatile wipe + relearn from the history ---
 
    A site's monitor runs at the site: its watcher state is volatile and
    dies with a crash.  [crash_wipe] models the loss — every watcher
    whose monitored (right-hand) item lives at the crashed site loses its
    tracks, value sets, pending obligations and κ windows, and stops
    consuming the live feed.  [relearn] is the §5 recovery step: the
-   journaled event history is replayed through the wiped watchers'
-   state machines only — silently, without re-evaluating obligations
-   (those instants were checked in the previous life; re-learning must
-   rebuild knowledge, not re-report or double-count) — after which the
-   live feed resumes.  An obligation that was pending at the crash
-   (e.g. a leads take the follower had not yet reflected) is thereby
-   restored and still fails at finalize if never discharged: a crash
-   between a violation and its detection does not bury it. *)
+   event history before the open instant runs through the live engine
+   on a throwaway monitor holding one fresh twin per wiped watcher, and
+   the twins' state moves into the wiped watchers — silently, since the
+   throwaway's points and violations are discarded (those instants were
+   checked in the previous life; re-learning must rebuild knowledge, not
+   re-report or double-count) — after which the live feed resumes.  An
+   obligation that was pending at the crash (e.g. a leads take the
+   follower had not yet reflected) is thereby restored and still fails
+   at finalize if never discharged: a crash between a violation and its
+   detection does not bury it. *)
 
 let wipe_watcher w =
-  w.w_lt.cur <- None;
-  w.w_lt.last_taken <- None;
-  w.w_rt.cur <- None;
-  w.w_rt.last_taken <- None;
-  w.w_left_takes <- [];
-  w.w_right_takes <- [];
-  (match w.w_form with
-  | F_follows seen -> Vtbl.reset seen
-  | F_leads st -> st.pending <- []
-  | F_strictly st ->
-    Queue.clear st.remaining;
-    Queue.clear st.pend
-  | F_metric wd ->
-    wd.wd_open <- None;
-    wd.wd_closed <- []
-  | F_leq -> ());
+  let _, _, form = shape w.w_g in
+  w.w_lt <- fresh_track ();
+  w.w_rt <- fresh_track ();
+  w.w_form <- form;
   w.w_down <- true
 
 let crash_wipe t ~owns =
+  (* The watchers heard every completed instant before the crash. *)
+  ignore (sync_to_now t);
   let n = ref 0 in
   List.iter
     (fun w ->
@@ -783,14 +760,7 @@ let crash_wipe t ~owns =
             && List.exists (fun w -> w.w_down) inst.in_watchers
           then begin
             touched := true;
-            inst.in_down <- true;
-            match inst.in_stale with
-            | Some ss ->
-              ss.ss_window.wd_open <- None;
-              ss.ss_window.wd_closed <- [];
-              ss.ss_track.cur <- None;
-              ss.ss_track.last_taken <- None
-            | None -> ()
+            inst.in_down <- true
           end)
         fa.fa_instances;
       if !touched && not (List.memq fa t.wiped_families) then
@@ -798,142 +768,28 @@ let crash_wipe t ~owns =
     t.families;
   !n
 
-(* The silent counterpart of [flush_watcher]: takes move into the
-   obligation state (leads pending, strictly queues) with no points, no
-   violations, no gauges. *)
-let relearn_flush w =
-  let left_takes = List.rev w.w_left_takes in
-  let right_takes = List.rev w.w_right_takes in
-  w.w_left_takes <- [];
-  w.w_right_takes <- [];
-  match w.w_form with
-  | F_leads st ->
-    List.iter
-      (fun (t1, x) ->
-        let in_scope =
-          match w.w_ignore_after with None -> true | Some ia -> t1 <= ia
-        in
-        if in_scope then st.pending <- (t1, x) :: st.pending)
-      left_takes
-  | F_strictly st ->
-    List.iter (fun (t1, y) -> Queue.add (t1, y) st.pend) right_takes;
-    let continue = ref true in
-    while !continue && not (Queue.is_empty st.pend) do
-      let _, y = Queue.peek st.pend in
-      if seek_consume st.remaining y then ignore (Queue.pop st.pend)
-      else continue := false
-    done
-  | F_follows _ | F_metric _ | F_leq -> ()
-
-(* Stage-1 state update for one historical change, applied to down
-   watchers only.  Mirrors [flush]'s update logic; the shared [state]
-   table is deliberately untouched (it reflects the live feed, which
-   never stopped). *)
-let relearn_apply t ~at (item, change) =
-  let v =
-    match change with
-    | Cset v -> Some v
-    | Cdel -> None
-    | Cins ->
-      Some
-        (Option.value (Option.join (Itbl.find_opt t.state item)) ~default:Value.Null)
-  in
-  (match Itbl.find_opt t.by_item item with
-  | None -> ()
-  | Some bucket ->
-    List.iter
-      (fun w ->
-        if w.w_down then begin
-          if Item.equal item w.w_left then begin
-            (match w.w_form with
-            | F_follows seen -> (
-              match v with Some nv -> Vtbl.replace seen nv () | None -> ())
-            | F_metric window -> window_change window ~time:at v
-            | _ -> ());
-            match track_change w.w_lt v with
-            | Some taken -> (
-              match w.w_form with
-              | F_leads _ -> w.w_left_takes <- (at, taken) :: w.w_left_takes
-              | F_strictly st -> Queue.add taken st.remaining
-              | _ -> ())
-            | None -> ()
-          end;
-          if Item.equal item w.w_right then begin
-            (match w.w_form with
-            | F_leads st -> (
-              match w.w_rt.cur, v with
-              | Some ov, Some nv when Value.equal ov nv -> ()
-              | Some ov, _ ->
-                st.pending <-
-                  List.filter
-                    (fun (t1, x) -> not (Value.equal x ov && t1 < at))
-                    st.pending
-              | None, _ -> ())
-            | _ -> ());
-            match track_change w.w_rt v with
-            | Some taken -> w.w_right_takes <- (at, taken) :: w.w_right_takes
-            | None -> ()
-          end
-        end)
-      !bucket);
-  match Hashtbl.find_opt t.by_base item.Item.base with
-  | None -> ()
-  | Some fams ->
-    List.iter
-      (fun fa ->
-        if List.memq fa t.wiped_families then
-          match
-            Hashtbl.find_opt fa.fa_instances
-              (String.concat "," (List.map Value.to_string item.Item.params))
-          with
-          | Some ({ in_stale = Some ss; _ } as inst) when inst.in_down ->
-            if String.equal item.Item.base fa.fa_source then
-              window_change ss.ss_window ~time:at v;
-            if String.equal item.Item.base fa.fa_target then
-              ignore (track_change ss.ss_track v)
-          | _ -> ())
-      !fams
-
 let relearn t events =
   if t.finalized then invalid_arg "Monitor.relearn: already finalized";
+  let now = sync_to_now t in
   let down = List.filter (fun w -> w.w_down) t.watchers in
   if down <> [] then begin
-    let events =
-      List.stable_sort
-        (fun (a : Event.t) (b : Event.t) -> Float.compare a.time b.time)
-        events
+    let m = create () in
+    let twins =
+      List.map (fun w -> (w, watch ?ignore_after:w.w_ignore_after m w.w_g)) down
     in
-    (* Per-instant micro-batches, like the live feed. *)
-    let pending = ref [] in
-    let pending_at = ref 0.0 in
-    let flush_pending () =
-      if !pending <> [] then begin
-        List.iter (relearn_apply t ~at:!pending_at) (List.rev !pending);
-        List.iter relearn_flush down;
-        pending := []
-      end
-    in
+    note_initial m t.initial;
+    (* The open instant's events are in the live batch, which the
+       revived watchers hear when it completes. *)
+    let open_at = if t.have_batch then t.batch_time else Float.infinity in
+    List.iter (fun (e : Event.t) -> if e.time < open_at then feed m e) events;
+    flush m;
     List.iter
-      (fun (e : Event.t) ->
-        match e.desc.Event.name, e.desc.Event.args with
-        | "W", [ Event.Ai item; Event.Av v ]
-        | "Ws", [ Event.Ai item; _; Event.Av v ] ->
-          if e.time > !pending_at then flush_pending ();
-          pending_at := e.time;
-          pending := (item, Cset v) :: !pending
-        | "INS", [ Event.Ai item ] ->
-          if e.time > !pending_at then flush_pending ();
-          pending_at := e.time;
-          pending := (item, Cins) :: !pending
-        | "DEL", [ Event.Ai item ] ->
-          if e.time > !pending_at then flush_pending ();
-          pending_at := e.time;
-          pending := (item, Cdel) :: !pending
-        | _ -> ())
-      events;
-    flush_pending ();
-    List.iter (fun w -> w.w_down <- false) down;
-    let now = now_of t in
+      (fun (w, twin) ->
+        w.w_lt <- twin.w_lt;
+        w.w_rt <- twin.w_rt;
+        w.w_form <- twin.w_form;
+        w.w_down <- false)
+      twins;
     List.iter
       (fun fa ->
         Hashtbl.iter (fun _ inst -> inst.in_down <- false) fa.fa_instances;

@@ -132,26 +132,31 @@ val crash_wipe : t -> owns:(Cm_rule.Item.t -> bool) -> int
     homed at the crashed site (its follower/right item satisfies
     [owns]) loses its in-memory state — value tracks, metric windows,
     pending leads obligations, strictly queues — and stops hearing the
-    live feed.  Copy-family instances whose watchers went down freeze
-    their staleness verdict until recovery.  Returns the number of
-    watchers wiped.  Accumulated points/violations are kept: those were
-    already reported before the crash.  Pair with {!relearn} at
-    restart. *)
+    live feed.  A batch completed before the current instant is flushed
+    first: the watchers heard it before they died.  Copy-family
+    instances whose watchers went down freeze their staleness verdict
+    until recovery.  Returns the number of watchers wiped.  Accumulated
+    points/violations are kept: those were already reported before the
+    crash.  Pair with {!relearn} at restart. *)
 
 val relearn : t -> Cm_rule.Event.t list -> unit
-(** Journal-replay recovery for watchers downed by {!crash_wipe}: feed
-    the full journaled event history (any site order; re-sorted stably
-    by time here) through the wiped watchers only, rebuilding their
-    state *silently* — no points are scored, no violations reported, no
-    staleness transitions published during the replay, because the
-    surviving watchers already observed (and reported on) this history
-    live.  What the replay restores is the *obligations*: a leads
-    trigger journaled before the crash re-enters the pending set, so a
-    violation that occurred before the crash but whose detection
-    deadline falls after it is still reported at {!finalize} — the
-    crash cannot launder a violation.  Watchers then resume hearing the
-    live feed, and revived copy instances re-evaluate staleness once
-    (subscribers hear only genuine transitions).
+(** Recovery for watchers downed by {!crash_wipe}.  [events] is the
+    history in time order, as {!feed} takes it.  The {!note_initial}
+    bindings and every event before the still-open instant run through
+    the live engine on fresh twins of the wiped watchers, whose state
+    then replaces theirs; the open instant's events stay in the live
+    batch, which the revived watchers hear when it completes.  The
+    rebuild is {e silent} — no points are scored, no violations
+    reported, no staleness transitions published during the replay,
+    because the surviving watchers already observed (and reported on)
+    this history live.  What the replay restores is the
+    {e obligations}: a leads trigger before the crash re-enters the
+    pending set, so a violation that occurred before the crash but
+    whose detection deadline falls after it is still reported at
+    {!finalize} — the crash cannot launder a violation.  Watchers then
+    resume hearing the live feed, and revived copy instances re-evaluate
+    staleness once (subscribers hear only genuine transitions).  Like
+    {!crash_wipe}, flushes a completed batch first.
     @raise Invalid_argument after {!finalize}. *)
 
 val finalize : t -> horizon:float -> unit

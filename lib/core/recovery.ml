@@ -240,6 +240,11 @@ let epoch_summary ops =
 
 (* -- checkpoints -- *)
 
+(* [(mid, epoch, seq, payload)] in mid (= original send) order. *)
+let unacked_list o =
+  Hashtbl.fold (fun mid (e, s, p) acc -> (mid, e, s, p) :: acc) o.unacked []
+  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
+
 let checkpoint_now t ~site =
   let j = Journal.for_site t.journals ~site in
   let d = derive j in
@@ -251,11 +256,7 @@ let checkpoint_now t ~site =
       (fun peer ->
         let next_mid, unacked =
           match List.assoc_opt peer d.d_out with
-          | Some o ->
-            ( o.next_mid,
-              Hashtbl.fold (fun mid (e, s, p) acc -> (mid, e, s, p) :: acc)
-                o.unacked []
-              |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) )
+          | Some o -> (o.next_mid, unacked_list o)
           | None -> (0, [])
         in
         let in_epoch, in_expected, delivered_mids =
@@ -340,14 +341,15 @@ let restart t ~site =
             instead of mis-deduplicated. *)
          Reliable.restore_sender_state r ~from_site:site ~to_site:peer
            ~epoch:incarnation ~next_mid:o.next_mid;
-         Reliable.requeue_unacked r ~from_site:site ~to_site:peer)
+         Reliable.requeue_unacked r ~from_site:site ~to_site:peer (unacked_list o))
        d.d_out
    | None -> ());
   t.restarts <- t.restarts + 1;
   Obs.incr t.obs "recovery_restarts" ~labels:[ ("site", site) ];
   (* §5: with the journal the crash maps to a metric failure — the
-     notice doubles as the sign of life that lets peers which gave up
-     on this site re-queue what they owe it. *)
+     notice doubles as the sign of life that clears peers' suspicion of
+     this site (what they owe it never left their wire: a durable frame
+     keeps retransmitting past a give-up). *)
   match Hashtbl.find_opt t.shells site with
   | Some shell -> Shell.report_failure shell Msg.Metric
   | None -> ()

@@ -20,7 +20,9 @@
       life's retransmits;
     + the crash is reported as a {e metric} failure notice — updates
       arrive late, never never — which also serves as the sign of life
-      that makes peers re-queue what they gave up sending here.
+      that clears peers' suspicion of the site (what they owe it stays
+      on their wire: a durable frame keeps retransmitting past a
+      give-up).
 
     Checkpoints ([Journal_with_checkpoint]) are taken on a periodic
     simulation timer per registered shell and freeze the derived state

@@ -74,7 +74,6 @@ type t = {
   mutable sites : string list;  (* sorted, for deterministic iteration *)
   links : (string * string, link) Hashtbl.t;
   suspect_hooks : (site:string -> suspect:string -> unit) Queue.t;
-  recover_hooks : (site:string -> peer:string -> unit) Queue.t;
   mutable data_sent : int;
   mutable retransmits : int;
   mutable acks_sent : int;
@@ -100,7 +99,6 @@ let create ~sim ~net ?(config = default_config) ?(obs = Obs.noop) ?journals () =
     sites = [];
     links = Hashtbl.create 16;
     suspect_hooks = Queue.create ();
-    recover_hooks = Queue.create ();
     data_sent = 0;
     retransmits = 0;
     acks_sent = 0;
@@ -150,7 +148,6 @@ let link t ~from_site ~to_site =
    quadratic when registering in a loop); queues preserve registration
    order on iteration. *)
 let on_suspect t hook = Queue.add hook t.suspect_hooks
-let on_recover t hook = Queue.add hook t.recover_hooks
 
 let suspect t ep peer =
   if not (Hashtbl.mem ep.suspected peer) then begin
@@ -224,61 +221,30 @@ let rec transmit t ~from_site ~to_site l ~seq ~attempt ~timeout =
           end
         | _ -> ())
 
-(* Put journal-unacked messages back on the wire.  Covers two cases:
-   after [from_site] itself restarted (its journal entries carry a
-   previous incarnation's epoch, so each message is re-sent with a fresh
-   sequence number under the current epoch, keeping its stable mid for
-   receiver-side deduplication), and after a give-up when the peer comes
-   back (the entry's epoch is current, so the original slot is simply
-   resumed — re-numbering it would leave a gap the receiver's reorder
-   buffer could never fill). *)
-let requeue_unacked t ~from_site ~to_site =
+(* Put the messages a restarted [from_site] still owes [to_site] back on
+   the wire.  Their journal entries carry a previous incarnation's epoch,
+   so each is re-sent with a fresh sequence number under the current
+   epoch, keeping its stable mid for receiver-side deduplication. *)
+let requeue_unacked t ~from_site ~to_site unacked =
   match journal_for t from_site with
   | None -> ()
   | Some j ->
     let l = link t ~from_site ~to_site in
-    let unacked : (int, int * int * Msg.t) Hashtbl.t = Hashtbl.create 8 in
     List.iter
-      (fun r ->
-        match r with
-        | Journal.Outbound { to_site = peer; mid; epoch; seq; payload; _ }
-          when String.equal peer to_site ->
-          Hashtbl.replace unacked mid (epoch, seq, payload)
-        | Journal.Acked { to_site = peer; mid; _ }
-          when String.equal peer to_site -> Hashtbl.remove unacked mid
-        | _ -> ())
-      (Journal.records j);
-    let in_flight_mids =
-      Hashtbl.fold (fun _ (e, m, _) acc -> if e = l.epoch then m :: acc else acc)
-        l.outstanding []
-    in
-    Hashtbl.fold (fun mid entry acc -> (mid, entry) :: acc) unacked []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)  (* original send order *)
-    |> List.iter (fun (mid, (epoch, seq, payload)) ->
-        if not (List.mem mid in_flight_mids) then begin
-          let seq' =
-            if epoch = l.epoch then seq
-            else begin
-              let s = l.next_seq in
-              l.next_seq <- s + 1;
-              Journal.append j
-                (Journal.Outbound
-                   { time = Sim.now t.sim; to_site; mid; epoch = l.epoch;
-                     seq = s; payload });
-              s
-            end
-          in
-          Hashtbl.replace l.outstanding seq' (l.epoch, mid, payload);
-          t.requeued <- t.requeued + 1;
-          Obs.incr t.obs "reliable_requeued"
-            ~labels:[ ("from", from_site); ("to", to_site) ];
-          transmit t ~from_site ~to_site l ~seq:seq' ~attempt:0
-            ~timeout:t.cfg.retry_timeout
-        end)
+      (fun (mid, _, _, payload) ->
+        let seq = l.next_seq in
+        l.next_seq <- seq + 1;
+        Journal.append j
+          (Journal.Outbound
+             { time = Sim.now t.sim; to_site; mid; epoch = l.epoch; seq; payload });
+        Hashtbl.replace l.outstanding seq (l.epoch, mid, payload);
+        t.requeued <- t.requeued + 1;
+        Obs.incr t.obs "reliable_requeued"
+          ~labels:[ ("from", from_site); ("to", to_site) ];
+        transmit t ~from_site ~to_site l ~seq ~attempt:0 ~timeout:t.cfg.retry_timeout)
+      unacked
 
-(* Any frame from [peer] counts as a sign of life.  If we had given up
-   on messages towards a suspected peer, hearing it again re-queues the
-   journal-unacked ones. *)
+(* Any frame from [peer] counts as a sign of life. *)
 let heard t ep peer =
   Hashtbl.replace ep.last_heard peer (Sim.now t.sim);
   if Hashtbl.mem ep.suspected peer then begin
@@ -286,9 +252,7 @@ let heard t ep peer =
     t.recoveries <- t.recoveries + 1;
     Obs.incr t.obs "reliable_recoveries"
       ~labels:[ ("site", ep.ep_site); ("peer", peer) ];
-    Queue.iter (fun hook -> hook ~site:ep.ep_site ~peer) t.recover_hooks;
-    ep.deliver (Msg.Reset_notice { origin_site = peer });
-    requeue_unacked t ~from_site:ep.ep_site ~to_site:peer
+    ep.deliver (Msg.Reset_notice { origin_site = peer })
   end
 
 let send t ~from_site ~to_site msg =

@@ -41,10 +41,8 @@
       suspicion but keeps the journaled frame on the wire at the capped
       interval — a give-up may conclude {e after} a restarted peer's
       last sign of life, so waiting to hear it again would strand the
-      frame;
-    - hearing again from a suspected peer additionally re-queues
-      journal-unacked messages towards it (covering frames whose timers
-      died with a previous incarnation).
+      frame.  A durable frame thus leaves the wire only on its ack, or
+      when its sender's own restart re-queues it ({!requeue_unacked}).
 
     All timers run on the simulation clock and all state changes are
     deterministic, so faulty runs remain reproducible from their seed.
@@ -123,9 +121,6 @@ val on_suspect : t -> (site:string -> suspect:string -> unit) -> unit
     suspecting [suspect], in addition to the local {!Msg.Suspect_down}
     delivery.  Registration is O(1). *)
 
-val on_recover : t -> (site:string -> peer:string -> unit) -> unit
-(** Registration is O(1) (used to be a quadratic list append). *)
-
 val suspects : t -> site:string -> string list
 (** Peers currently suspected by [site]'s detector, sorted. *)
 
@@ -157,13 +152,13 @@ val restore_receiver_state :
     peer epoch it was synchronized to, the next expected sequence
     number, and the cross-incarnation duplicate-suppression set. *)
 
-val requeue_unacked : t -> from_site:string -> to_site:string -> unit
-(** Re-send every journal-unacked message from [from_site] to [to_site]
-    that is not already in flight, in original send order.  Entries from
-    the current epoch resume their original sequence slot; entries from
-    a previous incarnation are re-sent under the current epoch with
-    fresh sequence numbers (and their stable mid).  No-op without a
-    journal. *)
+val requeue_unacked :
+  t -> from_site:string -> to_site:string -> (int * int * int * Msg.t) list -> unit
+(** Re-send the [(mid, epoch, seq, payload)] messages a restarted
+    [from_site]'s journal still owes [to_site] — as {!Cm_core.Recovery}
+    derived them, in mid (original send) order — under the current
+    epoch, with fresh sequence numbers and their stable mids.  No-op
+    without a journal. *)
 
 val stats : t -> stats
 

@@ -208,19 +208,6 @@ let epoch_phase t ~epoch =
 
 let stale_epoch_rejections t = t.stale_epoch_rejections
 
-let epoch_snapshot t =
-  let entries =
-    Hashtbl.fold
-      (fun n e acc ->
-        (* Epoch 0's rules are configuration, not journaled state, and a
-           base epoch that is simply active carries no information. *)
-        if n = 0 && e.re_phase = Journal.Ep_active then acc
-        else (n, e.re_phase, (if n = 0 then [] else e.re_rules)) :: acc)
-      t.epochs []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  in
-  (entries, t.active_epoch)
-
 (* Write-ahead: the store mutation is journaled before it is applied, so
    recovery replays exactly the writes that happened. *)
 let journaled_store_set t item v =

@@ -164,11 +164,6 @@ val restore_epoch_ops : t -> epoch_op list -> unit
 (** Replay transitions without re-journaling them — the recovery path,
     called after {!reset_volatile} dropped the site back to epoch 0. *)
 
-val epoch_snapshot : t -> (int * Journal.epoch_phase * Cm_rule.Rule.t list) list * int
-(** Epoch state for a checkpoint: [(number, phase, rules)] ascending
-    (epoch 0, whose rules are configuration, appears with [] and only
-    when no longer simply active), plus the active epoch number. *)
-
 (** {2 Crash-recovery hooks}
 
     Driven by {!Recovery}; not meant for application use.  When the

@@ -298,7 +298,7 @@ let crash_site t ~site =
   | Some m ->
     (* Monitor state is volatile: watchers homed at the crashed site
        lose their in-memory state and stop hearing the live feed until
-       [restart_site] relearns them from the journal. *)
+       [restart_site] relearns them. *)
     ignore
       (Monitor.crash_wipe m ~owns:(fun item -> String.equal (t.locator item) site))
   | None -> ());
@@ -307,34 +307,18 @@ let crash_site t ~site =
   | None -> Net.crash_site t.net ~site
 
 (* The restarted site's monitor watchers relearn their state from the
-   journaled event history — every site's journal, merged by time, so
-   cross-site guarantees (the common case: leader and follower live on
-   different sites) see the leader's writes too. *)
-let relearn_monitor t m =
-  match t.journals with
-  | None -> ()
-  | Some reg ->
-    let events =
-      List.concat_map
-        (fun site ->
-          List.filter_map
-            (function
-              | Journal.Event { time; site; desc } -> (
-                match Trace_io.parse_desc desc with
-                | Ok desc ->
-                  Some { Event.id = 0; time; site; desc; kind = Event.Spontaneous }
-                | Error _ -> None)
-              | _ -> None)
-            (Journal.records (Journal.for_site reg ~site)))
-        (Journal.sites reg)
-    in
-    Monitor.relearn m (List.stable_sort (fun a b -> compare a.Event.time b.Event.time) events)
-
+   trace: under durability every trace event was journaled write-ahead
+   by its shell, so the trace holds the journaled history, structured
+   and in live-feed order — every site's, so cross-site guarantees (the
+   common case: leader and follower live on different sites) see the
+   leader's writes too. *)
 let restart_site t ~site =
   (match t.recovery with
   | Some r -> Recovery.restart r ~site
   | None -> Net.restart_site t.net ~site);
-  match t.monitor with Some m -> relearn_monitor t m | None -> ()
+  match t.monitor, t.journals with
+  | Some m, Some _ -> Monitor.relearn m (Trace.events t.trace)
+  | _ -> ()
 
 let refresh_routing t =
   let peers = Hashtbl.fold (fun site _ acc -> site :: acc) t.shells [] in

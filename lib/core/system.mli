@@ -114,7 +114,10 @@ val restart_site : t -> site:string -> unit
 (** Restart a site.  With a recovery manager this runs the full §5
     protocol (replay, re-queue, epoch bump, metric failure notice);
     without one the endpoint silently comes back with whatever stale
-    in-memory state it had. *)
+    in-memory state it had.  Under durability the {!monitor}'s watchers
+    downed by {!crash_site} then relearn from the {!trace}: every trace
+    event was journaled write-ahead by its shell, so the trace holds
+    the journaled history, structured and in feed order. *)
 
 val obs : t -> Obs.t
 (** The configured observability registry, or {!Obs.noop}. *)

@@ -64,7 +64,11 @@ let tokenize src =
       emit
         (NUMBER
            (if !is_float then Cm_rule.Value.Float (float_of_string text)
-            else Cm_rule.Value.Int (int_of_string text)))
+            else
+              match int_of_string_opt text with
+              | Some n -> Cm_rule.Value.Int n
+              | None ->
+                raise (Lex_error (Printf.sprintf "integer literal %s out of range" text))))
     end
     else if c = '\'' then begin
       let buf = Buffer.create 16 in

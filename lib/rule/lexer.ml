@@ -77,7 +77,10 @@ let tokenize_located src =
       let text = String.sub src start (!i - start) in
       let value =
         if !is_float then Value.Float (float_of_string text)
-        else Value.Int (int_of_string text)
+        else
+          match int_of_string_opt text with
+          | Some n -> Value.Int n
+          | None -> error start !line "integer literal %s out of range" text
       in
       emit (NUMBER value)
     end

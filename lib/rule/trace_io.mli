@@ -20,12 +20,6 @@ val read_string : string -> (Trace.t, string) result
 
 val read_file : string -> (Trace.t, string) result
 
-val parse_desc : string -> (Event.desc, string) result
-(** Parse a bare event descriptor (the [W(Salary2("e1"), 1500)] part of
-    a line) back into an {!Event.desc} — the inverse of
-    [Event.desc_to_string] for ground descriptors.  Used by recovery to
-    turn journaled event records back into feedable events. *)
-
 val event_to_line : Event.t -> string
 val event_of_line : string -> (Event.t, string) result
 (** Parses one line; the id inside the line must match the caller's

@@ -419,6 +419,187 @@ let system_crash_between_violation_and_detection () =
          scan 0)
        !violations)
 
+(* ---- relearn differential ----------------------------------------- *)
+
+let render_violation v =
+  Printf.sprintf "%.6f %s %s" v.Monitor.vi_at
+    (Guarantee.to_string v.Monitor.vi_guarantee)
+    v.Monitor.vi_detail
+
+(* Two monitors over one simulated trace: a twin that never crashes, and
+   one whose y-homed watchers crash and relearn from the trace at two
+   distinct times — between instants, or (every other pair of seeds)
+   right after an instant's events, while its batch is still open.  A
+   relearn rebuilds exactly the state the twin holds, so from the
+   restart on both report the same violations, in the same order.
+   Returns whether they diverged. *)
+let relearn_diverges ~seed =
+  let rng = Prng.create ~seed in
+  let events = random_events rng ~n:60 in
+  let instants = Array.of_list (List.sort_uniq Float.compare (List.map fst events)) in
+  let k = Array.length instants in
+  let point i =
+    if seed mod 4 < 2 then (instants.(i) +. instants.(i + 1)) /. 2.0
+    else instants.(i + 1)
+  in
+  let crash_point = Prng.int rng (k - 2) in
+  let crash_at = point crash_point in
+  let restart_at = point (crash_point + 1 + Prng.int rng (k - 2 - crash_point)) in
+  let horizon = instants.(k - 1) +. 1.0 in
+  let ignore_after = if seed mod 3 = 0 then Some (horizon /. 2.0) else None in
+  let initial =
+    if seed mod 2 = 0 then [ (Item.make "x", Value.Int 1); (Item.make "y", Value.Int 2) ]
+    else []
+  in
+  let sim = Cm_sim.Sim.create ~seed () in
+  let trace = Trace.create () in
+  let monitor () =
+    let m = Monitor.create ~sim () in
+    Monitor.attach m trace;
+    let log = ref [] in
+    Monitor.on_violation m (fun v -> log := v :: !log);
+    List.iter
+      (fun leader ->
+        List.iter
+          (fun follower ->
+            if not (String.equal leader follower) then
+              List.iter
+                (fun g -> ignore (Monitor.watch ?ignore_after m g))
+                (forms ~leader:(Item.make leader) ~follower:(Item.make follower)))
+          [ "x"; "y"; "qx" ])
+      [ "x"; "y"; "qx" ];
+    Monitor.watch_copy m ~source:"x" ~target:"y" ~kappa:(Some 3.0);
+    if initial <> [] then Monitor.note_initial m initial;
+    (m, log)
+  in
+  let twin, twin_log = monitor () in
+  let crashed, crashed_log = monitor () in
+  List.iter
+    (fun (time, desc) ->
+      Cm_sim.Sim.schedule_at sim time (fun () ->
+          ignore (Trace.record trace ~time ~site:"s" desc)))
+    events;
+  Cm_sim.Sim.schedule_at sim crash_at (fun () ->
+      ignore (Monitor.crash_wipe crashed ~owns:owns_y));
+  Cm_sim.Sim.schedule_at sim restart_at (fun () ->
+      Monitor.relearn crashed (Trace.events trace));
+  Cm_sim.Sim.run sim ~until:horizon;
+  Monitor.finalize twin ~horizon;
+  Monitor.finalize crashed ~horizon;
+  let after log =
+    List.rev !log
+    |> List.filter (fun v -> v.Monitor.vi_at >= restart_at)
+    |> List.map render_violation
+  in
+  after twin_log <> after crashed_log
+
+let relearn_differential () =
+  let diverging = List.filter (fun seed -> relearn_diverges ~seed) (List.init 400 succ) in
+  Alcotest.(check (list int)) "seeds whose relearned monitor diverges" [] diverging
+
+(* A historical INS resolves against the item's value at its own
+   instant: x was deleted at 2, so the INS at 3 takes Null — which y may
+   then follow. *)
+let relearn_resolves_historical_ins () =
+  let x = Item.make "x" and y = Item.make "y" in
+  let m = Monitor.create () in
+  let h = Monitor.watch m (Guarantee.Follows { leader = x; follower = y }) in
+  let history =
+    [
+      ev 0 1.0 (Event.w x (Value.Int 1));
+      ev 1 2.0 (Event.del x);
+      ev 2 3.0 (Event.ins x);
+      ev 3 4.0 (Event.w x (Value.Int 5));
+      ev 4 4.5 (Event.w y (Value.Int 5));
+      ev 5 5.0 (Event.w x (Value.Int 5));
+    ]
+  in
+  List.iter (Monitor.feed m) history;
+  ignore (Monitor.crash_wipe m ~owns:owns_y);
+  Monitor.relearn m history;
+  Monitor.feed m (ev 6 6.0 (Event.w y Value.Null));
+  Monitor.finalize m ~horizon:10.0;
+  Alcotest.(check bool) "y = null follows x's INS" true (Monitor.verdict h).Monitor.v_holds
+
+(* The values given to [note_initial] are part of what a relearn
+   replays. *)
+let relearn_replays_initial_values () =
+  let x = Item.make "x" and y = Item.make "y" in
+  let m = Monitor.create () in
+  let h = Monitor.watch m (Guarantee.Follows { leader = x; follower = y }) in
+  Monitor.note_initial m [ (x, Value.Int 7) ];
+  Monitor.feed m (ev 0 1.0 (Event.w x (Value.Int 8)));
+  ignore (Monitor.crash_wipe m ~owns:owns_y);
+  Monitor.relearn m [ ev 0 1.0 (Event.w x (Value.Int 8)) ];
+  Monitor.feed m (ev 1 2.0 (Event.w y (Value.Int 7)));
+  Monitor.finalize m ~horizon:10.0;
+  Alcotest.(check bool) "y = 7 follows the initial x = 7" true
+    (Monitor.verdict h).Monitor.v_holds
+
+(* A durable two-site system: X lives at site a, Y at site b.  X takes
+   [v], b crashes and restarts, then Y takes [v] too. *)
+let leads_across_follower_restart v =
+  let config =
+    Sys_.Config.(
+      seeded 5 |> with_monitor true |> with_durability Cm_core.Journal.Journal)
+  in
+  let x = Item.make "X" and y = Item.make "Y" in
+  let system =
+    Sys_.create ~config (fun item -> if String.equal item.Item.base "X" then "a" else "b")
+  in
+  let shell_a = Sys_.add_shell system ~site:"a" in
+  let shell_b = Sys_.add_shell system ~site:"b" in
+  let monitor = Option.get (Sys_.monitor system) in
+  let h = Monitor.watch monitor (Guarantee.Leads { leader = x; follower = y }) in
+  let sim = Sys_.sim system in
+  Cm_sim.Sim.schedule_at sim 1.0 (fun () -> Cm_core.Shell.write_aux shell_a x v);
+  Cm_sim.Sim.schedule_at sim 2.0 (fun () -> Sys_.crash_site system ~site:"b");
+  Cm_sim.Sim.schedule_at sim 3.0 (fun () -> Sys_.restart_site system ~site:"b");
+  Cm_sim.Sim.schedule_at sim 4.0 (fun () -> Cm_core.Shell.write_aux shell_b y v);
+  Sys_.run system ~until:10.0;
+  Monitor.finalize monitor ~horizon:10.0;
+  Monitor.verdict h
+
+let relearn_keeps_float_exact () =
+  let v = leads_across_follower_restart (Value.Float 1234567.5) in
+  Alcotest.(check bool) "Y reflected X's exact value" true v.Monitor.v_holds
+
+let relearn_takes_huge_int () =
+  let v = leads_across_follower_restart (Value.Int min_int) in
+  Alcotest.(check bool) "Y reflected X's value" true v.Monitor.v_holds
+
+(* The instant completed just before a crash was heard live: its leader
+   take scores a point even though its batch had not flushed yet. *)
+let crash_keeps_completed_instant () =
+  let config =
+    Sys_.Config.(
+      seeded 606 |> with_monitor true
+      |> with_durability Cm_core.Journal.Journal_with_checkpoint)
+  in
+  let p = Payroll.create ~config ~employees:1 () in
+  Payroll.install_propagation p;
+  let system = p.Payroll.system in
+  let monitor = Option.get (Sys_.monitor system) in
+  Monitor.note_initial monitor p.Payroll.initial;
+  let emp = List.hd p.Payroll.employees in
+  let g =
+    Guarantee.Leads
+      { leader = Payroll.source_item emp; follower = Payroll.target_item emp }
+  in
+  let h = Monitor.watch monitor g in
+  let sim = Sys_.sim system in
+  Payroll.schedule_update p ~at:2.0 ~emp ~salary:4242;
+  Cm_sim.Sim.schedule_at sim 2.5 (fun () -> Sys_.crash_site system ~site:Payroll.site_b);
+  Cm_sim.Sim.schedule_at sim 50.0 (fun () ->
+      Sys_.restart_site system ~site:Payroll.site_b);
+  Sys_.run system ~until:200.0;
+  Monitor.finalize monitor ~horizon:200.0;
+  let fold =
+    Guarantee.check ~horizon:200.0 (Sys_.timeline ~initial:p.Payroll.initial system) g
+  in
+  Alcotest.(check int) "streamed points = the fold's" fold.Guarantee.checked_points
+    (Monitor.verdict h).Monitor.v_points
+
 (* The monitor only observes: a monitored run's trace is byte-identical
    to an unmonitored one. *)
 let observation_only () =
@@ -469,5 +650,12 @@ let () =
             relearned_obligation_discharges_live;
           Alcotest.test_case "system-level lost propagation" `Quick
             system_crash_between_violation_and_detection;
+          Alcotest.test_case "relearned = never crashed (400 traces)" `Quick
+            relearn_differential;
+          Alcotest.test_case "historical INS" `Quick relearn_resolves_historical_ins;
+          Alcotest.test_case "initial values" `Quick relearn_replays_initial_values;
+          Alcotest.test_case "lossy float" `Quick relearn_keeps_float_exact;
+          Alcotest.test_case "huge int" `Quick relearn_takes_huge_int;
+          Alcotest.test_case "lost point" `Quick crash_keeps_completed_instant;
         ] );
     ]

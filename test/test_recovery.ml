@@ -96,13 +96,12 @@ let transport ?(seed = 3) ?(fifo = true) ?(jitter = 0.0) () =
   in
   let journals = Journal.create_registry () in
   let r = Reliable.create ~sim ~net ~journals () in
-  (sim, net, r)
+  let rc = Recovery.create ~sim ~net ~reliable:r ~journals Journal.Journal in
+  (sim, net, r, rc)
 
-let restart_sender r ~next_mid =
-  Reliable.reset_endpoint r ~site:"a";
-  Reliable.restore_sender_state r ~from_site:"a" ~to_site:"b" ~epoch:1
-    ~next_mid;
-  Reliable.requeue_unacked r ~from_site:"a" ~to_site:"b"
+(* Site "a" restarts through the recovery protocol: epoch 1, next mid
+   and the unacked set derived from its journal. *)
+let restart_sender rc = Recovery.restart rc ~site:"a"
 
 let epoch_bump_rejects_previous_life () =
   (* 20 frames scattered over [0.05, 5.05] by jitter; the sender
@@ -110,14 +109,14 @@ let epoch_bump_rejects_previous_life () =
      and new incarnations' frames interleave on the wire: previous-life
      arrivals after the receiver adopts epoch 1 must be rejected, and
      every payload must still come through exactly once. *)
-  let sim, _net, r = transport ~fifo:false ~jitter:5.0 () in
+  let sim, _net, r, rc = transport ~fifo:false ~jitter:5.0 () in
   let got = ref [] in
   Reliable.register r ~site:"b" (fun m -> got := untag m :: !got);
   Reliable.register r ~site:"a" (fun _ -> ());
   for i = 1 to 20 do
     Reliable.send r ~from_site:"a" ~to_site:"b" (tag i)
   done;
-  Sim.schedule_at sim 0.01 (fun () -> restart_sender r ~next_mid:20);
+  Sim.schedule_at sim 0.01 (fun () -> restart_sender rc);
   Sim.run sim ~until:300.0;
   let s = Reliable.stats r in
   Alcotest.(check bool) "previous-life frames were rejected" true
@@ -132,13 +131,13 @@ let duplicate_suppressed_across_epoch_bump () =
      never discharged; the sender restarts and re-queues it under epoch
      1 with the same mid.  The receiver must recognize the mid across
      the epoch bump and deliver nothing twice. *)
-  let sim, net, r = transport () in
+  let sim, net, r, rc = transport () in
   let got = ref [] in
   Reliable.register r ~site:"b" (fun m -> got := untag m :: !got);
   Reliable.register r ~site:"a" (fun _ -> ());
   Net.partition net ~from_site:"b" ~to_site:"a" ~until:50.0;
   Reliable.send r ~from_site:"a" ~to_site:"b" (tag 1);
-  Sim.schedule_at sim 10.0 (fun () -> restart_sender r ~next_mid:1);
+  Sim.schedule_at sim 10.0 (fun () -> restart_sender rc);
   Sim.run sim ~until:300.0;
   let s = Reliable.stats r in
   Alcotest.(check (list int)) "delivered once" [ 1 ] !got;
@@ -226,6 +225,49 @@ let journal_replay_is_deterministic () =
   let j2, o2 = crash_replay_run () in
   Alcotest.(check string) "journals byte-identical" j1 j2;
   Alcotest.(check string) "observability snapshots byte-identical" o1 o2
+
+(* Under durability every trace event is journaled write-ahead by the
+   shell that records it — the fact a restarted site's monitor relies on
+   when it relearns from the trace.  Over a run with two crash/restart
+   cycles, the journals' Event records and the trace hold the same
+   events. *)
+let journal_events_match_trace () =
+  let config =
+    Sys_.Config.(
+      seeded 31
+      |> with_reliable Reliable.default_config
+      |> with_durability Journal.Journal_with_checkpoint)
+  in
+  let p = Payroll.create ~config ~employees:3 () in
+  Payroll.install_propagation p;
+  let system = p.Payroll.system in
+  let sim = Sys_.sim system in
+  Payroll.random_updates p ~mean_interarrival:10.0 ~until:250.0;
+  Sim.schedule_at sim 20.0 (fun () -> Sys_.crash_site system ~site:Payroll.site_b);
+  Sim.schedule_at sim 60.0 (fun () -> Sys_.restart_site system ~site:Payroll.site_b);
+  Sim.schedule_at sim 120.0 (fun () -> Sys_.crash_site system ~site:Payroll.site_a);
+  Sim.schedule_at sim 150.0 (fun () -> Sys_.restart_site system ~site:Payroll.site_a);
+  Sys_.run system ~until:300.0;
+  let line time site desc = Printf.sprintf "%h %s %s" time site desc in
+  let journaled =
+    let reg = Option.get (Sys_.journals system) in
+    List.concat_map
+      (fun site ->
+        List.filter_map
+          (function
+            | Journal.Event { time; site; desc } -> Some (line time site desc)
+            | _ -> None)
+          (Journal.records (Journal.for_site reg ~site)))
+      (Journal.sites reg)
+  in
+  let traced =
+    List.map
+      (fun (e : Event.t) -> line e.time e.site (Event.desc_to_string e.desc))
+      (Trace.events (Sys_.trace system))
+  in
+  Alcotest.(check bool) "the run recorded events" true (List.length traced > 100);
+  Alcotest.(check (list string)) "journal Event records = trace"
+    (List.sort compare traced) (List.sort compare journaled)
 
 (* -- chaos specs and golden report digests -- *)
 
@@ -498,6 +540,8 @@ let () =
             journal_replay_is_deterministic;
           Alcotest.test_case "chaos report" `Quick chaos_report_is_deterministic;
           Alcotest.test_case "golden report digests" `Quick golden_report_digests;
+          Alcotest.test_case "journal events = trace" `Quick
+            journal_events_match_trace;
         ] );
       ( "validation",
         [

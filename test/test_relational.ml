@@ -172,6 +172,12 @@ let parse_error () =
     (function Database.Parse_failed _ -> true | _ -> false)
     "parse" (Database.exec db "SELEKT * FROM emp")
 
+let int_out_of_range () =
+  let db = fresh () in
+  expect_error
+    (function Database.Parse_failed _ -> true | _ -> false)
+    "parse" (Database.exec db "INSERT INTO emp VALUES ('a', 99999999999999999999, 'x')")
+
 let check_constraint_insert () =
   let db = Database.create () in
   ignore
@@ -781,6 +787,7 @@ let () =
           Alcotest.test_case "type mismatch" `Quick type_mismatch;
           Alcotest.test_case "unbound param" `Quick unbound_param;
           Alcotest.test_case "parse error" `Quick parse_error;
+          Alcotest.test_case "integer out of range" `Quick int_out_of_range;
         ] );
       ( "constraints",
         [

@@ -319,6 +319,13 @@ let parser_errors () =
   Alcotest.(check bool) "unclosed paren" true (fails "W(X, b ->[1] W(Y, b)");
   Alcotest.(check bool) "bad arity" true (fails "RR(X, b) ->[1] R(X, b)")
 
+(* An integer literal outside the native int range is a located parse
+   error, not an uncaught [Failure "int_of_string"]. *)
+let parser_int_out_of_range () =
+  match Parser.parse_rules "N(X, b) ->[1] W(Y, b)\nW(X, 99999999999999999999) ->[1] W(Y, 1)" with
+  | _ -> Alcotest.fail "out-of-range literal accepted"
+  | exception Parser.Parse_error { line; _ } -> Alcotest.(check int) "line" 2 line
+
 let parser_ws_two_arg_normalized () =
   let r = Parser.parse_rule "Ws(X, b) ->[2] N(X, b)" in
   Alcotest.(check int) "3 args after normalization" 3
@@ -774,6 +781,7 @@ let () =
           Alcotest.test_case "multiple rules" `Quick parser_multiple_rules;
           Alcotest.test_case "comments" `Quick parser_comments;
           Alcotest.test_case "errors" `Quick parser_errors;
+          Alcotest.test_case "integer out of range" `Quick parser_int_out_of_range;
           Alcotest.test_case "Ws normalization" `Quick parser_ws_two_arg_normalized;
         ] );
       ( "rule",
