@@ -102,19 +102,28 @@ type record =
       active_epoch : int;
     }
 
-let record_kind = function
-  | Event _ -> "event"
-  | Fire_sent _ -> "fire_sent"
-  | Store_write _ -> "store_write"
-  | Outbound _ -> "outbound"
-  | Acked _ -> "acked"
-  | Delivered _ -> "delivered"
-  | Restarted _ -> "restarted"
-  | Epoch_proposed _ -> "epoch_proposed"
-  | Epoch_cutover _ -> "epoch_cutover"
-  | Epoch_retired _ -> "epoch_retired"
-  | Epoch_rollback _ -> "epoch_rollback"
-  | Checkpoint _ -> "checkpoint"
+(* [record_kind r] is [kinds.(kind_index r)]; the index picks a
+   journal's pre-resolved [journal_appends] handle. *)
+let kinds =
+  [| "event"; "fire_sent"; "store_write"; "outbound"; "acked"; "delivered";
+     "restarted"; "epoch_proposed"; "epoch_cutover"; "epoch_retired";
+     "epoch_rollback"; "checkpoint" |]
+
+let kind_index = function
+  | Event _ -> 0
+  | Fire_sent _ -> 1
+  | Store_write _ -> 2
+  | Outbound _ -> 3
+  | Acked _ -> 4
+  | Delivered _ -> 5
+  | Restarted _ -> 6
+  | Epoch_proposed _ -> 7
+  | Epoch_cutover _ -> 8
+  | Epoch_retired _ -> 9
+  | Epoch_rollback _ -> 10
+  | Checkpoint _ -> 11
+
+let record_kind r = kinds.(kind_index r)
 
 let link_state_to_string l =
   Printf.sprintf "%s next_mid=%d unacked=[%s] in=e%d/s%d mids=[%s]" l.peer
@@ -186,9 +195,10 @@ let record_to_string r =
 type t = {
   site : string;
   obs : Obs.t;
+  appends_by_kind : Obs.Counter.t array;  (* by [kind_index] *)
+  checkpoint_bytes : Obs.Series.t;
   mutable rev_records : record list;  (* newest first *)
   mutable count : int;
-  mutable bytes : int;  (* serialized size, the journal-overhead metric *)
   mutable checkpoints : int;
   mutable incarnation : int;  (* count of Restarted records appended *)
 }
@@ -202,19 +212,20 @@ type stats = {
 
 let site t = t.site
 
+(* One canonical line per record; its length is the journal-overhead
+   metric. *)
+let rendered_size r = String.length (record_to_string r) + 1
+
 let append t r =
-  let size = String.length (record_to_string r) + 1 in
   t.rev_records <- r :: t.rev_records;
   t.count <- t.count + 1;
-  t.bytes <- t.bytes + size;
-  Obs.incr t.obs "journal_appends"
-    ~labels:[ ("site", t.site); ("kind", record_kind r) ];
+  Obs.Counter.incr t.appends_by_kind.(kind_index r);
   match r with
   | Restarted { incarnation; _ } -> t.incarnation <- incarnation
   | Checkpoint _ ->
     t.checkpoints <- t.checkpoints + 1;
-    Obs.observe t.obs "journal_checkpoint_bytes" ~labels:[ ("site", t.site) ]
-      (float_of_int size)
+    if Obs.enabled t.obs then
+      Obs.Series.observe t.checkpoint_bytes (float_of_int (rendered_size r))
   | _ -> ()
 
 let records t = List.rev t.rev_records
@@ -224,7 +235,7 @@ let incarnation (t : t) = t.incarnation
 let stats t =
   {
     appends = t.count;
-    bytes = t.bytes;
+    bytes = List.fold_left (fun n r -> n + rendered_size r) 0 t.rev_records;
     checkpoints = t.checkpoints;
     incarnation = t.incarnation;
   }
@@ -260,13 +271,21 @@ let for_site reg ~site =
   match Hashtbl.find_opt reg.by_site site with
   | Some j -> j
   | None ->
+    let obs = reg.reg_obs in
     let j =
       {
         site;
-        obs = reg.reg_obs;
+        obs;
+        appends_by_kind =
+          Array.map
+            (fun kind ->
+              Obs.Counter.make obs "journal_appends"
+                ~labels:[ ("site", site); ("kind", kind) ])
+            kinds;
+        checkpoint_bytes =
+          Obs.Series.make obs "journal_checkpoint_bytes" ~labels:[ ("site", site) ];
         rev_records = [];
         count = 0;
-        bytes = 0;
         checkpoints = 0;
         incarnation = 0;
       }

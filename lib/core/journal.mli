@@ -132,8 +132,10 @@ val site : t -> string
 
 val append : t -> record -> unit
 (** Appends are observable as [journal_appends] counters (labels [site],
-    [kind]); checkpoint records additionally feed the
-    [journal_checkpoint_bytes] series. *)
+    [kind]), bumped through handles the journal resolves when it is
+    created; checkpoint records additionally feed the
+    [journal_checkpoint_bytes] series.  Nothing is rendered, except a
+    checkpoint's line for that series when the registry is enabled. *)
 
 val records : t -> record list
 (** Oldest first. *)
@@ -154,7 +156,10 @@ val to_string : t -> string
 
 type stats = {
   appends : int;
-  bytes : int;  (** total serialized size — the journal-overhead metric *)
+  bytes : int;
+      (** total serialized size — the journal-overhead metric: the length
+          of {!to_string}, computed from the retained records when
+          {!stats} is read (O(records)), not kept at append *)
   checkpoints : int;
   incarnation : int;
 }

@@ -45,32 +45,93 @@ let noop =
 
 let enabled t = t.enabled
 
-let find t name labels make =
-  let key = (name, canon labels) in
-  match Hashtbl.find_opt t.instruments key with
-  | Some i -> i
+(* -- handles -- *)
+
+(* A handle names one instrument by its (name, canonical labels) key,
+   built once.  The registry cell is found or created on first use, so a
+   handle resolved but never used adds no snapshot row; after that a
+   bump is a field read and a store.  A handle on a disabled registry is
+   the shared [dead] one, which every bump ignores. *)
+type 'a handle = {
+  h_obs : t;
+  h_key : string * labels;
+  mutable h_cell : 'a option;
+}
+
+let handle ~dead ?(labels = []) t name =
+  if t.enabled then { h_obs = t; h_key = (name, canon labels); h_cell = None }
+  else dead
+
+(* The one find-or-create and kind check behind every recording call. *)
+let cell h ~op ~kind ~make ~cast =
+  match h.h_cell with
+  | Some c -> c
   | None ->
-    let i = make () in
-    Hashtbl.replace t.instruments key i;
-    i
+    let inst =
+      match Hashtbl.find_opt h.h_obs.instruments h.h_key with
+      | Some i -> i
+      | None ->
+        let i = make () in
+        Hashtbl.replace h.h_obs.instruments h.h_key i;
+        i
+    in
+    (match cast inst with
+     | Some c ->
+       h.h_cell <- Some c;
+       c
+     | None -> invalid_arg ("Obs." ^ op ^ ": " ^ fst h.h_key ^ " is not a " ^ kind))
 
-let incr ?(by = 1) ?(labels = []) t name =
-  if t.enabled then
-    match find t name labels (fun () -> Counter (ref 0)) with
-    | Counter r -> r := !r + by
-    | _ -> invalid_arg ("Obs.incr: " ^ name ^ " is not a counter")
+module Counter = struct
+  type nonrec t = int ref handle
 
-let gauge ?(labels = []) t name v =
-  if t.enabled then
-    match find t name labels (fun () -> Gauge (ref 0.0)) with
-    | Gauge r -> r := v
-    | _ -> invalid_arg ("Obs.gauge: " ^ name ^ " is not a gauge")
+  let dead = { h_obs = noop; h_key = ("", []); h_cell = None }
+  let make ?labels t name = handle ~dead ?labels t name
+  let cast = function Counter r -> Some r | _ -> None
+  let fresh () = Counter (ref 0)
 
-let observe ?(labels = []) t name v =
-  if t.enabled then
-    match find t name labels (fun () -> Series (ref [])) with
-    | Series r -> r := v :: !r
-    | _ -> invalid_arg ("Obs.observe: " ^ name ^ " is not a series")
+  let incr ?(by = 1) h =
+    if h.h_obs.enabled then begin
+      let r = cell h ~op:"incr" ~kind:"counter" ~make:fresh ~cast in
+      r := !r + by
+    end
+end
+
+module Gauge = struct
+  type nonrec t = float ref handle
+
+  let dead = { h_obs = noop; h_key = ("", []); h_cell = None }
+  let make ?labels t name = handle ~dead ?labels t name
+  let cast = function Gauge r -> Some r | _ -> None
+  let fresh () = Gauge (ref 0.0)
+
+  let set h v =
+    if h.h_obs.enabled then
+      cell h ~op:"gauge" ~kind:"gauge" ~make:fresh ~cast := v
+end
+
+module Series = struct
+  type nonrec t = float list ref handle
+
+  let dead = { h_obs = noop; h_key = ("", []); h_cell = None }
+  let make ?labels t name = handle ~dead ?labels t name
+  let cast = function Series r -> Some r | _ -> None
+  let fresh () = Series (ref [])
+
+  let observe h v =
+    if h.h_obs.enabled then begin
+      let r = cell h ~op:"observe" ~kind:"series" ~make:fresh ~cast in
+      r := v :: !r
+    end
+end
+
+let incr ?by ?labels t name =
+  if t.enabled then Counter.incr ?by (Counter.make ?labels t name)
+
+let gauge ?labels t name v =
+  if t.enabled then Gauge.set (Gauge.make ?labels t name) v
+
+let observe ?labels t name v =
+  if t.enabled then Series.observe (Series.make ?labels t name) v
 
 let counter_value ?(labels = []) t name =
   match Hashtbl.find_opt t.instruments (name, canon labels) with

@@ -34,7 +34,8 @@ val create : unit -> t
 val noop : t
 (** The shared disabled registry: every recording operation returns
     immediately, {!span} returns [0], snapshots are empty.  This is the
-    default when no [?obs] is configured — zero allocation per event. *)
+    default when no [?obs] is configured — zero allocation per event
+    (handle bumps, see {!Counter}, allocate nothing on it). *)
 
 val enabled : t -> bool
 
@@ -49,6 +50,42 @@ val gauge : ?labels:labels -> t -> string -> float -> unit
 val observe : ?labels:labels -> t -> string -> float -> unit
 (** Append one observation to a series (exported as a
     {!Cm_util.Stats.summary}). *)
+
+(** {2 Handles}
+
+    A per-event site resolves its instrument once and bumps the handle:
+    the [(name, canonical labels)] key is built at {!Counter.make}, and
+    a bump does no label work and no hashing.  The registry cell is
+    found or created on the handle's first use, so a handle that is
+    resolved but never used adds no snapshot row, and a kind mismatch
+    raises [Invalid_argument] at that first use.  A handle and the
+    one-shot calls above with the same name and labels share one cell.
+    On a disabled registry {!Counter.make} and its siblings hand out one
+    shared dead handle, and a bump on it allocates nothing. *)
+
+module Counter : sig
+  type obs := t
+  type t
+
+  val make : ?labels:labels -> obs -> string -> t
+  val incr : ?by:int -> t -> unit
+end
+
+module Gauge : sig
+  type obs := t
+  type t
+
+  val make : ?labels:labels -> obs -> string -> t
+  val set : t -> float -> unit
+end
+
+module Series : sig
+  type obs := t
+  type t
+
+  val make : ?labels:labels -> obs -> string -> t
+  val observe : t -> float -> unit
+end
 
 val counter_value : ?labels:labels -> t -> string -> int
 (** Value of one labelled counter; 0 if absent. *)

@@ -35,6 +35,21 @@ type stats = {
   requeued : int;
 }
 
+(* A link's counters, resolved when the link is created.  Acks travel
+   back from receiver to sender, so [lo_acks_sent] is labelled that
+   way round; the rest are labelled sender -> receiver. *)
+type link_obs = {
+  lo_data_sent : Obs.Counter.t;
+  lo_retransmits : Obs.Counter.t;
+  lo_give_ups : Obs.Counter.t;
+  lo_requeued : Obs.Counter.t;
+  lo_delivered : Obs.Counter.t;
+  lo_dup_suppressed : Obs.Counter.t;
+  lo_reordered : Obs.Counter.t;
+  lo_epoch_rejections : Obs.Counter.t;
+  lo_acks_sent : Obs.Counter.t;
+}
+
 (* Per directed link.  The sender half (the state at [from_site]) numbers
    frames within its current epoch — bumped by crash recovery so a new
    incarnation's sequence space is disjoint from the old one's — and
@@ -46,6 +61,7 @@ type stats = {
    it will deliver within that epoch, out-of-order arrivals, and the set
    of mids already handed to the application. *)
 type link = {
+  lo : link_obs;
   mutable epoch : int;
   mutable next_seq : int;
   mutable next_mid : int;
@@ -62,6 +78,7 @@ type endpoint = {
   last_heard : (string, float) Hashtbl.t;
   suspected : (string, unit) Hashtbl.t;
   mutable beat : int;
+  ep_heartbeats_sent : Obs.Counter.t;
 }
 
 type t = {
@@ -124,13 +141,37 @@ let suspect_threshold t =
   if t.cfg.suspect_after > 0.0 then t.cfg.suspect_after
   else 3.0 *. t.cfg.heartbeat_period
 
+let noop_link_obs =
+  let c = Obs.Counter.make Obs.noop "" in
+  { lo_data_sent = c; lo_retransmits = c; lo_give_ups = c; lo_requeued = c;
+    lo_delivered = c; lo_dup_suppressed = c; lo_reordered = c;
+    lo_epoch_rejections = c; lo_acks_sent = c }
+
 let link t ~from_site ~to_site =
   let key = (from_site, to_site) in
   match Hashtbl.find_opt t.links key with
   | Some l -> l
   | None ->
+    let counter ?(from_site = from_site) ?(to_site = to_site) name =
+      Obs.Counter.make t.obs name ~labels:[ ("from", from_site); ("to", to_site) ]
+    in
+    let lo =
+      if not (Obs.enabled t.obs) then noop_link_obs
+      else
+        { lo_data_sent = counter "reliable_data_sent";
+          lo_retransmits = counter "reliable_retransmits";
+          lo_give_ups = counter "reliable_give_ups";
+          lo_requeued = counter "reliable_requeued";
+          lo_delivered = counter "reliable_delivered";
+          lo_dup_suppressed = counter "reliable_dup_suppressed";
+          lo_reordered = counter "reliable_reordered";
+          lo_epoch_rejections = counter "reliable_epoch_rejections";
+          lo_acks_sent =
+            counter "reliable_acks_sent" ~from_site:to_site ~to_site:from_site }
+    in
     let l =
       {
+        lo;
         epoch = 0;
         next_seq = 0;
         next_mid = 0;
@@ -184,8 +225,7 @@ let rec transmit t ~from_site ~to_site l ~seq ~attempt ~timeout =
             let durable = Option.is_some (journal_for t from_site) in
             if not durable then Hashtbl.remove l.outstanding seq;
             t.give_ups <- t.give_ups + 1;
-            Obs.incr t.obs "reliable_give_ups"
-              ~labels:[ ("from", from_site); ("to", to_site) ];
+            Obs.Counter.incr l.lo.lo_give_ups;
             (match Hashtbl.find_opt t.endpoints from_site with
              | Some ep -> suspect t ep to_site
              | None -> ());
@@ -201,8 +241,7 @@ let rec transmit t ~from_site ~to_site l ~seq ~attempt ~timeout =
               ~timeout:t.cfg.max_timeout
           else begin
             t.retransmits <- t.retransmits + 1;
-            Obs.incr t.obs "reliable_retransmits"
-              ~labels:[ ("from", from_site); ("to", to_site) ];
+            Obs.Counter.incr l.lo.lo_retransmits;
             (* Attach the retry to the firing's trace when the payload is a
                Fire envelope carrying a span id. *)
             (match payload with
@@ -239,8 +278,7 @@ let requeue_unacked t ~from_site ~to_site unacked =
              { time = Sim.now t.sim; to_site; mid; epoch = l.epoch; seq; payload });
         Hashtbl.replace l.outstanding seq (l.epoch, mid, payload);
         t.requeued <- t.requeued + 1;
-        Obs.incr t.obs "reliable_requeued"
-          ~labels:[ ("from", from_site); ("to", to_site) ];
+        Obs.Counter.incr l.lo.lo_requeued;
         transmit t ~from_site ~to_site l ~seq ~attempt:0 ~timeout:t.cfg.retry_timeout)
       unacked
 
@@ -276,8 +314,7 @@ let send t ~from_site ~to_site msg =
      | None -> ());
     Hashtbl.replace l.outstanding seq (l.epoch, mid, msg);
     t.data_sent <- t.data_sent + 1;
-    Obs.incr t.obs "reliable_data_sent"
-      ~labels:[ ("from", from_site); ("to", to_site) ];
+    Obs.Counter.incr l.lo.lo_data_sent;
     transmit t ~from_site ~to_site l ~seq ~attempt:0 ~timeout:t.cfg.retry_timeout
   end
 
@@ -296,14 +333,12 @@ let consume_slot t ep l ~from_site ~epoch ~seq ~mid payload =
    | None -> ());
   if fresh then begin
     t.delivered <- t.delivered + 1;
-    Obs.incr t.obs "reliable_delivered"
-      ~labels:[ ("from", from_site); ("to", ep.ep_site) ];
+    Obs.Counter.incr l.lo.lo_delivered;
     ep.deliver payload
   end
   else begin
     t.dup_suppressed <- t.dup_suppressed + 1;
-    Obs.incr t.obs "reliable_dup_suppressed"
-      ~labels:[ ("from", from_site); ("to", ep.ep_site) ]
+    Obs.Counter.incr l.lo.lo_dup_suppressed
   end
 
 let receive t ep frame =
@@ -316,8 +351,7 @@ let receive t ep frame =
          (and not acking) is what keeps old and new sequence spaces from
          being mis-deduplicated against each other. *)
       t.epoch_rejections <- t.epoch_rejections + 1;
-      Obs.incr t.obs "reliable_epoch_rejections"
-        ~labels:[ ("from", from_site); ("to", ep.ep_site) ]
+      Obs.Counter.incr l.lo.lo_epoch_rejections
     end
     else begin
       if epoch > l.in_epoch then begin
@@ -331,20 +365,17 @@ let receive t ep frame =
       end;
       let ack ~epoch ~seq =
         t.acks_sent <- t.acks_sent + 1;
-        Obs.incr t.obs "reliable_acks_sent"
-          ~labels:[ ("from", ep.ep_site); ("to", from_site) ];
+        Obs.Counter.incr l.lo.lo_acks_sent;
         Net.send t.net ~from_site:ep.ep_site ~to_site:from_site
           (Msg.Ack { from_site = ep.ep_site; epoch; seq })
       in
       let suppress () =
         t.dup_suppressed <- t.dup_suppressed + 1;
-        Obs.incr t.obs "reliable_dup_suppressed"
-          ~labels:[ ("from", from_site); ("to", ep.ep_site) ]
+        Obs.Counter.incr l.lo.lo_dup_suppressed
       in
       let hold () =
         t.reordered <- t.reordered + 1;
-        Obs.incr t.obs "reliable_reordered"
-          ~labels:[ ("from", from_site); ("to", ep.ep_site) ];
+        Obs.Counter.incr l.lo.lo_reordered;
         Hashtbl.replace l.held seq (mid, payload)
       in
       let consume_and_drain () =
@@ -421,7 +452,7 @@ let heartbeat_tick t ep =
       if not (String.equal peer ep.ep_site) then begin
         ep.beat <- ep.beat + 1;
         t.heartbeats_sent <- t.heartbeats_sent + 1;
-        Obs.incr t.obs "reliable_heartbeats_sent" ~labels:[ ("site", ep.ep_site) ];
+        Obs.Counter.incr ep.ep_heartbeats_sent;
         Net.send t.net ~from_site:ep.ep_site ~to_site:peer
           (Msg.Heartbeat { origin_site = ep.ep_site; beat = ep.beat });
         match Hashtbl.find_opt ep.last_heard peer with
@@ -442,6 +473,8 @@ let register t ~site deliver =
       last_heard = Hashtbl.create 8;
       suspected = Hashtbl.create 4;
       beat = 0;
+      ep_heartbeats_sent =
+        Obs.Counter.make t.obs "reliable_heartbeats_sent" ~labels:[ ("site", site) ];
     }
   in
   Hashtbl.replace t.endpoints site ep;

@@ -25,6 +25,21 @@ type rule_epoch = {
   re_by_id : (string, Rule.t) Hashtbl.t;
 }
 
+(* Per-rule instruments at one shell, keyed by rule id, resolved on the
+   id's first event there; a handle registers its row only when bumped. *)
+type rule_obs = {
+  ro_fires_sent : Obs.Counter.t;
+  ro_fires_executed : Obs.Counter.t;
+  ro_lhs_rejections : Obs.Counter.t;
+  ro_rhs_rejections : Obs.Counter.t;
+  ro_stale_epoch_rejections : Obs.Counter.t;
+}
+
+let noop_rule_obs =
+  let c = Obs.Counter.make Obs.noop "" in
+  { ro_fires_sent = c; ro_fires_executed = c; ro_lhs_rejections = c;
+    ro_rhs_rejections = c; ro_stale_epoch_rejections = c }
+
 (* A replayable epoch transition, as recovery derives it from the
    journal. *)
 type epoch_op =
@@ -39,6 +54,9 @@ type t = {
   trace : Trace.t;
   locator : Item.locator;
   obs : Obs.t;
+  obs_events : Obs.Counter.t;
+  obs_queue_depth : Obs.Gauge.t;
+  obs_by_rule : (string, rule_obs) Hashtbl.t;
   site : string;
   store : Store.t;
   journal : Journal.t option;
@@ -91,6 +109,28 @@ let local_state t =
         match Hashtbl.find_opt t.translator_by_base item.Item.base with
         | Some tr -> tr.Cmi.current_value item
         | None -> Store.get t.store item)
+
+let rule_obs t rule_id =
+  if not (Obs.enabled t.obs) then noop_rule_obs
+  else
+    match Hashtbl.find_opt t.obs_by_rule rule_id with
+    | Some ro -> ro
+    | None ->
+      let counter ?(extra = []) name =
+        Obs.Counter.make t.obs name
+          ~labels:(("site", t.site) :: ("rule", rule_id) :: extra)
+      in
+      let ro =
+        { ro_fires_sent = counter "shell_fires_sent";
+          ro_fires_executed = counter "shell_fires_executed";
+          ro_lhs_rejections =
+            counter "shell_guard_rejections" ~extra:[ ("side", "lhs") ];
+          ro_rhs_rejections =
+            counter "shell_guard_rejections" ~extra:[ ("side", "rhs") ];
+          ro_stale_epoch_rejections = counter "shell_stale_epoch_rejections" }
+      in
+      Hashtbl.replace t.obs_by_rule rule_id ro;
+      ro
 
 let eval_cond_safe t env cond =
   try Expr.eval_cond (local_state t) env cond with Expr.Eval_error _ -> None
@@ -228,12 +268,12 @@ let candidate_rules t (event : Event.t) =
 
 let rec occurred t (event : Event.t) =
   t.events_seen <- t.events_seen + 1;
-  (* Obs arguments (label lists, stringified ids, the queue walk behind
-     the gauge) are built eagerly at the call site even when the
-     registry is the noop one — keep them off the disabled hot path. *)
+  (* The gauge's float and the span labels below are built eagerly at
+     the call site even when the registry is the noop one — keep them
+     off the disabled hot path. *)
   if Obs.enabled t.obs then begin
-    Obs.incr t.obs "shell_events" ~labels:[ ("site", t.site) ];
-    Obs.gauge t.obs "sim_queue_depth" (float_of_int (Sim.pending t.sim))
+    Obs.Counter.incr t.obs_events;
+    Obs.Gauge.set t.obs_queue_depth (float_of_int (Sim.pending t.sim))
   end;
   List.iter
     (fun rule ->
@@ -241,11 +281,7 @@ let rec occurred t (event : Event.t) =
       | None -> ()
       | Some env0 -> (
           match eval_cond_safe t env0 rule.Rule.lhs_cond with
-          | None ->
-            if Obs.enabled t.obs then
-              Obs.incr t.obs "shell_guard_rejections"
-                ~labels:
-                  [ ("site", t.site); ("rule", rule.Rule.id); ("side", "lhs") ]
+          | None -> Obs.Counter.incr (rule_obs t rule.Rule.id).ro_lhs_rejections
           | Some env ->
             let rhs_site =
               match Rule.rhs_site rule t.locator with
@@ -268,8 +304,7 @@ let rec occurred t (event : Event.t) =
             let span =
               if not (Obs.enabled t.obs) then 0
               else begin
-                Obs.incr t.obs "shell_fires_sent"
-                  ~labels:[ ("site", t.site); ("rule", rule.Rule.id) ];
+                Obs.Counter.incr (rule_obs t rule.Rule.id).ro_fires_sent;
                 Obs.span t.obs ~name:"fire" ~at:event.time
                   ~labels:
                     [ ("site", t.site); ("rule", rule.Rule.id);
@@ -356,9 +391,7 @@ and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
        it under a different program would re-interpret an old firing
        under new rules; dropping it silently would hide the loss. *)
     t.stale_epoch_rejections <- t.stale_epoch_rejections + 1;
-    if Obs.enabled t.obs then
-      Obs.incr t.obs "shell_stale_epoch_rejections"
-        ~labels:[ ("site", t.site); ("rule", rule_id) ];
+    Obs.Counter.incr (rule_obs t rule_id).ro_stale_epoch_rejections;
     Logs.warn (fun m ->
         m ~tags:(tags t ?span:(if parent_span > 0 then Some parent_span else None))
           "shell %s: Fire %s#%d rejected: rule epoch %d is %s" t.site rule_id
@@ -381,8 +414,7 @@ and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
     let exec_span =
       if not (Obs.enabled t.obs) then 0
       else begin
-        Obs.incr t.obs "shell_fires_executed"
-          ~labels:[ ("site", t.site); ("rule", rule_id) ];
+        Obs.Counter.incr (rule_obs t rule_id).ro_fires_executed;
         Obs.span t.obs ~parent:parent_span ~name:"execute" ~at:(Sim.now t.sim)
           ~labels:[ ("site", t.site); ("rule", rule_id) ]
       end
@@ -393,9 +425,7 @@ and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
       | (step : Rule.step) :: rest -> (
         match eval_cond_safe t env step.guard with
         | None ->
-          if Obs.enabled t.obs then
-            Obs.incr t.obs "shell_guard_rejections"
-              ~labels:[ ("site", t.site); ("rule", rule_id); ("side", "rhs") ];
+          Obs.Counter.incr (rule_obs t rule_id).ro_rhs_rejections;
           steps env (i + 1) rest
         | Some env' -> (
           match Template.instantiate step.template env' with
@@ -466,6 +496,9 @@ let create ctx ~site =
       trace;
       locator;
       obs;
+      obs_events = Obs.Counter.make obs "shell_events" ~labels:[ ("site", site) ];
+      obs_queue_depth = Obs.Gauge.make obs "sim_queue_depth";
+      obs_by_rule = Hashtbl.create 16;
       site;
       store = Store.create ();
       journal = Option.map (fun reg -> Journal.for_site reg ~site) journals;

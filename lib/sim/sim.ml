@@ -1,16 +1,20 @@
 type time = float
 
-(* [live] lets {!pending} exclude queue entries that are already known
-   to be no-ops: a cancelled periodic's next tick stays in the heap
-   until its time comes, but it is not pending work. *)
-type entry = { at : time; seq : int; live : unit -> bool; action : unit -> unit }
+(* A periodic timer from {!every}.  At most one of its re-arms is queued
+   at a time ([queued]); {!pending} asks [cancel] only of those, since a
+   cancelled timer's next tick stays in the heap until its time comes
+   but is not pending work. *)
+type timer = { cancel : unit -> bool; mutable queued : bool }
 
-let always_live () = true
+(* [timer = None] marks an always-live entry, counted in [live]. *)
+type entry = { at : time; seq : int; timer : timer option; action : unit -> unit }
 
 type t = {
   mutable clock : time;
   mutable seq : int;
   mutable processed : int;
+  mutable live : int;  (* queued always-live entries *)
+  mutable timers : timer list;  (* every timer that may still re-arm *)
   queue : entry Cm_util.Heap.t;
   rng : Cm_util.Prng.t;
 }
@@ -24,6 +28,8 @@ let create ?(seed = 42) () =
     clock = 0.0;
     seq = 0;
     processed = 0;
+    live = 0;
+    timers = [];
     queue = Cm_util.Heap.create ~leq:entry_leq;
     rng = Cm_util.Prng.create ~seed;
   }
@@ -31,12 +37,15 @@ let create ?(seed = 42) () =
 let now t = t.clock
 let rng t = t.rng
 
-let enqueue t at ~live action =
+let enqueue t at timer action =
   let at = if at < t.clock then t.clock else at in
   t.seq <- t.seq + 1;
-  Cm_util.Heap.add t.queue { at; seq = t.seq; live; action }
+  (match timer with
+   | None -> t.live <- t.live + 1
+   | Some tm -> tm.queued <- true);
+  Cm_util.Heap.add t.queue { at; seq = t.seq; timer; action }
 
-let schedule_at t at action = enqueue t at ~live:always_live action
+let schedule_at t at action = enqueue t at None action
 
 let schedule t ~delay action =
   let delay = if delay < 0.0 then 0.0 else delay in
@@ -47,19 +56,27 @@ let every t ?start ~period action ~cancel =
      no horizon comparison ever stops. *)
   if not (period > 0.0) then invalid_arg "Sim.every: period must be positive";
   let first = match start with Some s -> s | None -> t.clock +. period in
-  let live () = not (cancel ()) in
+  let tm = { cancel; queued = false } in
+  let timer = Some tm in
+  t.timers <- tm :: t.timers;
   let rec tick () =
-    if not (cancel ()) then begin
+    if cancel () then t.timers <- List.filter (fun x -> x != tm) t.timers
+    else begin
       action ();
-      enqueue t (t.clock +. period) ~live tick
+      enqueue t (t.clock +. period) timer tick
     end
   in
-  enqueue t first ~live tick
+  enqueue t first timer tick
 
 let step t =
   match Cm_util.Heap.pop t.queue with
   | None -> false
   | Some e ->
+    (* Off the books before the action runs, so an action that raises
+       leaves the count exact. *)
+    (match e.timer with
+     | None -> t.live <- t.live - 1
+     | Some tm -> tm.queued <- false);
     t.clock <- e.at;
     t.processed <- t.processed + 1;
     e.action ();
@@ -102,5 +119,7 @@ let advance ?(inclusive = false) t ~until =
 let next_at t = Option.map (fun e -> e.at) (Cm_util.Heap.min t.queue)
 
 let pending t =
-  Cm_util.Heap.fold (fun n e -> if e.live () then n + 1 else n) 0 t.queue
+  List.fold_left
+    (fun n tm -> if tm.queued && not (tm.cancel ()) then n + 1 else n)
+    t.live t.timers
 let events_processed t = t.processed

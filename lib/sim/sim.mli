@@ -68,8 +68,10 @@ val next_at : t -> time option
 val pending : t -> int
 (** Number of queued events that will still do work: a periodic re-arm
     whose [cancel] already returns [true] sits in the queue until its
-    time comes but is {e not} counted.  O(queue) — a diagnostic, not a
-    hot-path call. *)
+    time comes but is {e not} counted.  Every other entry is counted as
+    it is queued and popped, so a read costs one [cancel] call per
+    periodic timer whose re-arm is queued: O(periodic timers), whatever
+    the queue's length. *)
 
 val events_processed : t -> int
 (** Total callbacks executed so far — used by throughput benchmarks. *)

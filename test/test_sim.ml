@@ -171,6 +171,227 @@ let schedule_at_past_clamped () =
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "clamped to now" 4.0 !at
 
+(* ---- pending differential ---- *)
+
+(* A reference model of the kernel: its own queue of (time, seq) entries
+   in the kernel's order, popped and interpreted the way {!Sim} runs
+   them.  [pending] here is the definition — queued always-live entries
+   plus queued periodic re-arms whose cancel flag is down — computed by
+   walking the whole queue.  Every action logs [pending] as it runs, the
+   way a shell reads it per event. *)
+module Model = struct
+  (* What an always-live entry does when it runs: log its id, then
+     maybe flip a timer's cancel flag, schedule a child, raise Stop. *)
+  type job = { id : int; flip : int option; child : float option; stop : bool }
+
+  type kind = Job of job | Tick of int  (* timer index *)
+
+  type t = {
+    mutable clock : float;
+    mutable seq : int;
+    mutable queue : (float * int * kind) list;  (* sorted by (time, seq) *)
+    mutable log : string list;  (* newest first *)
+    periods : (int, float) Hashtbl.t;
+    stop_at_tick : (int, int) Hashtbl.t;  (* timer -> tick that raises Stop *)
+    ticks : int array;
+  }
+
+  let create () =
+    { clock = 0.0; seq = 0; queue = []; log = []; periods = Hashtbl.create 8;
+      stop_at_tick = Hashtbl.create 8; ticks = Array.make 8 0 }
+
+  let enqueue m at kind =
+    let at = if at < m.clock then m.clock else at in
+    m.seq <- m.seq + 1;
+    let e = (at, m.seq, kind) in
+    let rec ins = function
+      | [] -> [ e ]
+      | ((a, s, _) as x) :: rest ->
+        if a < at || (a = at && s < m.seq) then x :: ins rest else e :: x :: rest
+    in
+    m.queue <- ins m.queue
+
+  let pending m ~cancelled =
+    List.length
+      (List.filter
+         (function _, _, Job _ -> true | _, _, Tick k -> not (cancelled k))
+         m.queue)
+
+  (* One pop; [flip k] flips timer [k]'s flag; raises [Sim.Stop] as the
+     job does. *)
+  let step m ~cancelled ~flip =
+    match m.queue with
+    | [] -> false
+    | (at, _, kind) :: rest ->
+      m.queue <- rest;
+      m.clock <- at;
+      (match kind with
+       | Tick k ->
+         if not (cancelled k) then begin
+           m.log <-
+             Printf.sprintf "tick%d@%g p=%d" k at (pending m ~cancelled) :: m.log;
+           m.ticks.(k) <- m.ticks.(k) + 1;
+           if Hashtbl.find_opt m.stop_at_tick k = Some m.ticks.(k) then
+             raise Sim.Stop;
+           enqueue m (m.clock +. Hashtbl.find m.periods k) (Tick k)
+         end
+       | Job j ->
+         m.log <-
+           Printf.sprintf "job%d@%g p=%d" j.id at (pending m ~cancelled) :: m.log;
+         Option.iter flip j.flip;
+         Option.iter
+           (fun d ->
+             enqueue m (m.clock +. Float.max d 0.0)
+               (Job { id = j.id + 1000; flip = None; child = None; stop = false }))
+           j.child;
+         if j.stop then raise Sim.Stop);
+      true
+
+  let run m ?until ~cancelled ~flip () =
+    let continue () =
+      match m.queue with
+      | [] -> false
+      | (at, _, _) :: _ -> (
+        match until with
+        | Some h when at > h ->
+          m.clock <- h;
+          false
+        | _ -> true)
+    in
+    try
+      while continue () do
+        ignore (step m ~cancelled ~flip)
+      done;
+      match until with
+      | Some h when m.clock < h && m.queue = [] -> m.clock <- h
+      | _ -> ()
+    with Sim.Stop -> ()
+
+  let advance m ~inclusive ~until ~cancelled ~flip =
+    let continue () =
+      match m.queue with
+      | [] -> false
+      | (at, _, _) :: _ -> if inclusive then at <= until else at < until
+    in
+    (try
+       while continue () do
+         ignore (step m ~cancelled ~flip)
+       done
+     with Sim.Stop -> ());
+    if m.clock < until then m.clock <- until
+end
+
+(* One seeded random sequence of kernel calls, run on a [Sim.t] and on
+   the model side by side; after every call the clocks, the logs of
+   what ran, the timers' cancel flags and [pending] must agree.  Each
+   side keeps its own flags, flipped by the jobs it runs; flips between
+   calls go to both. *)
+let pending_sequence seed =
+  let rng = Cm_util.Prng.create ~seed in
+  let pick xs = List.nth xs (Cm_util.Prng.int rng (List.length xs)) in
+  let sim = Sim.create () in
+  let m = Model.create () in
+  let flags = Array.make 8 false and model_flags = Array.make 8 false in
+  let timers = ref 0 in
+  let cancelled k = model_flags.(k) in
+  let flip_in a k = if k < !timers then a.(k) <- not a.(k) in
+  let flip = flip_in flags and model_flip = flip_in model_flags in
+  let log = ref [] in
+  let next_id = ref 0 in
+  let one_in n = Cm_util.Prng.int rng n = 0 in
+  let job () =
+    incr next_id;
+    { Model.id = !next_id;
+      flip = (if one_in 4 then Some (Cm_util.Prng.int rng 8) else None);
+      child = (if one_in 3 then Some (pick [ -1.0; 0.0; 0.5; 2.0 ]) else None);
+      stop = one_in 10 }
+  in
+  let rec sim_action (j : Model.job) () =
+    log :=
+      Printf.sprintf "job%d@%g p=%d" j.id (Sim.now sim) (Sim.pending sim) :: !log;
+    Option.iter flip j.flip;
+    Option.iter
+      (fun d ->
+        Sim.schedule sim ~delay:d
+          (sim_action { id = j.id + 1000; flip = None; child = None; stop = false }))
+      j.child;
+    if j.stop then raise Sim.Stop
+  in
+  let delay () = pick [ -1.0; 0.0; 0.5; 1.0; 1.5; 3.0 ] in
+  for op = 1 to 40 do
+    let what =
+      match Cm_util.Prng.int rng 9 with
+      | 0 | 1 ->
+        let j = job () and d = delay () in
+        Sim.schedule sim ~delay:d (sim_action j);
+        Model.enqueue m (m.clock +. Float.max d 0.0) (Job j);
+        "schedule"
+      | 2 ->
+        let j = job () and at = Sim.now sim +. delay () in
+        Sim.schedule_at sim at (sim_action j);
+        Model.enqueue m at (Job j);
+        "schedule_at"
+      | 3 when !timers < Array.length flags ->
+        let k = !timers in
+        incr timers;
+        let period = pick [ 0.5; 1.0; 2.5 ] in
+        Hashtbl.replace m.periods k period;
+        let start =
+          if Cm_util.Prng.bool rng then None else Some (Sim.now sim +. delay ())
+        in
+        let stop_at =
+          if one_in 3 then Some (1 + Cm_util.Prng.int rng 3) else None
+        in
+        Option.iter (Hashtbl.replace m.stop_at_tick k) stop_at;
+        let ticks = ref 0 in
+        Sim.every sim ?start ~period
+          (fun () ->
+            log :=
+              Printf.sprintf "tick%d@%g p=%d" k (Sim.now sim) (Sim.pending sim)
+              :: !log;
+            incr ticks;
+            if stop_at = Some !ticks then raise Sim.Stop)
+          ~cancel:(fun () -> flags.(k));
+        Model.enqueue m
+          (match start with Some s -> s | None -> m.clock +. period)
+          (Tick k);
+        "every"
+      | 3 | 4 ->
+        if !timers > 0 then begin
+          let k = Cm_util.Prng.int rng !timers in
+          flip k;
+          model_flip k
+        end;
+        "flip"
+      | 5 ->
+        (try ignore (Sim.step sim) with Sim.Stop -> ());
+        (try ignore (Model.step m ~cancelled ~flip:model_flip) with Sim.Stop -> ());
+        "step"
+      | 6 | 7 ->
+        let until = Sim.now sim +. pick [ 0.0; 0.5; 2.0; 4.0 ] in
+        Sim.run sim ~until;
+        Model.run m ~until ~cancelled ~flip:model_flip ();
+        "run ~until"
+      | _ ->
+        let until = Sim.now sim +. pick [ 0.0; 0.5; 2.0; 4.0 ] in
+        let inclusive = Cm_util.Prng.bool rng in
+        Sim.advance sim ~inclusive ~until;
+        Model.advance m ~inclusive ~until ~cancelled ~flip:model_flip;
+        "advance"
+    in
+    let where = Printf.sprintf "seed %d op %d (%s)" seed op what in
+    Alcotest.(check (float 0.0)) (where ^ ": clock") m.clock (Sim.now sim);
+    Alcotest.(check (list string)) (where ^ ": what ran") m.log !log;
+    Alcotest.(check (array bool)) (where ^ ": cancel flags") model_flags flags;
+    Alcotest.(check int) (where ^ ": pending")
+      (Model.pending m ~cancelled) (Sim.pending sim)
+  done
+
+let pending_differential () =
+  for seed = 1 to 600 do
+    pending_sequence seed
+  done
+
 let () =
   Alcotest.run "cm_sim"
     [
@@ -196,5 +417,10 @@ let () =
             pending_ignores_cancelled_periodics;
           Alcotest.test_case "rng determinism" `Quick rng_determinism;
           Alcotest.test_case "schedule_at past clamped" `Quick schedule_at_past_clamped;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "pending vs a queue-walking model, 600 sequences"
+            `Quick pending_differential;
         ] );
     ]
