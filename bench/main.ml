@@ -942,9 +942,9 @@ let exp_e13 () =
   in
   List.iter
     (fun drop ->
-      (* All message counts below come from the Obs registry, not the raw
-         Net/Reliable counters — the registry is the single source the
-         `cmtool stats` command and EXPERIMENTS.md tables share. *)
+      (* All message counts below come from the Obs registry — the same
+         counters the Net/Reliable accessors read, and the single source
+         the `cmtool stats` command and EXPERIMENTS.md tables share. *)
       let obs = Obs.create () in
       let p =
         run

@@ -202,7 +202,7 @@ type t = {
   mutable rev_transitions : transition list;  (* newest first *)
   mutable rev_rollbacks : rollback list;  (* newest first *)
   mutable rolling_back : bool;  (* re-entrancy guard for auto-rollback *)
-  mutable retirements : int;
+  retirements : Obs.Counter.t;
 }
 
 let create ?(constraints = []) ?(required = []) ?interfaces system =
@@ -234,7 +234,7 @@ let create ?(constraints = []) ?(required = []) ?interfaces system =
     rev_transitions = [];
     rev_rollbacks = [];
     rolling_back = false;
-    retirements = 0;
+    retirements = Obs.Counter.make (System.obs system) "evolution_retirements";
   }
 
 let current_epoch t = t.current_epoch
@@ -448,13 +448,11 @@ let retire t ~epoch =
       (fun (_, shell) -> Shell.retire_epoch shell ~epoch)
       (System.shells t.system);
     t.draining <- List.filter (fun e -> e <> epoch) t.draining;
-    t.retirements <- t.retirements + 1;
-    let obs = System.obs t.system in
-    if Obs.enabled obs then Obs.incr obs "evolution_retirements";
+    Obs.Counter.incr t.retirements;
     Ok ()
   end
 
-let retirements t = t.retirements
+let retirements t = Obs.Counter.value t.retirements
 
 let transport_drained t =
   match System.reliable t.system with

@@ -179,6 +179,8 @@ val rollbacks : t -> rollback list
 val constraints : t -> (string * string) list
 val required : t -> (string * string) list
 val retirements : t -> int
+(** Epochs retired so far: the value of the [evolution_retirements]
+    counter this evolver bumps on the system's registry. *)
 
 val stale_rejections : t -> int
 (** Total stale-epoch envelope rejections across all shells. *)

@@ -109,6 +109,8 @@ let kinds =
      "restarted"; "epoch_proposed"; "epoch_cutover"; "epoch_retired";
      "epoch_rollback"; "checkpoint" |]
 
+let checkpoint_kind = 11
+
 let kind_index = function
   | Event _ -> 0
   | Fire_sent _ -> 1
@@ -121,7 +123,7 @@ let kind_index = function
   | Epoch_cutover _ -> 8
   | Epoch_retired _ -> 9
   | Epoch_rollback _ -> 10
-  | Checkpoint _ -> 11
+  | Checkpoint _ -> checkpoint_kind
 
 let record_kind r = kinds.(kind_index r)
 
@@ -195,11 +197,9 @@ let record_to_string r =
 type t = {
   site : string;
   obs : Obs.t;
-  appends_by_kind : Obs.Counter.t array;  (* by [kind_index] *)
+  appends_by_kind : Obs.Counter.t array;  (* by [kind_index]; the only tally *)
   checkpoint_bytes : Obs.Series.t;
   mutable rev_records : record list;  (* newest first *)
-  mutable count : int;
-  mutable checkpoints : int;
   mutable incarnation : int;  (* count of Restarted records appended *)
 }
 
@@ -218,25 +218,26 @@ let rendered_size r = String.length (record_to_string r) + 1
 
 let append t r =
   t.rev_records <- r :: t.rev_records;
-  t.count <- t.count + 1;
   Obs.Counter.incr t.appends_by_kind.(kind_index r);
   match r with
   | Restarted { incarnation; _ } -> t.incarnation <- incarnation
   | Checkpoint _ ->
-    t.checkpoints <- t.checkpoints + 1;
     if Obs.enabled t.obs then
       Obs.Series.observe t.checkpoint_bytes (float_of_int (rendered_size r))
   | _ -> ()
 
 let records t = List.rev t.rev_records
-let length t = t.count
+
+let length t =
+  Array.fold_left (fun n c -> n + Obs.Counter.value c) 0 t.appends_by_kind
+
 let incarnation (t : t) = t.incarnation
 
 let stats t =
   {
-    appends = t.count;
+    appends = length t;
     bytes = List.fold_left (fun n r -> n + rendered_size r) 0 t.rev_records;
-    checkpoints = t.checkpoints;
+    checkpoints = Obs.Counter.value t.appends_by_kind.(checkpoint_kind);
     incarnation = t.incarnation;
   }
 
@@ -285,8 +286,6 @@ let for_site reg ~site =
         checkpoint_bytes =
           Obs.Series.make obs "journal_checkpoint_bytes" ~labels:[ ("site", site) ];
         rev_records = [];
-        count = 0;
-        checkpoints = 0;
         incarnation = 0;
       }
     in

@@ -135,7 +135,9 @@ val append : t -> record -> unit
     [kind]), bumped through handles the journal resolves when it is
     created; checkpoint records additionally feed the
     [journal_checkpoint_bytes] series.  Nothing is rendered, except a
-    checkpoint's line for that series when the registry is enabled. *)
+    checkpoint's line for that series when the registry is enabled.
+    The counters are the journal's only tally of appends: {!length} and
+    {!stats} sum them, on every registry. *)
 
 val records : t -> record list
 (** Oldest first. *)

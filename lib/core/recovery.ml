@@ -27,6 +27,15 @@ type stats = {
   checkpoints : int;
 }
 
+(* One site's counters, labelled [site]: the manager's only tally, which
+   [stats] sums. *)
+type site_obs = {
+  so_crashes : Obs.Counter.t;
+  so_restarts : Obs.Counter.t;
+  so_replayed : Obs.Counter.t;
+  so_checkpoints : Obs.Counter.t;
+}
+
 type t = {
   sim : Sim.t;
   net : Msg.t Net.t;
@@ -34,18 +43,14 @@ type t = {
   journals : Journal.registry;
   obs : Obs.t;
   mode : Journal.durability;
-  checkpoint_period : float;
   shells : (string, Shell.t) Hashtbl.t;
-  mutable crashes : int;
-  mutable restarts : int;
-  mutable replayed : int;
-  mutable checkpoints_taken : int;
+  by_site : (string, site_obs) Hashtbl.t;
 }
 
-let default_checkpoint_period = 60.0
+(* Simulated seconds between a site's checkpoints. *)
+let checkpoint_period = 60.0
 
-let create ~sim ~net ?reliable ~journals ?(obs = Obs.noop)
-    ?(checkpoint_period = default_checkpoint_period) mode =
+let create ~sim ~net ?reliable ~journals ?(obs = Obs.noop) mode =
   {
     sim;
     net;
@@ -53,13 +58,23 @@ let create ~sim ~net ?reliable ~journals ?(obs = Obs.noop)
     journals;
     obs;
     mode;
-    checkpoint_period;
     shells = Hashtbl.create 8;
-    crashes = 0;
-    restarts = 0;
-    replayed = 0;
-    checkpoints_taken = 0;
+    by_site = Hashtbl.create 8;
   }
+
+let site_obs t site =
+  match Hashtbl.find_opt t.by_site site with
+  | Some so -> so
+  | None ->
+    let counter name = Obs.Counter.make t.obs name ~labels:[ ("site", site) ] in
+    let so =
+      { so_crashes = counter "recovery_crashes";
+        so_restarts = counter "recovery_restarts";
+        so_replayed = counter "recovery_replayed_records";
+        so_checkpoints = counter "recovery_checkpoints" }
+    in
+    Hashtbl.replace t.by_site site so;
+    so
 
 let mode t = t.mode
 let journals t = t.journals
@@ -277,15 +292,14 @@ let checkpoint_now t ~site =
     (Journal.Checkpoint
        { time = Sim.now t.sim; incarnation = Journal.incarnation j;
          store = d.d_store; links; rule_epochs; active_epoch });
-  t.checkpoints_taken <- t.checkpoints_taken + 1;
-  Obs.incr t.obs "recovery_checkpoints" ~labels:[ ("site", site) ]
+  Obs.Counter.incr (site_obs t site).so_checkpoints
 
 let register_shell t shell =
   let site = Shell.site shell in
   Hashtbl.replace t.shells site shell;
   match t.mode with
-  | Journal.Journal_with_checkpoint when t.checkpoint_period > 0.0 ->
-    Sim.every t.sim ~period:t.checkpoint_period
+  | Journal.Journal_with_checkpoint ->
+    Sim.every t.sim ~period:checkpoint_period
       (fun () ->
         (* A crashed site cannot write its own checkpoint. *)
         if not (Net.site_is_down t.net ~site) then checkpoint_now t ~site)
@@ -296,8 +310,7 @@ let register_shell t shell =
 
 let crash t ~site =
   Net.crash_site t.net ~site;
-  t.crashes <- t.crashes + 1;
-  Obs.incr t.obs "recovery_crashes" ~labels:[ ("site", site) ]
+  Obs.Counter.incr (site_obs t site).so_crashes
 
 let restart t ~site =
   let j = Journal.for_site t.journals ~site in
@@ -313,9 +326,7 @@ let restart t ~site =
    | None -> ());
   (* Replay: checkpoint base plus everything after it. *)
   let d = derive j in
-  t.replayed <- t.replayed + d.d_replayed;
-  Obs.incr t.obs "recovery_replayed_records" ~by:d.d_replayed
-    ~labels:[ ("site", site) ];
+  Obs.Counter.incr (site_obs t site).so_replayed ~by:d.d_replayed;
   (match Hashtbl.find_opt t.shells site with
    | Some shell ->
      List.iter (fun (item, v) -> Shell.restore_aux shell item v) d.d_store;
@@ -344,8 +355,7 @@ let restart t ~site =
          Reliable.requeue_unacked r ~from_site:site ~to_site:peer (unacked_list o))
        d.d_out
    | None -> ());
-  t.restarts <- t.restarts + 1;
-  Obs.incr t.obs "recovery_restarts" ~labels:[ ("site", site) ];
+  Obs.Counter.incr (site_obs t site).so_restarts;
   (* §5: with the journal the crash maps to a metric failure — the
      notice doubles as the sign of life that clears peers' suspicion of
      this site (what they owe it never left their wire: a durable frame
@@ -355,9 +365,10 @@ let restart t ~site =
   | None -> ()
 
 let stats t =
+  let sum f = Hashtbl.fold (fun _ so n -> n + Obs.Counter.value (f so)) t.by_site 0 in
   {
-    crashes = t.crashes;
-    restarts = t.restarts;
-    replayed_records = t.replayed;
-    checkpoints = t.checkpoints_taken;
+    crashes = sum (fun so -> so.so_crashes);
+    restarts = sum (fun so -> so.so_restarts);
+    replayed_records = sum (fun so -> so.so_replayed);
+    checkpoints = sum (fun so -> so.so_checkpoints);
   }

@@ -39,16 +39,13 @@ val create :
   ?reliable:Reliable.t ->
   journals:Journal.registry ->
   ?obs:Obs.t ->
-  ?checkpoint_period:float ->
   Journal.durability ->
   t
-(** [checkpoint_period] (default {!default_checkpoint_period}) only
-    matters under [Journal_with_checkpoint].  [obs] receives
+(** Under [Journal_with_checkpoint] every registered shell's site is
+    checkpointed every 60 simulated seconds.  [obs] receives per-site
     [recovery_crashes], [recovery_restarts], [recovery_replayed_records]
-    and [recovery_checkpoints] counters. *)
-
-val default_checkpoint_period : float
-(** 60 simulated seconds. *)
+    and [recovery_checkpoints] counters, which are also the manager's
+    only tally: {!stats} sums them. *)
 
 val mode : t -> Journal.durability
 val journals : t -> Journal.registry

@@ -35,9 +35,10 @@ type stats = {
   requeued : int;
 }
 
-(* A link's counters, resolved when the link is created.  Acks travel
-   back from receiver to sender, so [lo_acks_sent] is labelled that
-   way round; the rest are labelled sender -> receiver. *)
+(* A link's counters, resolved when the link is created; with the
+   endpoints' they are the layer's only tally, which [stats] sums.  Acks
+   travel back from receiver to sender, so [lo_acks_sent] is labelled
+   that way round; the rest are labelled sender -> receiver. *)
 type link_obs = {
   lo_data_sent : Obs.Counter.t;
   lo_retransmits : Obs.Counter.t;
@@ -72,6 +73,9 @@ type link = {
   delivered_mids : (int, unit) Hashtbl.t;
 }
 
+(* Failure-detector verdicts of one endpoint about one peer. *)
+type peer_obs = { po_suspects : Obs.Counter.t; po_recoveries : Obs.Counter.t }
+
 type endpoint = {
   ep_site : string;
   deliver : Msg.t -> unit;
@@ -79,6 +83,7 @@ type endpoint = {
   suspected : (string, unit) Hashtbl.t;
   mutable beat : int;
   ep_heartbeats_sent : Obs.Counter.t;
+  ep_peers : (string, peer_obs) Hashtbl.t;
 }
 
 type t = {
@@ -91,18 +96,6 @@ type t = {
   mutable sites : string list;  (* sorted, for deterministic iteration *)
   links : (string * string, link) Hashtbl.t;
   suspect_hooks : (site:string -> suspect:string -> unit) Queue.t;
-  mutable data_sent : int;
-  mutable retransmits : int;
-  mutable acks_sent : int;
-  mutable delivered : int;
-  mutable dup_suppressed : int;
-  mutable reordered : int;
-  mutable heartbeats_sent : int;
-  mutable give_ups : int;
-  mutable suspects_count : int;
-  mutable recoveries : int;
-  mutable epoch_rejections : int;
-  mutable requeued : int;
 }
 
 let create ~sim ~net ?(config = default_config) ?(obs = Obs.noop) ?journals () =
@@ -116,18 +109,6 @@ let create ~sim ~net ?(config = default_config) ?(obs = Obs.noop) ?journals () =
     sites = [];
     links = Hashtbl.create 16;
     suspect_hooks = Queue.create ();
-    data_sent = 0;
-    retransmits = 0;
-    acks_sent = 0;
-    delivered = 0;
-    dup_suppressed = 0;
-    reordered = 0;
-    heartbeats_sent = 0;
-    give_ups = 0;
-    suspects_count = 0;
-    recoveries = 0;
-    epoch_rejections = 0;
-    requeued = 0;
   }
 
 let config t = t.cfg
@@ -141,12 +122,6 @@ let suspect_threshold t =
   if t.cfg.suspect_after > 0.0 then t.cfg.suspect_after
   else 3.0 *. t.cfg.heartbeat_period
 
-let noop_link_obs =
-  let c = Obs.Counter.make Obs.noop "" in
-  { lo_data_sent = c; lo_retransmits = c; lo_give_ups = c; lo_requeued = c;
-    lo_delivered = c; lo_dup_suppressed = c; lo_reordered = c;
-    lo_epoch_rejections = c; lo_acks_sent = c }
-
 let link t ~from_site ~to_site =
   let key = (from_site, to_site) in
   match Hashtbl.find_opt t.links key with
@@ -156,18 +131,16 @@ let link t ~from_site ~to_site =
       Obs.Counter.make t.obs name ~labels:[ ("from", from_site); ("to", to_site) ]
     in
     let lo =
-      if not (Obs.enabled t.obs) then noop_link_obs
-      else
-        { lo_data_sent = counter "reliable_data_sent";
-          lo_retransmits = counter "reliable_retransmits";
-          lo_give_ups = counter "reliable_give_ups";
-          lo_requeued = counter "reliable_requeued";
-          lo_delivered = counter "reliable_delivered";
-          lo_dup_suppressed = counter "reliable_dup_suppressed";
-          lo_reordered = counter "reliable_reordered";
-          lo_epoch_rejections = counter "reliable_epoch_rejections";
-          lo_acks_sent =
-            counter "reliable_acks_sent" ~from_site:to_site ~to_site:from_site }
+      { lo_data_sent = counter "reliable_data_sent";
+        lo_retransmits = counter "reliable_retransmits";
+        lo_give_ups = counter "reliable_give_ups";
+        lo_requeued = counter "reliable_requeued";
+        lo_delivered = counter "reliable_delivered";
+        lo_dup_suppressed = counter "reliable_dup_suppressed";
+        lo_reordered = counter "reliable_reordered";
+        lo_epoch_rejections = counter "reliable_epoch_rejections";
+        lo_acks_sent =
+          counter "reliable_acks_sent" ~from_site:to_site ~to_site:from_site }
     in
     let l =
       {
@@ -190,12 +163,24 @@ let link t ~from_site ~to_site =
    order on iteration. *)
 let on_suspect t hook = Queue.add hook t.suspect_hooks
 
+let peer_obs t ep peer =
+  match Hashtbl.find_opt ep.ep_peers peer with
+  | Some po -> po
+  | None ->
+    let counter name =
+      Obs.Counter.make t.obs name ~labels:[ ("site", ep.ep_site); ("peer", peer) ]
+    in
+    let po =
+      { po_suspects = counter "reliable_suspects";
+        po_recoveries = counter "reliable_recoveries" }
+    in
+    Hashtbl.replace ep.ep_peers peer po;
+    po
+
 let suspect t ep peer =
   if not (Hashtbl.mem ep.suspected peer) then begin
     Hashtbl.replace ep.suspected peer ();
-    t.suspects_count <- t.suspects_count + 1;
-    Obs.incr t.obs "reliable_suspects"
-      ~labels:[ ("site", ep.ep_site); ("peer", peer) ];
+    Obs.Counter.incr (peer_obs t ep peer).po_suspects;
     Queue.iter (fun hook -> hook ~site:ep.ep_site ~suspect:peer) t.suspect_hooks;
     ep.deliver (Msg.Suspect_down { origin_site = ep.ep_site; suspect_site = peer })
   end
@@ -224,7 +209,6 @@ let rec transmit t ~from_site ~to_site l ~seq ~attempt ~timeout =
                frame is dropped, which is the pre-recovery protocol. *)
             let durable = Option.is_some (journal_for t from_site) in
             if not durable then Hashtbl.remove l.outstanding seq;
-            t.give_ups <- t.give_ups + 1;
             Obs.Counter.incr l.lo.lo_give_ups;
             (match Hashtbl.find_opt t.endpoints from_site with
              | Some ep -> suspect t ep to_site
@@ -240,7 +224,6 @@ let rec transmit t ~from_site ~to_site l ~seq ~attempt ~timeout =
             transmit t ~from_site ~to_site l ~seq ~attempt:(attempt + 1)
               ~timeout:t.cfg.max_timeout
           else begin
-            t.retransmits <- t.retransmits + 1;
             Obs.Counter.incr l.lo.lo_retransmits;
             (* Attach the retry to the firing's trace when the payload is a
                Fire envelope carrying a span id. *)
@@ -277,7 +260,6 @@ let requeue_unacked t ~from_site ~to_site unacked =
           (Journal.Outbound
              { time = Sim.now t.sim; to_site; mid; epoch = l.epoch; seq; payload });
         Hashtbl.replace l.outstanding seq (l.epoch, mid, payload);
-        t.requeued <- t.requeued + 1;
         Obs.Counter.incr l.lo.lo_requeued;
         transmit t ~from_site ~to_site l ~seq ~attempt:0 ~timeout:t.cfg.retry_timeout)
       unacked
@@ -287,9 +269,7 @@ let heard t ep peer =
   Hashtbl.replace ep.last_heard peer (Sim.now t.sim);
   if Hashtbl.mem ep.suspected peer then begin
     Hashtbl.remove ep.suspected peer;
-    t.recoveries <- t.recoveries + 1;
-    Obs.incr t.obs "reliable_recoveries"
-      ~labels:[ ("site", ep.ep_site); ("peer", peer) ];
+    Obs.Counter.incr (peer_obs t ep peer).po_recoveries;
     ep.deliver (Msg.Reset_notice { origin_site = peer })
   end
 
@@ -313,7 +293,6 @@ let send t ~from_site ~to_site msg =
               payload = msg })
      | None -> ());
     Hashtbl.replace l.outstanding seq (l.epoch, mid, msg);
-    t.data_sent <- t.data_sent + 1;
     Obs.Counter.incr l.lo.lo_data_sent;
     transmit t ~from_site ~to_site l ~seq ~attempt:0 ~timeout:t.cfg.retry_timeout
   end
@@ -332,14 +311,10 @@ let consume_slot t ep l ~from_site ~epoch ~seq ~mid payload =
           { time = Sim.now t.sim; from_site; epoch; seq; mid; applied = fresh })
    | None -> ());
   if fresh then begin
-    t.delivered <- t.delivered + 1;
     Obs.Counter.incr l.lo.lo_delivered;
     ep.deliver payload
   end
-  else begin
-    t.dup_suppressed <- t.dup_suppressed + 1;
-    Obs.Counter.incr l.lo.lo_dup_suppressed
-  end
+  else Obs.Counter.incr l.lo.lo_dup_suppressed
 
 let receive t ep frame =
   match frame with
@@ -350,7 +325,6 @@ let receive t ep frame =
       (* A retransmit from a previous life of [from_site].  Rejecting it
          (and not acking) is what keeps old and new sequence spaces from
          being mis-deduplicated against each other. *)
-      t.epoch_rejections <- t.epoch_rejections + 1;
       Obs.Counter.incr l.lo.lo_epoch_rejections
     end
     else begin
@@ -364,17 +338,12 @@ let receive t ep frame =
         Hashtbl.reset l.held
       end;
       let ack ~epoch ~seq =
-        t.acks_sent <- t.acks_sent + 1;
         Obs.Counter.incr l.lo.lo_acks_sent;
         Net.send t.net ~from_site:ep.ep_site ~to_site:from_site
           (Msg.Ack { from_site = ep.ep_site; epoch; seq })
       in
-      let suppress () =
-        t.dup_suppressed <- t.dup_suppressed + 1;
-        Obs.Counter.incr l.lo.lo_dup_suppressed
-      in
+      let suppress () = Obs.Counter.incr l.lo.lo_dup_suppressed in
       let hold () =
-        t.reordered <- t.reordered + 1;
         Obs.Counter.incr l.lo.lo_reordered;
         Hashtbl.replace l.held seq (mid, payload)
       in
@@ -451,7 +420,6 @@ let heartbeat_tick t ep =
     (fun peer ->
       if not (String.equal peer ep.ep_site) then begin
         ep.beat <- ep.beat + 1;
-        t.heartbeats_sent <- t.heartbeats_sent + 1;
         Obs.Counter.incr ep.ep_heartbeats_sent;
         Net.send t.net ~from_site:ep.ep_site ~to_site:peer
           (Msg.Heartbeat { origin_site = ep.ep_site; beat = ep.beat });
@@ -475,6 +443,7 @@ let register t ~site deliver =
       beat = 0;
       ep_heartbeats_sent =
         Obs.Counter.make t.obs "reliable_heartbeats_sent" ~labels:[ ("site", site) ];
+      ep_peers = Hashtbl.create 4;
     }
   in
   Hashtbl.replace t.endpoints site ep;
@@ -531,19 +500,25 @@ let suspects t ~site =
     |> List.sort compare
 
 let stats t =
+  let sum tbl f = Hashtbl.fold (fun _ x n -> n + f x) tbl 0 in
+  let links f = sum t.links (fun l -> Obs.Counter.value (f l.lo)) in
+  let peers f =
+    sum t.endpoints (fun ep -> sum ep.ep_peers (fun po -> Obs.Counter.value (f po)))
+  in
   {
-    data_sent = t.data_sent;
-    retransmits = t.retransmits;
-    acks_sent = t.acks_sent;
-    delivered = t.delivered;
-    dup_suppressed = t.dup_suppressed;
-    reordered = t.reordered;
-    heartbeats_sent = t.heartbeats_sent;
-    give_ups = t.give_ups;
-    suspects = t.suspects_count;
-    recoveries = t.recoveries;
-    epoch_rejections = t.epoch_rejections;
-    requeued = t.requeued;
+    data_sent = links (fun lo -> lo.lo_data_sent);
+    retransmits = links (fun lo -> lo.lo_retransmits);
+    acks_sent = links (fun lo -> lo.lo_acks_sent);
+    delivered = links (fun lo -> lo.lo_delivered);
+    dup_suppressed = links (fun lo -> lo.lo_dup_suppressed);
+    reordered = links (fun lo -> lo.lo_reordered);
+    heartbeats_sent =
+      sum t.endpoints (fun ep -> Obs.Counter.value ep.ep_heartbeats_sent);
+    give_ups = links (fun lo -> lo.lo_give_ups);
+    suspects = peers (fun po -> po.po_suspects);
+    recoveries = peers (fun po -> po.po_recoveries);
+    epoch_rejections = links (fun lo -> lo.lo_epoch_rejections);
+    requeued = links (fun lo -> lo.lo_requeued);
   }
 
 let pending t =

@@ -95,9 +95,11 @@ val create :
   t
 (** [obs] (default {!Obs.noop}) receives [reliable_*] counters
     (data_sent, retransmits, acks_sent, delivered, dup_suppressed,
-    reordered, heartbeats_sent, give_ups, suspects, recoveries,
-    epoch_rejections, requeued) and ["retransmit"] child spans for
-    retried {!Msg.Fire} envelopes.  [journals] (default: none) turns on
+    reordered, give_ups, epoch_rejections and requeued per directed
+    link; heartbeats_sent per site; suspects and recoveries per (site,
+    peer)) and ["retransmit"] child spans for retried {!Msg.Fire}
+    envelopes.  The counters are the layer's only tally: {!stats} sums
+    them, on every registry.  [journals] (default: none) turns on
     write-ahead logging of transport state, the prerequisite for crash
     recovery. *)
 
@@ -161,6 +163,7 @@ val requeue_unacked :
     without a journal. *)
 
 val stats : t -> stats
+(** Sums of the layer's [reliable_*] counter handles. *)
 
 val pending : t -> int
 (** Envelopes sent but neither acknowledged nor abandoned. *)

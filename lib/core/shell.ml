@@ -26,7 +26,9 @@ type rule_epoch = {
 }
 
 (* Per-rule instruments at one shell, keyed by rule id, resolved on the
-   id's first event there; a handle registers its row only when bumped. *)
+   id's first event there; a handle registers its row only when bumped.
+   Bumped only on an enabled registry: a lookup per fire would cost the
+   noop path a table probe. *)
 type rule_obs = {
   ro_fires_sent : Obs.Counter.t;
   ro_fires_executed : Obs.Counter.t;
@@ -34,11 +36,6 @@ type rule_obs = {
   ro_rhs_rejections : Obs.Counter.t;
   ro_stale_epoch_rejections : Obs.Counter.t;
 }
-
-let noop_rule_obs =
-  let c = Obs.Counter.make Obs.noop "" in
-  { ro_fires_sent = c; ro_fires_executed = c; ro_lhs_rejections = c;
-    ro_rhs_rejections = c; ro_stale_epoch_rejections = c }
 
 (* A replayable epoch transition, as recovery derives it from the
    journal. *)
@@ -54,7 +51,7 @@ type t = {
   trace : Trace.t;
   locator : Item.locator;
   obs : Obs.t;
-  obs_events : Obs.Counter.t;
+  obs_events : Obs.Counter.t;  (* the only tally of events seen *)
   obs_queue_depth : Obs.Gauge.t;
   obs_by_rule : (string, rule_obs) Hashtbl.t;
   site : string;
@@ -82,7 +79,6 @@ type t = {
   mutable peer_sites : string list;  (* sorted: deterministic broadcasts *)
   mutable fires_sent : int;
   mutable fires_executed : int;
-  mutable events_seen : int;
 }
 
 let site t = t.site
@@ -111,26 +107,28 @@ let local_state t =
         | None -> Store.get t.store item)
 
 let rule_obs t rule_id =
-  if not (Obs.enabled t.obs) then noop_rule_obs
-  else
-    match Hashtbl.find_opt t.obs_by_rule rule_id with
-    | Some ro -> ro
-    | None ->
-      let counter ?(extra = []) name =
-        Obs.Counter.make t.obs name
-          ~labels:(("site", t.site) :: ("rule", rule_id) :: extra)
-      in
-      let ro =
-        { ro_fires_sent = counter "shell_fires_sent";
-          ro_fires_executed = counter "shell_fires_executed";
-          ro_lhs_rejections =
-            counter "shell_guard_rejections" ~extra:[ ("side", "lhs") ];
-          ro_rhs_rejections =
-            counter "shell_guard_rejections" ~extra:[ ("side", "rhs") ];
-          ro_stale_epoch_rejections = counter "shell_stale_epoch_rejections" }
-      in
-      Hashtbl.replace t.obs_by_rule rule_id ro;
-      ro
+  match Hashtbl.find_opt t.obs_by_rule rule_id with
+  | Some ro -> ro
+  | None ->
+    let counter ?(extra = []) name =
+      Obs.Counter.make t.obs name
+        ~labels:(("site", t.site) :: ("rule", rule_id) :: extra)
+    in
+    let ro =
+      { ro_fires_sent = counter "shell_fires_sent";
+        ro_fires_executed = counter "shell_fires_executed";
+        ro_lhs_rejections =
+          counter "shell_guard_rejections" ~extra:[ ("side", "lhs") ];
+        ro_rhs_rejections =
+          counter "shell_guard_rejections" ~extra:[ ("side", "rhs") ];
+        ro_stale_epoch_rejections = counter "shell_stale_epoch_rejections" }
+    in
+    Hashtbl.replace t.obs_by_rule rule_id ro;
+    ro
+
+(* A per-rule row, bumped only on an enabled registry. *)
+let bump_rule t rule_id row =
+  if Obs.enabled t.obs then Obs.Counter.incr (row (rule_obs t rule_id))
 
 let eval_cond_safe t env cond =
   try Expr.eval_cond (local_state t) env cond with Expr.Eval_error _ -> None
@@ -267,21 +265,19 @@ let candidate_rules t (event : Event.t) =
     ~desc:event.desc
 
 let rec occurred t (event : Event.t) =
-  t.events_seen <- t.events_seen + 1;
+  Obs.Counter.incr t.obs_events;
   (* The gauge's float and the span labels below are built eagerly at
      the call site even when the registry is the noop one — keep them
      off the disabled hot path. *)
-  if Obs.enabled t.obs then begin
-    Obs.Counter.incr t.obs_events;
-    Obs.Gauge.set t.obs_queue_depth (float_of_int (Sim.pending t.sim))
-  end;
+  if Obs.enabled t.obs then
+    Obs.Gauge.set t.obs_queue_depth (float_of_int (Sim.pending t.sim));
   List.iter
     (fun rule ->
       match Template.matches rule.Rule.lhs event.desc ~seed:Expr.empty_env with
       | None -> ()
       | Some env0 -> (
           match eval_cond_safe t env0 rule.Rule.lhs_cond with
-          | None -> Obs.Counter.incr (rule_obs t rule.Rule.id).ro_lhs_rejections
+          | None -> bump_rule t rule.Rule.id (fun ro -> ro.ro_lhs_rejections)
           | Some env ->
             let rhs_site =
               match Rule.rhs_site rule t.locator with
@@ -391,7 +387,7 @@ and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
        it under a different program would re-interpret an old firing
        under new rules; dropping it silently would hide the loss. *)
     t.stale_epoch_rejections <- t.stale_epoch_rejections + 1;
-    Obs.Counter.incr (rule_obs t rule_id).ro_stale_epoch_rejections;
+    bump_rule t rule_id (fun ro -> ro.ro_stale_epoch_rejections);
     Logs.warn (fun m ->
         m ~tags:(tags t ?span:(if parent_span > 0 then Some parent_span else None))
           "shell %s: Fire %s#%d rejected: rule epoch %d is %s" t.site rule_id
@@ -425,7 +421,7 @@ and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
       | (step : Rule.step) :: rest -> (
         match eval_cond_safe t env step.guard with
         | None ->
-          Obs.Counter.incr (rule_obs t rule_id).ro_rhs_rejections;
+          bump_rule t rule_id (fun ro -> ro.ro_rhs_rejections);
           steps env (i + 1) rest
         | Some env' -> (
           match Template.instantiate step.template env' with
@@ -517,7 +513,6 @@ let create ctx ~site =
       peer_sites = [];
       fires_sent = 0;
       fires_executed = 0;
-      events_seen = 0;
     }
   in
   Hashtbl.replace t.handled_sites site ();
@@ -601,7 +596,7 @@ let broadcast_reset t =
 
 let fires_sent t = t.fires_sent
 let fires_executed t = t.fires_executed
-let events_seen t = t.events_seen
+let events_seen t = Obs.Counter.value t.obs_events
 
 (* -- crash-recovery hooks (driven by Cm_core.Recovery) -- *)
 

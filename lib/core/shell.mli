@@ -114,6 +114,8 @@ val set_peer_sites : t -> string list -> unit
 val fires_sent : t -> int
 val fires_executed : t -> int
 val events_seen : t -> int
+(** Events this shell recorded: the value of its [shell_events{site}]
+    counter, which counts on every registry. *)
 
 (** {2 Rule epochs}
 

@@ -12,7 +12,6 @@ module Config = struct
     obs : Obs.t option;
     durability : Journal.durability;
     monitor : bool;
-    monitor_tick : float;
   }
 
   let default =
@@ -25,11 +24,9 @@ module Config = struct
       obs = None;
       durability = Journal.None;
       monitor = false;
-      monitor_tick = 1.0;
     }
 
   let seeded seed = { default with seed }
-  let with_seed seed t = { t with seed }
   let with_latency latency t = { t with latency = Some latency }
   let with_fifo fifo t = { t with fifo }
   let with_faults faults t = { t with faults = Some faults }
@@ -37,7 +34,6 @@ module Config = struct
   let with_obs obs t = { t with obs = Some obs }
   let with_durability durability t = { t with durability }
   let with_monitor monitor t = { t with monitor }
-  let with_monitor_tick monitor_tick t = { t with monitor_tick }
 end
 
 type guarantee_entry = {
@@ -185,56 +181,6 @@ type t = {
          that owns the site handles it *)
 }
 
-(* Instruments behind Net's hooks for one directed (from, to) pair,
-   resolved on the pair's first hook call. *)
-type net_pair_obs = {
-  np_sent : Obs.Counter.t;
-  np_dropped : Net.drop_reason -> Obs.Counter.t;
-  np_duplicated : Obs.Counter.t;
-  np_latency : Obs.Series.t;
-}
-
-(* Keyed from -> to in two string tables, so a hook call allocates no
-   key. *)
-let net_pair_obs obs =
-  let by_from = Hashtbl.create 8 in
-  fun ~from_site ~to_site ->
-    let by_to =
-      match Hashtbl.find_opt by_from from_site with
-      | Some by_to -> by_to
-      | None ->
-        let by_to = Hashtbl.create 8 in
-        Hashtbl.replace by_from from_site by_to;
-        by_to
-    in
-    match Hashtbl.find_opt by_to to_site with
-    | Some p -> p
-    | None ->
-      let labels = [ ("from", from_site); ("to", to_site) ] in
-      let dropped reason =
-        Obs.Counter.make obs "net_dropped"
-          ~labels:(("reason", Net.drop_reason_to_string reason) :: labels)
-      in
-      let unroutable = dropped Net.Unroutable
-      and endpoint_down = dropped Net.Endpoint_down
-      and partitioned = dropped Net.Partitioned
-      and faulty = dropped Net.Faulty in
-      let p =
-        {
-          np_sent = Obs.Counter.make obs "net_sent" ~labels;
-          np_dropped =
-            (function
-              | Net.Unroutable -> unroutable
-              | Net.Endpoint_down -> endpoint_down
-              | Net.Partitioned -> partitioned
-              | Net.Faulty -> faulty);
-          np_duplicated = Obs.Counter.make obs "net_duplicated" ~labels;
-          np_latency = Obs.Series.make obs "net_latency" ~labels;
-        }
-      in
-      Hashtbl.replace by_to to_site p;
-      p
-
 let create ?(config = Config.default) ?shard_slot locator =
   (* A shard-slot system is one partition of a sharded world: its sim is
      seeded per shard (streams must not collide across wheels), its
@@ -246,6 +192,7 @@ let create ?(config = Config.default) ?shard_slot locator =
     | None -> Sim.create ~seed:config.Config.seed ()
     | Some (k, _) -> Sim.create ~seed:(config.Config.seed + ((k + 1) * 1000003)) ()
   in
+  let obs = Option.value config.Config.obs ~default:Obs.noop in
   let net =
     Net.create ~sim ?latency:config.Config.latency ~fifo:config.Config.fifo
       ?faults:config.Config.faults
@@ -253,23 +200,8 @@ let create ?(config = Config.default) ?shard_slot locator =
         (match shard_slot with
          | None -> None
          | Some _ -> Some (Net.Keyed config.Config.seed))
-      ()
+      ~obs ()
   in
-  let obs = Option.value config.Config.obs ~default:Obs.noop in
-  if Obs.enabled obs then begin
-    (* The network layer cannot depend on cm_core, so its neutral hooks
-       are wired into the registry here. None of these consume the
-       simulation PRNG. *)
-    let pair = net_pair_obs obs in
-    Net.on_send net (fun ~from_site ~to_site ->
-        Obs.Counter.incr (pair ~from_site ~to_site).np_sent);
-    Net.on_drop net (fun ~from_site ~to_site reason ->
-        Obs.Counter.incr ((pair ~from_site ~to_site).np_dropped reason));
-    Net.on_duplicate net (fun ~from_site ~to_site ->
-        Obs.Counter.incr (pair ~from_site ~to_site).np_duplicated);
-    Net.on_deliver net (fun ~from_site ~to_site ~latency ->
-        Obs.Series.observe (pair ~from_site ~to_site).np_latency latency)
-  end;
   let journals =
     match config.Config.durability with
     | Journal.None -> None
@@ -295,7 +227,7 @@ let create ?(config = Config.default) ?shard_slot locator =
   in
   let monitor =
     if config.Config.monitor then begin
-      let m = Monitor.create ~sim ~obs ~tick:config.Config.monitor_tick () in
+      let m = Monitor.create ~sim ~obs () in
       Monitor.attach m trace;
       Some m
     end

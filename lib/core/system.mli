@@ -19,7 +19,7 @@ type t
     with-style setters:
 
     {[
-      System.Config.(default |> with_seed 7 |> with_faults lossy
+      System.Config.(seeded 7 |> with_faults lossy
                              |> with_reliable Reliable.default_config
                              |> with_obs (Obs.create ()))
     ]} *)
@@ -54,18 +54,15 @@ module Config : sig
             are recorded, and a live per-copy staleness verdict feeds
             the read router's quarantine machinery.  Observation only —
             the trace, the PRNG and the dispatch path are untouched, so
-            a monitored run is byte-identical to an unmonitored one. *)
-    monitor_tick : float;
-        (** staleness re-evaluation period of the monitor (default 1.0
-            s) — the "poll period" in the κ + tick detection bound for
-            silently dying notification channels (§5 [Silent_drop]). *)
+            a monitored run is byte-identical to an unmonitored one.
+            The monitor re-evaluates staleness at {!Monitor.create}'s
+            default tick of 1.0 s. *)
   }
 
   val default : t
   val seeded : int -> t
   (** [seeded n] is [default] at seed [n] — the most common override. *)
 
-  val with_seed : int -> t -> t
   val with_latency : Cm_net.Net.latency -> t -> t
   val with_fifo : bool -> t -> t
   val with_faults : Cm_net.Net.faults -> t -> t
@@ -73,15 +70,15 @@ module Config : sig
   val with_obs : Obs.t -> t -> t
   val with_durability : Journal.durability -> t -> t
   val with_monitor : bool -> t -> t
-  val with_monitor_tick : float -> t -> t
 end
 
 val create : ?config:Config.t -> ?shard_slot:int * int -> Cm_rule.Item.locator -> t
 (** Build the simulated world described by [config] (default
-    {!Config.default}).  When [config.obs] is set, the network's
-    send/drop/duplicate/latency hooks, the reliable layer's counters,
-    every shell's match/fire/guard instruments, and the system's
-    guarantee bookkeeping all record into that registry.
+    {!Config.default}).  When [config.obs] is set, the network's link
+    instruments, the reliable layer's counters, every shell's
+    match/fire/guard instruments, and the system's guarantee
+    bookkeeping all record into that registry (the network gets it
+    through [Net.create ~obs]).
 
     [shard_slot = (k, n)] is for [Cm_shard.Fabric] only: the system is
     shard [k] of [n] — its sim seed is derived per shard, its network

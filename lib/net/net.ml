@@ -1,4 +1,5 @@
 module Sim = Cm_sim.Sim
+module Obs = Cm_obs.Obs
 
 type latency = { base : float; jitter : float }
 
@@ -18,20 +19,32 @@ let drop_reason_to_string = function
   | Partitioned -> "partitioned"
   | Faulty -> "faulty"
 
-type 'msg link = {
+let drop_reasons = [| Unroutable; Endpoint_down; Partitioned; Faulty |]
+
+let reason_index = function
+  | Unroutable -> 0
+  | Endpoint_down -> 1
+  | Partitioned -> 2
+  | Faulty -> 3
+
+type link = {
   mutable link_latency : latency;
   (* Time at which the most recently sent message on this link will be
      delivered; later sends are delivered no earlier (FIFO). *)
   mutable last_delivery : float;
-  mutable count : int;
   mutable link_faults : faults option;  (* None = follow the net default *)
   mutable down_until : float;  (* partition window: drop while now < down_until *)
-  mutable dropped : int;
   (* Keyed-draw stream of this directed link, created on first draw.
      Its state advances in link-send order, which is deterministic for a
      deterministic execution — and independent of how sites are sharded,
      because a directed link lives entirely at its source site's shard. *)
   mutable link_rng : Cm_util.Prng.t option;
+  (* The link's instruments, labelled {from, to}: the network's only
+     tally of its traffic. *)
+  net_sent : Obs.Counter.t;
+  net_dropped : Obs.Counter.t array;  (* by [reason_index] *)
+  net_duplicated : Obs.Counter.t;
+  net_latency : Obs.Series.t;
 }
 
 type 'msg t = {
@@ -47,29 +60,18 @@ type 'msg t = {
   mutable forward :
     from_site:string -> to_site:string -> at:float -> 'msg -> unit;
   handlers : (string, 'msg -> unit) Hashtbl.t;
-  links : (string * string, 'msg link) Hashtbl.t;
+  links : (string * string, link) Hashtbl.t;
   down_sites : (string, unit) Hashtbl.t;
   mutable default_faults : faults;
-  mutable sent : int;
-  mutable dropped : int;
-  mutable unroutable : int;
-  mutable endpoint_down : int;
-  (* Endpoint_down split: dropped at send time (an endpoint was already
-     down when the message was handed to the network) vs. in flight (the
-     destination crashed while the message was on the wire). *)
+  obs : Obs.t;
+  (* The one Endpoint_down split with no instrument: drops where the
+     destination crashed while the message was on the wire. *)
   mutable endpoint_down_in_flight : int;
-  mutable partitioned : int;
-  mutable faulty : int;
-  mutable duplicated : int;
-  drop_hooks : (from_site:string -> to_site:string -> drop_reason -> unit) Queue.t;
   send_hooks : (from_site:string -> to_site:string -> unit) Queue.t;
-  deliver_hooks :
-    (from_site:string -> to_site:string -> latency:float -> unit) Queue.t;
-  duplicate_hooks : (from_site:string -> to_site:string -> unit) Queue.t;
 }
 
 let create ~sim ?(latency = default_latency) ?(fifo = true) ?(faults = no_faults)
-    ?(draws = Stream) () =
+    ?(draws = Stream) ?(obs = Obs.noop) () =
   {
     sim;
     default = latency;
@@ -84,18 +86,9 @@ let create ~sim ?(latency = default_latency) ?(fifo = true) ?(faults = no_faults
     links = Hashtbl.create 16;
     down_sites = Hashtbl.create 4;
     default_faults = faults;
-    sent = 0;
-    dropped = 0;
-    unroutable = 0;
-    endpoint_down = 0;
+    obs;
     endpoint_down_in_flight = 0;
-    partitioned = 0;
-    faulty = 0;
-    duplicated = 0;
-    drop_hooks = Queue.create ();
     send_hooks = Queue.create ();
-    deliver_hooks = Queue.create ();
-    duplicate_hooks = Queue.create ();
   }
 
 let link t ~from_site ~to_site =
@@ -103,15 +96,23 @@ let link t ~from_site ~to_site =
   match Hashtbl.find_opt t.links key with
   | Some l -> l
   | None ->
+    let labels = [ ("from", from_site); ("to", to_site) ] in
     let l =
       {
         link_latency = t.default;
         last_delivery = 0.0;
-        count = 0;
         link_faults = None;
         down_until = 0.0;
-        dropped = 0;
         link_rng = None;
+        net_sent = Obs.Counter.make t.obs "net_sent" ~labels;
+        net_dropped =
+          Array.map
+            (fun reason ->
+              Obs.Counter.make t.obs "net_dropped"
+                ~labels:(("reason", drop_reason_to_string reason) :: labels))
+            drop_reasons;
+        net_duplicated = Obs.Counter.make t.obs "net_duplicated" ~labels;
+        net_latency = Obs.Series.make t.obs "net_latency" ~labels;
       }
     in
     Hashtbl.replace t.links key l;
@@ -142,27 +143,16 @@ let register t ~site handler =
     invalid_arg ("Net.register: site already registered: " ^ site);
   Hashtbl.replace t.handlers site handler
 
-(* Hook registration is O(1) (hooks used to be appended to a list, which
-   is quadratic when registering in a loop); queues preserve registration
-   order on iteration. *)
-let on_drop t hook = Queue.add hook t.drop_hooks
+(* O(1) registration; hooks run in registration order. *)
 let on_send t hook = Queue.add hook t.send_hooks
-let on_deliver t hook = Queue.add hook t.deliver_hooks
-let on_duplicate t hook = Queue.add hook t.duplicate_hooks
 
-let record_drop t ?link ?(in_flight = false) ~from_site ~to_site reason =
-  t.dropped <- t.dropped + 1;
-  (match reason with
-   | Unroutable -> t.unroutable <- t.unroutable + 1
-   | Endpoint_down ->
-     t.endpoint_down <- t.endpoint_down + 1;
-     if in_flight then t.endpoint_down_in_flight <- t.endpoint_down_in_flight + 1
-   | Partitioned -> t.partitioned <- t.partitioned + 1
-   | Faulty -> t.faulty <- t.faulty + 1);
-  (match link with
-   | Some (l : _ link) -> l.dropped <- l.dropped + 1
-   | None -> ());
-  Queue.iter (fun hook -> hook ~from_site ~to_site reason) t.drop_hooks
+let record_drop l reason = Obs.Counter.incr l.net_dropped.(reason_index reason)
+
+(* A copy accepted onto the wire, lost because its destination crashed
+   before it arrived. *)
+let record_in_flight_drop t l =
+  t.endpoint_down_in_flight <- t.endpoint_down_in_flight + 1;
+  record_drop l Endpoint_down
 
 (* Stream of the keyed-draw mode: one Prng per directed link, named by
    (seed, from, to).  Advanced in link-send order, so the draws a link
@@ -213,23 +203,20 @@ let deliver_copy t l ~from_site ~to_site sink msg =
     if t.fifo then Float.max (now +. delay) l.last_delivery else now +. delay
   in
   l.last_delivery <- Float.max at l.last_delivery;
-  Queue.iter (fun hook -> hook ~from_site ~to_site ~latency:(at -. now)) t.deliver_hooks;
+  (* Guarded so the noop path boxes no float. *)
+  if Obs.enabled t.obs then Obs.Series.observe l.net_latency (at -. now);
   match sink with
   | Forward -> t.forward ~from_site ~to_site ~at msg
   | Local handler ->
     Sim.schedule_at t.sim at (fun () ->
         (* In-flight messages arriving at a crashed endpoint are lost. *)
-        if Hashtbl.mem t.down_sites to_site then
-          record_drop t ~link:l ~in_flight:true ~from_site ~to_site Endpoint_down
+        if Hashtbl.mem t.down_sites to_site then record_in_flight_drop t l
         else handler msg)
 
-let send_via t ~from_site ~to_site sink msg =
-  let l = link t ~from_site ~to_site in
-  l.count <- l.count + 1;
+let send_via t l ~from_site ~to_site sink msg =
   if Hashtbl.mem t.down_sites from_site || Hashtbl.mem t.down_sites to_site then
-    record_drop t ~link:l ~from_site ~to_site Endpoint_down
-  else if Sim.now t.sim < l.down_until then
-    record_drop t ~link:l ~from_site ~to_site Partitioned
+    record_drop l Endpoint_down
+  else if Sim.now t.sim < l.down_until then record_drop l Partitioned
   else begin
     let local = String.equal from_site to_site in
     let faults = Option.value l.link_faults ~default:t.default_faults in
@@ -237,23 +224,24 @@ let send_via t ~from_site ~to_site sink msg =
        runs with the same seed make the same choices. *)
     let lost = (not local) && draw t l ~from_site ~to_site faults.drop_prob in
     let duplicated = (not local) && draw t l ~from_site ~to_site faults.dup_prob in
-    if lost then record_drop t ~link:l ~from_site ~to_site Faulty
+    if lost then record_drop l Faulty
     else deliver_copy t l ~from_site ~to_site sink msg;
     if duplicated then begin
-      t.duplicated <- t.duplicated + 1;
-      Queue.iter (fun hook -> hook ~from_site ~to_site) t.duplicate_hooks;
+      Obs.Counter.incr l.net_duplicated;
       deliver_copy t l ~from_site ~to_site sink msg
     end
   end
 
 let send t ~from_site ~to_site msg =
-  t.sent <- t.sent + 1;
-  Queue.iter (fun hook -> hook ~from_site ~to_site) t.send_hooks;
+  let l = link t ~from_site ~to_site in
+  Obs.Counter.incr l.net_sent;
+  if not (Queue.is_empty t.send_hooks) then
+    Queue.iter (fun hook -> hook ~from_site ~to_site) t.send_hooks;
   match Hashtbl.find_opt t.handlers to_site with
-  | Some handler -> send_via t ~from_site ~to_site (Local handler) msg
+  | Some handler -> send_via t l ~from_site ~to_site (Local handler) msg
   | None ->
-    if t.remote_site to_site then send_via t ~from_site ~to_site Forward msg
-    else record_drop t ~from_site ~to_site Unroutable
+    if t.remote_site to_site then send_via t l ~from_site ~to_site Forward msg
+    else record_drop l Unroutable
 
 let set_remote t ~remote_site ~forward =
   t.remote_site <- remote_site;
@@ -265,13 +253,11 @@ let inject t ~from_site ~to_site ~at msg =
      and computed [at]; here only the delivery-time checks remain. *)
   Sim.schedule_at t.sim at (fun () ->
       if Hashtbl.mem t.down_sites to_site then
-        record_drop t
-          ~link:(link t ~from_site ~to_site)
-          ~in_flight:true ~from_site ~to_site Endpoint_down
+        record_in_flight_drop t (link t ~from_site ~to_site)
       else
         match Hashtbl.find_opt t.handlers to_site with
         | Some handler -> handler msg
-        | None -> record_drop t ~from_site ~to_site Unroutable)
+        | None -> record_drop (link t ~from_site ~to_site) Unroutable)
 
 let link_base_latency t ~from_site ~to_site =
   if String.equal from_site to_site then 0.0
@@ -289,42 +275,24 @@ let reachable t ~from_site ~to_site =
      | Some l -> Sim.now t.sim >= l.down_until
      | None -> true)
 
-let messages_sent t = t.sent
+(* Totals are folds over the links: each link's counters are the only
+   tally. *)
+let sum_links t f = Hashtbl.fold (fun _ l acc -> acc + f l) t.links 0
 
-let messages_between t ~from_site ~to_site =
+let on_link t ~from_site ~to_site f =
   match Hashtbl.find_opt t.links (from_site, to_site) with
-  | Some l -> l.count
+  | Some l -> f l
   | None -> 0
 
-let messages_dropped t = t.dropped
+let sent l = Obs.Counter.value l.net_sent
+let dropped_by reason l = Obs.Counter.value l.net_dropped.(reason_index reason)
+let dropped l = Array.fold_left (fun n c -> n + Obs.Counter.value c) 0 l.net_dropped
 
-let drops_by t = function
-  | Unroutable -> t.unroutable
-  | Endpoint_down -> t.endpoint_down
-  | Partitioned -> t.partitioned
-  | Faulty -> t.faulty
-
+let messages_sent t = sum_links t sent
+let messages_between t ~from_site ~to_site = on_link t ~from_site ~to_site sent
+let messages_dropped t = sum_links t dropped
+let drops_by t reason = sum_links t (dropped_by reason)
+let dropped_between t ~from_site ~to_site = on_link t ~from_site ~to_site dropped
+let messages_duplicated t = sum_links t (fun l -> Obs.Counter.value l.net_duplicated)
 let endpoint_down_in_flight t = t.endpoint_down_in_flight
-let endpoint_down_at_send t = t.endpoint_down - t.endpoint_down_in_flight
-
-let dropped_between t ~from_site ~to_site =
-  match Hashtbl.find_opt t.links (from_site, to_site) with
-  | Some l -> l.dropped
-  | None -> 0
-
-let messages_duplicated t = t.duplicated
-
-let reset_counters t =
-  t.sent <- 0;
-  t.dropped <- 0;
-  t.unroutable <- 0;
-  t.endpoint_down <- 0;
-  t.endpoint_down_in_flight <- 0;
-  t.partitioned <- 0;
-  t.faulty <- 0;
-  t.duplicated <- 0;
-  Hashtbl.iter
-    (fun _ l ->
-      l.count <- 0;
-      l.dropped <- 0)
-    t.links
+let endpoint_down_at_send t = drops_by t Endpoint_down - t.endpoint_down_in_flight

@@ -19,8 +19,22 @@
     paper's reliability assumption on top of a faulty network.
 
     Message payloads are a type parameter of the endpoint handlers; the
-    CM layer sends rule-firing envelopes.  Per-link statistics feed the
-    message-cost experiments (E10, E13). *)
+    CM layer sends rule-firing envelopes.
+
+    {b Instruments.}  Each directed link owns its {!Cm_obs.Obs} handles,
+    labelled [{from, to}] and made on the network's registry when the
+    link is first used: [net_sent] (every send attempt),
+    [net_dropped{reason}] (one counter per {!drop_reason}),
+    [net_duplicated], and the [net_latency] series (effective latency of
+    each copy accepted onto the link, FIFO hold-back included).  They
+    are the network's only tally: {!messages_sent}, {!drops_by} and the
+    other totals are folds of the link counters, and the per-pair
+    queries read one link's, so the statistics here and the exported
+    snapshot agree by construction.  On {!Cm_obs.Obs.noop} the counters
+    still count (privately) and the series records nothing.  A send to
+    an unroutable site gets its link like any other send, so it counts
+    in {!messages_between} and {!dropped_between}.  Per-link statistics
+    feed the message-cost experiments (E10, E13). *)
 
 type 'msg t
 
@@ -68,6 +82,7 @@ val create :
   ?fifo:bool ->
   ?faults:faults ->
   ?draws:draws ->
+  ?obs:Cm_obs.Obs.t ->
   unit ->
   'msg t
 (** [fifo] (default [true]) enforces per-link in-order delivery.
@@ -77,7 +92,9 @@ val create :
     [faults] (default {!no_faults}) is the initial default fault model
     for every link.  [draws] (default {!draws.Stream}) selects where
     fault/jitter draws come from; a [Stream] network consumes exactly
-    the PRNG stream it always did, draw for draw. *)
+    the PRNG stream it always did, draw for draw.  [obs] (default
+    {!Cm_obs.Obs.noop}) is the registry the link instruments are made
+    on. *)
 
 val set_latency : 'msg t -> from_site:string -> to_site:string -> latency -> unit
 (** Override the default for one directed link. *)
@@ -142,24 +159,11 @@ val inject :
     in-flight [Endpoint_down] drop); the send-side pipeline already ran
     on the source shard. *)
 
-val on_drop :
-  'msg t -> (from_site:string -> to_site:string -> drop_reason -> unit) -> unit
-(** Hook invoked on every dropped message (any reason), after the drop
-    counters are updated.  Hook registration (all four kinds) is O(1)
-    and hooks run in registration order. *)
-
 val on_send : 'msg t -> (from_site:string -> to_site:string -> unit) -> unit
-(** Hook invoked on every send attempt, before routing. *)
-
-val on_deliver :
-  'msg t -> (from_site:string -> to_site:string -> latency:float -> unit) -> unit
-(** Hook invoked when a message copy is accepted onto a link, with the
-    effective latency it will experience (including FIFO hold-back).
-    The observability layer records per-link latency series from this.
-    Hooks must not consume the simulation PRNG. *)
-
-val on_duplicate : 'msg t -> (from_site:string -> to_site:string -> unit) -> unit
-(** Hook invoked when the fault model duplicates a message. *)
+(** The network's one hook: invoked on every send attempt, after
+    [net_sent] is bumped and before routing, so a hook that crashes an
+    endpoint affects the very send that triggered it.  Registration is
+    O(1) and hooks run in registration order. *)
 
 val link_base_latency : 'msg t -> from_site:string -> to_site:string -> float
 (** The configured base latency of the directed link, jitter excluded —
@@ -175,12 +179,17 @@ val reachable : 'msg t -> from_site:string -> to_site:string -> bool
     is reachable, a partitioned or crashed one is not. *)
 
 val messages_sent : 'msg t -> int
-(** Send attempts, including ones that were then dropped. *)
+(** Send attempts, including ones that were then dropped: the sum of
+    every link's [net_sent]. *)
 
 val messages_between : 'msg t -> from_site:string -> to_site:string -> int
+(** One link's [net_sent]; 0 for a link never used. *)
 
 val messages_dropped : 'msg t -> int
+(** Every link's [net_dropped], all reasons. *)
+
 val drops_by : 'msg t -> drop_reason -> int
+(** Every link's [net_dropped] for one reason. *)
 
 val endpoint_down_at_send : 'msg t -> int
 (** [Endpoint_down] drops where an endpoint was already down when the
@@ -195,6 +204,7 @@ val endpoint_down_in_flight : 'msg t -> int
     safely en route. *)
 
 val dropped_between : 'msg t -> from_site:string -> to_site:string -> int
-val messages_duplicated : 'msg t -> int
+(** One link's [net_dropped], all reasons. *)
 
-val reset_counters : 'msg t -> unit
+val messages_duplicated : 'msg t -> int
+(** Every link's [net_duplicated]. *)

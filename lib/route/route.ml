@@ -15,6 +15,16 @@ let outcome_to_string = function
   | Master -> "master"
   | Forced_poll -> "forced_poll"
 
+let outcomes = [| Replica; Master; Forced_poll |]
+
+let outcome_index = function Replica -> 0 | Master -> 1 | Forced_poll -> 2
+
+(* Synchronous-poll surcharge of a forced poll and of a quarantine
+   probe, and the quarantine dwell before a probe, in simulated
+   seconds. *)
+let poll_penalty = 1.0
+let probe_after = 5.0
+
 type skip = { sk_target : string; sk_site : string; sk_reason : string }
 
 type decision = {
@@ -31,73 +41,82 @@ type decision = {
 
 type replica = { rep_target : string; rep_site : string }
 
+(* One copy's quarantine counters, labelled by its target base. *)
+type copy_obs = {
+  co_quarantines : Obs.Counter.t;
+  co_probes : Obs.Counter.t;
+  co_readmissions : Obs.Counter.t;
+}
+
+(* The router's counters are its only tally of decisions and quarantine
+   transitions; the accessors below sum them. *)
 type t = {
   system : System.t;
   monitor : Monitor.t option;  (* staleness verdicts; None = no quarantine *)
-  poll_penalty : float;
-  probe_after : float;
-  trace_spans : bool;
   by_source : (string, replica list) Hashtbl.t;  (* declaration order *)
   master_site : (string, string) Hashtbl.t;  (* source base -> site *)
   mutable rev_bases : string list;  (* distinct sources, newest first *)
   quarantined : (string * string, float) Hashtbl.t;
       (* (source, target) -> earliest probe time; absent = active *)
   hooks : (decision -> unit) Queue.t;
-  mutable n_reads : int;
-  mutable n_replica : int;
-  mutable n_master : int;
-  mutable n_poll : int;
-  mutable n_quarantines : int;
-  mutable n_probes : int;
-  mutable n_readmissions : int;
+  reads_by_outcome : Obs.Counter.t array;  (* by [outcome_index] *)
+  by_copy : (string * string, copy_obs) Hashtbl.t;  (* (source, target) *)
 }
+
+(* Made on a copy's first quarantine, whether or not the catalog lists
+   it: a monitor may report a copy this router was not built over. *)
+let copy_obs t ~source ~target =
+  match Hashtbl.find_opt t.by_copy (source, target) with
+  | Some co -> co
+  | None ->
+    let counter name =
+      Obs.Counter.make (System.obs t.system) name ~labels:[ ("target", target) ]
+    in
+    let co =
+      { co_quarantines = counter "route_quarantines";
+        co_probes = counter "route_probes";
+        co_readmissions = counter "route_readmissions" }
+    in
+    Hashtbl.replace t.by_copy (source, target) co;
+    co
 
 (* Entering (or re-entering, on a flap while awaiting probe) quarantine:
    the copy stops serving and the next probe moves [probe_after] out. *)
 let quarantine_copy t ~source ~target ~at =
   let fresh = not (Hashtbl.mem t.quarantined (source, target)) in
-  Hashtbl.replace t.quarantined (source, target) (at +. t.probe_after);
+  Hashtbl.replace t.quarantined (source, target) (at +. probe_after);
   if fresh then begin
-    t.n_quarantines <- t.n_quarantines + 1;
-    let obs = System.obs t.system in
-    if Obs.enabled obs then begin
-      Obs.incr obs "route_quarantines" ~labels:[ ("target", target) ];
-      Obs.gauge obs "route_quarantined" ~labels:[ ("target", target) ] 1.0
-    end
+    Obs.Counter.incr (copy_obs t ~source ~target).co_quarantines;
+    Obs.gauge (System.obs t.system) "route_quarantined"
+      ~labels:[ ("target", target) ] 1.0
   end
 
 let readmit_copy t ~source ~target =
   Hashtbl.remove t.quarantined (source, target);
-  t.n_readmissions <- t.n_readmissions + 1;
-  let obs = System.obs t.system in
-  if Obs.enabled obs then begin
-    Obs.incr obs "route_readmissions" ~labels:[ ("target", target) ];
-    Obs.gauge obs "route_quarantined" ~labels:[ ("target", target) ] 0.0
-  end
+  Obs.Counter.incr (copy_obs t ~source ~target).co_readmissions;
+  Obs.gauge (System.obs t.system) "route_quarantined"
+    ~labels:[ ("target", target) ] 0.0
 
-let create ?interfaces ?strategy ?(poll_penalty = 1.0) ?(probe_after = 5.0)
-    ?(trace_spans = false) system ~constraints =
+let create ?interfaces ?strategy system ~constraints =
   System.declare_copies ?interfaces ?strategy system constraints;
   let locator = System.locator system in
+  let obs = System.obs system in
   let t =
     {
       system;
       monitor = System.monitor system;
-      poll_penalty;
-      probe_after;
-      trace_spans;
       by_source = Hashtbl.create 8;
       master_site = Hashtbl.create 8;
       rev_bases = [];
       quarantined = Hashtbl.create 8;
       hooks = Queue.create ();
-      n_reads = 0;
-      n_replica = 0;
-      n_master = 0;
-      n_poll = 0;
-      n_quarantines = 0;
-      n_probes = 0;
-      n_readmissions = 0;
+      reads_by_outcome =
+        Array.map
+          (fun o ->
+            Obs.Counter.make obs "route_reads"
+              ~labels:[ ("outcome", outcome_to_string o) ])
+          outcomes;
+      by_copy = Hashtbl.create 8;
     }
   in
   List.iter
@@ -124,9 +143,8 @@ let create ?interfaces ?strategy ?(poll_penalty = 1.0) ?(probe_after = 5.0)
     t.monitor;
   t
 
-let of_cmrid ?interfaces ?strategy ?poll_penalty ?probe_after ?trace_spans
-    system (cmrid : Cmrid.t) =
-  create ?interfaces ?strategy ?poll_penalty ?probe_after ?trace_spans system
+let of_cmrid ?interfaces ?strategy system (cmrid : Cmrid.t) =
+  create ?interfaces ?strategy system
     ~constraints:
       (List.map
          (fun (c : Cmrid.constraint_decl) -> (c.Cmrid.c_source, c.Cmrid.c_target))
@@ -141,7 +159,10 @@ let replicas t ~base =
   | None -> []
 
 let on_decision t hook = Queue.add hook t.hooks
-let reads t = t.n_reads
+let reads_by t o = Obs.Counter.value t.reads_by_outcome.(outcome_index o)
+
+let reads t =
+  Array.fold_left (fun n c -> n + Obs.Counter.value c) 0 t.reads_by_outcome
 
 let quarantined t =
   Hashtbl.fold
@@ -149,14 +170,12 @@ let quarantined t =
     t.quarantined []
   |> List.sort compare
 
-let quarantines t = t.n_quarantines
-let probes t = t.n_probes
-let readmissions t = t.n_readmissions
+let sum_copies t f =
+  Hashtbl.fold (fun _ co n -> n + Obs.Counter.value (f co)) t.by_copy 0
 
-let reads_by t = function
-  | Replica -> t.n_replica
-  | Master -> t.n_master
-  | Forced_poll -> t.n_poll
+let quarantines t = sum_copies t (fun co -> co.co_quarantines)
+let probes t = sum_copies t (fun co -> co.co_probes)
+let readmissions t = sum_copies t (fun co -> co.co_readmissions)
 
 (* Round-trip cost of reading across one directed link: request out,
    value back.  Base latency only — routing must not consume the
@@ -199,20 +218,17 @@ let read ?within_kappa t ~client_site base =
             skip "quarantined";
             None
           | Some _ ->
-            t.n_probes <- t.n_probes + 1;
-            let obs = System.obs t.system in
-            if Obs.enabled obs then
-              Obs.incr obs "route_probes" ~labels:[ ("target", r.rep_target) ];
+            Obs.Counter.incr (copy_obs t ~source:base ~target:r.rep_target).co_probes;
             if Monitor.force_refresh m ~source:base ~target:r.rep_target then begin
               (* Still stale: back off another probe_after. *)
               Hashtbl.replace t.quarantined (base, r.rep_target)
-                (now +. t.probe_after);
+                (now +. probe_after);
               skip "stale";
               None
             end
             else begin
               readmit_copy t ~source:base ~target:r.rep_target;
-              Some t.poll_penalty
+              Some poll_penalty
             end
           | None ->
             (* Active, but never serve against a live stale verdict even
@@ -292,9 +308,9 @@ let read ?within_kappa t ~client_site base =
           reps;
         let cost =
           match !relay with
-          | Some (c, _) -> t.poll_penalty +. c
+          | Some (c, _) -> poll_penalty +. c
           | None ->
-            t.poll_penalty
+            poll_penalty
             +. round_trip net ~from_site:client_site ~to_site:master
         in
         (Forced_poll, base, master, 0.0, cost)
@@ -313,29 +329,16 @@ let read ?within_kappa t ~client_site base =
       d_skips = List.rev !skips;
     }
   in
-  t.n_reads <- t.n_reads + 1;
-  (match outcome with
-  | Replica -> t.n_replica <- t.n_replica + 1
-  | Master -> t.n_master <- t.n_master + 1
-  | Forced_poll -> t.n_poll <- t.n_poll + 1);
+  Obs.Counter.incr t.reads_by_outcome.(outcome_index outcome);
   let obs = System.obs t.system in
   if Obs.enabled obs then begin
-    let olabel = outcome_to_string outcome in
-    Obs.incr obs "route_reads" ~labels:[ ("outcome", olabel) ];
-    Obs.observe obs "route_latency" ~labels:[ ("outcome", olabel) ] latency;
+    Obs.observe obs "route_latency"
+      ~labels:[ ("outcome", outcome_to_string outcome) ]
+      latency;
     List.iter
       (fun s ->
         Obs.incr obs "route_replica_skips" ~labels:[ ("reason", s.sk_reason) ])
-      decision.d_skips;
-    if t.trace_spans then begin
-      let now = Sim.now (System.sim t.system) in
-      let id =
-        Obs.span obs ~name:"routed_read" ~at:now
-          ~labels:
-            [ ("base", base); ("client", client_site); ("outcome", olabel) ]
-      in
-      Obs.end_span obs ~id ~at:(now +. latency)
-    end
+      decision.d_skips
   end;
   Queue.iter (fun hook -> hook decision) t.hooks;
   decision

@@ -21,12 +21,16 @@
     - {!outcome.Forced_poll}: the master is unreachable too — force a
       synchronous poll through the read interface (§3.1.1), relayed via
       the cheapest replica site that can still reach the master, paying
-      {!create}'s [poll_penalty] on top of the relay round trips.
+      a 1 s synchronous-poll penalty on top of the relay round trips.
 
-    Every decision is recorded via {!Cm_core.Obs} (per-outcome counters
-    and latency series, per-reason skip counters, optional routed-read
-    spans) and handed to {!on_decision} subscribers — the E17 bench
-    audits served-κ ≤ SLO post hoc from exactly that stream.
+    Every decision is recorded via {!Cm_core.Obs} (per-outcome
+    [route_reads] counters and [route_latency] series, per-reason skip
+    counters) and handed to {!on_decision} subscribers — the E17 bench
+    audits served-κ ≤ SLO post hoc from exactly that stream.  The
+    per-outcome counters and the per-copy [route_quarantines],
+    [route_probes] and [route_readmissions] counters are the router's
+    only tally: {!reads}, {!reads_by}, {!quarantines}, {!probes} and
+    {!readmissions} read them, on every registry.
 
     {b Quarantine (self-healing).}  When the system runs with streaming
     guarantee monitors ({!Cm_core.System.Config.monitor}), the router
@@ -34,11 +38,11 @@
     reports it stale — including the §5 [Silent_drop] failure, where the
     copy's notify channel dies while the master keeps writing — is
     {e quarantined} immediately and stops serving reads.  Re-admission
-    is half-open: after [probe_after] simulated seconds, the next read
-    that considers the copy issues one {!Cm_core.Monitor.force_refresh}
-    (a synchronous poll, billed at [poll_penalty] on the served
+    is half-open: after 5 simulated seconds, the next read that
+    considers the copy issues one {!Cm_core.Monitor.force_refresh} (a
+    synchronous poll, billed at the 1 s poll penalty on the served
     latency); a fresh verdict readmits the copy, a stale one re-arms the
-    quarantine for another [probe_after].  Active copies are also
+    quarantine for another 5 s.  Active copies are also
     re-checked against the live verdict on every read, so a read is
     never served from a copy whose monitor currently reports it stale.
     Without monitors the router behaves exactly as before. *)
@@ -80,9 +84,6 @@ type decision = {
 val create :
   ?interfaces:Cm_rule.Rule.t list ->
   ?strategy:Cm_rule.Rule.t list ->
-  ?poll_penalty:float ->
-  ?probe_after:float ->
-  ?trace_spans:bool ->
   Cm_core.System.t ->
   constraints:(string * string) list ->
   t
@@ -90,21 +91,12 @@ val create :
     [(source, target)] copy directives: declares them on the system
     ({!Cm_core.System.declare_copies}, with the same optional
     [interfaces]/[strategy] overrides) and indexes replicas by source
-    base.  [poll_penalty] (default [1.0] s) is the synchronous-poll
-    surcharge of [Forced_poll] and of a quarantine probe.
-    [probe_after] (default [5.0] s) is the quarantine dwell before a
-    half-open probe is allowed.  [trace_spans] (default [false]) opens a
-    ["routed_read"] span per decision — off by default because a
-    10⁶-read sweep would retain every span in memory.  Quarantine is
-    armed iff the system was built with
+    base.  Quarantine is armed iff the system was built with
     {!Cm_core.System.Config.monitor}. *)
 
 val of_cmrid :
   ?interfaces:Cm_rule.Rule.t list ->
   ?strategy:Cm_rule.Rule.t list ->
-  ?poll_penalty:float ->
-  ?probe_after:float ->
-  ?trace_spans:bool ->
   Cm_core.System.t ->
   Cm_core.Cmrid.t ->
   t

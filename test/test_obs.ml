@@ -12,6 +12,11 @@ module Strategy = Cm_core.Strategy
 module Interface = Cm_core.Interface
 module Msg = Cm_core.Msg
 module Payroll = Cm_workload.Payroll
+module Recovery = Cm_core.Recovery
+module Shell = Cm_core.Shell
+module Monitor = Cm_core.Monitor
+module Route = Cm_route.Route
+module Fabric = Cm_shard.Shard.Fabric
 open Cm_rule
 
 (* ---- registry ---- *)
@@ -48,8 +53,7 @@ let instruments () =
 (* Payroll over a lossy network with the reliable layer: the sf shell
    opens "fire" roots, the span id rides the Fire envelope, retransmits
    attach to it, and the ny shell adds "execute" -> "step" children. *)
-let traced_payroll ?(drop = 0.2) ?(until = 300.0) seed =
-  let obs = Obs.create () in
+let traced_payroll ?(obs = Obs.create ()) ?(drop = 0.2) ?(until = 300.0) seed =
   let config =
     Sys_.Config.(
       seeded seed
@@ -174,7 +178,12 @@ let observation_transparent () =
 
 (* The payroll run behind `cmtool stats` and `cmtool spans` at their
    defaults (seed 1300). *)
-let stats_payroll () = fst (traced_payroll ~drop:0.1 ~until:500.0 1300)
+let stats_run ~obs = snd (traced_payroll ~obs ~drop:0.1 ~until:500.0 1300)
+
+let stats_payroll () =
+  let obs = Obs.create () in
+  ignore (stats_run ~obs);
+  obs
 
 (* Payroll propagation made to touch every instrument of the durable
    path: a lossy, duplicating, reordering network under the reliable
@@ -183,9 +192,9 @@ let stats_payroll () = fst (traced_payroll ~drop:0.1 ~until:500.0 1300)
    rollout that loses the required guarantee is rolled back and its
    drained epochs retired; and the sender crashes for a millisecond with
    a frame in flight, so its restart re-queues the frame under a new
-   epoch while the old copy is still on the wire. *)
-let durable_propagate () =
-  let obs = Obs.create () in
+   epoch while the old copy is still on the wire.  [unroutable] adds one
+   send to a site nobody registered. *)
+let durable_run ?(unroutable = false) ~obs () =
   let config =
     Sys_.Config.(
       seeded 1300
@@ -231,7 +240,16 @@ let durable_propagate () =
         Sim.schedule sim ~delay:0.002 (fun () ->
             Sys_.restart_site system ~site:Payroll.site_a)
       end);
+  if unroutable then
+    Sim.schedule_at sim 100.0 (fun () ->
+        Net.send net ~from_site:Payroll.site_a ~to_site:"nowhere"
+          (Msg.Reset_notice { origin_site = Payroll.site_a }));
   Sys_.run system ~until:600.0;
+  (system, evo)
+
+let durable_propagate () =
+  let obs = Obs.create () in
+  ignore (durable_run ~obs ());
   obs
 
 let md5 s = Digest.to_hex (Digest.string s)
@@ -287,6 +305,302 @@ let durable_run_covers_handles () =
       "net_sent"; "net_dropped"; "net_duplicated"; "net_latency";
       "shell_events"; "shell_fires_sent"; "shell_fires_executed";
       "sim_queue_depth" ]
+
+(* ---- one tally per fact ---- *)
+
+(* A layer's statistics accessors read the same counter handles the
+   registry exports.  Each scenario yields (fact, accessor value,
+   registry total) triples; with a registry the two must agree, and the
+   same seed with no registry must give the same accessor values. *)
+
+(* Sum of a counter's rows whose labels include every one of [labels]. *)
+let total ?(labels = []) obs name =
+  List.fold_left
+    (fun n r ->
+      match r.Obs.sample with
+      | Obs.Counter_sample v
+        when String.equal r.Obs.name name
+             && List.for_all (fun l -> List.mem l r.Obs.labels) labels ->
+        n + v
+      | _ -> n)
+    0 (Obs.snapshot obs)
+
+(* Facts whose name starts with "link " or "site " are per link or per
+   site; the rest are totals, each of which some scenario must make
+   nonzero. *)
+let system_facts sys =
+  let obs = Sys_.obs sys and net = Sys_.net sys in
+  let sites = List.map fst (Sys_.shells sys) in
+  let net_facts =
+    [ ("net sent", Net.messages_sent net, total obs "net_sent");
+      ("net dropped", Net.messages_dropped net, total obs "net_dropped");
+      ("net duplicated", Net.messages_duplicated net, total obs "net_duplicated");
+      ( "net endpoint_down split",
+        Net.endpoint_down_at_send net + Net.endpoint_down_in_flight net,
+        total obs "net_dropped" ~labels:[ ("reason", "endpoint_down") ] ) ]
+    @ List.map
+        (fun reason ->
+          let r = Net.drop_reason_to_string reason in
+          ( "net dropped " ^ r,
+            Net.drops_by net reason,
+            total obs "net_dropped" ~labels:[ ("reason", r) ] ))
+        [ Net.Unroutable; Net.Endpoint_down; Net.Partitioned; Net.Faulty ]
+    @ List.concat_map
+        (fun a ->
+          List.concat_map
+            (fun b ->
+              let labels = [ ("from", a); ("to", b) ] in
+              [ ( Printf.sprintf "link %s>%s sent" a b,
+                  Net.messages_between net ~from_site:a ~to_site:b,
+                  total obs "net_sent" ~labels );
+                ( Printf.sprintf "link %s>%s dropped" a b,
+                  Net.dropped_between net ~from_site:a ~to_site:b,
+                  total obs "net_dropped" ~labels ) ])
+            ("nowhere" :: sites))
+        sites
+  in
+  let shell_facts =
+    List.map
+      (fun (site, sh) ->
+        ( "site " ^ site ^ " events",
+          Shell.events_seen sh,
+          total obs "shell_events" ~labels:[ ("site", site) ] ))
+      (Sys_.shells sys)
+    @ [ ( "shell events",
+          List.fold_left (fun n (_, sh) -> n + Shell.events_seen sh) 0 (Sys_.shells sys),
+          total obs "shell_events" ) ]
+  in
+  let reliable_facts =
+    match Sys_.reliable sys with
+    | None -> []
+    | Some r ->
+      let s = Reliable.stats r in
+      List.map
+        (fun (name, v) -> ("reliable " ^ name, v, total obs ("reliable_" ^ name)))
+        [ ("data_sent", s.Reliable.data_sent); ("retransmits", s.Reliable.retransmits);
+          ("acks_sent", s.Reliable.acks_sent); ("delivered", s.Reliable.delivered);
+          ("dup_suppressed", s.Reliable.dup_suppressed);
+          ("reordered", s.Reliable.reordered);
+          ("heartbeats_sent", s.Reliable.heartbeats_sent);
+          ("give_ups", s.Reliable.give_ups); ("suspects", s.Reliable.suspects);
+          ("recoveries", s.Reliable.recoveries);
+          ("epoch_rejections", s.Reliable.epoch_rejections);
+          ("requeued", s.Reliable.requeued) ]
+  in
+  let journal_facts =
+    match Sys_.journals sys with
+    | None -> []
+    | Some reg ->
+      let per_site =
+        List.concat_map
+          (fun site ->
+            let st = Journal.stats (Journal.for_site reg ~site) in
+            let labels = [ ("site", site) ] in
+            [ ("site " ^ site ^ " journal appends", st.Journal.appends,
+               total obs "journal_appends" ~labels);
+              ("site " ^ site ^ " journal checkpoints", st.Journal.checkpoints,
+               total obs "journal_appends" ~labels:(("kind", "checkpoint") :: labels)) ])
+          (Journal.sites reg)
+      in
+      let sum f =
+        List.fold_left
+          (fun n site -> n + f (Journal.stats (Journal.for_site reg ~site)))
+          0 (Journal.sites reg)
+      in
+      per_site
+      @ [ ("journal appends", sum (fun st -> st.Journal.appends),
+           total obs "journal_appends");
+          ("journal checkpoints", sum (fun st -> st.Journal.checkpoints),
+           total obs "journal_appends" ~labels:[ ("kind", "checkpoint") ]) ]
+  in
+  let recovery_facts =
+    match Sys_.recovery sys with
+    | None -> []
+    | Some r ->
+      let s = Recovery.stats r in
+      List.map
+        (fun (name, v) -> ("recovery " ^ name, v, total obs ("recovery_" ^ name)))
+        [ ("crashes", s.Recovery.crashes); ("restarts", s.Recovery.restarts);
+          ("replayed_records", s.Recovery.replayed_records);
+          ("checkpoints", s.Recovery.checkpoints) ]
+  in
+  net_facts @ shell_facts @ reliable_facts @ journal_facts @ recovery_facts
+
+let route_facts route =
+  let obs = Sys_.obs (Route.system route) in
+  [ ("route reads", Route.reads route, total obs "route_reads");
+    ("route quarantines", Route.quarantines route, total obs "route_quarantines");
+    ("route probes", Route.probes route, total obs "route_probes");
+    ("route readmissions", Route.readmissions route, total obs "route_readmissions") ]
+  @ List.map
+      (fun o ->
+        let label = Route.outcome_to_string o in
+        ( "route reads " ^ label,
+          Route.reads_by route o,
+          total obs "route_reads" ~labels:[ ("outcome", label) ] ))
+      [ Route.Replica; Route.Master; Route.Forced_poll ]
+
+let evolution_facts system evo =
+  [ ("evolution retirements", Evolution.retirements evo,
+     total (Sys_.obs system) "evolution_retirements") ]
+
+(* The E13 payroll run behind `cmtool stats`. *)
+let stats_facts ~obs = system_facts (stats_run ~obs).Payroll.system
+
+(* The durable run of the pinned digests, plus an unroutable send. *)
+let durable_facts ~obs =
+  let system, evo = durable_run ~unroutable:true ~obs () in
+  system_facts system @ evolution_facts system evo
+
+(* A monitored routed run: a silent drop gets the copy quarantined, a
+   probe finds it still stale, a later probe readmits it, and a read
+   under a partition from the master with an SLO no copy meets is a
+   forced poll. *)
+let routed_facts ~obs =
+  let config =
+    Sys_.Config.(seeded 1703 |> with_monitor true |> with_obs obs)
+  in
+  let p = Payroll.create ~config ~employees:1 () in
+  Payroll.install_propagation p;
+  let system = p.Payroll.system in
+  let sim = Sys_.sim system in
+  let nsw = Interface.no_spontaneous_write Payroll.target_pattern in
+  let route =
+    Route.create ~interfaces:(Sys_.interface_rules system @ [ nsw ]) system
+      ~constraints:[ ("Salary1", "Salary2") ]
+  in
+  Monitor.note_initial (Option.get (Sys_.monitor system)) p.Payroll.initial;
+  let emp = List.hd p.Payroll.employees in
+  let read ?within_kappa at =
+    Sim.schedule_at sim at (fun () ->
+        ignore (Route.read ?within_kappa route ~client_site:Payroll.site_b "Salary1"))
+  in
+  let health = Cm_core.Tr_relational.health p.Payroll.tr_a in
+  Payroll.schedule_update p ~at:10.0 ~emp ~salary:1111;
+  Sim.schedule_at sim 30.0 (fun () ->
+      Cm_sources.Health.set health Cm_sources.Health.Silent_drop);
+  Payroll.schedule_update p ~at:35.0 ~emp ~salary:2222;
+  Sim.schedule_at sim 40.0 (fun () ->
+      Cm_sources.Health.set health Cm_sources.Health.Healthy);
+  Payroll.schedule_update p ~at:56.0 ~emp ~salary:3333;
+  List.iter (fun at -> read at) [ 20.0; 48.0; 54.0; 62.0; 65.0 ];
+  Sim.schedule_at sim 68.0 (fun () ->
+      Net.partition_pair (Sys_.net system) ~site_a:Payroll.site_a
+        ~site_b:Payroll.site_b ~until:75.0);
+  read ~within_kappa:1.0 70.0;
+  Sys_.run system ~until:80.0;
+  system_facts system @ route_facts route
+
+(* A 2-shard fabric: a four-site notification ring whose every hop
+   crosses shards, over a lossy, duplicating network with a
+   checkpointed journal, one crash and one partition. *)
+let fabric_facts ~obs =
+  let config =
+    Sys_.Config.(
+      seeded 77
+      |> with_faults { Net.drop_prob = 0.1; dup_prob = 0.1 }
+      |> with_durability Journal.Journal_with_checkpoint)
+  in
+  (* The fabric gives each shard a fresh registry when one is set. *)
+  let config =
+    if Obs.enabled obs then Sys_.Config.with_obs obs config else config
+  in
+  let index name = int_of_string (String.sub name 1 (String.length name - 1)) in
+  let site i = Printf.sprintf "s%d" i and base i = Printf.sprintf "X%d" i in
+  let fab =
+    Fabric.create ~config ~shards:2
+      ~assign:(fun s -> index s mod 2)
+      (fun item -> site (index item.Item.base))
+  in
+  for i = 0 to 3 do
+    ignore (Fabric.add_shell fab ~site:(site i))
+  done;
+  for i = 0 to 3 do
+    for j = 0 to 3 do
+      if i <> j then
+        Fabric.set_latency fab ~from_site:(site i) ~to_site:(site j)
+          { Net.base = 0.4; jitter = 0.0 }
+    done
+  done;
+  let rules =
+    String.concat "\n"
+      (List.init 4 (fun i ->
+           Printf.sprintf "u%d: U(%s, v) ->[5] W(%s, v)" i (base i)
+             (base ((i + 1) mod 4))))
+  in
+  Fabric.install fab
+    { Strategy.strategy_name = "ring"; description = "cross-shard ring";
+      rules = Parser.parse_rules rules; aux_init = [] };
+  for k = 0 to 39 do
+    let i = 2 * (k mod 2) in
+    let s = site i in
+    let emit = Shell.emitter_for (Fabric.shell_for fab ~site:s) ~site:s in
+    Fabric.at fab ~site:s (1.0 +. (2.5 *. float_of_int k)) (fun () ->
+        ignore
+          (emit
+             { Event.name = "U";
+               args = [ Event.Ai (Item.make (base i)); Event.Av (Value.Int k) ] }
+             ~kind:Event.Spontaneous))
+  done;
+  Fabric.schedule_crash fab ~site:(site 1) ~at:20.0;
+  Fabric.schedule_restart fab ~site:(site 1) ~at:30.0;
+  Fabric.schedule_partition fab ~from_site:(site 2) ~to_site:(site 3) ~at:50.0
+    ~until:60.0;
+  Fabric.run fab ~until:150.0;
+  List.concat
+    (List.init (Fabric.shard_count fab) (fun k ->
+         List.map
+           (fun (fact, v, reg) -> (Printf.sprintf "shard %d %s" k fact, v, reg))
+           (system_facts (Fabric.system fab k))))
+
+let scenarios =
+  [ ("stats", stats_facts); ("durable", durable_facts); ("routed", routed_facts);
+    ("fabric", fabric_facts) ]
+
+let accessors_read_the_registry () =
+  List.iter
+    (fun (name, facts) ->
+      List.iter
+        (fun (fact, accessor, registry) ->
+          Alcotest.(check int) (name ^ ": " ^ fact) registry accessor)
+        (facts ~obs:(Obs.create ())))
+    scenarios
+
+let accessors_without_a_registry () =
+  List.iter
+    (fun (name, facts) ->
+      let values fs = List.map (fun (fact, v, _) -> (fact, v)) fs in
+      let with_registry = values (facts ~obs:(Obs.create ())) in
+      let without = facts ~obs:Obs.noop in
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": same values with no registry") with_registry (values without);
+      List.iter
+        (fun (fact, _, registry) ->
+          Alcotest.(check int) (name ^ ": nothing exported for " ^ fact) 0 registry)
+        without)
+    scenarios
+
+(* Together the scenarios make every converted counter count. *)
+let scenarios_cover_every_tally () =
+  let unshard fact =
+    match String.split_on_char ' ' fact with
+    | "shard" :: _ :: rest -> String.concat " " rest
+    | _ -> fact
+  in
+  let facts =
+    List.concat_map
+      (fun (_, facts) ->
+        List.map (fun (fact, v, _) -> (unshard fact, v)) (facts ~obs:Obs.noop))
+      scenarios
+  in
+  List.iter
+    (fun (fact, _) ->
+      match String.split_on_char ' ' fact with
+      | ("link" | "site") :: _ -> ()
+      | _ ->
+        Alcotest.(check bool) (fact ^ " counted somewhere") true
+          (List.exists (fun (f, v) -> String.equal f fact && v > 0) facts))
+    facts
 
 (* ---- handles ---- *)
 
@@ -345,6 +659,26 @@ let kind_mismatch_on_first_use () =
   Alcotest.check_raises "one-shot shares the check"
     (Invalid_argument "Obs.incr: y is not a counter") (fun () ->
       Obs.incr t "y")
+
+let noop_counter_counts_privately () =
+  let c = Obs.Counter.make Obs.noop "c" ~labels:[ ("site", "sf") ] in
+  for _ = 1 to 7 do
+    Obs.Counter.incr c
+  done;
+  Obs.Counter.incr c ~by:3;
+  Alcotest.(check int) "counts on noop" 10 (Obs.Counter.value c);
+  let twin = Obs.Counter.make Obs.noop "c" ~labels:[ ("site", "sf") ] in
+  Alcotest.(check int) "cell is private" 0 (Obs.Counter.value twin);
+  Alcotest.(check int) "never exported" 0 (List.length (Obs.snapshot Obs.noop));
+  let t = Obs.create () in
+  let h = Obs.Counter.make t "hits" in
+  Obs.incr t "hits" ~by:4;
+  Alcotest.(check int) "unbumped handle reads the registry cell" 4
+    (Obs.Counter.value h);
+  Alcotest.(check int) "reading makes no row" 0
+    (Obs.Counter.value (Obs.Counter.make t "misses"));
+  Alcotest.(check (list string)) "only the bumped row" [ "hits" ]
+    (List.map (fun r -> r.Obs.name) (Obs.snapshot t))
 
 (* Words allocated by [f], net of the measurement itself. *)
 let words f =
@@ -441,6 +775,58 @@ let noop_journal_append_is_cheap () =
           (Journal.record_kind r) w)
     all_kinds
 
+(* ---- CSV export ---- *)
+
+(* An RFC 4180 record reader (no embedded newlines). *)
+let csv_fields line =
+  let n = String.length line in
+  let fields = ref [] and buf = Buffer.create 16 in
+  let push () =
+    fields := Buffer.contents buf :: !fields;
+    Buffer.clear buf
+  in
+  let rec field i = if i < n && line.[i] = '"' then quoted (i + 1) else plain i
+  and plain i =
+    if i >= n then push ()
+    else if line.[i] = ',' then (push (); field (i + 1))
+    else (Buffer.add_char buf line.[i]; plain (i + 1))
+  and quoted i =
+    if i >= n then Alcotest.failf "unterminated quote in %S" line
+    else if line.[i] <> '"' then (Buffer.add_char buf line.[i]; quoted (i + 1))
+    else if i + 1 < n && line.[i + 1] = '"' then (Buffer.add_char buf '"'; quoted (i + 2))
+    else if i + 1 >= n then push ()
+    else if line.[i + 1] = ',' then (push (); field (i + 2))
+    else Alcotest.failf "text after a closing quote in %S" line
+  in
+  field 0;
+  List.rev !fields
+
+(* Every row has the header's column count; returns the rows. *)
+let parse_csv csv =
+  match List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) with
+  | [] -> Alcotest.fail "empty CSV"
+  | header :: lines ->
+    let width = List.length (csv_fields header) in
+    List.map
+      (fun line ->
+        let fields = csv_fields line in
+        Alcotest.(check int) ("columns of " ^ line) width (List.length fields);
+        fields)
+      lines
+
+let csv_quotes_label_values () =
+  let t = Obs.create () in
+  Obs.incr t "monitor_violations" ~labels:[ ("left", "Salary1(\"e1\")") ];
+  let id = Obs.span t ~name:"fire" ~at:0.0 ~labels:[ ("rule", "r,1") ] in
+  Obs.end_span t ~id ~at:1.0;
+  (match parse_csv (Obs.snapshot_to_csv t) with
+   | [ row ] ->
+     Alcotest.(check string) "counter label" "left=Salary1(\"e1\")" (List.nth row 1)
+   | rows -> Alcotest.failf "%d snapshot rows" (List.length rows));
+  match parse_csv (Obs.spans_to_csv t) with
+  | [ row ] -> Alcotest.(check string) "span label" "rule=r,1" (List.nth row 3)
+  | rows -> Alcotest.failf "%d span rows" (List.length rows)
+
 (* ---- no-op mode ---- *)
 
 let noop_mode () =
@@ -504,7 +890,20 @@ let () =
             kind_mismatch_on_first_use;
           Alcotest.test_case "noop bumps allocate nothing" `Quick
             noop_handles_allocate_nothing;
+          Alcotest.test_case "noop counter counts privately" `Quick
+            noop_counter_counts_privately;
         ] );
+      ( "single tally",
+        [
+          Alcotest.test_case "accessors read the registry" `Quick
+            accessors_read_the_registry;
+          Alcotest.test_case "same accessors without a registry" `Quick
+            accessors_without_a_registry;
+          Alcotest.test_case "scenarios cover every tally" `Quick
+            scenarios_cover_every_tally;
+        ] );
+      ( "csv",
+        [ Alcotest.test_case "quoted label values" `Quick csv_quotes_label_values ] );
       ( "journal",
         [
           Alcotest.test_case "bytes computed on read" `Quick

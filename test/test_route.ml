@@ -285,7 +285,7 @@ let quarantine_probe_readmission () =
   let route =
     Route.create
       ~interfaces:(Sys_.interface_rules system @ [ nsw ])
-      ~probe_after:5.0 system
+      system
       ~constraints:[ ("Salary1", "Salary2") ]
   in
   Monitor.note_initial monitor p.Payroll.initial;
