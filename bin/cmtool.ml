@@ -681,6 +681,7 @@ let run_demo seed minutes dump_trace =
   0
 
 let demo_cmd_run seed minutes dump_trace no_check =
+  Cmtool_cli.require_at_least "--minutes" ~min:1 minutes;
   if not (preflight ~label:"payroll" ~no_check Cm_chaos.Chaos.Payroll) then 1
   else run_demo seed minutes dump_trace
 
@@ -799,7 +800,11 @@ let run_faults seed drop dup minutes employees no_reliable heartbeat =
   if List.for_all snd checks then 0 else 1
 
 let faults_cmd_run seed drop dup minutes employees no_reliable heartbeat no_check =
+  Cmtool_cli.require_probability "--drop" drop;
+  Cmtool_cli.require_probability "--dup" dup;
+  Cmtool_cli.require_at_least "--minutes" ~min:1 minutes;
   Cmtool_cli.require_at_least "--employees" ~min:1 employees;
+  Cmtool_cli.require_seconds "--heartbeat" heartbeat;
   if not (preflight ~label:"payroll" ~no_check Cm_chaos.Chaos.Payroll) then 1
   else run_faults seed drop dup minutes employees no_reliable heartbeat
 
@@ -972,6 +977,9 @@ let observed_payroll ~seed ~employees ~drop ~dup =
   let module Sys_ = Cm_core.System in
   let module Net = Cm_net.Net in
   let module Reliable = Cm_core.Reliable in
+  Cmtool_cli.require_at_least "--employees" ~min:1 employees;
+  Cmtool_cli.require_probability "--drop" drop;
+  Cmtool_cli.require_probability "--dup" dup;
   let obs = Cm_core.Obs.create () in
   let config =
     Sys_.Config.(

@@ -32,14 +32,19 @@ let usage_error fmt =
       exit 2)
     fmt
 
-(* A count flag below its floor, or a duration flag that is not a
-   finite, non-negative number of seconds. *)
+(* A count flag below its floor, a duration flag that is not a finite,
+   non-negative number of seconds, or a probability flag outside
+   [0, 1]. *)
 let require_at_least flag ~min v =
   if v < min then usage_error "%s must be >= %d (got %d)" flag min v
 
 let require_seconds flag v =
   if not (Float.is_finite v && v >= 0.0) then
     usage_error "%s must be a finite number >= 0 (got %g)" flag v
+
+let require_probability flag v =
+  if not (Float.is_finite v && v >= 0.0 && v <= 1.0) then
+    usage_error "%s must be a probability between 0 and 1 (got %g)" flag v
 
 (* ---- CONFIG [RULES…] positionals ---- *)
 

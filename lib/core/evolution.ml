@@ -69,12 +69,6 @@ let survival_status = function
   | Lost _ -> "lost"
   | Never _ -> "never"
 
-let survival_to_string = function
-  | Kept -> "kept"
-  | Upgraded -> "upgraded"
-  | Lost reason -> Printf.sprintf "lost{%s}" reason
-  | Never reason -> Printf.sprintf "never{%s}" reason
-
 let compare_programs ~interfaces_before ~interfaces_after ~strategy_before
     ~strategy_after ~constraints =
   List.map
@@ -458,9 +452,6 @@ let transport_drained t =
   match System.reliable t.system with
   | Some r -> Reliable.pending r = 0
   | None -> true
-
-let retire_after t ~epoch ~delay =
-  Sim.schedule (System.sim t.system) ~delay (fun () -> ignore (retire t ~epoch))
 
 let quiesce_retire ?(check_period = 1.0) t =
   let sim = System.sim t.system in

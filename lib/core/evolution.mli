@@ -72,9 +72,6 @@ val classify : Derive.verdict -> Derive.verdict -> survival
 val survival_status : survival -> string
 (** ["kept"], ["upgraded"], ["lost"], or ["never"] — reason elided. *)
 
-val survival_to_string : survival -> string
-(** Like {!survival_status} but with the reason: ["lost{...}"]. *)
-
 val compare_programs :
   interfaces_before:Cm_rule.Rule.t list ->
   interfaces_after:Cm_rule.Rule.t list ->
@@ -147,11 +144,6 @@ val cutover : t -> (transition, string) result
 val retire : t -> epoch:int -> (unit, string) result
 (** End the drain of a draining epoch: from now on its envelopes are
     rejected and counted at the shells. *)
-
-val retire_after : t -> epoch:int -> delay:float -> unit
-(** Schedule {!retire} at a fixed delay from now — used by the chaos
-    harness so retirement happens at the same simulation time in oracle
-    and faulty runs. *)
 
 val quiesce_retire : ?check_period:float -> t -> unit
 (** Retire every currently-draining epoch once the reliable transport is

@@ -6,7 +6,6 @@ type t =
       rule_epoch : int;
       env : (string * Cm_rule.Expr.binding) list;
       trigger_id : int;
-      trigger_time : float;
       span : int;
     }
   | Failure_notice of { origin_site : string; kind : failure_kind }

@@ -31,7 +31,6 @@ type t =
               newer program. *)
       env : (string * Cm_rule.Expr.binding) list;
       trigger_id : int;
-      trigger_time : float;
       span : int;
           (** Id of the ["fire"] span opened at the LHS shell, or [0]
               when observability is off.  The RHS shell parents its

@@ -7,17 +7,20 @@
 
     + the site's network endpoint comes back and a [Restarted] record
       opens its next incarnation;
-    + the volatile state the crash destroyed is wiped explicitly (shell
-      store, reliable-transport link state) — recovery must not cheat by
-      reading surviving heap state;
-    + the journal is replayed — the newest checkpoint, then every record
-      after it — rebuilding the store, the receiver windows and
-      duplicate-suppression sets, and the set of unacknowledged outbound
-      messages;
-    + unacknowledged messages are re-queued under the new incarnation's
-      {e epoch} with fresh sequence numbers but their original stable
-      mids, so receivers deduplicate re-sends and reject the previous
-      life's retransmits;
+    + the journal is folded — the newest checkpoint, then every record
+      after it — into the site's one recoverable state: exactly what a
+      [Checkpoint] record holds (the store, one {!Journal.link_state}
+      per peer, the rule-epoch phases, the active epoch and the
+      incarnation);
+    + each layer restores its part in one call, first wiping the
+      volatile state the crash destroyed — recovery must not cheat by
+      reading surviving heap state: {!Shell.recover} takes the store and
+      the epochs, {!Reliable.recover} the links;
+    + every peer's link is restored the same way: receiver half, then
+      the sender half rebound to the new incarnation's {e epoch}, then
+      the unacknowledged messages re-sent in mid order with fresh
+      sequence numbers but their original stable mids, so receivers
+      deduplicate re-sends and reject the previous life's retransmits;
     + the crash is reported as a {e metric} failure notice — updates
       arrive late, never never — which also serves as the sign of life
       that clears peers' suspicion of the site (what they owe it stays
@@ -25,11 +28,13 @@
       give-up).
 
     Checkpoints ([Journal_with_checkpoint]) are taken on a periodic
-    simulation timer per registered shell and freeze the derived state
-    into the journal, bounding replay.  The derived state is a pure
-    function of the journal, so replay-from-checkpoint and
-    replay-from-origin agree by construction, and two replays of the
-    same run are byte-identical. *)
+    simulation timer per registered shell and append that same derived
+    state, unchanged, bounding replay.  The derived state is a pure
+    function of the journal, so two replays of the same run are
+    byte-identical, and replay-from-checkpoint and replay-from-origin
+    agree: [test_recovery] runs 40 seeded lossy schedules with crashes
+    and rule cutovers with and without checkpoints and requires the
+    same journal records (checkpoints aside), trace and final state. *)
 
 type t
 
@@ -66,7 +71,7 @@ val restart : t -> site:string -> unit
     skipped, transport recovery still runs. *)
 
 val checkpoint_now : t -> site:string -> unit
-(** Freeze the journal-derived state into a [Checkpoint] record now —
+(** Append the journal-derived state as a [Checkpoint] record now —
     the periodic timer uses this; tests use it to place checkpoints at
     awkward instants (e.g. between the two halves of a firing). *)
 

@@ -243,27 +243,6 @@ let rec transmit t ~from_site ~to_site l ~seq ~attempt ~timeout =
           end
         | _ -> ())
 
-(* Put the messages a restarted [from_site] still owes [to_site] back on
-   the wire.  Their journal entries carry a previous incarnation's epoch,
-   so each is re-sent with a fresh sequence number under the current
-   epoch, keeping its stable mid for receiver-side deduplication. *)
-let requeue_unacked t ~from_site ~to_site unacked =
-  match journal_for t from_site with
-  | None -> ()
-  | Some j ->
-    let l = link t ~from_site ~to_site in
-    List.iter
-      (fun (mid, _, _, payload) ->
-        let seq = l.next_seq in
-        l.next_seq <- seq + 1;
-        Journal.append j
-          (Journal.Outbound
-             { time = Sim.now t.sim; to_site; mid; epoch = l.epoch; seq; payload });
-        Hashtbl.replace l.outstanding seq (l.epoch, mid, payload);
-        Obs.Counter.incr l.lo.lo_requeued;
-        transmit t ~from_site ~to_site l ~seq ~attempt:0 ~timeout:t.cfg.retry_timeout)
-      unacked
-
 (* Any frame from [peer] counts as a sign of life. *)
 let heard t ep peer =
   Hashtbl.replace ep.last_heard peer (Sim.now t.sim);
@@ -272,6 +251,21 @@ let heard t ep peer =
     Obs.Counter.incr (peer_obs t ep peer).po_recoveries;
     ep.deliver (Msg.Reset_notice { origin_site = peer })
   end
+
+(* Send message [mid] as the link's next sequence number under its
+   current epoch. *)
+let enqueue t ~from_site ~to_site l ~mid payload =
+  let seq = l.next_seq in
+  l.next_seq <- seq + 1;
+  (match journal_for t from_site with
+   | Some j ->
+     (* Write-ahead: the message is remembered before it is on the wire. *)
+     Journal.append j
+       (Journal.Outbound
+          { time = Sim.now t.sim; to_site; mid; epoch = l.epoch; seq; payload })
+   | None -> ());
+  Hashtbl.replace l.outstanding seq (l.epoch, mid, payload);
+  transmit t ~from_site ~to_site l ~seq ~attempt:0 ~timeout:t.cfg.retry_timeout
 
 let send t ~from_site ~to_site msg =
   if String.equal from_site to_site then
@@ -282,19 +276,8 @@ let send t ~from_site ~to_site msg =
     let l = link t ~from_site ~to_site in
     let mid = l.next_mid in
     l.next_mid <- mid + 1;
-    let seq = l.next_seq in
-    l.next_seq <- seq + 1;
-    (match journal_for t from_site with
-     | Some j ->
-       (* Write-ahead: the message is remembered before it is on the wire. *)
-       Journal.append j
-         (Journal.Outbound
-            { time = Sim.now t.sim; to_site; mid; epoch = l.epoch; seq;
-              payload = msg })
-     | None -> ());
-    Hashtbl.replace l.outstanding seq (l.epoch, mid, msg);
     Obs.Counter.incr l.lo.lo_data_sent;
-    transmit t ~from_site ~to_site l ~seq ~attempt:0 ~timeout:t.cfg.retry_timeout
+    enqueue t ~from_site ~to_site l ~mid msg
   end
 
 (* Consume the in-order slot [seq]: advance the window, journal the
@@ -454,9 +437,12 @@ let register t ~site deliver =
       (fun () -> heartbeat_tick t ep)
       ~cancel:(fun () -> false)
 
-(* -- crash-recovery hooks (driven by Cm_core.Recovery) -- *)
+(* -- crash recovery (driven by Cm_core.Recovery) -- *)
 
-let reset_endpoint t ~site =
+let recover t ~site ~incarnation links =
+  (* The crash destroyed the endpoint's volatile state: its
+     failure-detector memory, the sender half of every link leaving it
+     and the receiver half of every link entering it. *)
   (match Hashtbl.find_opt t.endpoints site with
    | Some ep ->
      Hashtbl.reset ep.last_heard;
@@ -466,31 +452,35 @@ let reset_endpoint t ~site =
   Hashtbl.iter
     (fun (from_site, to_site) l ->
       if String.equal from_site site then begin
-        (* sender half lives at [site] *)
         Hashtbl.reset l.outstanding;
         l.next_seq <- 0
       end;
       if String.equal to_site site then begin
-        (* receiver half lives at [site] *)
         Hashtbl.reset l.held;
         l.in_epoch <- 0;
         l.expected <- 0;
         Hashtbl.reset l.delivered_mids
       end)
-    t.links
-
-let restore_sender_state t ~from_site ~to_site ~epoch ~next_mid =
-  let l = link t ~from_site ~to_site in
-  l.epoch <- epoch;
-  l.next_seq <- 0;
-  l.next_mid <- next_mid
-
-let restore_receiver_state t ~from_site ~to_site ~epoch ~expected
-    ~delivered_mids =
-  let l = link t ~from_site ~to_site in
-  l.in_epoch <- epoch;
-  l.expected <- expected;
-  List.iter (fun mid -> Hashtbl.replace l.delivered_mids mid ()) delivered_mids
+    t.links;
+  List.iter
+    (fun (ls : Journal.link_state) ->
+      let inbound = link t ~from_site:ls.peer ~to_site:site in
+      inbound.in_epoch <- ls.in_epoch;
+      inbound.expected <- ls.in_expected;
+      List.iter (fun mid -> Hashtbl.replace inbound.delivered_mids mid ()) ls.delivered_mids;
+      (* The new incarnation's sequence space (restarted at 0 above)
+         is its own epoch, so the previous life's retransmits get
+         rejected instead of mis-deduplicated; mids continue, so
+         re-sends keep theirs. *)
+      let outbound = link t ~from_site:site ~to_site:ls.peer in
+      outbound.epoch <- incarnation;
+      outbound.next_mid <- ls.next_mid;
+      List.iter
+        (fun (mid, _, _, payload) ->
+          Obs.Counter.incr outbound.lo.lo_requeued;
+          enqueue t ~from_site:site ~to_site:ls.peer outbound ~mid payload)
+        ls.unacked)
+    links
 
 let suspects t ~site =
   match Hashtbl.find_opt t.endpoints site with

@@ -42,7 +42,7 @@
       interval — a give-up may conclude {e after} a restarted peer's
       last sign of life, so waiting to hear it again would strand the
       frame.  A durable frame thus leaves the wire only on its ack, or
-      when its sender's own restart re-queues it ({!requeue_unacked}).
+      when its sender's own restart re-queues it ({!recover}).
 
     All timers run on the simulation clock and all state changes are
     deterministic, so faulty runs remain reproducible from their seed.
@@ -126,41 +126,24 @@ val on_suspect : t -> (site:string -> suspect:string -> unit) -> unit
 val suspects : t -> site:string -> string list
 (** Peers currently suspected by [site]'s detector, sorted. *)
 
-(** {2 Crash-recovery hooks}
+(** {2 Crash recovery}
 
     Driven by {!Cm_core.Recovery}; not meant for application use. *)
 
-val reset_endpoint : t -> site:string -> unit
-(** Wipe [site]'s volatile transport state: its failure-detector memory,
-    the sender half of every link leaving it, and the receiver half of
-    every link entering it.  Models the loss of in-memory protocol state
-    at a crash; {!restore_sender_state} / {!restore_receiver_state}
-    rebuild what the journal remembers. *)
-
-val restore_sender_state :
-  t -> from_site:string -> to_site:string -> epoch:int -> next_mid:int -> unit
-(** Rebind the sender half of a link under a new incarnation: sequence
-    numbers restart at 0 in [epoch]; mids continue from [next_mid]. *)
-
-val restore_receiver_state :
-  t ->
-  from_site:string ->
-  to_site:string ->
-  epoch:int ->
-  expected:int ->
-  delivered_mids:int list ->
-  unit
-(** Rebuild the receiver half of a link from journaled deliveries: the
-    peer epoch it was synchronized to, the next expected sequence
-    number, and the cross-incarnation duplicate-suppression set. *)
-
-val requeue_unacked :
-  t -> from_site:string -> to_site:string -> (int * int * int * Msg.t) list -> unit
-(** Re-send the [(mid, epoch, seq, payload)] messages a restarted
-    [from_site]'s journal still owes [to_site] — as {!Cm_core.Recovery}
-    derived them, in mid (original send) order — under the current
-    epoch, with fresh sequence numbers and their stable mids.  No-op
-    without a journal. *)
+val recover : t -> site:string -> incarnation:int -> Journal.link_state list -> unit
+(** Restore [site]'s endpoint from a checkpoint's links ({!Cm_core.Recovery}
+    derives them from the journal).  First the crash's loss is modelled:
+    [site]'s failure-detector memory, the sender half of every link
+    leaving it and the receiver half of every link entering it are
+    wiped.  Then, for each peer, in list order: the receiver half from
+    the peer gets its [in_epoch], next expected sequence number and
+    cross-incarnation duplicate-suppression set; the sender half towards
+    the peer is rebound to epoch [incarnation], with sequence numbers
+    restarting at 0 and mids continuing from [next_mid]; and the
+    [unacked] messages, in list (mid) order, are put back on the wire
+    through {!send}'s write-ahead path (an [Outbound] record), counted
+    as [requeued], each under the new epoch with a fresh sequence number
+    and its original mid. *)
 
 val stats : t -> stats
 (** Sums of the layer's [reliable_*] counter handles. *)

@@ -37,13 +37,6 @@ type rule_obs = {
   ro_stale_epoch_rejections : Obs.Counter.t;
 }
 
-(* A replayable epoch transition, as recovery derives it from the
-   journal. *)
-type epoch_op =
-  | Op_propose of int * Rule.t list
-  | Op_cutover of int
-  | Op_retire of int
-
 type t = {
   sim : Sim.t;
   net : Msg.t Net.t;
@@ -231,14 +224,6 @@ let propose_epoch t ~epoch rules = propose_epoch_aux t ~journal:true ~epoch rule
 let cutover_epoch t ~epoch = cutover_epoch_aux t ~journal:true ~epoch
 let retire_epoch t ~epoch = retire_epoch_aux t ~journal:true ~epoch
 
-let restore_epoch_ops t ops =
-  List.iter
-    (function
-      | Op_propose (epoch, rules) -> propose_epoch_aux t ~journal:false ~epoch rules
-      | Op_cutover epoch -> cutover_epoch_aux t ~journal:false ~epoch
-      | Op_retire epoch -> retire_epoch_aux t ~journal:false ~epoch)
-    ops
-
 let rule_epoch t = t.active_epoch
 
 let epoch_phase t ~epoch =
@@ -315,7 +300,6 @@ let rec occurred t (event : Event.t) =
                    rule_epoch = t.active_epoch;
                    env = Msg.env_to_list env;
                    trigger_id = event.id;
-                   trigger_time = event.time;
                    span;
                  });
             if Obs.enabled t.obs then
@@ -453,7 +437,7 @@ and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
       Obs.end_span t.obs ~id:exec_span ~at:(Sim.now t.sim))
 
 and handle_msg t = function
-  | Msg.Fire { rule_id; rule_epoch; env; trigger_id; trigger_time = _; span } ->
+  | Msg.Fire { rule_id; rule_epoch; env; trigger_id; span } ->
     handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span:span
   | Msg.Failure_notice { origin_site; kind } ->
     List.iter (fun f -> f ~origin:origin_site kind) t.failure_listeners
@@ -550,11 +534,6 @@ let install_strategy t rules =
       index_add t rule)
     rules
 
-let installed_rules t =
-  let e = active_program t in
-  Hashtbl.fold (fun _ r acc -> r :: acc) e.re_by_id []
-  |> List.sort (fun a b -> compare a.Rule.id b.Rule.id)
-
 let register_periodic t ?site ~period () =
   let site = Option.value site ~default:t.site in
   if not (Hashtbl.mem t.periodics (site, period)) then begin
@@ -602,15 +581,12 @@ let events_seen t = Obs.Counter.value t.obs_events
 
 let journal t = t.journal
 
-let reset_volatile t =
+let recover t ~store ~epochs =
   Store.clear t.store;
   if t.active_epoch <> 0 || Hashtbl.length t.epochs > 1 then begin
     (* Rule epochs beyond the base program are volatile: a crashed site
-       reboots on its configured program (epoch 0).  Recovery replays
-       the journaled transitions to re-enter the epoch the site had
-       actually reached — without a journal, the site keeps running the
-       base program and stale-epoch Fires are rejected and counted
-       rather than resurrecting the retired rules. *)
+       reboots on its configured program (epoch 0), and only the
+       journaled phases below take it back to the epoch it had reached. *)
     let base = Hashtbl.find t.epochs 0 in
     Hashtbl.reset t.epochs;
     base.re_phase <- Journal.Ep_active;
@@ -618,9 +594,23 @@ let reset_volatile t =
     t.active_epoch <- 0;
     t.lhs_rules <- Rule_index.create ();
     List.iter (fun r -> index_add t r) base.re_rules
-  end
-
-let restore_aux t item v =
-  (* Replay path: re-apply a journaled write without re-emitting its
-     event (the trace already has it) and without re-journaling it. *)
-  Store.set t.store item v
+  end;
+  (* The trace already holds the writes' events: set, do not emit. *)
+  List.iter (fun (item, v) -> Store.set t.store item v) store;
+  (* Proposals, then cutovers, then retirements, each ascending.  Only
+     cutovers touch the index, and they advance in epoch order as the
+     live ones did, so the index comes out as the live cutovers left
+     it. *)
+  List.iter
+    (fun (epoch, _, rules) ->
+      if epoch > 0 then propose_epoch_aux t ~journal:false ~epoch rules)
+    epochs;
+  List.iter
+    (fun (epoch, phase, _) ->
+      if epoch > 0 && phase <> Journal.Ep_proposed then
+        cutover_epoch_aux t ~journal:false ~epoch)
+    epochs;
+  List.iter
+    (fun (epoch, phase, _) ->
+      if phase = Journal.Ep_retired then retire_epoch_aux t ~journal:false ~epoch)
+    epochs

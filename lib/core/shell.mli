@@ -72,8 +72,6 @@ val install_strategy : t -> Cm_rule.Rule.t list -> unit
     Interface rules are {e not} installed here — they describe translator
     behaviour, not shell behaviour. *)
 
-val installed_rules : t -> Cm_rule.Rule.t list
-
 val register_periodic : t -> ?site:string -> period:float -> unit -> unit
 (** Start a [P(period)] event source at [site] (default: the shell's own
     site).  Duplicate (site, period) registrations are ignored. *)
@@ -156,16 +154,6 @@ val retire_epoch : t -> epoch:int -> unit
 (** End a draining epoch: firings tagged with it are rejected and
     counted from now on.  Only a draining epoch can retire. *)
 
-(** A replayed epoch transition (see {!Recovery}). *)
-type epoch_op =
-  | Op_propose of int * Cm_rule.Rule.t list
-  | Op_cutover of int
-  | Op_retire of int
-
-val restore_epoch_ops : t -> epoch_op list -> unit
-(** Replay transitions without re-journaling them — the recovery path,
-    called after {!reset_volatile} dropped the site back to epoch 0. *)
-
 (** {2 Crash-recovery hooks}
 
     Driven by {!Recovery}; not meant for application use.  When the
@@ -177,12 +165,19 @@ val restore_epoch_ops : t -> epoch_op list -> unit
 
 val journal : t -> Journal.t option
 
-val reset_volatile : t -> unit
-(** Wipe the private store and drop rule epochs beyond the base program,
-    modelling the loss of volatile memory at a crash (the base program
-    is configuration and survives).  Counters and trace survive: they
-    are measurement, not state. *)
-
-val restore_aux : t -> Cm_rule.Item.t -> Cm_rule.Value.t -> unit
-(** Replay a journaled store write without re-emitting its event or
-    re-journaling it. *)
+val recover :
+  t ->
+  store:(Cm_rule.Item.t * Cm_rule.Value.t) list ->
+  epochs:(int * Journal.epoch_phase * Cm_rule.Rule.t list) list ->
+  unit
+(** Restore the shell from a checkpoint's content ({!Recovery} derives
+    it from the journal).  First the crash's loss is modelled: the
+    private store is wiped and rule epochs beyond the base program are
+    dropped (the base program is configuration and survives).  Then
+    [store] is written back without emitting or journaling events, and
+    [epochs] — a checkpoint's [rule_epochs], ascending — is replayed
+    without journaling: every proposal, then a cutover to every epoch
+    past its proposed phase, then every retirement.  The site ends in
+    the epoch it had reached, with the dispatch index its live cutovers
+    built.  Counters and trace survive: they are measurement, not
+    state. *)

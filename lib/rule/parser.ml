@@ -328,17 +328,6 @@ let parse_rules src =
       in
       loop [])
 
-let parse_rules_located src =
-  with_stream src (fun st ->
-      let rec loop acc =
-        if peek st = Lexer.EOF then List.rev acc
-        else
-          let line = line_at st in
-          let rule = parse_one_rule st in
-          loop ((rule, line) :: acc)
-      in
-      loop [])
-
 let parse_program src =
   match
     with_stream src (fun st ->

@@ -33,11 +33,6 @@ exception Parse_error of { pos : int; line : int; message : string }
 val parse_rules : string -> Rule.t list
 (** Parse a whole rule file.  @raise Parse_error *)
 
-val parse_rules_located : string -> (Rule.t * int) list
-(** Like {!parse_rules}, pairing each rule with the 1-based source line
-    its first token starts on — the anchor for [file:line] diagnostics.
-    @raise Parse_error *)
-
 val parse_program : string -> (Rule.t * int) list * (int * string) option
 (** Best-effort variant for diagnostics: the rules successfully parsed
     before the first syntax error, plus that error's (line, message) if

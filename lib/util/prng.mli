@@ -48,6 +48,3 @@ val uniform_in : t -> lo:float -> hi:float -> float
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array.  @raise Invalid_argument on an
     empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

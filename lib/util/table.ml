@@ -11,8 +11,6 @@ let fit ncols row =
 
 let add_row t row = t.rows <- fit (List.length t.columns) row :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.columns :: rows in

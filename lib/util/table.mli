@@ -12,8 +12,6 @@ val add_row : t -> string list -> unit
 (** Rows shorter than the header are padded with empty cells; longer rows
     are truncated. *)
 
-val add_rows : t -> string list list -> unit
-
 val render : t -> string
 (** Full rendering including the title line. *)
 

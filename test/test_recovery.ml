@@ -188,6 +188,136 @@ let checkpoint_between_firing_halves () =
     (Shell.fires_executed p.Payroll.shell_b);
   Alcotest.(check int) "no logical failure" 0 !logical
 
+(* -- durability modes agree --
+
+   Restart derives the site's state from the newest checkpoint and the
+   records after it, or from the journal's origin when there is no
+   checkpoint; both must recover the same state.  So a schedule run
+   with and without periodic checkpoints journals the same records
+   (checkpoint lines aside), records the same trace and ends with the
+   same salaries. *)
+
+let durability_modes = [ Journal.Journal; Journal.Journal_with_checkpoint ]
+
+(* ny only receives from sf, so the Failure notice its restart sends is
+   its first message to sf: under the new incarnation's epoch in both
+   modes, whether the restart replays from the origin or from a
+   checkpoint that lists sf. *)
+let restart_notice_under_new_epoch () =
+  List.iter
+    (fun durability ->
+      let config =
+        Sys_.Config.(
+          seeded 23
+          |> with_reliable Reliable.default_config
+          |> with_durability durability)
+      in
+      let p = Payroll.create ~config ~employees:1 () in
+      Payroll.install_propagation p;
+      let system = p.Payroll.system in
+      let sim = Sys_.sim system in
+      Payroll.schedule_update p ~at:1.0 ~emp:"e1" ~salary:4200;
+      if durability = Journal.Journal_with_checkpoint then
+        Sim.schedule_at sim 5.0 (fun () ->
+            Recovery.checkpoint_now (Option.get (Sys_.recovery system))
+              ~site:Payroll.site_b);
+      Sim.schedule_at sim 10.0 (fun () -> Sys_.crash_site system ~site:Payroll.site_b);
+      Sim.schedule_at sim 20.0 (fun () -> Sys_.restart_site system ~site:Payroll.site_b);
+      Sys_.run system ~until:40.0;
+      let notice_epochs =
+        List.filter_map
+          (function
+            | Journal.Outbound { payload = Msg.Failure_notice _; epoch; _ } -> Some epoch
+            | _ -> None)
+          (Journal.records (Option.get (Sys_.journal system ~site:Payroll.site_b)))
+      in
+      Alcotest.(check (list int))
+        (Journal.durability_to_string durability ^ ": restart notice epoch")
+        [ 1 ] notice_epochs)
+    durability_modes
+
+(* A lossy payroll run: Poisson updates until 400 s, three crash windows
+   alternating between the sites from a seed-chosen one, the first
+   starting after the 60 s checkpoint, and on even seeds three rule
+   cutovers between propagate and propagate-cached.  Returns each
+   site's journal without its checkpoint lines, the trace, and the
+   final salaries. *)
+let lossy_durable_run ~seed durability =
+  let config =
+    Sys_.Config.(
+      seeded seed
+      |> with_faults { Net.drop_prob = 0.1; dup_prob = 0.05 }
+      |> with_reliable Reliable.default_config
+      |> with_durability durability)
+  in
+  let p = Payroll.create ~config ~employees:3 () in
+  Payroll.install_propagation p;
+  let system = p.Payroll.system in
+  let sim = Sys_.sim system in
+  let rng = Cm_util.Prng.create ~seed in
+  let first = Cm_util.Prng.bool rng in
+  let clock = ref 60.0 in
+  List.iter
+    (fun on_b ->
+      let site = if on_b then Payroll.site_b else Payroll.site_a in
+      let at = !clock +. Cm_util.Prng.uniform_in rng ~lo:1.0 ~hi:40.0 in
+      let until = at +. Cm_util.Prng.uniform_in rng ~lo:5.0 ~hi:90.0 in
+      clock := until;
+      Sim.schedule_at sim at (fun () -> Sys_.crash_site system ~site);
+      Sim.schedule_at sim until (fun () -> Sys_.restart_site system ~site))
+    [ first; not first; first ];
+  if seed mod 2 = 0 then begin
+    let evo = Cm_core.Evolution.create system in
+    List.iteri
+      (fun i at ->
+        let prefix = Printf.sprintf "evo%d" (i + 1) in
+        let source = Payroll.source_pattern and target = Payroll.target_pattern in
+        let strategy =
+          if i mod 2 = 0 then
+            Cm_core.Strategy.propagate_cached ~prefix ~delta:5.0 ~source ~target
+              ~cache:(Printf.sprintf "SalCache%d" (i + 1)) ()
+          else Cm_core.Strategy.propagate ~prefix ~delta:5.0 ~source ~target ()
+        in
+        Sim.schedule_at sim at (fun () ->
+            match Cm_core.Evolution.evolve ~quiesce:false evo strategy with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "seed %d: cutover failed: %s" seed e))
+      (List.sort Float.compare
+         (List.init 3 (fun _ -> Cm_util.Prng.uniform_in rng ~lo:20.0 ~hi:380.0)))
+  end;
+  Payroll.random_updates p ~mean_interarrival:8.0 ~until:400.0;
+  Sys_.run system ~until:700.0;
+  let journal site =
+    String.split_on_char '\n'
+      (Journal.to_string (Option.get (Sys_.journal system ~site)))
+    |> List.filter (fun line ->
+           match String.split_on_char ' ' line with
+           | _ :: "checkpoint" :: _ -> false
+           | _ -> true)
+  in
+  ( List.map (fun site -> (site, journal site)) [ Payroll.site_a; Payroll.site_b ],
+    Trace.to_string (Sys_.trace system),
+    List.concat_map
+      (fun emp ->
+        [ Value.to_string (Payroll.salary_at p `A emp);
+          Value.to_string (Payroll.salary_at p `B emp) ])
+      p.Payroll.employees )
+
+let durability_modes_agree () =
+  for seed = 1 to 40 do
+    let journals, trace, salaries = lossy_durable_run ~seed Journal.Journal in
+    let journals', trace', salaries' =
+      lossy_durable_run ~seed Journal.Journal_with_checkpoint
+    in
+    let label what = Printf.sprintf "seed %d: %s" seed what in
+    List.iter2
+      (fun (site, j) (_, j') ->
+        Alcotest.(check (list string)) (label (site ^ " journal")) j j')
+      journals journals';
+    Alcotest.(check string) (label "trace") trace trace';
+    Alcotest.(check (list string)) (label "final salaries") salaries salaries'
+  done
+
 (* -- determinism -- *)
 
 let crash_replay_run () =
@@ -533,6 +663,13 @@ let () =
         [
           Alcotest.test_case "between firing halves" `Quick
             checkpoint_between_firing_halves;
+        ] );
+      ( "durability",
+        [
+          Alcotest.test_case "restart notice under the new epoch" `Quick
+            restart_notice_under_new_epoch;
+          Alcotest.test_case "both modes agree on 40 schedules" `Quick
+            durability_modes_agree;
         ] );
       ( "determinism",
         [
