@@ -1109,7 +1109,7 @@ let exp_e16 () =
               gs.Evolution.gs_name;
               short gs.Evolution.gs_before;
               short gs.Evolution.gs_after;
-              Evolution.survival_status gs.Evolution.gs_survival;
+              Derive.survival_status gs.Evolution.gs_survival;
             ])
         cs.Evolution.cs_guarantees)
     survivals;
@@ -1256,8 +1256,14 @@ let exp_e17 () =
       Net.set_latency net ~from_site:(rsite k) ~to_site:"hub" l;
       Net.set_latency net ~from_site:"hub" ~to_site:(rsite k) l)
     replicas;
+  Sys_.declare_interfaces system interfaces;
+  Sys_.install system
+    { Strategy.strategy_name = "kappa-ladder";
+      description = "one propagation rule per feed";
+      rules = strategy;
+      aux_init = [] };
   let route =
-    Route.create ~interfaces ~strategy system
+    Route.create system
       ~constraints:(List.map (fun (k, _) -> (feed k, copy k)) replicas)
   in
   let clients_total = if !smoke_mode then 100_000 else 1_000_000 in

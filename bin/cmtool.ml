@@ -409,14 +409,11 @@ let evolve_cmd_run config_file proposed_file rule_files json deny_warnings
     | Error c, _ | _, Error c -> c
     | Ok extra_rules, Ok proposed_rules ->
       let is_iface r = Interface.classify r <> None in
-      (* Current epoch: interfaces synthesized from the configuration,
-         extended by interface statements in the extra rule files —
-         except statements restating a capability the translators
-         already declared, which are the same interface, not a second
-         channel (mirrors cmtool check's merge). *)
-      let interfaces_before, strategy_before =
-        Cmtool_cli.merge_program ~system extra_rules
-      in
+      (* Current epoch: the built system's program, extended by the
+         extra rule files as cmtool check merges them. *)
+      Cmtool_cli.declare_rule_files system extra_rules;
+      let interfaces_before = Cm_core.System.interface_rules system
+      and strategy_before = Cm_core.System.strategy_rules system in
         (* Proposed epoch: its interface statements, when present,
            REPLACE the current set — an interface change (§4.2.3) means
            capabilities disappear, not accumulate.  A proposal with no
@@ -477,10 +474,11 @@ let evolve_cmd_run config_file proposed_file rule_files json deny_warnings
                configuration: cut over mid-run, let the old epoch drain,
                retire it once the transport is quiescent. *)
             let sim = Cm_core.System.sim system in
+            Cm_core.System.declare_copies system constraints;
             let evo =
-              Cm_core.Evolution.create ~constraints
+              Cm_core.Evolution.create
                 ~required:(Cm_core.Cmrid.required_constraints config)
-                ~interfaces:interfaces_before system
+                system
             in
             let strategy =
               { Cm_core.Strategy.strategy_name = "proposed";
@@ -1060,8 +1058,8 @@ let route_cmd_run config_file rule_files slo json no_check =
       | Error c -> c
       | Ok extra_rules ->
         let system = built.Cm_core.Toolkit.system in
-        let interfaces, strategy = Cmtool_cli.merge_program ~system extra_rules in
-        let route = Cm_route.Route.of_cmrid ~interfaces ~strategy system config in
+        Cmtool_cli.declare_rule_files system extra_rules;
+        let route = Cm_route.Route.of_cmrid system config in
         (* Static routing table: every declared site acts as a client
            location, sorted so the output is byte-deterministic. *)
         let client_sites =

@@ -1,11 +1,13 @@
 (* Shared plumbing for cmtool subcommands: the flags every command
    re-declared by hand (--json, --deny-warnings, --no-check, --seed),
    the CONFIG [RULES…] positional convention, config/rule-file loading
-   with uniform error reporting, the interface-merge semantics shared by
-   check/evolve/route, and the static-check preflight gates. *)
+   with uniform error reporting, declaring extra rule files on a built
+   system with check's merge rule, and the static-check preflight
+   gates. *)
 
 open Cmdliner
 module Interface = Cm_core.Interface
+module System = Cm_core.System
 module Analysis = Cm_analysis.Analysis
 
 (* ---- common flags ---- *)
@@ -95,19 +97,37 @@ let build_config ?sys_config file =
       Error 1
     | Ok built -> Ok (config, built))
 
-(* ---- interface merge (check/evolve/route agree on it) ---- *)
+(* ---- extra rule files (check/evolve/route agree on them) ---- *)
 
-(* Split extra rule files against a system's synthesized interfaces:
-   interface statements extend the declared set unless they restate a
-   declared one ({!Interface.restates}); everything else is strategy. *)
-let merge_program ~system extra_rules =
-  let synth = Cm_core.System.interface_rules system in
-  let extra_ifaces, extra_strategy =
-    List.partition (fun r -> Interface.classify r <> None) extra_rules
+(* Declare the rules of extra rule files on a built system, merged the
+   way `cmtool check` merges them (Analysis.check_config): a rule
+   identical to an installed or earlier one (same label and body) is
+   the same rule; an interface statement restating a capability the
+   translators report ({!Interface.restates}) is the same interface,
+   not a second channel.  The remaining interface statements are
+   declared, the remaining strategy rules installed. *)
+let declare_rule_files system rules =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun r -> Hashtbl.replace seen (Cm_rule.Rule.to_string r) ())
+    (System.strategy_rules system);
+  let fresh r =
+    let key = Cm_rule.Rule.to_string r in
+    let is_new = not (Hashtbl.mem seen key) in
+    Hashtbl.replace seen key ();
+    is_new
   in
-  let restated = Interface.restates ~declared:synth in
-  ( synth @ List.filter (fun r -> not (restated r)) extra_ifaces,
-    Cm_core.System.strategy_rules system @ extra_strategy )
+  let ifaces, strategy =
+    List.partition (fun r -> Interface.classify r <> None) (List.filter fresh rules)
+  in
+  let restated = Interface.restates ~declared:(System.interface_rules system) in
+  System.declare_interfaces system (List.filter (fun r -> not (restated r)) ifaces);
+  if strategy <> [] then
+    System.install system
+      { Cm_core.Strategy.strategy_name = "rule-files";
+        description = "strategy rules from the command line's rule files";
+        rules = strategy;
+        aux_init = [] }
 
 (* ---- preflight gates ---- *)
 

@@ -37,13 +37,8 @@ let () =
   (* The administrator knows B never writes Salary2 on its own — the
      same statement interfaces.rules ships for cmtool check/derive. *)
   let nsw = Interface.no_spontaneous_write Payroll.target_pattern in
-  let route =
-    Route.create
-      ~interfaces:(Sys_.interface_rules system @ [ nsw ])
-      ~strategy:(Sys_.strategy_rules system)
-      system
-      ~constraints:[ ("Salary1", "Salary2") ]
-  in
+  Sys_.declare_interfaces system [ nsw ];
+  let route = Route.create system ~constraints:[ ("Salary1", "Salary2") ] in
   print_endline "The catalog the router works from:\n";
   print_string (Route.report_to_text route []);
 

@@ -10,7 +10,6 @@ module Interface = Cm_core.Interface
 module Toolkit = Cm_core.Toolkit
 module Json = Cm_util.Json
 module Derive = Cm_core.Derive
-module Guarantee_view = Cm_core.System.Guarantee_view
 
 type severity = Error | Warning | Info
 
@@ -588,10 +587,9 @@ let guarantee_pass ctx ~file (config : Cmrid.t) add =
             ~source:(pattern c.Cmrid.c_source si)
             ~target:(pattern c.Cmrid.c_target ti)
         in
-        (* The "all four unprovable" condition and its reason now come
-           from the unified guarantee view, so `cmtool check` and the
-           read router agree on what "no guarantee" means. *)
-        (match Guarantee_view.blocking_reason report with
+        (* The "all four unprovable" condition and its reason come from
+           Derive's report vocabulary, shared with the read router. *)
+        (match Derive.blocking_reason report with
         | None -> ()
         | Some reason ->
           add

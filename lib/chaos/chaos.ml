@@ -519,35 +519,31 @@ let copy_pair = ("Salary1", "Salary2")
 
 type payroll_world = {
   p : Pw.t;
-  interfaces : Cm_rule.Rule.t list;
   evo : Evolution.t;
   observe : unit -> observed;
 }
 
-(* The payroll world both payroll modes run, with its ops scheduled.
-   The payroll bindings never declare a no-spontaneous-write interface
-   on the target, but in this harness it is true by construction: the
-   op stream only updates site A.  Without the declaration the prover
-   (correctly, conservatively) refuses every follows-style guarantee —
-   the both-epoch invariant would be vacuous and no κ could be proved. *)
+(* The payroll world both payroll modes run, with its ops scheduled and
+   the copy declared.  The payroll bindings never declare a
+   no-spontaneous-write interface on the target, but in this harness it
+   is true by construction: the op stream only updates site A.  Without
+   the declaration the prover (correctly, conservatively) refuses every
+   follows-style guarantee — the both-epoch invariant would be vacuous
+   and no κ could be proved. *)
 let payroll_world ~config ?required sched =
   let p = Pw.create ~config ~employees:(Array.length employees) () in
   Pw.install_propagation p;
   let observe =
     observer p.Pw.system ~sites:(fault_sites Payroll) [ p.Pw.shell_a; p.Pw.shell_b ]
   in
-  let interfaces =
-    Sys_.interface_rules p.Pw.system
-    @ [ Cm_core.Interface.no_spontaneous_write Pw.target_pattern ]
-  in
-  let evo =
-    Evolution.create ~constraints:[ copy_pair ] ?required ~interfaces p.Pw.system
-  in
   List.iter
     (fun op ->
       Pw.schedule_update p ~at:op.op_at ~emp:employees.(op.op_slot) ~salary:op.op_value)
     sched.ops;
-  { p; interfaces; evo; observe }
+  Sys_.declare_interfaces p.Pw.system
+    [ Cm_core.Interface.no_spontaneous_write Pw.target_pattern ];
+  Sys_.declare_copies p.Pw.system [ copy_pair ];
+  { p; evo = Evolution.create ?required p.Pw.system; observe }
 
 let cutover_at sim evo ~at strategy =
   Sim.schedule_at sim at (fun () ->
@@ -852,7 +848,7 @@ let run_heal spec sched =
   let p = w.p in
   let sim = Sys_.sim p.Pw.system in
   let monitor = Option.get (Sys_.monitor p.Pw.system) in
-  let route = Route.create ~interfaces:w.interfaces p.Pw.system ~constraints:[ copy_pair ] in
+  let route = Route.create p.Pw.system ~constraints:[ copy_pair ] in
   Monitor.note_initial monitor p.Pw.initial;
   let kappa =
     match Sys_.copy_qualifies p.Pw.system ~source:"Salary1" ~target:"Salary2" with

@@ -26,6 +26,32 @@ let report_to_string r =
       "(4) metric-follows:   " ^ verdict_to_string r.metric_follows;
     ]
 
+let kappa r =
+  match r.metric_follows with
+  | Proved { kappa; _ } -> kappa
+  | Unprovable _ -> None
+
+let blocking_reason = function
+  | { follows = Unprovable reason; leads = Unprovable _;
+      strictly_follows = Unprovable _; metric_follows = Unprovable _ } ->
+    Some reason
+  | _ -> None
+
+type survival = Kept | Upgraded | Lost of string | Never of string
+
+let survival before after =
+  match before, after with
+  | Proved _, Proved _ -> Kept
+  | Unprovable _, Proved _ -> Upgraded
+  | Proved _, Unprovable reason -> Lost reason
+  | Unprovable _, Unprovable reason -> Never reason
+
+let survival_status = function
+  | Kept -> "kept"
+  | Upgraded -> "upgraded"
+  | Lost _ -> "lost"
+  | Never _ -> "never"
+
 (* ---- interface classification per item base ---- *)
 
 type source_channel =

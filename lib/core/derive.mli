@@ -55,3 +55,26 @@ val copy_guarantees :
 
 val verdict_to_string : verdict -> string
 val report_to_string : report -> string
+
+val kappa : report -> float option
+(** κ of guarantee (4) when it is proved. *)
+
+val blocking_reason : report -> string option
+(** When all four guarantees are unprovable, the follows verdict's
+    reason — the GRT001 analysis condition. *)
+
+(** {1 Survival across a program change} *)
+
+(** How one guarantee fares when the specifications change, e.g. at a
+    rule-epoch cutover. *)
+type survival =
+  | Kept  (** proved before and after *)
+  | Upgraded  (** unprovable before, proved after *)
+  | Lost of string  (** proved before, unprovable after — the reason *)
+  | Never of string  (** unprovable before and after *)
+
+val survival : verdict -> verdict -> survival
+(** [survival before after]. *)
+
+val survival_status : survival -> string
+(** ["kept"], ["upgraded"], ["lost"] or ["never"] — reason elided. *)

@@ -12,11 +12,11 @@
    from then on, never silently dropped and never re-interpreted under
    the new rules.
 
-   On cutover the Derive prover re-runs over both epochs' programs and
-   classifies each §3.3 guarantee of each declared copy constraint as
-   kept / upgraded / lost{reason} — the formal residue of the paper's
-   "which guarantees survive the change" question, surfaced through Obs
-   and `cmtool evolve`. *)
+   On cutover the system re-derives every declared copy constraint from
+   the running program to the incoming one, and each §3.3 guarantee is
+   classified as kept / upgraded / lost{reason} — the formal residue of
+   the paper's "which guarantees survive the change" question, surfaced
+   through Obs and `cmtool evolve`. *)
 
 module Sim = Cm_sim.Sim
 module Json = Cm_util.Json
@@ -24,7 +24,7 @@ open Cm_rule
 
 (* -- guarantee survival across one transition -- *)
 
-type survival = Kept | Upgraded | Lost of string | Never of string
+type survival = Derive.survival = Kept | Upgraded | Lost of string | Never of string
 
 type guarantee_survival = {
   gs_name : string;  (* Guarantee.name vocabulary: "(1) follows", ... *)
@@ -56,18 +56,25 @@ type rollback = {
   rb_lost : (string * string * string) list;
 }
 
-let classify before after =
-  match before, after with
-  | Derive.Proved _, Derive.Proved _ -> Kept
-  | Derive.Unprovable _, Derive.Proved _ -> Upgraded
-  | Derive.Proved _, Derive.Unprovable reason -> Lost reason
-  | Derive.Unprovable _, Derive.Unprovable reason -> Never reason
-
-let survival_status = function
-  | Kept -> "kept"
-  | Upgraded -> "upgraded"
-  | Lost _ -> "lost"
-  | Never _ -> "never"
+(* The four §3.3.1 forms of one copy, before and after a change. *)
+let constraint_survival ~source ~target (before : Derive.report)
+    (after : Derive.report) =
+  let pick name b a =
+    { gs_name = name; gs_before = b; gs_after = a; gs_survival = Derive.survival b a }
+  in
+  {
+    cs_source = source;
+    cs_target = target;
+    cs_guarantees =
+      [
+        pick "(1) follows" before.Derive.follows after.Derive.follows;
+        pick "(2) leads" before.Derive.leads after.Derive.leads;
+        pick "(3) strictly-follows" before.Derive.strictly_follows
+          after.Derive.strictly_follows;
+        pick "(4) metric-follows" before.Derive.metric_follows
+          after.Derive.metric_follows;
+      ];
+  }
 
 let compare_programs ~interfaces_before ~interfaces_after ~strategy_before
     ~strategy_after ~constraints =
@@ -75,45 +82,12 @@ let compare_programs ~interfaces_before ~interfaces_after ~strategy_before
     (fun (source_base, target_base) ->
       let source = Interface.family source_base [ "n" ] in
       let target = Interface.family target_base [ "n" ] in
-      let before =
-        Derive.copy_guarantees ~interfaces:interfaces_before
-          ~strategy:strategy_before ~source ~target
-      in
-      let after =
-        Derive.copy_guarantees ~interfaces:interfaces_after
-          ~strategy:strategy_after ~source ~target
-      in
-      let pick name b a =
-        { gs_name = name; gs_before = b; gs_after = a; gs_survival = classify b a }
-      in
-      {
-        cs_source = source_base;
-        cs_target = target_base;
-        cs_guarantees =
-          [
-            pick "(1) follows" before.Derive.follows after.Derive.follows;
-            pick "(2) leads" before.Derive.leads after.Derive.leads;
-            pick "(3) strictly-follows" before.Derive.strictly_follows
-              after.Derive.strictly_follows;
-            pick "(4) metric-follows" before.Derive.metric_follows
-              after.Derive.metric_follows;
-          ];
-      })
+      constraint_survival ~source:source_base ~target:target_base
+        (Derive.copy_guarantees ~interfaces:interfaces_before
+           ~strategy:strategy_before ~source ~target)
+        (Derive.copy_guarantees ~interfaces:interfaces_after
+           ~strategy:strategy_after ~source ~target))
     constraints
-
-(* The incoming epoch's verdicts reassembled as a Derive.report — what
-   System's read-side view should hold after the cutover.  cs_guarantees
-   is always the four §3.3.1 forms in paper order (compare_programs). *)
-let report_after cs =
-  match cs.cs_guarantees with
-  | [ f; l; s; m ] ->
-    {
-      Derive.follows = f.gs_after;
-      leads = l.gs_after;
-      strictly_follows = s.gs_after;
-      metric_follows = m.gs_after;
-    }
-  | _ -> invalid_arg "Evolution.report_after: expected the four §3.3.1 forms"
 
 let kept_names tr =
   List.concat_map
@@ -146,7 +120,7 @@ let survivals_to_text css =
           in
           Buffer.add_string buf
             (Printf.sprintf "  %-20s %-9s %s -> %s\n" g.gs_name
-               (survival_status g.gs_survival)
+               (Derive.survival_status g.gs_survival)
                (verdict_short g.gs_before) after))
         cs.cs_guarantees)
     css;
@@ -167,7 +141,7 @@ let survivals_to_json css =
   let guarantee g =
     Printf.sprintf "      { \"name\": \"%s\", \"status\": \"%s\", %s, %s }"
       (Json.escape g.gs_name)
-      (survival_status g.gs_survival)
+      (Derive.survival_status g.gs_survival)
       (verdict_json_fields "before" g.gs_before)
       (verdict_json_fields "after" g.gs_after)
   in
@@ -184,11 +158,8 @@ let survivals_to_json css =
 
 type t = {
   system : System.t;
-  constraints : (string * string) list;
   required : (string * string) list;
-  interfaces : Rule.t list;
   mutable current_epoch : int;
-  mutable current_rules : Rule.t list;
   mutable current_strategy : Strategy.t option;  (* set at each cutover *)
   mutable next_epoch : int;
   mutable proposed : (int * Strategy.t) option;
@@ -199,28 +170,24 @@ type t = {
   retirements : Obs.Counter.t;
 }
 
-let create ?(constraints = []) ?(required = []) ?interfaces system =
-  let interfaces =
-    match interfaces with
-    | Some ifs -> ifs
-    | None -> System.interface_rules system
+let create ?(required = []) system =
+  let declared =
+    List.map
+      (fun e -> System.Guarantee_view.(e.gv_source, e.gv_target))
+      (System.guarantee_view system)
   in
   List.iter
     (fun pair ->
-      if not (List.mem pair constraints) then
+      if not (List.mem pair declared) then
         invalid_arg
           (Printf.sprintf
-             "Evolution.create: required pair %s->%s is not a declared \
-              constraint"
+             "Evolution.create: required pair %s->%s is not a declared copy"
              (fst pair) (snd pair)))
     required;
   {
     system;
-    constraints;
     required;
-    interfaces;
     current_epoch = 0;
-    current_rules = System.strategy_rules system;
     current_strategy = None;
     next_epoch = 1;
     proposed = None;
@@ -232,11 +199,9 @@ let create ?(constraints = []) ?(required = []) ?interfaces system =
   }
 
 let current_epoch t = t.current_epoch
-let current_rules t = t.current_rules
 let draining t = t.draining
 let transitions t = List.rev t.rev_transitions
 let rollbacks t = List.rev t.rev_rollbacks
-let constraints t = t.constraints
 let required t = t.required
 
 let stale_rejections t =
@@ -281,21 +246,21 @@ let rec cutover t =
   match t.proposed with
   | None -> Error "no epoch is proposed"
   | Some (epoch, strategy) ->
-    let old_epoch = t.current_epoch and old_rules = t.current_rules in
+    let old_epoch = t.current_epoch
+    and old_rules = System.strategy_rules t.system in
     let old_strategy = t.current_strategy in
     let at = Sim.now (System.sim t.system) in
     List.iter
       (fun (_, shell) -> Shell.cutover_epoch shell ~epoch)
       (System.shells t.system);
-    (* The incoming strategy starts from its own auxiliary state: a
-       stale cache inherited across epochs could wrongly skip a forward
-       (an actual leads violation), so aux items are re-initialized. *)
-    System.apply_aux_init t.system strategy.Strategy.aux_init;
-    System.register_strategy_periodics t.system strategy.Strategy.rules;
+    (* The system re-derives every declared copy from the running
+       program to the incoming one; the read router sees the new
+       reports at once. *)
     let survivals =
-      compare_programs ~interfaces_before:t.interfaces
-        ~interfaces_after:t.interfaces ~strategy_before:old_rules
-        ~strategy_after:strategy.Strategy.rules ~constraints:t.constraints
+      List.map
+        (fun (source, target, before, after) ->
+          constraint_survival ~source ~target before after)
+        (System.cutover t.system ~epoch strategy)
     in
     let tr =
       {
@@ -309,29 +274,8 @@ let rec cutover t =
     t.proposed <- None;
     t.draining <- t.draining @ [ old_epoch ];
     t.current_epoch <- epoch;
-    t.current_rules <- strategy.Strategy.rules;
     t.current_strategy <- Some strategy;
     t.rev_transitions <- tr :: t.rev_transitions;
-    (* Push the incoming epoch's classification into the unified
-       read-side view, so routing immediately skips copies whose metric
-       guarantee this epoch lost (no-op for undeclared pairs). *)
-    List.iter
-      (fun cs ->
-        System.note_epoch_survival t.system ~source:cs.cs_source
-          ~target:cs.cs_target ~report:(report_after cs)
-          (List.map
-             (fun g ->
-               {
-                 System.Guarantee_view.es_epoch = epoch;
-                 es_guarantee = g.gs_name;
-                 es_status = survival_status g.gs_survival;
-                 es_reason =
-                   (match g.gs_survival with
-                   | Lost reason | Never reason -> Some reason
-                   | Kept | Upgraded -> None);
-               })
-             cs.cs_guarantees))
-      survivals;
     let obs = System.obs t.system in
     if Obs.enabled obs then begin
       Obs.incr obs "evolution_cutovers";
@@ -344,7 +288,7 @@ let rec cutover t =
               Obs.incr obs "evolution_guarantee_survival"
                 ~labels:
                   [ ("constraint", cname); ("guarantee", g.gs_name);
-                    ("status", survival_status g.gs_survival) ];
+                    ("status", Derive.survival_status g.gs_survival) ];
               Obs.gauge obs "evolution_guarantee_held"
                 ~labels:[ ("constraint", cname); ("guarantee", g.gs_name) ]
                 (match g.gs_after with
@@ -453,7 +397,10 @@ let transport_drained t =
   | Some r -> Reliable.pending r = 0
   | None -> true
 
-let quiesce_retire ?(check_period = 1.0) t =
+(* Simulated seconds between two checks for a quiescent transport. *)
+let check_period = 1.0
+
+let quiesce_retire t =
   let sim = System.sim t.system in
   List.iter
     (fun epoch ->
@@ -465,12 +412,12 @@ let quiesce_retire ?(check_period = 1.0) t =
       Sim.schedule sim ~delay:check_period check)
     t.draining
 
-let evolve ?(quiesce = true) ?check_period t strategy =
+let evolve ?(quiesce = true) t strategy =
   match propose t strategy with
   | Error e -> Error e
   | Ok _ -> (
     match cutover t with
     | Error e -> Error e
     | Ok tr ->
-      if quiesce then quiesce_retire ?check_period t;
+      if quiesce then quiesce_retire t;
       Ok tr)

@@ -20,15 +20,16 @@
     [shell_stale_epoch_rejections] counter) — never silently dropped,
     never executed under rules that did not produce them.
 
-    On every cutover the {!Derive} prover re-runs over both epochs'
-    programs and classifies each §3.3 guarantee of each declared copy
-    constraint as kept / upgraded / lost{i {reason}} — answering the
-    question the paper leaves to the administrator: which guarantees
-    survive the change? *)
+    On every cutover {!System.cutover} re-derives each declared copy
+    constraint ({!System.declare_copies}) from the running program —
+    the system's interface statements and strategy — to the incoming
+    one, and each §3.3 guarantee is classified as kept / upgraded /
+    lost{i {reason}} — answering the question the paper leaves to the
+    administrator: which guarantees survive the change? *)
 
 (** {1 Guarantee survival} *)
 
-type survival =
+type survival = Derive.survival =
   | Kept  (** proved under both epochs *)
   | Upgraded  (** unprovable before, proved after *)
   | Lost of string  (** proved before, unprovable after — the reason *)
@@ -68,10 +69,6 @@ type rollback = {
       (** (source, target, guarantee name) triples classified [Lost] *)
 }
 
-val classify : Derive.verdict -> Derive.verdict -> survival
-val survival_status : survival -> string
-(** ["kept"], ["upgraded"], ["lost"], or ["never"] — reason elided. *)
-
 val compare_programs :
   interfaces_before:Cm_rule.Rule.t list ->
   interfaces_after:Cm_rule.Rule.t list ->
@@ -98,20 +95,13 @@ val survivals_to_json : constraint_survival list -> string
 
 type t
 
-val create :
-  ?constraints:(string * string) list ->
-  ?required:(string * string) list ->
-  ?interfaces:Cm_rule.Rule.t list ->
-  System.t ->
-  t
-(** Manage epochs for a built system.  Call {e after} the base program is
-    installed: the current rules snapshot ({!System.strategy_rules})
-    becomes epoch 0's program for survival comparisons.  [constraints]
-    are the copy constraints (source/target base names) re-proved at
-    each cutover; [interfaces] defaults to {!System.interface_rules}.
+val create : ?required:(string * string) list -> System.t -> t
+(** Manage epochs for a built system whose copy constraints are already
+    declared ({!System.declare_copies}): each cutover re-proves every
+    declared copy, from the running program to the incoming one.
 
-    [required] (the CM-RID [required] attribute, a subset of
-    [constraints] — checked) marks pairs under self-healing: a cutover
+    [required] (the CM-RID [required] attribute, a subset of the
+    declared copies — checked) marks pairs under self-healing: a cutover
     whose survival report classifies any of their guarantees as {!Lost}
     is rolled back automatically — the outgoing program is re-proposed
     under a fresh epoch and cut over in the same simulation instant, the
@@ -120,8 +110,7 @@ val create :
     (and as an [evolution_rollbacks] counter).  [Never] does not
     trigger: the prior epoch is no better a refuge for a guarantee that
     was unprovable all along.
-    @raise Invalid_argument if [required] is not a subset of
-    [constraints]. *)
+    @raise Invalid_argument if [required] names an undeclared copy. *)
 
 val propose : t -> Strategy.t -> (int, string) result
 (** Stage [strategy] as the next epoch at every shell (journaled
@@ -129,10 +118,11 @@ val propose : t -> Strategy.t -> (int, string) result
     assigned epoch number. *)
 
 val cutover : t -> (transition, string) result
-(** Switch dispatch to the proposed epoch at every shell, apply the
-    incoming strategy's auxiliary initialization and periodic timers,
-    and move the old epoch to draining.  Re-derives guarantee survival
-    and records it on the returned transition (and in Obs:
+(** Switch dispatch to the proposed epoch at every shell, hand the
+    incoming strategy to {!System.cutover} (auxiliary initialization,
+    periodic timers, running strategy, re-derived copies), and move the
+    old epoch to draining.  Records each declared copy's guarantee
+    survival on the returned transition (and in Obs:
     [evolution_epoch] gauge, [evolution_guarantee_survival] counters,
     [evolution_guarantee_held] gauges).
 
@@ -145,19 +135,17 @@ val retire : t -> epoch:int -> (unit, string) result
 (** End the drain of a draining epoch: from now on its envelopes are
     rejected and counted at the shells. *)
 
-val quiesce_retire : ?check_period:float -> t -> unit
+val quiesce_retire : t -> unit
 (** Retire every currently-draining epoch once the reliable transport is
-    quiescent (no unacknowledged envelopes), polling every
-    [check_period] (default [1.0]) simulated seconds.  Without a
-    reliable layer the epochs retire at the first check. *)
+    quiescent (no unacknowledged envelopes), checking every simulated
+    second.  Without a reliable layer the epochs retire at the first
+    check. *)
 
-val evolve :
-  ?quiesce:bool -> ?check_period:float -> t -> Strategy.t -> (transition, string) result
+val evolve : ?quiesce:bool -> t -> Strategy.t -> (transition, string) result
 (** [propose] + [cutover] in one step; when [quiesce] (default [true]),
     also arms {!quiesce_retire} for the now-draining old epoch. *)
 
 val current_epoch : t -> int
-val current_rules : t -> Cm_rule.Rule.t list
 val draining : t -> int list
 (** Epochs cut over but not yet retired, ascending. *)
 
@@ -168,7 +156,6 @@ val transitions : t -> transition list
 val rollbacks : t -> rollback list
 (** All automatic rollbacks, oldest first. *)
 
-val constraints : t -> (string * string) list
 val required : t -> (string * string) list
 val retirements : t -> int
 (** Epochs retired so far: the value of the [evolution_retirements]

@@ -711,9 +711,6 @@ let watch_copy t ~source ~target ~kappa =
     if not (String.equal source target) then add target;
     start_tick t
 
-let watched_copies t =
-  List.rev_map (fun fa -> (fa.fa_source, fa.fa_target)) t.families
-
 (* --- crash recovery: volatile wipe + relearn from the history ---
 
    A site's monitor runs at the site: its watcher state is volatile and
@@ -852,8 +849,6 @@ let finalize t ~horizon =
   end
 
 let verdict w = { v_holds = w.w_bad = 0; v_points = w.w_points; v_violations = w.w_bad }
-
-let handle_guarantee w = w.w_g
 
 let family_verdicts t ~source ~target =
   match find_family t ~source ~target with

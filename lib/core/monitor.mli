@@ -106,9 +106,6 @@ val watch_copy :
     metric-follows and the live staleness verdict.  Instances appear
     lazily at their first event.  Idempotent per (source, target). *)
 
-val watched_copies : t -> (string * string) list
-(** Declaration order. *)
-
 val on_violation : t -> (violation -> unit) -> unit
 (** Subscribe to every point violation, in detection order. *)
 
@@ -168,7 +165,6 @@ val finalize : t -> horizon:float -> unit
     One-shot: further {!feed}s raise. *)
 
 val verdict : handle -> verdict
-val handle_guarantee : handle -> Guarantee.t
 
 val family_verdicts :
   t -> source:string -> target:string -> (Guarantee.t * verdict) list

@@ -4,7 +4,7 @@ type t =
   | Fire of {
       rule_id : string;
       rule_epoch : int;
-      env : (string * Cm_rule.Expr.binding) list;
+      env : Cm_rule.Expr.env;
       trigger_id : int;
       span : int;
     }
@@ -14,13 +14,6 @@ type t =
   | Ack of { from_site : string; epoch : int; seq : int }
   | Heartbeat of { origin_site : string; beat : int }
   | Suspect_down of { origin_site : string; suspect_site : string }
-
-let env_to_list env = Cm_rule.Expr.Env.bindings env
-
-let env_of_list entries =
-  List.fold_left
-    (fun acc (k, v) -> Cm_rule.Expr.Env.add k v acc)
-    Cm_rule.Expr.empty_env entries
 
 let failure_kind_to_string = function Metric -> "metric" | Logical -> "logical"
 

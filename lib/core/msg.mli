@@ -29,7 +29,7 @@ type t =
               rejects (and counts) it once that epoch is retired — an
               in-flight firing is never silently re-interpreted under a
               newer program. *)
-      env : (string * Cm_rule.Expr.binding) list;
+      env : Cm_rule.Expr.env;  (** the LHS match's bindings *)
       trigger_id : int;
       span : int;
           (** Id of the ["fire"] span opened at the LHS shell, or [0]
@@ -56,8 +56,6 @@ type t =
       (** Delivered locally by [origin_site]'s failure detector when
           [suspect_site] has gone quiet. *)
 
-val env_to_list : Cm_rule.Expr.env -> (string * Cm_rule.Expr.binding) list
-val env_of_list : (string * Cm_rule.Expr.binding) list -> Cm_rule.Expr.env
 val failure_kind_to_string : failure_kind -> string
 
 val summary : t -> string

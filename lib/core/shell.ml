@@ -50,10 +50,8 @@ type t = {
   site : string;
   store : Store.t;
   journal : Journal.t option;
-  mutable translators : Cmi.t list;
   translator_by_base : (string, Cmi.t) Hashtbl.t;
-      (* first-attached owner per base — replaces the per-read
-         List.find_opt scan over [translators] *)
+      (* first-attached owner per base *)
   handled_sites : (string, unit) Hashtbl.t;
   mutable route : string -> string;
   epochs : (int, rule_epoch) Hashtbl.t;
@@ -77,7 +75,6 @@ type t = {
 let site t = t.site
 let sim t = t.sim
 let trace t = t.trace
-let translators t = t.translators
 
 let tags ?span t = Obs.log_tags ~site:t.site ~time:(Sim.now t.sim) ?span ()
 
@@ -298,7 +295,7 @@ let rec occurred t (event : Event.t) =
                  {
                    rule_id = rule.Rule.id;
                    rule_epoch = t.active_epoch;
-                   env = Msg.env_to_list env;
+                   env;
                    trigger_id = event.id;
                    span;
                  });
@@ -432,7 +429,7 @@ and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
                   message);
             steps env' (i + 1) rest))
     in
-    steps (Msg.env_of_list env) 0 (Rule.rhs_steps rule);
+    steps env 0 (Rule.rhs_steps rule);
     if Obs.enabled t.obs then
       Obs.end_span t.obs ~id:exec_span ~at:(Sim.now t.sim))
 
@@ -482,7 +479,6 @@ let create ctx ~site =
       site;
       store = Store.create ();
       journal = Option.map (fun reg -> Journal.for_site reg ~site) journals;
-      translators = [];
       translator_by_base = Hashtbl.create 16;
       handled_sites = Hashtbl.create 4;
       route = (fun s -> s);
@@ -509,9 +505,6 @@ let create ctx ~site =
   t
 
 let attach_translator t (tr : Cmi.t) =
-  t.translators <- t.translators @ [ tr ];
-  (* First-attached translator wins per base, matching the List.find_opt
-     over attachment order this index replaces. *)
   List.iter
     (fun base ->
       if not (Hashtbl.mem t.translator_by_base base) then

@@ -54,8 +54,6 @@ val trace : t -> Cm_rule.Trace.t
 val attach_translator : t -> Cmi.t -> unit
 (** The translator's sites become handled by this shell. *)
 
-val translators : t -> Cmi.t list
-
 val emitter_for : t -> site:string -> Cmi.emit
 (** The emit callback handed to a translator at [site]: records the event
     there and runs local rule matching.  Also used by workload drivers to

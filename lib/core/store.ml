@@ -8,7 +8,6 @@ let set t item v = t.data <- Cm_rule.Item.Map.add item v t.data
 
 let remove t item = t.data <- Cm_rule.Item.Map.remove item t.data
 
-let items t = List.map fst (Cm_rule.Item.Map.bindings t.data)
 
 let bindings t = Cm_rule.Item.Map.bindings t.data
 

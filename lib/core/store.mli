@@ -12,7 +12,6 @@ val create : unit -> t
 val get : t -> Cm_rule.Item.t -> Cm_rule.Value.t option
 val set : t -> Cm_rule.Item.t -> Cm_rule.Value.t -> unit
 val remove : t -> Cm_rule.Item.t -> unit
-val items : t -> Cm_rule.Item.t list
 
 val bindings : t -> (Cm_rule.Item.t * Cm_rule.Value.t) list
 (** All items with their current values, in item order — the shell's

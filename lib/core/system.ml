@@ -46,13 +46,6 @@ type guarantee_entry = {
 type guarantee_handle = guarantee_entry
 
 module Guarantee_view = struct
-  type survival = {
-    es_epoch : int;
-    es_guarantee : string;
-    es_status : string;
-    es_reason : string option;
-  }
-
   type entry = {
     gv_source : string;
     gv_target : string;
@@ -62,90 +55,15 @@ module Guarantee_view = struct
     gv_kappa : float option;
     gv_valid : bool;
     gv_invalidations : (string * Msg.failure_kind) list;
-    gv_epoch_survival : survival list;
+    gv_epoch_survival : (int * Derive.survival) option;
   }
-
-  let metric_name = "(4) metric-follows"
-
-  let kappa_of_report (r : Derive.report) =
-    match r.Derive.metric_follows with
-    | Derive.Proved { kappa; _ } -> kappa
-    | Derive.Unprovable _ -> None
-
-  let blocking_reason (r : Derive.report) =
-    let unprovable = function
-      | Derive.Unprovable _ -> true
-      | Derive.Proved _ -> false
-    in
-    if
-      unprovable r.Derive.follows && unprovable r.Derive.leads
-      && unprovable r.Derive.strictly_follows
-      && unprovable r.Derive.metric_follows
-    then
-      match r.Derive.follows with
-      | Derive.Unprovable reason -> Some reason
-      | Derive.Proved _ -> None
-    else None
-
-  let derive ~interfaces ~strategy ~source ~target =
-    Derive.copy_guarantees ~interfaces ~strategy
-      ~source:(Interface.family source [ "n" ])
-      ~target:(Interface.family target [ "n" ])
-
-  let static ~interfaces ~strategy ~master_site ~site ~source ~target =
-    let report = derive ~interfaces ~strategy ~source ~target in
-    {
-      gv_source = source;
-      gv_target = target;
-      gv_master_site = master_site;
-      gv_site = site;
-      gv_report = report;
-      gv_kappa = kappa_of_report report;
-      gv_valid = true;
-      gv_invalidations = [];
-      gv_epoch_survival = [];
-    }
-
-  let survivals_metric_lost survivals =
-    List.exists
-      (fun s ->
-        String.equal s.es_guarantee metric_name
-        && (String.equal s.es_status "lost" || String.equal s.es_status "never"))
-      survivals
-
-  let metric_lost entry = survivals_metric_lost entry.gv_epoch_survival
-
-  (* The skip-reason vocabulary is part of the routing contract: the
-     router exports it as the [route_replica_skips] reason label and the
-     fallback-matrix tests assert on it. *)
-  let qualify ?slo ~kappa ~valid ~metric_lost () =
-    (* The epoch verdict outranks the κ probe: an epoch that dropped the
-       metric guarantee usually also makes κ unprovable, and "epoch-lost"
-       is the reason that explains the transition. *)
-    if metric_lost then Error "epoch-lost"
-    else
-      match kappa with
-      | None -> Error "unprovable"
-      | Some kappa ->
-        if not valid then Error "invalidated"
-        else (
-        (* Inclusive on the boundary: a copy whose derived κ equals the
-           SLO satisfies "within κ" — Derive's Sampled-channel κ already
-           includes the sampling period, so both sides of the comparison
-           are in the same end-to-end-seconds units. *)
-        match slo with
-        | Some s when not (kappa <= s) -> Error "over-slo"
-        | _ -> Ok kappa)
-
-  let qualifies ?slo entry =
-    qualify ?slo ~kappa:entry.gv_kappa ~valid:entry.gv_valid
-      ~metric_lost:(metric_lost entry) ()
 end
 
-(* Runtime state behind one [Guarantee_view.entry]: the derived report is
-   replaced wholesale at an epoch cutover, the handle's invalidation table
-   mutates in place via the §5 failure machinery, and the survival list
-   always describes the most recent cutover only. *)
+(* Runtime state behind one [Guarantee_view.entry]: the report is
+   re-derived whenever the program changes, the handle's invalidation
+   table mutates in place via the §5 failure machinery, and
+   [cp_cutover] describes the most recent cutover only: its epoch and
+   the metric verdict it replaced. *)
 type copy_state = {
   cp_source : string;
   cp_target : string;
@@ -153,7 +71,7 @@ type copy_state = {
   cp_site : string;
   mutable cp_report : Derive.report;
   cp_handle : guarantee_entry;
-  mutable cp_survivals : Guarantee_view.survival list;
+  mutable cp_cutover : (int * Derive.verdict) option;
 }
 
 type t = {
@@ -169,6 +87,8 @@ type t = {
   site_to_shell : (string, Shell.t) Hashtbl.t;  (* any handled site *)
   mutable interface_rules : Rule.t list;
   mutable strategy_rules : Rule.t list;
+      (* the program every copy's report is derived from: reported and
+         declared interface statements, and the running strategy *)
   guarantees_by_site : (string, guarantee_entry list ref) Hashtbl.t;
       (* declaration-ordered bucket per declared site, so a failure at a
          site touches only the guarantees that mention it *)
@@ -380,11 +300,28 @@ let shell t ~site =
   | Some s -> s
   | None -> raise Not_found
 
+(* Every declared copy's report is a function of the program: re-derive
+   them all whenever the program changes. *)
+let derive t ~source ~target =
+  Derive.copy_guarantees ~interfaces:t.interface_rules ~strategy:t.strategy_rules
+    ~source:(Interface.family source [ "n" ])
+    ~target:(Interface.family target [ "n" ])
+
+let rederive t =
+  Hashtbl.iter
+    (fun _ cp -> cp.cp_report <- derive t ~source:cp.cp_source ~target:cp.cp_target)
+    t.copies
+
 let register_translator t ~shell (cmi : Cmi.t) =
   Shell.attach_translator shell cmi;
   Hashtbl.replace t.site_to_shell cmi.Cmi.site shell;
   t.interface_rules <- t.interface_rules @ cmi.Cmi.interface_rules;
-  refresh_routing t
+  refresh_routing t;
+  rederive t
+
+let declare_interfaces t rules =
+  t.interface_rules <- t.interface_rules @ rules;
+  rederive t
 
 let interface_rules t = t.interface_rules
 
@@ -394,8 +331,8 @@ let period_of_rule rule =
   | _ -> None
 
 (* Strategy plumbing shared between config-time install and a runtime
-   epoch cutover (Cm_core.Evolution): auxiliary-item initialization and
-   periodic timers for P-rules. *)
+   epoch cutover: auxiliary-item initialization and periodic timers for
+   P-rules. *)
 let apply_aux_init t aux_init =
   List.iter
     (fun (item, v) ->
@@ -435,7 +372,8 @@ let install t (strategy : Strategy.t) =
   Hashtbl.iter (fun _ shell -> Shell.install_strategy shell strategy.Strategy.rules)
     t.shells;
   apply_aux_init t strategy.Strategy.aux_init;
-  register_strategy_periodics t strategy.Strategy.rules
+  register_strategy_periodics t strategy.Strategy.rules;
+  rederive t
 
 let shells t =
   Hashtbl.fold (fun site shell acc -> (site, shell) :: acc) t.shells []
@@ -467,14 +405,12 @@ let invalidations entry =
   Hashtbl.fold (fun inv () acc -> inv :: acc) entry.invalidated_by []
   |> List.sort compare
 
-let declare_copies ?interfaces ?strategy t pairs =
-  let interfaces = Option.value interfaces ~default:t.interface_rules in
-  let strategy = Option.value strategy ~default:t.strategy_rules in
+let declare_copies t pairs =
   List.iter
     (fun (source, target) ->
       let key = (source, target) in
       if not (Hashtbl.mem t.copies key) then begin
-        let report = Guarantee_view.derive ~interfaces ~strategy ~source ~target in
+        let report = derive t ~source ~target in
         let master_site = t.locator (Item.make source) in
         let site = t.locator (Item.make target) in
         (* The live handle is the metric guarantee: it is what §5 failures
@@ -482,15 +418,12 @@ let declare_copies ?interfaces ?strategy t pairs =
            what the read router polls per decision.  An unprovable copy
            still gets a handle — κ 0.0 is never consulted because routing
            skips it as "unprovable" first. *)
-        let kappa =
-          Option.value (Guarantee_view.kappa_of_report report) ~default:0.0
-        in
         let handle =
           declare_guarantee t ~sites:[ master_site; site ]
             (Guarantee.Metric_follows
                ( { Guarantee.leader = Item.make source;
                    follower = Item.make target },
-                 kappa ))
+                 Option.value (Derive.kappa report) ~default:0.0 ))
         in
         Hashtbl.replace t.copies key
           {
@@ -500,7 +433,7 @@ let declare_copies ?interfaces ?strategy t pairs =
             cp_site = site;
             cp_report = report;
             cp_handle = handle;
-            cp_survivals = [];
+            cp_cutover = None;
           };
         t.copy_order <- t.copy_order @ [ key ];
         (* Under a monitored configuration every declared copy gets
@@ -508,12 +441,28 @@ let declare_copies ?interfaces ?strategy t pairs =
            parameter vector, plus metric-follows and the live staleness
            verdict when κ is proved. *)
         Option.iter
-          (fun m ->
-            Monitor.watch_copy m ~source ~target
-              ~kappa:(Guarantee_view.kappa_of_report report))
+          (fun m -> Monitor.watch_copy m ~source ~target ~kappa:(Derive.kappa report))
           t.monitor
       end)
     pairs
+
+let declared_copies t = List.map (fun key -> Hashtbl.find t.copies key) t.copy_order
+
+let cutover t ~epoch (strategy : Strategy.t) =
+  (* The incoming strategy starts from its own auxiliary state: a stale
+     cache inherited across epochs could wrongly skip a forward (an
+     actual leads violation), so aux items are re-initialized. *)
+  apply_aux_init t strategy.Strategy.aux_init;
+  register_strategy_periodics t strategy.Strategy.rules;
+  t.strategy_rules <- strategy.Strategy.rules;
+  List.map
+    (fun cp ->
+      let before = cp.cp_report in
+      let after = derive t ~source:cp.cp_source ~target:cp.cp_target in
+      cp.cp_report <- after;
+      cp.cp_cutover <- Some (epoch, before.Derive.metric_follows);
+      (cp.cp_source, cp.cp_target, before, after))
+    (declared_copies t)
 
 let entry_of_copy cp =
   {
@@ -522,39 +471,45 @@ let entry_of_copy cp =
     gv_master_site = cp.cp_master_site;
     gv_site = cp.cp_site;
     gv_report = cp.cp_report;
-    gv_kappa = Guarantee_view.kappa_of_report cp.cp_report;
+    gv_kappa = Derive.kappa cp.cp_report;
     gv_valid = guarantee_valid cp.cp_handle;
     gv_invalidations = invalidations cp.cp_handle;
-    gv_epoch_survival = cp.cp_survivals;
+    gv_epoch_survival =
+      Option.map
+        (fun (epoch, metric_before) ->
+          (epoch, Derive.survival metric_before cp.cp_report.Derive.metric_follows))
+        cp.cp_cutover;
   }
 
 let copy_view t ~source ~target =
   Option.map entry_of_copy (Hashtbl.find_opt t.copies (source, target))
 
-let guarantee_view t =
-  List.map (fun key -> entry_of_copy (Hashtbl.find t.copies key)) t.copy_order
+let guarantee_view t = List.map entry_of_copy (declared_copies t)
 
+(* The skip-reason vocabulary is part of the routing contract: the
+   router exports it as the [route_replica_skips] reason label and the
+   fallback-matrix tests assert on it.  Router hot path, per routed
+   read: no entry record, no sorted invalidation list. *)
 let copy_qualifies ?slo t ~source ~target =
-  (* Router hot path: per routed read.  No entry record, no sorted
-     invalidation list — just the option/validity/survival probes. *)
   match Hashtbl.find_opt t.copies (source, target) with
   | None -> Error "undeclared"
-  | Some cp ->
-    Guarantee_view.qualify ?slo
-      ~kappa:(Guarantee_view.kappa_of_report cp.cp_report)
-      ~valid:(guarantee_valid cp.cp_handle)
-      ~metric_lost:(Guarantee_view.survivals_metric_lost cp.cp_survivals)
-      ()
-
-let note_epoch_survival t ~source ~target ~report survivals =
-  match Hashtbl.find_opt t.copies (source, target) with
-  | None -> ()
-  | Some cp ->
-    cp.cp_report <- report;
-    (* Only the most recent cutover: routing asks "did the *current*
-       epoch keep the guarantee", not for the full history (the Obs
-       gauges Evolution emits retain that). *)
-    cp.cp_survivals <- survivals
+  | Some cp -> (
+    match cp.cp_report.Derive.metric_follows, cp.cp_cutover with
+    (* After a cutover an unprovable metric guarantee is the epoch's
+       doing, and "epoch-lost" is the reason that explains it. *)
+    | Derive.Unprovable _, Some _ -> Error "epoch-lost"
+    | Derive.Unprovable _, None | Derive.Proved { kappa = None; _ }, _ ->
+      Error "unprovable"
+    | Derive.Proved { kappa = Some kappa; _ }, _ ->
+      if not (guarantee_valid cp.cp_handle) then Error "invalidated"
+      else (
+        (* Inclusive on the boundary: a copy whose derived κ equals the
+           SLO satisfies "within κ" — Derive's Sampled-channel κ already
+           includes the sampling period, so both sides of the comparison
+           are in the same end-to-end-seconds units. *)
+        match slo with
+        | Some s when not (kappa <= s) -> Error "over-slo"
+        | _ -> Ok kappa))
 
 let run t ~until = Sim.run ~until t.sim
 

@@ -139,31 +139,52 @@ val shells : t -> (string * Shell.t) list
     order used when a change must reach all sites (e.g. an epoch
     transition). *)
 
+(** {1 The program}
+
+    The system holds the one description of the running program that
+    every guarantee derivation reads: the interface statements (those
+    the translators report plus those declared with
+    {!declare_interfaces}) and the running strategy ({!install} appends
+    to it, a rule-epoch {!cutover} replaces it).  Each declared copy's
+    {!Derive} report is a function of that program, re-derived whenever
+    it changes. *)
+
 val register_translator : t -> shell:Shell.t -> Cmi.t -> unit
-(** Attach, route the translator's site to that shell, and collect its
-    interface statements. *)
+(** Attach, route the translator's site to that shell, and add its
+    interface statements to the program. *)
+
+val declare_interfaces : t -> Cm_rule.Rule.t list -> unit
+(** Add interface statements ({!Interface.classify}) no translator
+    reports but an administrator knows — e.g.
+    {!Interface.no_spontaneous_write} on a target nothing else
+    writes. *)
 
 val interface_rules : t -> Cm_rule.Rule.t list
-(** Everything the translators reported — the toolkit's view of what
-    each database offers. *)
+(** Every interface statement, reported and declared, in the order they
+    joined the program. *)
 
 val install : t -> Strategy.t -> unit
 (** Distribute the strategy's rules to all shells, write its auxiliary
-    data, and register [P(p)] timers for its polling rules. *)
+    data, register [P(p)] timers for its polling rules, and append its
+    rules to the running strategy. *)
 
 val strategy_rules : t -> Cm_rule.Rule.t list
+(** The running strategy. *)
+
 val all_rules : t -> Cm_rule.Rule.t list
 
-val apply_aux_init :
-  t -> (Cm_rule.Item.t * Cm_rule.Value.t) list -> unit
-(** Write a strategy's auxiliary items at their owning shells — done by
-    {!install} at configuration time and by {!Evolution} at cutover, so
-    an incoming epoch never inherits another strategy's stale auxiliary
-    state (e.g. a cached-propagation cache). *)
-
-val register_strategy_periodics : t -> Cm_rule.Rule.t list -> unit
-(** Register [P(p)] timers for the polling rules among [rules];
-    duplicate (site, period) registrations are ignored. *)
+val cutover :
+  t ->
+  epoch:int ->
+  Strategy.t ->
+  (string * string * Derive.report * Derive.report) list
+(** The system's half of a rule-epoch cutover, run by {!Evolution} once
+    every shell has switched to [epoch]: write the incoming strategy's
+    auxiliary items (an epoch never inherits another strategy's stale
+    auxiliary state, e.g. a propagation cache), register its periodic
+    timers, make its rules the running strategy, and re-derive every
+    declared copy.  Returns [(source, target, before, after)] per
+    declared copy, in declaration order. *)
 
 type guarantee_handle
 
@@ -172,28 +193,20 @@ val declare_guarantee :
 (** Track validity of a guarantee involving the given sites.
 
     Low-level registration.  For declared [constraint copy] directives
-    prefer {!declare_copies} + the {!Guarantee_view} facade: it bundles
-    the handle with the Derive report and epoch-survival state, so
-    callers don't poke handles directly. *)
+    prefer {!declare_copies} and {!copy_view}: they bundle the handle
+    with the Derive report and the latest cutover. *)
 
 val guarantee_valid : guarantee_handle -> bool
 val guarantee_of : guarantee_handle -> Guarantee.t
 val invalidations : guarantee_handle -> (string * Msg.failure_kind) list
 
-(** The unified read-side guarantee record — one per declared copy
-    constraint, joining the three previously separate surfaces:
-    {!Derive.copy_guarantees} (static κ), the live {!guarantee_handle}
-    (§5 validity), and {!Evolution}'s survival classification (did the
-    current rule epoch keep the guarantee).  The read router consumes
-    exactly this record; [cmtool check]/[cmtool evolve] report from it. *)
-module Guarantee_view : sig
-  type survival = {
-    es_epoch : int;  (** epoch that took over at the cutover *)
-    es_guarantee : string;  (** {!Guarantee.name}: "(1) follows", … *)
-    es_status : string;  (** "kept" | "upgraded" | "lost" | "never" *)
-    es_reason : string option;  (** set for "lost"/"never" *)
-  }
+(** {1 Declared copies} *)
 
+(** The read-side record of one declared copy constraint, joining
+    {!Derive.copy_guarantees} over the current program (static κ), the
+    live {!guarantee_handle} (§5 validity) and the latest rule-epoch
+    cutover.  The read router's catalog is built from it. *)
+module Guarantee_view : sig
   type entry = {
     gv_source : string;  (** master item base *)
     gv_target : string;  (** copy item base *)
@@ -203,59 +216,19 @@ module Guarantee_view : sig
     gv_kappa : float option;  (** κ iff "(4) metric-follows" proved *)
     gv_valid : bool;  (** live §5 validity of the metric guarantee *)
     gv_invalidations : (string * Msg.failure_kind) list;
-    gv_epoch_survival : survival list;
-        (** most recent cutover's classification; [] before any *)
+    gv_epoch_survival : (int * Derive.survival) option;
+        (** the latest cutover's epoch and how guarantee (4) fared
+            across it; [None] before any *)
   }
-
-  val metric_name : string
-  (** The survival-entry name of guarantee (4), ["(4) metric-follows"]. *)
-
-  val kappa_of_report : Derive.report -> float option
-  val blocking_reason : Derive.report -> string option
-  (** When all four guarantees are unprovable, the follows verdict's
-      reason — the GRT001 analysis condition. *)
-
-  val static :
-    interfaces:Cm_rule.Rule.t list ->
-    strategy:Cm_rule.Rule.t list ->
-    master_site:string ->
-    site:string ->
-    source:string ->
-    target:string ->
-    entry
-  (** Pure constructor for analysis contexts with no running system:
-      derives the report and presents a valid, survival-free entry. *)
-
-  val metric_lost : entry -> bool
-  (** The current epoch classified guarantee (4) as lost/never. *)
-
-  val qualifies : ?slo:float -> entry -> (float, string) result
-  (** Whether a read with staleness budget [slo] may be served from this
-      copy: κ must be proved, the current epoch must not have lost the
-      metric guarantee, the handle must be valid, and κ ≤ [slo]
-      {e inclusive} — a copy exactly at the bound qualifies, since
-      Derive's κ (sampling period included for Sampled channels) and the
-      SLO are both end-to-end seconds.  [Ok κ] on success; the [Error]
-      strings ["epoch-lost"], ["unprovable"], ["invalidated"],
-      ["over-slo"] are the router's skip-reason vocabulary, in that
-      precedence order — the epoch verdict outranks the κ probe because
-      an epoch that dropped the guarantee usually makes κ unprovable
-      too, and "epoch-lost" explains the transition. *)
 end
 
-val declare_copies :
-  ?interfaces:Cm_rule.Rule.t list ->
-  ?strategy:Cm_rule.Rule.t list ->
-  t ->
-  (string * string) list ->
-  unit
+val declare_copies : t -> (string * string) list -> unit
 (** Register [(source, target)] copy constraints (the parsed
-    [constraint copy] directives): derive each report from the currently
-    collected interface + strategy rules (overridable with [interfaces]
-    / [strategy], e.g. when extra rule files describe the running
-    program), locate master and copy sites, and declare the live
-    metric-guarantee handle over both.  Idempotent per pair; declaration
-    order is preserved by {!guarantee_view}. *)
+    [constraint copy] directives): derive each report from the program,
+    locate master and copy sites, and declare the live metric-guarantee
+    handle over both.  Idempotent per pair; declaration order is
+    preserved by {!guarantee_view}.  The handle and the {!monitor}'s
+    watchers keep the κ derived at declaration. *)
 
 val copy_view :
   t -> source:string -> target:string -> Guarantee_view.entry option
@@ -265,20 +238,15 @@ val guarantee_view : t -> Guarantee_view.entry list
 
 val copy_qualifies :
   ?slo:float -> t -> source:string -> target:string -> (float, string) result
-(** {!Guarantee_view.qualifies} without materializing the entry — the
-    router's per-read probe ([Error "undeclared"] for unknown pairs). *)
-
-val note_epoch_survival :
-  t ->
-  source:string ->
-  target:string ->
-  report:Derive.report ->
-  Guarantee_view.survival list ->
-  unit
-(** Called by {!Evolution} at cutover: replace the copy's derived report
-    with the incoming epoch's and record its survival classification.
-    Unknown pairs are ignored (the constraint may not be declared on
-    this system). *)
+(** Whether a read with staleness budget [slo] may be served from this
+    copy — the router's per-read probe.  [Ok κ] when κ is proved, the
+    handle is valid, and κ ≤ [slo] {e inclusive}: a copy exactly at the
+    bound qualifies, since Derive's κ (sampling period included for
+    Sampled channels) and the SLO are both end-to-end seconds.  The
+    [Error] strings are the router's skip-reason vocabulary, in
+    precedence order: ["undeclared"]; ["epoch-lost"] when a cutover
+    happened and guarantee (4) is now unprovable; ["unprovable"];
+    ["invalidated"]; ["over-slo"]. *)
 
 val run : t -> until:float -> unit
 

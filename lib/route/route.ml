@@ -6,6 +6,7 @@ module Cmrid = Cm_core.Cmrid
 module Obs = Cm_core.Obs
 module Monitor = Cm_core.Monitor
 module Guarantee_view = System.Guarantee_view
+module Derive = Cm_core.Derive
 module Json = Cm_util.Json
 
 type outcome = Replica | Master | Forced_poll
@@ -97,8 +98,8 @@ let readmit_copy t ~source ~target =
   Obs.gauge (System.obs t.system) "route_quarantined"
     ~labels:[ ("target", target) ] 0.0
 
-let create ?interfaces ?strategy system ~constraints =
-  System.declare_copies ?interfaces ?strategy system constraints;
+let create system ~constraints =
+  System.declare_copies system constraints;
   let locator = System.locator system in
   let obs = System.obs system in
   let t =
@@ -143,8 +144,8 @@ let create ?interfaces ?strategy system ~constraints =
     t.monitor;
   t
 
-let of_cmrid ?interfaces ?strategy system (cmrid : Cmrid.t) =
-  create ?interfaces ?strategy system
+let of_cmrid system (cmrid : Cmrid.t) =
+  create system
     ~constraints:
       (List.map
          (fun (c : Cmrid.constraint_decl) -> (c.Cmrid.c_source, c.Cmrid.c_target))
@@ -152,11 +153,6 @@ let of_cmrid ?interfaces ?strategy system (cmrid : Cmrid.t) =
 
 let system t = t.system
 let bases t = List.rev t.rev_bases
-
-let replicas t ~base =
-  match Hashtbl.find_opt t.by_source base with
-  | Some reps -> List.map (fun r -> (r.rep_target, r.rep_site)) reps
-  | None -> []
 
 let on_decision t hook = Queue.add hook t.hooks
 let reads_by t o = Obs.Counter.value t.reads_by_outcome.(outcome_index o)
@@ -355,20 +351,9 @@ let fg = Printf.sprintf "%g"
 
 let survival_summary (entry : Guarantee_view.entry) =
   match entry.Guarantee_view.gv_epoch_survival with
-  | [] -> "-"
-  | s :: _ ->
-    let metric =
-      List.find_opt
-        (fun sv ->
-          String.equal sv.Guarantee_view.es_guarantee Guarantee_view.metric_name)
-        entry.Guarantee_view.gv_epoch_survival
-    in
-    let status =
-      match metric with
-      | Some sv -> sv.Guarantee_view.es_status
-      | None -> "-"
-    in
-    Printf.sprintf "epoch %d %s" s.Guarantee_view.es_epoch status
+  | None -> "-"
+  | Some (epoch, survival) ->
+    Printf.sprintf "epoch %d %s" epoch (Derive.survival_status survival)
 
 let report_to_text ?slo t decisions =
   let buf = Buffer.create 1024 in

@@ -4,8 +4,9 @@
     paper never says who gets to {e use} them; this front end does.  A
     replica catalog is derived from the declared [constraint copy]
     directives, annotated through {!Cm_core.System.Guarantee_view} with
-    each copy's statically-derived κ (Derive), live §5 validity
-    (guarantee handles), and current rule-epoch survival (Evolution).
+    each copy's κ (Derive over the system's program, re-derived whenever
+    that program changes), live §5 validity (guarantee handles), and the
+    latest rule-epoch cutover.
     Each read then carries an optional staleness budget — "a value held
     by the master at most κ seconds ago" — and is routed to the cheapest
     copy whose guarantee satisfies it:
@@ -59,7 +60,7 @@ type skip = {
   sk_target : string;  (** copy base that was considered *)
   sk_site : string;
   sk_reason : string;
-      (** {!Cm_core.System.Guarantee_view.qualifies} vocabulary
+      (** {!Cm_core.System.copy_qualifies} vocabulary
           ("epoch-lost" | "unprovable" | "invalidated" | "over-slo")
           plus the router's own "unreachable", "quarantined" (copy in
           quarantine, probe not yet due) and "stale" (live monitor
@@ -81,34 +82,21 @@ type decision = {
   d_skips : skip list;  (** copies considered and rejected, catalog order *)
 }
 
-val create :
-  ?interfaces:Cm_rule.Rule.t list ->
-  ?strategy:Cm_rule.Rule.t list ->
-  Cm_core.System.t ->
-  constraints:(string * string) list ->
-  t
+val create : Cm_core.System.t -> constraints:(string * string) list -> t
 (** Build the routing front end over a running system from its
     [(source, target)] copy directives: declares them on the system
-    ({!Cm_core.System.declare_copies}, with the same optional
-    [interfaces]/[strategy] overrides) and indexes replicas by source
-    base.  Quarantine is armed iff the system was built with
-    {!Cm_core.System.Config.monitor}. *)
+    ({!Cm_core.System.declare_copies}), whose program — the interface
+    statements it holds and its running strategy — decides each copy's
+    κ, and indexes replicas by source base.  Quarantine is armed iff the
+    system was built with {!Cm_core.System.Config.monitor}. *)
 
-val of_cmrid :
-  ?interfaces:Cm_rule.Rule.t list ->
-  ?strategy:Cm_rule.Rule.t list ->
-  Cm_core.System.t ->
-  Cm_core.Cmrid.t ->
-  t
+val of_cmrid : Cm_core.System.t -> Cm_core.Cmrid.t -> t
 (** {!create} from a parsed CM-RID config's [constraint copy] lines. *)
 
 val system : t -> Cm_core.System.t
 
 val bases : t -> string list
 (** Routable master bases, in constraint declaration order. *)
-
-val replicas : t -> base:string -> (string * string) list
-(** [(copy base, copy site)] for a master base, declaration order. *)
 
 val on_decision : t -> (decision -> unit) -> unit
 (** Subscribe to every routing decision, in registration order. *)

@@ -430,11 +430,11 @@ module Fabric = struct
     Array.iter Domain.join domains;
     match !failure with Some e -> raise e | None -> ()
 
-  let run ?lookahead:l t ~until =
+  let run t ~until =
     if single t then System.run t.systems.(0) ~until
     else begin
       prepare t;
-      let l = match l with Some l -> l | None -> lookahead t in
+      let l = lookahead t in
       if l > 0.0 then run_windowed t ~until ~l
       else run_serialized t ~until
     end

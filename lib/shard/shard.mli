@@ -150,13 +150,11 @@ module Fabric : sig
       for any cross-shard pair without an explicit override).  [<= 0.]
       announces the serialized fallback. *)
 
-  val run : ?lookahead:float -> t -> until:float -> unit
+  val run : t -> until:float -> unit
   (** Run every shard to [until] (events at [until] inclusive, like
       {!Cm_core.System.run}): windowed parallel execution over
-      {!shard_count} domains when the lookahead is positive, safe
-      serialization when it is not.  [?lookahead] overrides the computed
-      window — it must not exceed the true minimum cross-shard latency
-      or conservativeness is lost.  An exception raised inside a shard
+      {!shard_count} domains when the {!lookahead} is positive, safe
+      serialization when it is not.  An exception raised inside a shard
       is re-raised here after the workers are joined. *)
 
   (** {1 Merged results} *)

@@ -55,9 +55,8 @@ let state_machine_walkthrough () =
       ~employees:2 ()
   in
   Payroll.install_propagation p;
-  let evo =
-    Evolution.create ~constraints:[ ("Salary1", "Salary2") ] p.Payroll.system
-  in
+  Sys_.declare_copies p.Payroll.system [ ("Salary1", "Salary2") ];
+  let evo = Evolution.create p.Payroll.system in
   Alcotest.(check int) "base epoch" 0 (Evolution.current_epoch evo);
   expect_error "cutover without proposal" (Evolution.cutover evo);
   expect_error "retire the active epoch" (Evolution.retire evo ~epoch:0);
@@ -246,17 +245,10 @@ let healing_payroll ?(seed = 23) ?required () =
       ~employees:1 ()
   in
   Payroll.install_propagation p;
-  let interfaces =
-    Sys_.interface_rules p.Payroll.system
-    @ [ Interface.no_spontaneous_write Payroll.target_pattern ]
-  in
-  let evo =
-    Evolution.create
-      ~constraints:[ ("Salary1", "Salary2") ]
-      ?required ~interfaces p.Payroll.system
-  in
-  Sys_.declare_copies ~interfaces p.Payroll.system [ ("Salary1", "Salary2") ];
-  (p, evo)
+  Sys_.declare_interfaces p.Payroll.system
+    [ Interface.no_spontaneous_write Payroll.target_pattern ];
+  Sys_.declare_copies p.Payroll.system [ ("Salary1", "Salary2") ];
+  (p, Evolution.create ?required p.Payroll.system)
 
 let required_regression_rolls_back () =
   let p, evo = healing_payroll ~required:[ ("Salary1", "Salary2") ] () in
@@ -327,18 +319,15 @@ let unrequired_regression_stands () =
   ignore p
 
 let never_lost_does_not_trigger () =
-  (* With no quiet statement nothing is provable in epoch 0 either: the
-     noop cutover classifies the guarantees Never, not Lost — the prior
-     epoch is no better a refuge, so no rollback. *)
+  (* With no strategy installed nothing is provable in epoch 0 either:
+     the noop cutover classifies the guarantees Never, not Lost — the
+     prior epoch is no better a refuge, so no rollback. *)
   let p =
     Payroll.create ~config:(Sys_.Config.seeded 29) ~employees:1 ()
   in
-  Payroll.install_propagation p;
+  Sys_.declare_copies p.Payroll.system [ ("Salary1", "Salary2") ];
   let evo =
-    Evolution.create
-      ~constraints:[ ("Salary1", "Salary2") ]
-      ~required:[ ("Salary1", "Salary2") ]
-      ~interfaces:[] p.Payroll.system
+    Evolution.create ~required:[ ("Salary1", "Salary2") ] p.Payroll.system
   in
   ignore (ok_or_fail "evolve noop" (Evolution.evolve ~quiesce:false evo noop_strategy));
   Alcotest.(check int) "no rollback for Never" 0
@@ -348,13 +337,11 @@ let never_lost_does_not_trigger () =
 let required_must_be_subset () =
   let p = Payroll.create ~config:(Sys_.Config.seeded 31) ~employees:1 () in
   Payroll.install_propagation p;
+  Sys_.declare_copies p.Payroll.system [ ("Salary1", "Salary2") ];
   match
-    Evolution.create
-      ~constraints:[ ("Salary1", "Salary2") ]
-      ~required:[ ("Salary1", "Elsewhere") ]
-      p.Payroll.system
+    Evolution.create ~required:[ ("Salary1", "Elsewhere") ] p.Payroll.system
   with
-  | _ -> Alcotest.fail "required outside constraints accepted"
+  | _ -> Alcotest.fail "required outside the declared copies accepted"
   | exception Invalid_argument _ -> ()
 
 let rollback_survives_crash_replay () =

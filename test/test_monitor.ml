@@ -245,9 +245,8 @@ let silent_drop_flagged_within_kappa () =
   let sim = Sys_.sim system in
   let monitor = Option.get (Sys_.monitor system) in
   let nsw = Cm_core.Interface.no_spontaneous_write Payroll.target_pattern in
-  Sys_.declare_copies system
-    ~interfaces:(Sys_.interface_rules system @ [ nsw ])
-    [ ("Salary1", "Salary2") ];
+  Sys_.declare_interfaces system [ nsw ];
+  Sys_.declare_copies system [ ("Salary1", "Salary2") ];
   Monitor.note_initial monitor p.Payroll.initial;
   let kappa =
     match Sys_.copy_qualifies system ~source:"Salary1" ~target:"Salary2" with

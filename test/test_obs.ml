@@ -209,15 +209,11 @@ let durable_run ?(unroutable = false) ~obs () =
   Payroll.install_propagation p;
   let system = p.Payroll.system in
   let sim = Sys_.sim system and net = Sys_.net system in
-  let interfaces =
-    Sys_.interface_rules system
-    @ [ Interface.no_spontaneous_write Payroll.target_pattern ]
-  in
+  Sys_.declare_interfaces system
+    [ Interface.no_spontaneous_write Payroll.target_pattern ];
   let pair = ("Salary1", "Salary2") in
-  let evo =
-    Evolution.create ~constraints:[ pair ] ~required:[ pair ] ~interfaces system
-  in
-  Sys_.declare_copies ~interfaces system [ pair ];
+  Sys_.declare_copies system [ pair ];
+  let evo = Evolution.create ~required:[ pair ] system in
   Payroll.random_updates p ~mean_interarrival:5.0 ~until:400.0;
   Sim.schedule_at sim 60.0 (fun () ->
       Net.partition_pair net ~site_a:Payroll.site_a ~site_b:Payroll.site_b
@@ -465,10 +461,8 @@ let routed_facts ~obs =
   let system = p.Payroll.system in
   let sim = Sys_.sim system in
   let nsw = Interface.no_spontaneous_write Payroll.target_pattern in
-  let route =
-    Route.create ~interfaces:(Sys_.interface_rules system @ [ nsw ]) system
-      ~constraints:[ ("Salary1", "Salary2") ]
-  in
+  Sys_.declare_interfaces system [ nsw ];
+  let route = Route.create system ~constraints:[ ("Salary1", "Salary2") ] in
   Monitor.note_initial (Option.get (Sys_.monitor system)) p.Payroll.initial;
   let emp = List.hd p.Payroll.employees in
   let read ?within_kappa at =

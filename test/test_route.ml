@@ -54,8 +54,9 @@ let star_locator (item : Item.t) =
   | "CopyB" -> "rb"
   | b -> Alcotest.failf "unexpected base %s" b
 
-(* [keep] filters the program's rules (by id) before they are handed to
-   the router — dropping the quiet statements makes kappa unprovable. *)
+(* [keep] filters the program's rules (by id) before the system declares
+   and installs them — dropping the quiet statements makes kappa
+   unprovable. *)
 let star ?(seed = 7) ?(keep = fun _ -> true) () =
   let rules = Parser.parse_rules star_program in
   let rules = List.filter (fun r -> keep r.Rule.id) rules in
@@ -63,9 +64,12 @@ let star ?(seed = 7) ?(keep = fun _ -> true) () =
     List.partition (fun r -> Interface.classify r <> None) rules
   in
   let system = Sys_.create ~config:(Sys_.Config.seeded seed) star_locator in
+  Sys_.declare_interfaces system interfaces;
+  Sys_.install system
+    { Strategy.strategy_name = "star"; description = "propagate Feed";
+      rules = strategy; aux_init = [] };
   let route =
-    Route.create ~interfaces ~strategy system
-      ~constraints:[ ("Feed", "CopyA"); ("Feed", "CopyB") ]
+    Route.create system ~constraints:[ ("Feed", "CopyA"); ("Feed", "CopyB") ]
   in
   (system, route)
 
@@ -130,13 +134,8 @@ let sampled_kappa_same_units () =
   Payroll.install_polling ~period:120.0 p;
   let system = p.Payroll.system in
   let nsw = Interface.no_spontaneous_write Payroll.target_pattern in
-  let route =
-    Route.create
-      ~interfaces:(Sys_.interface_rules system @ [ nsw ])
-      ~strategy:(Sys_.strategy_rules system)
-      system
-      ~constraints:[ ("Salary1", "Salary2") ]
-  in
+  Sys_.declare_interfaces system [ nsw ];
+  let route = Route.create system ~constraints:[ ("Salary1", "Salary2") ] in
   let entry =
     match Sys_.copy_view system ~source:"Salary1" ~target:"Salary2" with
     | Some e -> e
@@ -211,36 +210,37 @@ let partitioned_master_forces_poll () =
 
 (* -- epoch churn: a replica loses its guarantee, then wins it back -- *)
 
-let epoch_churn_requalifies () =
+(* Epoch 1 of the churn tests: an empty program — nothing propagates. *)
+let noop =
+  {
+    Strategy.strategy_name = "noop";
+    description = "no propagation";
+    rules = [];
+    aux_init = [];
+  }
+
+(* The payroll copy at seed 1702 with propagation installed.  [nsw]
+   (default true) declares the target's no-spontaneous-write statement
+   before the router declares the copy. *)
+let payroll_route ?(nsw = true) () =
   let p = Payroll.create ~config:(Sys_.Config.seeded 1702) ~employees:1 () in
   Payroll.install_propagation p;
   let system = p.Payroll.system in
-  let nsw = Interface.no_spontaneous_write Payroll.target_pattern in
-  let interfaces = Sys_.interface_rules system @ [ nsw ] in
-  let route =
-    Route.create ~interfaces
-      ~strategy:(Sys_.strategy_rules system)
-      system
-      ~constraints:[ ("Salary1", "Salary2") ]
-  in
-  let read () = Route.read route ~client_site:Payroll.site_b "Salary1" in
+  if nsw then
+    Sys_.declare_interfaces system
+      [ Interface.no_spontaneous_write Payroll.target_pattern ];
+  let route = Route.create system ~constraints:[ ("Salary1", "Salary2") ] in
+  (system, fun () -> Route.read route ~client_site:Payroll.site_b "Salary1")
+
+let epoch_churn_requalifies () =
+  let system, read = payroll_route () in
   let d = read () in
   Alcotest.check outcome "epoch 0 serves the replica" Route.Replica
     d.Route.d_outcome;
   Alcotest.(check (float 1e-9)) "kappa 11" 11.0 d.Route.d_served_kappa;
-  let evo =
-    Evolution.create ~constraints:[ ("Salary1", "Salary2") ] ~interfaces system
-  in
-  (* Epoch 1: an empty program — nothing propagates, the metric
-     guarantee is lost, the router must stop serving the copy. *)
-  let noop =
-    {
-      Strategy.strategy_name = "noop";
-      description = "no propagation";
-      rules = [];
-      aux_init = [];
-    }
-  in
+  let evo = Evolution.create system in
+  (* Epoch 1: the metric guarantee is lost, the router must stop serving
+     the copy. *)
   ignore (ok_or_fail "propose noop" (Evolution.propose evo noop));
   ignore (ok_or_fail "cutover noop" (Evolution.cutover evo));
   ok_or_fail "retire 0" (Evolution.retire evo ~epoch:0);
@@ -263,6 +263,57 @@ let epoch_churn_requalifies () =
   Alcotest.check outcome "re-qualified" Route.Replica d.Route.d_outcome;
   Alcotest.(check (float 1e-9)) "kappa restored" 11.0 d.Route.d_served_kappa
 
+let qualifies =
+  Alcotest.(result (float 1e-9) string)
+
+(* A cutover re-derives every declared copy from the program it
+   installs: a copy whose propagation the new program drops stops being
+   served, whoever built the evolver. *)
+let cutover_rederives_every_copy () =
+  let system, read = payroll_route () in
+  let evo = Evolution.create system in
+  ignore (ok_or_fail "evolve noop" (Evolution.evolve ~quiesce:false evo noop));
+  Alcotest.check qualifies "copy lost with its program" (Error "epoch-lost")
+    (Sys_.copy_qualifies system ~source:"Salary1" ~target:"Salary2");
+  let d = read () in
+  Alcotest.check outcome "master read" Route.Master d.Route.d_outcome;
+  Alcotest.(check (list (pair string string)))
+    "skipped epoch-lost"
+    [ ("Salary2", "epoch-lost") ]
+    (skip_reasons d)
+
+(* The re-derivation reads the interface statements the router's κ came
+   from: an equivalent program keeps the copy at κ 11. *)
+let cutover_keeps_the_interfaces () =
+  let system, read = payroll_route () in
+  let evo = Evolution.create system in
+  let v2 =
+    Strategy.propagate ~prefix:"v2" ~delta:5.0 ~source:Payroll.source_pattern
+      ~target:Payroll.target_pattern ()
+  in
+  ignore (ok_or_fail "evolve v2" (Evolution.evolve ~quiesce:false evo v2));
+  Alcotest.check qualifies "copy kept" (Ok 11.0)
+    (Sys_.copy_qualifies system ~source:"Salary1" ~target:"Salary2");
+  let d = read () in
+  Alcotest.check outcome "replica read" Route.Replica d.Route.d_outcome;
+  Alcotest.(check (float 1e-9)) "kappa 11" 11.0 d.Route.d_served_kappa
+
+(* A copy declared before the statement its κ needs is served once that
+   statement is declared. *)
+let copy_follows_declarations () =
+  let system, read = payroll_route ~nsw:false () in
+  let d = read () in
+  Alcotest.check outcome "unprovable: master read" Route.Master d.Route.d_outcome;
+  Alcotest.(check (list (pair string string)))
+    "skipped unprovable"
+    [ ("Salary2", "unprovable") ]
+    (skip_reasons d);
+  Sys_.declare_interfaces system
+    [ Interface.no_spontaneous_write Payroll.target_pattern ];
+  let d = read () in
+  Alcotest.check outcome "replica read" Route.Replica d.Route.d_outcome;
+  Alcotest.(check (float 1e-9)) "kappa 11" 11.0 d.Route.d_served_kappa
+
 (* -- quarantine: live staleness pulls a copy out of service ---------- *)
 
 (* A §5 Silent_drop makes Salary2 stale; the monitor's transition
@@ -282,12 +333,8 @@ let quarantine_probe_readmission () =
   let sim = Sys_.sim system in
   let monitor = Option.get (Sys_.monitor system) in
   let nsw = Interface.no_spontaneous_write Payroll.target_pattern in
-  let route =
-    Route.create
-      ~interfaces:(Sys_.interface_rules system @ [ nsw ])
-      system
-      ~constraints:[ ("Salary1", "Salary2") ]
-  in
+  Sys_.declare_interfaces system [ nsw ];
+  let route = Route.create system ~constraints:[ ("Salary1", "Salary2") ] in
   Monitor.note_initial monitor p.Payroll.initial;
   let kappa =
     match Sys_.copy_qualifies system ~source:"Salary1" ~target:"Salary2" with
@@ -412,6 +459,12 @@ let () =
         [
           Alcotest.test_case "lost then re-qualified" `Quick
             epoch_churn_requalifies;
+          Alcotest.test_case "cutover re-derives every copy" `Quick
+            cutover_rederives_every_copy;
+          Alcotest.test_case "cutover keeps the interfaces" `Quick
+            cutover_keeps_the_interfaces;
+          Alcotest.test_case "copy follows declarations" `Quick
+            copy_follows_declarations;
         ] );
       ( "quarantine",
         [

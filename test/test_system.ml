@@ -187,11 +187,9 @@ let guarantee_view_roundtrip () =
   let p = Payroll.create ~config:(Sys_.Config.seeded 7) ~employees:1 () in
   Payroll.install_propagation p;
   let system = p.Payroll.system in
-  let interfaces =
-    Sys_.interface_rules system
-    @ [ Cm_core.Interface.no_spontaneous_write Payroll.target_pattern ]
-  in
-  Sys_.declare_copies ~interfaces system [ ("Salary1", "Salary2") ];
+  Sys_.declare_interfaces system
+    [ Cm_core.Interface.no_spontaneous_write Payroll.target_pattern ];
+  Sys_.declare_copies system [ ("Salary1", "Salary2") ];
   let entry () =
     match Sys_.copy_view system ~source:"Salary1" ~target:"Salary2" with
     | Some e -> e
