@@ -2,8 +2,8 @@
 
    - parse:    check a rule file (interfaces or strategies) and print the
                normalized rules
-   - suggest:  list applicable strategies + guarantees for a constraint,
-               given the interfaces each item offers
+   - suggest:  list applicable strategies + derived guarantees for a
+               copy constraint over a configuration's interfaces
    - config:   validate a CM-RID file and show what each source offers
    - demo:     run the §4.2 payroll scenario and report guarantees
 
@@ -51,79 +51,60 @@ let parse_cmd =
 
 (* ---- suggest ---- *)
 
-let kind_of_string = function
-  | "write" -> Ok Interface.Write
-  | "notify" -> Ok Interface.Notify
-  | "conditional-notify" -> Ok Interface.Conditional_notify
-  | "periodic-notify" -> Ok Interface.Periodic_notify
-  | "read" -> Ok Interface.Read
-  | "delete" -> Ok Interface.Delete
-  | "no-spontaneous-write" -> Ok Interface.No_spontaneous_write
-  | other -> Error ("unknown interface kind: " ^ other)
-
-let parse_kinds s =
-  List.fold_left
-    (fun acc w ->
-      match acc, kind_of_string (String.trim w) with
-      | Ok ks, Ok k -> Ok (ks @ [ k ])
-      | Error m, _ -> Error m
-      | _, Error m -> Error m)
-    (Ok [])
-    (String.split_on_char ',' s)
-
-let suggest_cmd_run source target source_if target_if =
-  match parse_kinds source_if, parse_kinds target_if with
-  | Error m, _ | _, Error m ->
-    Printf.eprintf "%s\n" m;
-    1
-  | Ok src_kinds, Ok tgt_kinds ->
-    let interfaces base =
-      if base = source then src_kinds else if base = target then tgt_kinds else []
-    in
-    let constraint_def =
-      Cm_core.Constraint_def.Copy
-        {
-          source = Interface.family source [ "n" ];
-          target = Interface.family target [ "n" ];
-        }
-    in
-    let candidates = Suggest.for_constraint ~interfaces constraint_def in
-    if candidates = [] then begin
-      Printf.printf
-        "No applicable strategy: the given interfaces cannot support the constraint.\n";
-      0
-    end
-    else begin
-      Printf.printf "Constraint: %s\n\n"
-        (Cm_core.Constraint_def.to_string constraint_def);
-      List.iteri
-        (fun i c -> Printf.printf "[%d] %s\n\n" (i + 1) (Suggest.describe c))
-        candidates;
-      0
-    end
+let suggest_cmd_run config_file rule_files source target =
+  match Cmtool_cli.build_config config_file with
+  | Error c -> c
+  | Ok (_, built) -> (
+    match Cmtool_cli.parse_rule_files rule_files with
+    | Error c -> c
+    | Ok extra_rules ->
+      let system = built.Cm_core.Toolkit.system in
+      Cmtool_cli.declare_rule_files system extra_rules;
+      let constraint_def =
+        Cm_core.Constraint_def.Copy
+          {
+            source = Interface.family source [ "n" ];
+            target = Interface.family target [ "n" ];
+          }
+      in
+      (match
+         Suggest.for_constraint
+           ~interfaces:(Cm_core.System.interface_rules system)
+           constraint_def
+       with
+      | [] ->
+        Printf.printf
+          "No applicable strategy: the configuration's interfaces cannot support the \
+           constraint.\n"
+      | candidates ->
+        Printf.printf "Constraint: %s\n\n"
+          (Cm_core.Constraint_def.to_string constraint_def);
+        List.iteri
+          (fun i c -> Printf.printf "[%d] %s\n\n" (i + 1) (Suggest.describe c))
+          candidates);
+      0)
 
 let suggest_cmd =
+  let config_file = Cmtool_cli.config_pos in
+  let rule_files =
+    Cmtool_cli.rules_pos ~after:0
+      ~doc:
+        "Rule files describing the running program, as in $(b,cmtool check); \
+         their interface statements join the ones the translators report"
+  in
   let source =
     Arg.(value & opt string "Salary1" & info [ "source" ] ~docv:"BASE")
   in
   let target =
     Arg.(value & opt string "Salary2" & info [ "target" ] ~docv:"BASE")
   in
-  let source_if =
-    Arg.(
-      value & opt string "notify,read"
-      & info [ "source-interfaces" ] ~docv:"KINDS"
-          ~doc:"Comma-separated interface kinds the source offers")
-  in
-  let target_if =
-    Arg.(
-      value & opt string "write,read"
-      & info [ "target-interfaces" ] ~docv:"KINDS")
-  in
   Cmd.v
     (Cmd.info "suggest"
-       ~doc:"Suggest strategies and guarantees for a copy constraint")
-    Term.(const suggest_cmd_run $ source $ target $ source_if $ target_if)
+       ~doc:
+         "Suggest strategies for a copy constraint over a CM-RID \
+          configuration's interfaces, each with the guarantees the Derive \
+          prover establishes for it")
+    Term.(const suggest_cmd_run $ config_file $ rule_files $ source $ target)
 
 (* ---- derive ---- *)
 

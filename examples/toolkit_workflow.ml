@@ -65,19 +65,8 @@ let () =
     (fun (base, kinds) -> Printf.printf "  %-10s %s\n" base (String.concat ", " kinds))
     (Toolkit.interface_summary built);
 
-  (* 3: the CM suggests strategies with previously proven guarantees. *)
-  let interface_kinds base =
-    Interface.kinds_of_rules
-      (List.filter
-         (fun r ->
-           match Template.item_base r.Rule.lhs with
-           | Some b -> String.equal b base
-           | None ->
-             List.exists
-               (fun (s : Rule.step) -> Template.item_base s.Rule.template = Some base)
-               (Rule.rhs_steps r))
-         (Sys_.interface_rules system))
-  in
+  (* 3: the CM suggests strategies, each with the guarantees the
+     derivation engine proves for it over the reported interfaces. *)
   let constraint_def =
     Cm_core.Constraint_def.Copy
       {
@@ -85,7 +74,9 @@ let () =
         target = Interface.family "Salary2" [ "n" ];
       }
   in
-  let candidates = Suggest.for_constraint ~interfaces:interface_kinds constraint_def in
+  let candidates =
+    Suggest.for_constraint ~interfaces:(Sys_.interface_rules system) constraint_def
+  in
   Printf.printf "\nConstraint: %s\nSuggested strategies:\n\n"
     (Cm_core.Constraint_def.to_string constraint_def);
   List.iteri

@@ -31,6 +31,13 @@ let kappa r =
   | Proved { kappa; _ } -> kappa
   | Unprovable _ -> None
 
+let guarantees pair r =
+  let proved verdict g = match verdict with Proved _ -> [ g ] | Unprovable _ -> [] in
+  proved r.follows (Guarantee.Follows pair)
+  @ proved r.leads (Guarantee.Leads pair)
+  @ proved r.strictly_follows (Guarantee.Strictly_follows pair)
+  @ match kappa r with Some k -> [ Guarantee.Metric_follows (pair, k) ] | None -> []
+
 let blocking_reason = function
   | { follows = Unprovable reason; leads = Unprovable _;
       strictly_follows = Unprovable _; metric_follows = Unprovable _ } ->
@@ -73,6 +80,9 @@ let channel_delta = function
   | Complete { delta; _ } | Filtered { delta; _ } -> delta
   | Sampled { period; delta; _ } -> period +. delta
 
+let channel_via = function
+  | Complete { via; _ } | Filtered { via; _ } | Sampled { via; _ } -> via
+
 let channel_describe = function
   | Complete { via; delta } ->
     Printf.sprintf "complete observation via %s (bound %g)" via delta
@@ -82,19 +92,10 @@ let channel_describe = function
     Printf.sprintf "sampled observation via %s every %gs (bound %g): intermediate values unseen"
       via period delta
 
-let base_of_interface_rule rule =
-  match Template.item_base rule.Rule.lhs with
-  | Some base -> Some base
-  | None ->
-    (* periodic notify: the item is on the RHS *)
-    List.find_map
-      (fun (s : Rule.step) -> Template.item_base s.template)
-      (Rule.rhs_steps rule)
-
 let interfaces_of base rules =
   List.filter_map
     (fun rule ->
-      match base_of_interface_rule rule with
+      match Interface.served_base rule with
       | Some b when String.equal b base ->
         Option.map (fun kind -> (kind, rule)) (Interface.classify rule)
       | _ -> None)
@@ -391,8 +392,9 @@ let copy_guarantees ~interfaces ~strategy ~source ~target =
                 [
                   channel_describe channel;
                   "every spontaneous update is observed and forwarded unconditionally";
-                  "write interface performs every requested write within "
-                  ^ string_of_float write_delta ^ "s";
+                  Printf.sprintf
+                    "write interface performs every requested write within %gs"
+                    write_delta;
                 ];
             }
         | None ->
@@ -424,9 +426,24 @@ let copy_guarantees ~interfaces ~strategy ~source ~target =
                     ];
               }
       in
+      (* (4) needs a live channel that reports X's current value within
+         a bound: a complete or a sampled one.  A filter that drops small
+         changes can leave Y on a superseded value for ever. *)
+      let filtered =
+        List.for_all
+          (fun (channel, _) -> match channel with Filtered _ -> true | _ -> false)
+          live
+      in
       let metric_follows =
         match follows with
         | Unprovable m -> Unprovable m
+        | Proved _ when filtered ->
+          Unprovable
+            (Printf.sprintf
+               "only filtered observation (%s): a filtered update can leave %s \
+                on a superseded value with no time bound"
+               (String.concat ", " (List.map (fun (c, _) -> channel_via c) live))
+               target_base)
         | Proved _ ->
           let worst =
             List.fold_left

@@ -27,7 +27,10 @@
       the process of verification" the paper reports;
     - {b time bounds}: κ for the metric guarantee is the sum of the
       interface and rule δ's along the chain (plus the sampling period
-      for periodic/polling channels). *)
+      for periodic/polling channels).  (4) needs a live complete or
+      sampled channel: when every live channel is filtered, a filtered
+      update can leave the target on a superseded value for ever, so no
+      κ bounds it. *)
 
 type verdict =
   | Proved of { kappa : float option; derivation : string list }
@@ -58,6 +61,11 @@ val report_to_string : report -> string
 
 val kappa : report -> float option
 (** κ of guarantee (4) when it is proved. *)
+
+val guarantees : Guarantee.copy_pair -> report -> Guarantee.t list
+(** The report's proved verdicts as guarantees over [pair], in order
+    (1)–(4); (4) carries the proved κ.  Everything the toolkit offers for
+    a copy constraint comes from here. *)
 
 val blocking_reason : report -> string option
 (** When all four guarantees are unprovable, the follows verdict's

@@ -76,8 +76,6 @@ let site t = t.site
 let sim t = t.sim
 let trace t = t.trace
 
-let tags ?span t = Obs.log_tags ~site:t.site ~time:(Sim.now t.sim) ?span ()
-
 let set_route t route = t.route <- route
 
 let set_peer_sites t sites =
@@ -329,8 +327,7 @@ and dispatch t desc ~kind =
     | Some tr -> tr.Cmi.request desc ~kind
     | None ->
       Logs.warn (fun m ->
-          m ~tags:(tags t) "shell %s: no translator owns %s; request dropped"
-            t.site
+          m "shell %s: no translator owns %s; request dropped" t.site
             (Event.desc_to_string desc)))
   | "W" -> (
     match Event.written_value desc with
@@ -338,9 +335,7 @@ and dispatch t desc ~kind =
       let owned = Hashtbl.mem t.translator_by_base item.Item.base in
       if owned then
         Logs.warn (fun m ->
-            m ~tags:(tags t)
-              "shell %s: W on database item %s must go through WR; dropped"
-              t.site
+            m "shell %s: W on database item %s must go through WR; dropped" t.site
               (Item.to_string item))
       else begin
         journaled_store_set t item v;
@@ -348,7 +343,7 @@ and dispatch t desc ~kind =
       end
     | None ->
       Logs.warn (fun m ->
-          m ~tags:(tags t) "shell %s: malformed W event dropped" t.site))
+          m "shell %s: malformed W event dropped" t.site))
   | _ ->
     (* Custom / chaining event: occurs at this shell's site. *)
     ignore (emit_at t ~site:t.site desc ~kind)
@@ -370,8 +365,7 @@ and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
     t.stale_epoch_rejections <- t.stale_epoch_rejections + 1;
     bump_rule t rule_id (fun ro -> ro.ro_stale_epoch_rejections);
     Logs.warn (fun m ->
-        m ~tags:(tags t ?span:(if parent_span > 0 then Some parent_span else None))
-          "shell %s: Fire %s#%d rejected: rule epoch %d is %s" t.site rule_id
+        m "shell %s: Fire %s#%d rejected: rule epoch %d is %s" t.site rule_id
           trigger_id rule_epoch
           (match epoch_entry with
           | Some e -> Journal.epoch_phase_to_string e.re_phase
@@ -380,9 +374,7 @@ and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
     match Hashtbl.find_opt program.re_by_id rule_id with
     | None ->
       Logs.err (fun m ->
-          m
-            ~tags:(tags t ?span:(if parent_span > 0 then Some parent_span else None))
-            "shell %s: Fire for unknown rule %s (epoch %d)" t.site rule_id
+          m "shell %s: Fire for unknown rule %s (epoch %d)" t.site rule_id
             rule_epoch)
     | Some rule ->
     t.fires_executed <- t.fires_executed + 1;
@@ -422,10 +414,7 @@ and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
             steps env' (i + 1) rest
           | exception Expr.Eval_error message ->
             Logs.err (fun m ->
-                m
-                  ~tags:
-                    (tags t ?span:(if exec_span > 0 then Some exec_span else None))
-                  "shell %s: rule %s step cannot instantiate: %s" t.site rule_id
+                m "shell %s: rule %s step cannot instantiate: %s" t.site rule_id
                   message);
             steps env' (i + 1) rest))
     in

@@ -3,40 +3,38 @@
     During initialization the CM queries the translators for their
     interface specifications and "suggests strategies that are applicable
     to these interfaces, along with the associated guarantees".  This
-    module is that menu: given a constraint and the interface kinds each
-    item offers, it returns the applicable catalog strategies with their
-    {e previously proven} guarantees — e.g. polling never offers
-    guarantee (2), a conditional-notify source only supports (1)/(3).
+    module is the catalogue half of that menu: which strategy shapes each
+    interface kind admits.  The guarantees come from the proof rules:
 
-    Each suggestion's κ (for metric guarantees) is derived from the
-    supplied bounds: notification bound + rule bound + write bound, plus
-    the polling period where applicable. *)
+    - a copy candidate offers exactly what {!Derive.copy_guarantees}
+      proves over the interface statements plus the candidate's own
+      rules, κ included, and keeps that report;
+    - [monitor], [Leq] (Demarcation Protocol) and [Ref_int] candidates
+      carry hand-stated guarantees, because {!Derive} has no rules for
+      them.  The monitor's κ is the rule δ plus the larger of the two
+      items' notification bounds, read from their statements.
+
+    Generated rules use a 5 s δ; a read-only source is polled every
+    60 s. *)
 
 type candidate = {
   candidate_name : string;
   strategy : Strategy.t;
-  guarantees : Guarantee.t list;  (** proven for this interface/strategy pair *)
+  guarantees : Guarantee.t list;
+      (** for a copy candidate, {!Derive.guarantees} of [report] *)
+  report : Derive.report option;  (** the derivation, for copy candidates *)
   notes : string;
 }
 
-type bounds = {
-  rule_delta : float;  (** δ for generated strategy rules *)
-  notify_delta : float;  (** the source's notification bound *)
-  write_delta : float;  (** the target's write bound *)
-  poll_period : float;  (** period used when only polling is possible *)
-}
-
-val default_bounds : bounds
-(** 5 s rules, 5 s notify, 1 s write, 60 s polling. *)
-
 val for_constraint :
-  ?bounds:bounds ->
-  interfaces:(string -> Interface.kind list) ->
-  Constraint_def.t ->
-  candidate list
-(** Applicable candidates, strongest guarantees first.  Empty when the
-    interfaces cannot support the constraint at all (e.g. a copy whose
-    target is not writable and where a source is not even readable). *)
+  interfaces:Cm_rule.Rule.t list -> Constraint_def.t -> candidate list
+(** Applicable candidates in catalogue order, given the interface
+    statements as {!System.interface_rules} holds them.  A copy
+    candidate Derive proves nothing for stays listed; its report says
+    what blocks it.  Empty when the interfaces cannot support the
+    constraint at all (e.g. a copy whose target is not writable and
+    where a source is not even readable). *)
 
 val describe : candidate -> string
-(** One-paragraph rendering: name, rules, guarantees. *)
+(** One-paragraph rendering: name, rules, guarantees, the derivation's
+    lines and blocking reasons, and notes. *)

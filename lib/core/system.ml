@@ -252,9 +252,7 @@ let note_failure t ~origin kind =
         Obs.incr t.obs "system_guarantee_invalidations"
           ~labels:[ ("site", origin); ("kind", Msg.failure_kind_to_string kind) ];
         Logs.warn (fun m ->
-            m
-              ~tags:(Obs.log_tags ~site:origin ~time:(Sim.now t.sim) ())
-              "guarantee %s invalidated by %s failure at %s"
+            m "guarantee %s invalidated by %s failure at %s"
               (Guarantee.name entry.guarantee)
               (Msg.failure_kind_to_string kind)
               origin)
@@ -274,6 +272,10 @@ let note_reset t ~origin =
 let add_shell t ~site =
   if Hashtbl.mem t.shells site then
     invalid_arg ("System.add_shell: duplicate site " ^ site);
+  (* A new shell starts at epoch 0: after a cutover it would hold none of
+     the epochs the other shells went through. *)
+  if Seq.exists (fun sh -> Shell.rule_epoch sh <> 0) (Hashtbl.to_seq_values t.shells)
+  then invalid_arg ("System.add_shell: site " ^ site ^ " added after a rule-epoch cutover");
   let shell =
     Shell.create
       {
@@ -289,6 +291,7 @@ let add_shell t ~site =
   in
   Hashtbl.replace t.shells site shell;
   Hashtbl.replace t.site_to_shell site shell;
+  Shell.install_strategy shell t.strategy_rules;
   Shell.on_failure_notice shell (fun ~origin kind -> note_failure t ~origin kind);
   Shell.on_reset_notice shell (fun ~origin -> note_reset t ~origin);
   Option.iter (fun r -> Recovery.register_shell r shell) t.recovery;

@@ -128,7 +128,10 @@ val trace : t -> Cm_rule.Trace.t
 val locator : t -> Cm_rule.Item.locator
 
 val add_shell : t -> site:string -> Shell.t
-(** One shell per site; @raise Invalid_argument on duplicates. *)
+(** One shell per site.  A shell added after {!install} receives the
+    running strategy like the shells that were there.
+    @raise Invalid_argument on duplicates, and after a {!cutover}: the
+    new shell would hold no history of the epochs before it. *)
 
 val shell : t -> site:string -> Shell.t
 (** The shell responsible for [site] (its own or a routed one).

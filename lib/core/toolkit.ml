@@ -209,28 +209,12 @@ let interface_summary built =
   let by_base = Hashtbl.create 16 in
   List.iter
     (fun rule ->
-      match Interface.classify rule, Cm_rule.Template.item_base rule.Cm_rule.Rule.lhs with
+      match Interface.classify rule, Interface.served_base rule with
       | Some kind, Some base ->
         let prior = Option.value (Hashtbl.find_opt by_base base) ~default:[] in
         let name = Interface.kind_to_string kind in
         if not (List.mem name prior) then Hashtbl.replace by_base base (prior @ [ name ])
-      | _ -> (
-        (* P-triggered interfaces carry the item on the RHS. *)
-        match Interface.classify rule with
-        | Some kind ->
-          let bases =
-            List.filter_map
-              (fun (s : Cm_rule.Rule.step) -> Cm_rule.Template.item_base s.template)
-              (Cm_rule.Rule.rhs_steps rule)
-          in
-          List.iter
-            (fun base ->
-              let prior = Option.value (Hashtbl.find_opt by_base base) ~default:[] in
-              let name = Interface.kind_to_string kind in
-              if not (List.mem name prior) then
-                Hashtbl.replace by_base base (prior @ [ name ]))
-            bases
-        | None -> ()))
+      | _ -> ())
     (System.interface_rules built.system);
   Hashtbl.fold (fun base kinds acc -> (base, kinds) :: acc) by_base []
   |> List.sort compare

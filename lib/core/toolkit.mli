@@ -5,9 +5,9 @@
     [source] block (initialized by its [init] statements), a configured
     CM-Translator attached to each, and the item locator derived from
     the declarations.  This is the toolkit workflow of §4.1 end to end:
-    after [build], query {!System.interface_rules} for what the sources
-    offer, obtain candidates from {!Suggest.for_constraint}, and
-    {!System.install} the chosen strategy. *)
+    after [build], pass {!System.interface_rules} — what the sources
+    offer — to {!Suggest.for_constraint} for candidates with their
+    derived guarantees, and {!System.install} the chosen strategy. *)
 
 type built = {
   system : System.t;
@@ -32,5 +32,6 @@ val item_interfaces : Cmrid.source_decl -> Cmrid.item_decl -> Cm_rule.Rule.t lis
     configuration through this function. *)
 
 val interface_summary : built -> (string * string list) list
-(** For each item base, the interface kinds its translator reports —
-    input for {!Suggest.for_constraint}. *)
+(** For each item base ({!Interface.served_base}), the interface kinds
+    its statements offer, in reporting order — what [cmtool config]
+    prints. *)

@@ -331,52 +331,3 @@ let spans_to_csv t =
            (match s.ended with Some e -> float_str e | None -> "")))
     (spans t);
   Buffer.contents buf
-
-(* -- log correlation -- *)
-
-let site_tag : string Logs.Tag.def =
-  Logs.Tag.def "site" ~doc:"CM-Shell site" Format.pp_print_string
-
-let time_tag : float Logs.Tag.def =
-  Logs.Tag.def "sim-time" ~doc:"simulation time" (fun fmt t ->
-      Format.fprintf fmt "%.3f" t)
-
-let span_tag : int Logs.Tag.def =
-  Logs.Tag.def "span" ~doc:"active span id" Format.pp_print_int
-
-let log_tags ~site ~time ?span () =
-  let tags = Logs.Tag.empty in
-  let tags = Logs.Tag.add site_tag site tags in
-  let tags = Logs.Tag.add time_tag time tags in
-  match span with
-  | Some id when id > 0 -> Logs.Tag.add span_tag id tags
-  | _ -> tags
-
-let reporter ?(ppf = Format.err_formatter) () =
-  let report _src level ~over k msgf =
-    msgf @@ fun ?header:_ ?(tags = Logs.Tag.empty) fmt ->
-    let prefix =
-      let time = Logs.Tag.find time_tag tags in
-      let site = Logs.Tag.find site_tag tags in
-      let span = Logs.Tag.find span_tag tags in
-      let parts =
-        List.filter_map Fun.id
-          [
-            Option.map (Printf.sprintf "t=%.3f") time;
-            Option.map (Printf.sprintf "site=%s") site;
-            Option.map (Printf.sprintf "span=%d") span;
-          ]
-      in
-      if parts = [] then "" else "[" ^ String.concat " " parts ^ "] "
-    in
-    Format.kfprintf
-      (fun ppf ->
-        Format.fprintf ppf "@.";
-        over ();
-        k ())
-      ppf
-      ("%s[%s] " ^^ fmt)
-      prefix
-      (Logs.level_to_string (Some level))
-  in
-  { Logs.report }

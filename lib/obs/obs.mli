@@ -158,17 +158,3 @@ val snapshot_to_json : t -> string
 val snapshot_to_csv : t -> string
 val spans_to_json : t -> string
 val spans_to_csv : t -> string
-
-(** {1 Log correlation} *)
-
-val site_tag : string Logs.Tag.def
-val time_tag : float Logs.Tag.def
-val span_tag : int Logs.Tag.def
-
-val log_tags : site:string -> time:float -> ?span:int -> unit -> Logs.Tag.set
-(** Tag set stamping a log line with its site, sim-time, and (when
-    inside one) active span — built by Shell/System at each warn/err. *)
-
-val reporter : ?ppf:Format.formatter -> unit -> Logs.reporter
-(** A reporter that renders the tags as a ["[t=12.000 site=ny span=3]"]
-    prefix, so log lines correlate with exported spans. *)

@@ -62,12 +62,28 @@ let cached_propagate_proves_all () =
   check_verdict "(2) with cache" true r.Derive.leads;
   check_verdict "(3) with cache" true r.Derive.strictly_follows
 
+let contains ~needle m =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length m && (String.sub m i n = needle || go (i + 1)) in
+  go 0
+
+(* A filter can leave the target on a superseded value for ever, so the
+   filtered channel alone bounds no staleness: (4) is blocked, and the
+   reason names the filter.  A complete channel beside it restores (4). *)
 let conditional_notify_blocks_leads () =
   let interfaces = base_interfaces ~source_kinds:[ `Conditional ] in
   let r = derive ~interfaces (Strategy.propagate ~delta:5.0 ~source:src ~target:tgt ()) in
   check_verdict "(1)" true r.Derive.follows;
   check_verdict "(2) blocked" false r.Derive.leads;
-  check_verdict "(3)" true r.Derive.strictly_follows
+  check_verdict "(3)" true r.Derive.strictly_follows;
+  check_verdict "(4) blocked" false r.Derive.metric_follows;
+  (match r.Derive.metric_follows with
+   | Derive.Unprovable m ->
+     Alcotest.(check bool) ("names the filter: " ^ m) true (contains ~needle:"s/cnotify" m)
+   | Derive.Proved _ -> ());
+  let interfaces = base_interfaces ~source_kinds:[ `Conditional; `Notify ] in
+  let r = derive ~interfaces (Strategy.propagate ~delta:5.0 ~source:src ~target:tgt ()) in
+  check_verdict "(4) with a complete channel too" true r.Derive.metric_follows
 
 let periodic_notify_blocks_leads () =
   let interfaces = base_interfaces ~source_kinds:[ `Periodic ] in
@@ -128,13 +144,7 @@ let interfering_writer_blocks_follows () =
   check_verdict "(1) blocked by interference" false r.Derive.follows;
   match r.Derive.follows with
   | Derive.Unprovable m ->
-    Alcotest.(check bool) "names the rogue rule" true
-      (String.length m > 0
-       &&
-       let rec contains i =
-         i + 5 <= String.length m && (String.sub m i 5 = "rogue" || contains (i + 1))
-       in
-       contains 0)
+    Alcotest.(check bool) "names the rogue rule" true (contains ~needle:"rogue" m)
   | _ -> Alcotest.fail "expected unprovable"
 
 let no_strategy_blocks_everything () =
@@ -208,29 +218,90 @@ let report_rendering () =
     (String.length text > 100
      && String.index_opt text '\n' <> None)
 
-(* Consistency with the suggestion engine: what Suggest offers for
-   notify+write, Derive proves. *)
+(* Consistency with the suggestion engine: over every interface
+   combination the catalogue distinguishes — source kinds ⊆ {notify,
+   conditional notify, read, periodic notify} × target kinds ⊆ {write,
+   no-spontaneous-write, notify, read}, for a family and for a concrete
+   item pair — each copy candidate offers exactly the verdicts Derive
+   proves for that candidate's own rules over the statements, κ
+   included. *)
+let subsets xs =
+  List.fold_right (fun x acc -> acc @ List.map (fun s -> x :: s) acc) xs [ [] ]
+
+let statement item = function
+  | `Notify -> Interface.notify ~delta:5.0 item
+  | `Conditional ->
+    Interface.conditional_notify ~delta:5.0
+      ~condition:(Interface.relative_change_condition ~threshold:0.1)
+      item
+  | `Read -> Interface.read ~delta:5.0 item
+  | `Periodic -> Interface.periodic_notify ~period:60.0 ~delta:5.0 item
+  | `Write -> Interface.write ~delta:1.0 item
+  | `Quiet -> Interface.no_spontaneous_write item
+
+let proved_guarantees pair (r : Derive.report) =
+  let module G = Cm_core.Guarantee in
+  let proved verdict g = if proved verdict then [ g ] else [] in
+  proved r.Derive.follows (G.Follows pair)
+  @ proved r.Derive.leads (G.Leads pair)
+  @ proved r.Derive.strictly_follows (G.Strictly_follows pair)
+  @
+  match r.Derive.metric_follows with
+  | Derive.Proved { kappa = Some k; _ } -> [ G.Metric_follows (pair, k) ]
+  | _ -> []
+
 let derive_agrees_with_suggest () =
-  let interfaces base =
-    if base = "Salary1" then [ Interface.Notify; Interface.Read ]
-    else [ Interface.Write; Interface.Read ]
+  let e1 = Expr.Const (Value.Str "e1") in
+  let shapes =
+    [
+      (src, tgt, Item.make "Salary1", Item.make "Salary2");
+      ( Expr.Item ("Salary1", [ e1 ]),
+        Expr.Item ("Salary2", [ e1 ]),
+        Item.make "Salary1" ~params:[ Value.Str "e1" ],
+        Item.make "Salary2" ~params:[ Value.Str "e1" ] );
+    ]
   in
-  let candidates =
-    Cm_core.Suggest.for_constraint ~interfaces
-      (Cm_core.Constraint_def.Copy { source = src; target = tgt })
-  in
-  let ifaces = base_interfaces ~source_kinds:[ `Notify; `Read ] in
+  let checked = ref 0 and disagreements = ref [] in
   List.iter
-    (fun c ->
-      if c.Cm_core.Suggest.candidate_name = "propagate" then begin
-        let r =
-          Derive.copy_guarantees ~interfaces:ifaces
-            ~strategy:c.Cm_core.Suggest.strategy.Strategy.rules ~source:src ~target:tgt
-        in
-        check_verdict "suggested propagate: (1)" true r.Derive.follows;
-        check_verdict "suggested propagate: (2)" true r.Derive.leads
-      end)
-    candidates
+    (fun (source, target, leader, follower) ->
+      let pair = { Cm_core.Guarantee.leader; follower } in
+      List.iter
+        (fun src_kinds ->
+          List.iter
+            (fun tgt_kinds ->
+              let interfaces =
+                List.map (statement src) src_kinds @ List.map (statement tgt) tgt_kinds
+              in
+              List.iter
+                (fun (c : Cm_core.Suggest.candidate) ->
+                  if c.Cm_core.Suggest.candidate_name <> "monitor" then begin
+                    incr checked;
+                    let proved =
+                      proved_guarantees pair
+                        (Derive.copy_guarantees ~interfaces
+                           ~strategy:c.Cm_core.Suggest.strategy.Strategy.rules ~source
+                           ~target)
+                    in
+                    if proved <> c.Cm_core.Suggest.guarantees then
+                      disagreements :=
+                        Printf.sprintf "%s over %d statement(s): offered [%s], proved [%s]"
+                          c.Cm_core.Suggest.candidate_name (List.length interfaces)
+                          (String.concat "; "
+                             (List.map Cm_core.Guarantee.to_string
+                                c.Cm_core.Suggest.guarantees))
+                          (String.concat "; " (List.map Cm_core.Guarantee.to_string proved))
+                        :: !disagreements
+                  end)
+                (Cm_core.Suggest.for_constraint ~interfaces
+                   (Cm_core.Constraint_def.Copy { source; target })))
+            (subsets [ `Write; `Quiet; `Notify; `Read ]))
+        (subsets [ `Notify; `Conditional; `Read; `Periodic ]))
+    shapes;
+  (* Per writable target: propagate for each of the 14 source sets with a
+     notification kind, propagate-cached for the 8 with notify, poll for
+     read alone — 23 candidates × 8 writable target sets × 2 shapes. *)
+  Alcotest.(check int) "copy candidates checked" 368 !checked;
+  Alcotest.(check (list string)) "offered = proved" [] (List.rev !disagreements)
 
 let () =
   Alcotest.run "cm_derive"

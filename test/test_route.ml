@@ -161,6 +161,45 @@ let sampled_kappa_same_units () =
   Alcotest.check outcome "slo just under kappa does not" Route.Master
     d.Route.d_outcome
 
+(* A filtered channel bounds no staleness.  Conditional notify at a
+   10 % threshold reports 2000 and drops the three small changes after
+   it, so the replica keeps 2000 while the master left that value at
+   t = 110: Derive proves no kappa and the read goes to the master.  A
+   notify channel reports every change and the replica qualifies. *)
+let filtered_channel_not_served () =
+  let run mode =
+    let p =
+      Payroll.create ~config:(Sys_.Config.seeded 1000) ~employees:1 ~mode ()
+    in
+    Payroll.install_propagation p;
+    let system = p.Payroll.system in
+    Sys_.declare_interfaces system
+      [ Interface.no_spontaneous_write Payroll.target_pattern ];
+    let route = Route.create system ~constraints:[ ("Salary1", "Salary2") ] in
+    let emp = List.hd p.Payroll.employees in
+    List.iter
+      (fun (at, salary) -> Payroll.schedule_update p ~at ~emp ~salary)
+      [ (10.0, 2000); (110.0, 2050); (210.0, 2040); (310.0, 2030) ];
+    Sys_.run system ~until:600.0;
+    let qualifies =
+      Sys_.copy_qualifies ~slo:30.0 system ~source:"Salary1" ~target:"Salary2"
+    in
+    let d =
+      Route.read ~within_kappa:30.0 route ~client_site:Payroll.site_b "Salary1"
+    in
+    (Payroll.salary_at p `A emp, Payroll.salary_at p `B emp, qualifies, d)
+  in
+  let master, replica, qualifies, d = run (Payroll.Conditional 0.1) in
+  Alcotest.(check string) "master moved on" "2030" (Value.to_string master);
+  Alcotest.(check string) "replica kept 2000" "2000" (Value.to_string replica);
+  Alcotest.(check bool) "no kappa qualifies" true (Result.is_error qualifies);
+  Alcotest.check outcome "master read" Route.Master d.Route.d_outcome;
+  Alcotest.(check string) "answered by the master" "Salary1" d.Route.d_served_base;
+  let _, replica, qualifies, d = run Payroll.Notify in
+  Alcotest.(check string) "notify replica current" "2030" (Value.to_string replica);
+  Alcotest.(check bool) "kappa 11 qualifies" true (qualifies = Ok 11.0);
+  Alcotest.check outcome "replica read" Route.Replica d.Route.d_outcome
+
 (* -- fallback matrix -- *)
 
 let unprovable_falls_back_to_master () =
@@ -449,6 +488,8 @@ let () =
         [
           Alcotest.test_case "unprovable -> master" `Quick
             unprovable_falls_back_to_master;
+          Alcotest.test_case "filtered channel -> master" `Quick
+            filtered_channel_not_served;
           Alcotest.test_case "invalidated copy skipped" `Quick
             invalidated_copy_skipped;
           Alcotest.test_case "partitioned master -> forced poll" `Quick

@@ -178,6 +178,51 @@ let duplicate_shell_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A shell added after [install] runs the installed strategy: a
+   spontaneous Ws at its site fires the rule, exactly as it does when
+   the shell was there first. *)
+let late_shell_fires ~late =
+  let system = Sys_.create ~config:(Cm_core.System.Config.seeded 5) locator in
+  let early = if late then None else Some (Sys_.add_shell system ~site:"a") in
+  ignore (Sys_.add_shell system ~site:"b");
+  Sys_.install system
+    {
+      Strategy.strategy_name = "fwd";
+      description = "forward A to B";
+      rules = Parser.parse_rules "r: Ws(Xa(n), v) ->[1] W(Xb(n), v)";
+      aux_init = [];
+    };
+  let sa =
+    match early with Some sa -> sa | None -> Sys_.add_shell system ~site:"a"
+  in
+  ignore
+    (Shell.emitter_for sa ~site:"a"
+       (Event.ws (Item.make "Xa" ~params:[ Value.Int 1 ]) (Value.Int 7))
+       ~kind:Event.Spontaneous);
+  Sys_.run system ~until:10.0;
+  Shell.fires_sent sa
+
+let late_shell_gets_strategy () =
+  Alcotest.(check int) "shell present at install" 1 (late_shell_fires ~late:false);
+  Alcotest.(check int) "shell added after install" 1 (late_shell_fires ~late:true)
+
+let shell_after_cutover_rejected () =
+  let system, _sa, _sb = three_site_system () in
+  let evo = Cm_core.Evolution.create system in
+  let next =
+    { Strategy.strategy_name = "next"; description = "empty program"; rules = [];
+      aux_init = [] }
+  in
+  (match Cm_core.Evolution.propose evo next with
+   | Ok _ -> ()
+   | Error m -> Alcotest.fail m);
+  (match Cm_core.Evolution.cutover evo with Ok _ -> () | Error m -> Alcotest.fail m);
+  Alcotest.(check bool) "raises" true
+    (try
+       ignore (Sys_.add_shell system ~site:"c");
+       false
+     with Invalid_argument _ -> true)
+
 (* ---- Guarantee_view: §5 invalidation -> reset round trip ---- *)
 
 module GV = Sys_.Guarantee_view
@@ -255,6 +300,10 @@ let () =
         [
           Alcotest.test_case "lookup by site" `Quick shell_lookup_by_site;
           Alcotest.test_case "duplicate rejected" `Quick duplicate_shell_rejected;
+          Alcotest.test_case "late shell gets the strategy" `Quick
+            late_shell_gets_strategy;
+          Alcotest.test_case "added after cutover rejected" `Quick
+            shell_after_cutover_rejected;
         ] );
       ( "guarantee view",
         [

@@ -64,7 +64,27 @@ let interface_family () =
 
 (* ---- suggestion engine ---- *)
 
-let interfaces_of spec base = match List.assoc_opt base spec with Some k -> k | None -> []
+(* Interface statements offering [kinds] per base, at 5 s notification
+   and read bounds, a 1 s write bound and a 60 s notification period. *)
+let statements spec =
+  List.concat_map
+    (fun (base, kinds) ->
+      let item = Interface.family base [ "n" ] in
+      List.map
+        (function
+          | Interface.Write -> Interface.write ~delta:1.0 item
+          | Interface.No_spontaneous_write -> Interface.no_spontaneous_write item
+          | Interface.Notify -> Interface.notify ~delta:5.0 item
+          | Interface.Conditional_notify ->
+            Interface.conditional_notify ~delta:5.0
+              ~condition:(Interface.relative_change_condition ~threshold:0.1)
+              item
+          | Interface.Periodic_notify ->
+            Interface.periodic_notify ~period:60.0 ~delta:5.0 item
+          | Interface.Read -> Interface.read ~delta:5.0 item
+          | Interface.Delete -> Interface.delete ~delta:1.0 item)
+        kinds)
+    spec
 
 let copy_constraint =
   C.Copy
@@ -75,10 +95,10 @@ let copy_constraint =
 
 let suggest_notify_write () =
   let interfaces =
-    interfaces_of
+    statements
       [
         ("Salary1", [ Interface.Notify; Interface.Read ]);
-        ("Salary2", [ Interface.Write; Interface.Read ]);
+        ("Salary2", [ Interface.Write; Interface.No_spontaneous_write; Interface.Read ]);
       ]
   in
   let candidates = Suggest.for_constraint ~interfaces copy_constraint in
@@ -89,10 +109,24 @@ let suggest_notify_write () =
   let prop = List.find (fun c -> c.Suggest.candidate_name = "propagate") candidates in
   Alcotest.(check int) "all four guarantees" 4 (List.length prop.Suggest.guarantees)
 
+(* Without the target's no-spontaneous-write statement nothing rules out
+   foreign values in Salary2: only (2) is proved, so only (2) is offered. *)
+let suggest_notify_write_unquiet_target () =
+  let interfaces =
+    statements
+      [
+        ("Salary1", [ Interface.Notify; Interface.Read ]);
+        ("Salary2", [ Interface.Write; Interface.Read ]);
+      ]
+  in
+  let candidates = Suggest.for_constraint ~interfaces copy_constraint in
+  let prop = List.find (fun c -> c.Suggest.candidate_name = "propagate") candidates in
+  Alcotest.(check (list string)) "leads only" [ "(2) leads" ]
+    (List.map Guarantee.name prop.Suggest.guarantees)
+
 let suggest_read_only_source () =
   let interfaces =
-    interfaces_of
-      [ ("Salary1", [ Interface.Read ]); ("Salary2", [ Interface.Write ]) ]
+    statements [ ("Salary1", [ Interface.Read ]); ("Salary2", [ Interface.Write ]) ]
   in
   let candidates = Suggest.for_constraint ~interfaces copy_constraint in
   (match candidates with
@@ -102,13 +136,16 @@ let suggest_read_only_source () =
        (not
           (List.exists
              (function Guarantee.Leads _ -> true | _ -> false)
-             c.Suggest.guarantees))
+             c.Suggest.guarantees));
+     (* A family gets only the forwarding half: nothing is proved, and
+        the candidate says why. *)
+     Alcotest.(check bool) "blocking reason kept" true
+       (Option.bind c.Suggest.report Cm_core.Derive.blocking_reason <> None)
    | _ -> Alcotest.fail "expected exactly the polling candidate")
 
 let suggest_monitor_when_unwritable () =
   let interfaces =
-    interfaces_of
-      [ ("Salary1", [ Interface.Notify ]); ("Salary2", [ Interface.Notify ]) ]
+    statements [ ("Salary1", [ Interface.Notify ]); ("Salary2", [ Interface.Notify ]) ]
   in
   let candidates = Suggest.for_constraint ~interfaces copy_constraint in
   (match candidates with
@@ -121,13 +158,12 @@ let suggest_monitor_when_unwritable () =
    | _ -> Alcotest.fail "expected exactly the monitor candidate")
 
 let suggest_nothing_possible () =
-  let interfaces = interfaces_of [ ("Salary1", []); ("Salary2", []) ] in
   Alcotest.(check int) "no candidates" 0
-    (List.length (Suggest.for_constraint ~interfaces copy_constraint))
+    (List.length (Suggest.for_constraint ~interfaces:[] copy_constraint))
 
 let suggest_leq_demarcation () =
   let interfaces =
-    interfaces_of
+    statements
       [
         ("X", [ Interface.Read; Interface.Write ]);
         ("Y", [ Interface.Read; Interface.Write ]);
@@ -148,8 +184,7 @@ let suggest_leq_demarcation () =
 
 let suggest_describe () =
   let interfaces =
-    interfaces_of
-      [ ("Salary1", [ Interface.Notify ]); ("Salary2", [ Interface.Write ]) ]
+    statements [ ("Salary1", [ Interface.Notify ]); ("Salary2", [ Interface.Write ]) ]
   in
   match Suggest.for_constraint ~interfaces copy_constraint with
   | c :: _ ->
@@ -375,6 +410,8 @@ let () =
       ( "suggest",
         [
           Alcotest.test_case "notify + write" `Quick suggest_notify_write;
+          Alcotest.test_case "notify + write, target not quiet" `Quick
+            suggest_notify_write_unquiet_target;
           Alcotest.test_case "read-only source" `Quick suggest_read_only_source;
           Alcotest.test_case "monitor fallback" `Quick suggest_monitor_when_unwritable;
           Alcotest.test_case "nothing possible" `Quick suggest_nothing_possible;
