@@ -51,15 +51,38 @@ let parse_cmd =
 
 (* ---- suggest ---- *)
 
+(* The item bases CONFIG declares or its rules and the rule files name:
+   a copy between any others is a typo, not an interface verdict. *)
+let require_known_bases (config : Cm_core.Cmrid.t) rules flags =
+  let known = Hashtbl.create 16 in
+  let note base = Hashtbl.replace known base () in
+  List.iter
+    (fun (s : Cm_core.Cmrid.source_decl) ->
+      List.iter (fun (i : Cm_core.Cmrid.item_decl) -> note i.i_base) s.s_items)
+    config.sources;
+  List.iter (fun (l : Cm_core.Cmrid.location_decl) -> note l.l_base) config.locations;
+  List.iter (fun r -> List.iter (fun (base, _) -> note base) (Analysis.rule_refs r)) rules;
+  List.iter
+    (fun (flag, base) ->
+      if not (Hashtbl.mem known base) then
+        Cmtool_cli.usage_error "%s %s names no item base of CONFIG or its rule files" flag
+          base)
+    flags
+
 let suggest_cmd_run config_file rule_files source target =
   match Cmtool_cli.build_config config_file with
   | Error c -> c
-  | Ok (_, built) -> (
+  | Ok (config, built) -> (
     match Cmtool_cli.parse_rule_files rule_files with
     | Error c -> c
     | Ok extra_rules ->
       let system = built.Cm_core.Toolkit.system in
       Cmtool_cli.declare_rule_files system extra_rules;
+      require_known_bases config
+        (extra_rules
+        @ Cm_core.System.interface_rules system
+        @ Cm_core.System.strategy_rules system)
+        [ ("--source", source); ("--target", target) ];
       let constraint_def =
         Cm_core.Constraint_def.Copy
           {

@@ -51,6 +51,10 @@ type finding = {
 
 val severity_to_string : severity -> string
 
+val rule_refs : Cm_rule.Rule.t -> (string * int) list
+(** Every item (base, parameter count) the rule names, in its templates
+    or its conditions, sorted and without duplicates. *)
+
 val compare_finding : finding -> finding -> int
 (** Total order: file, line, code, site, message — the output order. *)
 

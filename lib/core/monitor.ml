@@ -2,16 +2,15 @@ open Cm_rule
 module Sim = Cm_sim.Sim
 
 (* Value-keyed hash tables must agree with Value.equal, which compares
-   numerics by magnitude (Int 3 = Float 3.0) — normalize before
-   hashing so both land in the same bucket. *)
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
+   numerics by magnitude (Int 3 = Float 3.0): Value.hash does. *)
+module Vtbl = Hashtbl.Make (Value)
 
-  let equal = Value.equal
+(* A copy family's instances, keyed by their parameters. *)
+module Ptbl = Hashtbl.Make (struct
+  type t = Value.t list
 
-  let hash v =
-    Hashtbl.hash
-      (match v with Value.Int n -> Value.Float (float_of_int n) | v -> v)
+  let equal = List.equal Value.equal
+  let hash params = List.fold_left (fun h v -> (h * 31) + Value.hash v) 0 params
 end)
 
 module Itbl = Hashtbl.Make (struct
@@ -141,8 +140,8 @@ type family = {
   fa_source : string;
   fa_target : string;
   fa_kappa : float option;
-  fa_instances : (string, instance) Hashtbl.t;  (* by param key *)
-  mutable fa_order : string list;  (* rev insertion order *)
+  fa_instances : instance Ptbl.t;  (* by params *)
+  mutable fa_order : Value.t list list;  (* params, rev insertion order *)
   mutable fa_stale : bool;  (* aggregate over instances *)
 }
 
@@ -410,7 +409,7 @@ let publish_stale t fa ~now stale =
 
 let refresh_family t fa ~now =
   let stale = ref false in
-  Hashtbl.iter
+  Ptbl.iter
     (fun _ inst ->
       match inst.in_stale with
       | None -> ()
@@ -430,7 +429,7 @@ let refresh_instance t fa inst ~now =
   (* Aggregate over the whole family, so one instance going fresh does
      not mask another still stale. *)
   publish_stale t fa ~now
-    (Hashtbl.fold
+    (Ptbl.fold
        (fun _ i acc ->
          acc || match i.in_stale with Some ss -> ss.ss_stale | None -> false)
        fa.fa_instances false)
@@ -521,10 +520,7 @@ let flush t =
         | Some fams ->
           List.iter
             (fun fa ->
-              match
-                Hashtbl.find_opt fa.fa_instances
-                  (String.concat "," (List.map Value.to_string item.Item.params))
-              with
+              match Ptbl.find_opt fa.fa_instances item.Item.params with
               | None -> ()
               | Some inst when inst.in_down -> ()
               | Some inst ->
@@ -556,10 +552,10 @@ let ensure_instances t item =
   | Some fams ->
     List.iter
       (fun fa ->
-        let key = String.concat "," (List.map Value.to_string item.Item.params) in
-        if not (Hashtbl.mem fa.fa_instances key) then begin
-          let source = Item.make fa.fa_source ~params:item.Item.params in
-          let target = Item.make fa.fa_target ~params:item.Item.params in
+        let params = item.Item.params in
+        if not (Ptbl.mem fa.fa_instances params) then begin
+          let source = Item.make fa.fa_source ~params in
+          let target = Item.make fa.fa_target ~params in
           let pair = { Guarantee.leader = source; follower = target } in
           let logical =
             List.map (fun g -> make_watcher t g)
@@ -571,14 +567,14 @@ let ensure_instances t item =
               (fun kappa -> make_watcher t (Guarantee.Metric_follows (pair, kappa)))
               fa.fa_kappa
           in
-          Hashtbl.replace fa.fa_instances key
+          Ptbl.replace fa.fa_instances params
             {
               in_watchers = logical @ Option.to_list metric;
               in_stale = Option.map (fun w -> { ss_metric = w; ss_stale = false }) metric;
               in_touched = false;
               in_down = false;
             };
-          fa.fa_order <- key :: fa.fa_order
+          fa.fa_order <- params :: fa.fa_order
         end)
       !fams
 
@@ -693,7 +689,7 @@ let watch_copy t ~source ~target ~kappa =
         fa_source = source;
         fa_target = target;
         fa_kappa = kappa;
-        fa_instances = Hashtbl.create 8;
+        fa_instances = Ptbl.create 8;
         fa_order = [];
         fa_stale = false;
       }
@@ -750,7 +746,7 @@ let crash_wipe t ~owns =
   List.iter
     (fun fa ->
       let touched = ref false in
-      Hashtbl.iter
+      Ptbl.iter
         (fun _ inst ->
           if
             (not inst.in_down)
@@ -789,7 +785,7 @@ let relearn t events =
       twins;
     List.iter
       (fun fa ->
-        Hashtbl.iter (fun _ inst -> inst.in_down <- false) fa.fa_instances;
+        Ptbl.iter (fun _ inst -> inst.in_down <- false) fa.fa_instances;
         (* Verdict recomputed from the relearned windows; subscribers
            hear only genuine transitions. *)
         refresh_family t fa ~now)
@@ -854,9 +850,16 @@ let family_verdicts t ~source ~target =
   match find_family t ~source ~target with
   | None -> []
   | Some fa ->
-    let keys = List.sort String.compare (List.rev fa.fa_order) in
+    (* By rendered parameters, as reports list them; parameters that
+       render alike order by value. *)
+    let text params = String.concat "," (List.map Value.to_string params) in
+    let by_text a b =
+      match String.compare (text a) (text b) with
+      | 0 -> List.compare Value.compare a b
+      | c -> c
+    in
     List.concat_map
-      (fun key ->
-        let inst = Hashtbl.find fa.fa_instances key in
+      (fun params ->
+        let inst = Ptbl.find fa.fa_instances params in
         List.map (fun w -> (w.w_g, verdict w)) inst.in_watchers)
-      keys
+      (List.sort by_text (List.rev fa.fa_order))

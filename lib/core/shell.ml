@@ -25,6 +25,13 @@ type rule_epoch = {
   re_by_id : (string, Rule.t) Hashtbl.t;
 }
 
+(* A rule of the active epoch whose LHS site this shell handles, with
+   the site its firings go to resolved once, at install or cutover. *)
+type lhs_rule = {
+  lr_rule : Rule.t;
+  lr_rhs_site : string;  (* pure chaining rules execute locally *)
+}
+
 (* Per-rule instruments at one shell, keyed by rule id, resolved on the
    id's first event there; a handle registers its row only when bumped.
    Bumped only on an enabled registry: a lookup per fire would cost the
@@ -49,6 +56,7 @@ type t = {
   obs_by_rule : (string, rule_obs) Hashtbl.t;
   site : string;
   store : Store.t;
+  state : Expr.state;  (* local data, as conditions read it *)
   journal : Journal.t option;
   translator_by_base : (string, Cmi.t) Hashtbl.t;
       (* first-attached owner per base *)
@@ -59,10 +67,11 @@ type t = {
   mutable stale_epoch_rejections : int;
       (* Fire envelopes rejected because their origin epoch was retired
          (or unknown after a crash) — counted, never silently dropped *)
-  mutable lhs_rules : Rule.t Rule_index.t;
+  mutable lhs_rules : lhs_rule Rule_index.t;
       (* rules of the ACTIVE epoch whose LHS site this shell handles,
-         discriminated by (LHS site, descriptor name, arg0 base); kept
-         in sync incrementally across cutovers *)
+         discriminated by (LHS site, descriptor name, arg0 base) and the
+         range of their LHS condition; kept in sync incrementally across
+         cutovers *)
   periodics : (string * float, unit) Hashtbl.t;
   custom_handlers : (string, (Event.t -> unit) list ref) Hashtbl.t;
   mutable failure_listeners : (origin:string -> Msg.failure_kind -> unit) list;
@@ -83,16 +92,18 @@ let set_peer_sites t sites =
     List.sort_uniq String.compare
       (List.filter (fun s -> not (String.equal s t.site)) sites)
 
-let local_state t =
+let local_state t = t.state
+
+let make_state sim translator_by_base store =
   Expr.state_of_fun (fun item ->
       (* "Clock" is a built-in pseudo-item holding the local time; binding
          it in a guard (Clock == t) is how strategies timestamp auxiliary
          data such as the monitor's Tb (§6.3). *)
-      if String.equal item.Item.base "Clock" then Some (Value.Float (Sim.now t.sim))
+      if String.equal item.Item.base "Clock" then Some (Value.Float (Sim.now sim))
       else
-        match Hashtbl.find_opt t.translator_by_base item.Item.base with
+        match Hashtbl.find_opt translator_by_base item.Item.base with
         | Some tr -> tr.Cmi.current_value item
-        | None -> Store.get t.store item)
+        | None -> Store.get store item)
 
 let rule_obs t rule_id =
   match Hashtbl.find_opt t.obs_by_rule rule_id with
@@ -119,7 +130,7 @@ let bump_rule t rule_id row =
   if Obs.enabled t.obs then Obs.Counter.incr (row (rule_obs t rule_id))
 
 let eval_cond_safe t env cond =
-  try Expr.eval_cond (local_state t) env cond with Expr.Eval_error _ -> None
+  try Expr.eval_cond t.state env cond with Expr.Eval_error _ -> None
 
 (* --- rule epochs: program versions and the dispatch index --- *)
 
@@ -139,14 +150,17 @@ let lhs_site_if_handled t rule =
 
 let index_add t rule =
   let lhs_site, handled = lhs_site_if_handled t rule in
-  if handled then Rule_index.add t.lhs_rules ~lhs:rule.Rule.lhs ~site:lhs_site rule
+  if handled then
+    let lr_rhs_site = Option.value (Rule.rhs_site rule t.locator) ~default:t.site in
+    Rule_index.add t.lhs_rules ~lhs:rule.Rule.lhs ~cond:rule.Rule.lhs_cond ~site:lhs_site
+      { lr_rule = rule; lr_rhs_site }
 
 let index_remove t rule =
   let lhs_site, handled = lhs_site_if_handled t rule in
   if handled then
     ignore
-      (Rule_index.remove t.lhs_rules ~lhs:rule.Rule.lhs ~site:lhs_site (fun r ->
-           String.equal r.Rule.id rule.Rule.id))
+      (Rule_index.remove t.lhs_rules ~lhs:rule.Rule.lhs ~site:lhs_site (fun lr ->
+           String.equal lr.lr_rule.Rule.id rule.Rule.id))
 
 (* Structural rule identity for the cutover delta: Rule.t is pure data
    and [to_string] is canonical, so equal strings mean the new epoch
@@ -221,6 +235,9 @@ let retire_epoch t ~epoch = retire_epoch_aux t ~journal:true ~epoch
 
 let rule_epoch t = t.active_epoch
 
+let holds_proposal t =
+  Hashtbl.fold (fun _ e held -> held || e.re_phase = Journal.Ep_proposed) t.epochs false
+
 let epoch_phase t ~epoch =
   Option.map (fun e -> e.re_phase) (Hashtbl.find_opt t.epochs epoch)
 
@@ -238,68 +255,56 @@ let journaled_store_set t item v =
 
 (* --- event intake: record, then match strategy rules --- *)
 
-(* Candidate rules for an event, already site-filtered: only the
-   discrimination buckets the event can touch, in registration order. *)
-let candidate_rules t (event : Event.t) =
-  Rule_index.select t.lhs_rules ~local_site:t.site ~event_site:event.site
-    ~desc:event.desc
+(* A candidate rule for a recorded event: match its LHS template, test
+   its condition on local data, and on success send the Fire envelope
+   to the shell of its RHS site. *)
+let fire_if_matched t (event : Event.t) { lr_rule = rule; lr_rhs_site } =
+  match Template.matches rule.Rule.lhs event.desc ~seed:Expr.empty_env with
+  | None -> ()
+  | Some env0 -> (
+    match eval_cond_safe t env0 rule.Rule.lhs_cond with
+    | None -> bump_rule t rule.Rule.id (fun ro -> ro.ro_lhs_rejections)
+    | Some env ->
+      let to_site = t.route lr_rhs_site in
+      (* The firing decision is journaled before the envelope is on
+         the wire: a crash between the two re-sends, never loses. *)
+      (match t.journal with
+       | Some j ->
+         Journal.append j
+           (Journal.Fire_sent
+              { time = event.time; rule_id = rule.Rule.id; to_site;
+                trigger_id = event.id })
+       | None -> ());
+      t.fires_sent <- t.fires_sent + 1;
+      (* Root of the end-to-end trace for this constraint evaluation;
+         the id travels inside the envelope. *)
+      let span =
+        if not (Obs.enabled t.obs) then 0
+        else begin
+          Obs.Counter.incr (rule_obs t rule.Rule.id).ro_fires_sent;
+          Obs.span t.obs ~name:"fire" ~at:event.time
+            ~labels:
+              [ ("site", t.site); ("rule", rule.Rule.id); ("to", to_site);
+                ("trigger", string_of_int event.id) ]
+        end
+      in
+      t.send_msg ~from_site:t.site ~to_site
+        (Msg.Fire
+           { rule_id = rule.Rule.id; rule_epoch = t.active_epoch; env;
+             trigger_id = event.id; span });
+      if Obs.enabled t.obs then Obs.end_span t.obs ~id:span ~at:(Sim.now t.sim))
 
 let rec occurred t (event : Event.t) =
   Obs.Counter.incr t.obs_events;
-  (* The gauge's float and the span labels below are built eagerly at
-     the call site even when the registry is the noop one — keep them
-     off the disabled hot path. *)
+  (* The gauge's float and the span labels are built eagerly at the call
+     site even when the registry is the noop one — keep them off the
+     disabled hot path. *)
   if Obs.enabled t.obs then
     Obs.Gauge.set t.obs_queue_depth (float_of_int (Sim.pending t.sim));
-  List.iter
-    (fun rule ->
-      match Template.matches rule.Rule.lhs event.desc ~seed:Expr.empty_env with
-      | None -> ()
-      | Some env0 -> (
-          match eval_cond_safe t env0 rule.Rule.lhs_cond with
-          | None -> bump_rule t rule.Rule.id (fun ro -> ro.ro_lhs_rejections)
-          | Some env ->
-            let rhs_site =
-              match Rule.rhs_site rule t.locator with
-              | Some s -> s
-              | None -> t.site  (* pure chaining rules execute locally *)
-            in
-            let to_site = t.route rhs_site in
-            (* The firing decision is journaled before the envelope is on
-               the wire: a crash between the two re-sends, never loses. *)
-            (match t.journal with
-             | Some j ->
-               Journal.append j
-                 (Journal.Fire_sent
-                    { time = event.time; rule_id = rule.Rule.id; to_site;
-                      trigger_id = event.id })
-             | None -> ());
-            t.fires_sent <- t.fires_sent + 1;
-            (* Root of the end-to-end trace for this constraint
-               evaluation; the id travels inside the envelope. *)
-            let span =
-              if not (Obs.enabled t.obs) then 0
-              else begin
-                Obs.Counter.incr (rule_obs t rule.Rule.id).ro_fires_sent;
-                Obs.span t.obs ~name:"fire" ~at:event.time
-                  ~labels:
-                    [ ("site", t.site); ("rule", rule.Rule.id);
-                      ("to", to_site);
-                      ("trigger", string_of_int event.id) ]
-              end
-            in
-            t.send_msg ~from_site:t.site ~to_site
-              (Msg.Fire
-                 {
-                   rule_id = rule.Rule.id;
-                   rule_epoch = t.active_epoch;
-                   env;
-                   trigger_id = event.id;
-                   span;
-                 });
-            if Obs.enabled t.obs then
-              Obs.end_span t.obs ~id:span ~at:(Sim.now t.sim)))
-    (candidate_rules t event);
+  (* Candidates come already site- and range-filtered, in registration
+     order. *)
+  Rule_index.iter t.lhs_rules ~local_site:t.site ~event_site:event.site ~desc:event.desc
+    (fire_if_matched t event);
   match Hashtbl.find_opt t.custom_handlers event.desc.Event.name with
   | Some handlers -> List.iter (fun h -> h event) !handlers
   | None -> ()
@@ -454,6 +459,7 @@ let create ctx ~site =
     | Some r -> fun ~from_site ~to_site msg -> Reliable.send r ~from_site ~to_site msg
     | None -> fun ~from_site ~to_site msg -> Net.send net ~from_site ~to_site msg
   in
+  let store = Store.create () and translator_by_base = Hashtbl.create 16 in
   let t =
     {
       sim;
@@ -466,9 +472,10 @@ let create ctx ~site =
       obs_queue_depth = Obs.Gauge.make obs "sim_queue_depth";
       obs_by_rule = Hashtbl.create 16;
       site;
-      store = Store.create ();
+      store;
+      state = make_state sim translator_by_base store;
       journal = Option.map (fun reg -> Journal.for_site reg ~site) journals;
-      translator_by_base = Hashtbl.create 16;
+      translator_by_base;
       handled_sites = Hashtbl.create 4;
       route = (fun s -> s);
       epochs = Hashtbl.create 4;
@@ -507,14 +514,19 @@ let install_strategy t rules =
   (* Installs extend the currently active epoch — for a configured (not
      yet evolved) system that is the base program, epoch 0. *)
   let e = active_program t in
-  List.iter
-    (fun rule ->
-      if Hashtbl.mem e.re_by_id rule.Rule.id then
-        invalid_arg ("Shell.install_strategy: duplicate rule id " ^ rule.Rule.id);
-      Hashtbl.replace e.re_by_id rule.Rule.id rule;
-      e.re_rules <- e.re_rules @ [ rule ];
-      index_add t rule)
-    rules
+  let installed = ref [] in
+  (* One append for the whole batch, also when a duplicate stops it. *)
+  Fun.protect
+    ~finally:(fun () -> e.re_rules <- e.re_rules @ List.rev !installed)
+    (fun () ->
+      List.iter
+        (fun rule ->
+          if Hashtbl.mem e.re_by_id rule.Rule.id then
+            invalid_arg ("Shell.install_strategy: duplicate rule id " ^ rule.Rule.id);
+          Hashtbl.replace e.re_by_id rule.Rule.id rule;
+          index_add t rule;
+          installed := rule :: !installed)
+        rules)
 
 let register_periodic t ?site ~period () =
   let site = Option.value site ~default:t.site in

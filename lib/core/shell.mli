@@ -8,6 +8,10 @@
     - on a match, evaluates the LHS condition against {e local} data and
       forwards the binding environment to the shell of the rule's RHS
       site as a {!Msg.Fire} envelope (rule distribution by LHS site);
+      the candidates come from a {!Cm_rule.Rule_index} keyed by LHS
+      site, event name, leading item base and the range of the LHS
+      condition's leading comparisons, with each rule's sites and range
+      resolved once, at install or cutover;
     - on receiving an envelope, evaluates each RHS step's guard against
       local data and produces the step's event: requests (WR/RR/DR) go
       to the owning translator, [W] on CM-local items updates the
@@ -20,7 +24,14 @@
     attaching its translator here and routing its sites to this shell.
 
     No global data, no global transactions: every condition is evaluated
-    against data co-located with the evaluating shell (§7.2). *)
+    against data co-located with the evaluating shell (§7.2).
+
+    On an enabled {!Obs} registry, [shell_guard_rejections{side=lhs}]
+    counts candidates whose template matched and whose LHS condition
+    then failed; a rule skipped by its range is not a candidate, so it
+    is not counted.  (No strategy shipped with the toolkit has a range
+    condition.)  [shell_guard_rejections{side=rhs}] counts RHS steps
+    whose guard failed. *)
 
 type t
 
@@ -83,7 +94,7 @@ val write_aux : t -> Cm_rule.Item.t -> Cm_rule.Value.t -> unit
 
 val local_state : t -> Cm_rule.Expr.state
 (** The local-data oracle: translator current values for owned items,
-    private store otherwise. *)
+    private store otherwise.  Built once per shell. *)
 
 val on_custom : t -> string -> (Cm_rule.Event.t -> unit) -> unit
 (** Host-language hook on a (usually custom) event name occurring at this
@@ -130,6 +141,9 @@ val rule_epoch : t -> int
 (** The active epoch — what outbound firings are tagged with. *)
 
 val epoch_phase : t -> epoch:int -> Journal.epoch_phase option
+
+val holds_proposal : t -> bool
+(** Whether an epoch is proposed here and not yet cut over. *)
 
 val stale_epoch_rejections : t -> int
 (** Inbound firings rejected because their origin epoch was retired or

@@ -1,14 +1,10 @@
-type t = { mutable data : Cm_rule.Value.t Cm_rule.Item.Map.t }
+module Itbl = Hashtbl.Make (Cm_rule.Item)
 
-let create () = { data = Cm_rule.Item.Map.empty }
+(* Keyed under Item.equal/Item.hash, so a write to an existing item
+   updates its binding in place. *)
+type t = Cm_rule.Value.t Itbl.t
 
-let get t item = Cm_rule.Item.Map.find_opt item t.data
-
-let set t item v = t.data <- Cm_rule.Item.Map.add item v t.data
-
-let remove t item = t.data <- Cm_rule.Item.Map.remove item t.data
-
-
-let bindings t = Cm_rule.Item.Map.bindings t.data
-
-let clear t = t.data <- Cm_rule.Item.Map.empty
+let create () = Itbl.create 64
+let get t item = Itbl.find_opt t item
+let set t item v = Itbl.replace t item v
+let clear t = Itbl.reset t

@@ -272,10 +272,15 @@ let note_reset t ~origin =
 let add_shell t ~site =
   if Hashtbl.mem t.shells site then
     invalid_arg ("System.add_shell: duplicate site " ^ site);
-  (* A new shell starts at epoch 0: after a cutover it would hold none of
-     the epochs the other shells went through. *)
-  if Seq.exists (fun sh -> Shell.rule_epoch sh <> 0) (Hashtbl.to_seq_values t.shells)
-  then invalid_arg ("System.add_shell: site " ^ site ^ " added after a rule-epoch cutover");
+  (* A new shell starts at epoch 0 with no proposal: after a cutover it
+     would hold none of the epochs the other shells went through, and
+     during a proposal the cutover would find it without the proposed
+     epoch. *)
+  let shells = Hashtbl.to_seq_values t.shells in
+  if Seq.exists (fun sh -> Shell.rule_epoch sh <> 0) shells then
+    invalid_arg ("System.add_shell: site " ^ site ^ " added after a rule-epoch cutover");
+  if Seq.exists Shell.holds_proposal shells then
+    invalid_arg ("System.add_shell: site " ^ site ^ " added while a rule epoch is proposed");
   let shell =
     Shell.create
       {

@@ -130,8 +130,10 @@ val locator : t -> Cm_rule.Item.locator
 val add_shell : t -> site:string -> Shell.t
 (** One shell per site.  A shell added after {!install} receives the
     running strategy like the shells that were there.
-    @raise Invalid_argument on duplicates, and after a {!cutover}: the
-    new shell would hold no history of the epochs before it. *)
+    @raise Invalid_argument on duplicates, after a {!cutover} (the new
+    shell would hold no history of the epochs before it), and while a
+    shell holds a proposed epoch (the cutover would find the new shell
+    without it). *)
 
 val shell : t -> site:string -> Shell.t
 (** The shell responsible for [site] (its own or a routed one).

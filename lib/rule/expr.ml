@@ -76,99 +76,108 @@ and binop_string = function
 
 let pp fmt e = Format.pp_print_string fmt (to_string e)
 
-let rec eval state env expr =
+let vtrue = Value.Bool true
+let vfalse = Value.Bool false
+
+(* The one interpreter.  [ev] returns a node's value and threads the
+   environment through the cell [env], which changes only where a
+   binding equality binds (and where a conjunction or disjunction drops
+   bindings): no tuple per node, and boolean results are the shared
+   [vtrue]/[vfalse]. *)
+let rec ev state env expr =
   match expr with
-  | Const v -> (v, env)
+  | Const v -> v
   | Wildcard -> error "wildcard cannot be evaluated"
   | Var x -> (
-    match Env.find_opt x env with
-    | Some (Bval v) -> (v, env)
-    | Some (Bitem it) -> error "parameter %s is bound to item %s, not a value" x (Item.to_string it)
-    | None -> error "unbound parameter %s" x)
-  | Item (base, args) ->
-    let item = eval_item state env (base, args) in
-    (match state.lookup item with
-     | Some v -> (v, env)
-     | None -> error "data item %s does not exist" (Item.to_string item))
+    match Env.find x !env with
+    | Bval v -> v
+    | Bitem it -> error "parameter %s is bound to item %s, not a value" x (Item.to_string it)
+    | exception Not_found -> error "unbound parameter %s" x)
+  | Item (base, args) -> (
+    let item = item_of state env base args in
+    match state.lookup item with
+    | Some v -> v
+    | None -> error "data item %s does not exist" (Item.to_string item))
   | Exists (base, args) ->
-    let item = eval_item state env (base, args) in
-    (Value.Bool (state.lookup item <> None), env)
-  | Unop (op, e) ->
-    let v, env = eval state env e in
-    let r =
-      match op with
-      | Neg -> Value.neg v
-      | Abs -> Value.abs v
-      | Not -> Value.Bool (not (Value.truthy v))
-    in
-    (r, env)
-  | Binop (And, a, b) -> (
+    if Option.is_some (state.lookup (item_of state env base args)) then vtrue else vfalse
+  | Unop (op, e) -> (
+    let v = ev state env e in
+    match op with
+    | Neg -> Value.neg v
+    | Abs -> Value.abs v
+    | Not -> if Value.truthy v then vfalse else vtrue)
+  | Binop (And, a, b) ->
     (* Conjunction threads bindings left to right and short-circuits. *)
-    match eval_cond state env a with
-    | None -> (Value.Bool false, env)
-    | Some env' -> (
-      match eval_cond state env' b with
-      | None -> (Value.Bool false, env)
-      | Some env'' -> (Value.Bool true, env'')))
-  | Binop (Or, a, b) -> (
+    let entry = !env in
+    if cond state env a && cond state env b then vtrue
+    else begin
+      env := entry;
+      vfalse
+    end
+  | Binop (Or, a, b) ->
     (* No binding escapes a disjunction: which branch held is ambiguous. *)
-    match eval_cond state env a with
-    | Some _ -> (Value.Bool true, env)
-    | None -> (
-      match eval_cond state env b with
-      | Some _ -> (Value.Bool true, env)
-      | None -> (Value.Bool false, env)))
-  | Binop (Eq, a, b) -> eval_eq state env a b
-  | Binop (Ne, a, b) ->
-    let r, env = eval_eq state env a b in
-    (Value.Bool (not (Value.truthy r)), env)
-  | Binop (op, a, b) ->
-    let va, env = eval state env a in
-    let vb, env = eval state env b in
-    let r =
-      match op with
-      | Add -> Value.add va vb
-      | Sub -> Value.sub va vb
-      | Mul -> Value.mul va vb
-      | Div -> Value.div va vb
-      | Lt -> Value.Bool (Value.compare va vb < 0)
-      | Le -> Value.Bool (Value.compare va vb <= 0)
-      | Gt -> Value.Bool (Value.compare va vb > 0)
-      | Ge -> Value.Bool (Value.compare va vb >= 0)
-      | Eq | Ne | And | Or -> assert false
-    in
-    (r, env)
+    let entry = !env in
+    let held = cond state env a || (env := entry; cond state env b) in
+    env := entry;
+    if held then vtrue else vfalse
+  | Binop (Eq, a, b) -> eq state env a b
+  | Binop (Ne, a, b) -> if Value.truthy (eq state env a b) then vfalse else vtrue
+  | Binop (op, a, b) -> (
+    let va = ev state env a in
+    let vb = ev state env b in
+    match op with
+    | Add -> Value.add va vb
+    | Sub -> Value.sub va vb
+    | Mul -> Value.mul va vb
+    | Div -> Value.div va vb
+    | Lt -> if Value.compare va vb < 0 then vtrue else vfalse
+    | Le -> if Value.compare va vb <= 0 then vtrue else vfalse
+    | Gt -> if Value.compare va vb > 0 then vtrue else vfalse
+    | Ge -> if Value.compare va vb >= 0 then vtrue else vfalse
+    | Eq | Ne | And | Or -> assert false)
+
+and cond state env expr = Value.truthy (ev state env expr)
 
 (* Equality doubles as a binding construct: if exactly one side is an
    unbound variable, bind it to the other side's value and succeed. *)
-and eval_eq state env a b =
-  let unbound = function
-    | Var x when not (Env.mem x env) -> Some x
-    | _ -> None
-  in
-  match unbound a, unbound b with
-  | Some x, None ->
-    let v, env = eval state env b in
-    (Value.Bool true, Env.add x (Bval v) env)
-  | None, Some x ->
-    let v, env = eval state env a in
-    (Value.Bool true, Env.add x (Bval v) env)
-  | Some x, Some _ -> error "equality between two unbound parameters (%s)" x
-  | None, None ->
-    let va, env = eval state env a in
-    let vb, env = eval state env b in
-    (Value.Bool (Value.equal va vb), env)
+and eq state env a b =
+  match a, b with
+  | Var x, _ when not (Env.mem x !env) -> (
+    match b with
+    | Var y when not (Env.mem y !env) ->
+      error "equality between two unbound parameters (%s)" x
+    | _ -> bind env x (ev state env b))
+  | _, Var y when not (Env.mem y !env) -> bind env y (ev state env a)
+  | _ ->
+    let va = ev state env a in
+    let vb = ev state env b in
+    if Value.equal va vb then vtrue else vfalse
 
-and eval_cond state env expr =
-  let v, env' = eval state env expr in
-  if Value.truthy v then Some env' else None
+and bind env x v =
+  env := Env.add x (Bval v) !env;
+  vtrue
 
-and eval_item state env (base, args) =
-  let eval_value e =
-    let v, _ = eval state env e in
-    v
-  in
-  Item.make base ~params:(List.map eval_value args)
+(* Item parameters see the environment the reference was reached with;
+   their bindings are dropped. *)
+and item_of state env base args =
+  let entry = !env in
+  Item.make base
+    ~params:
+      (List.map
+         (fun e ->
+           let v = ev state env e in
+           env := entry;
+           v)
+         args)
+
+let eval state env expr =
+  let cell = ref env in
+  let v = ev state cell expr in
+  (v, !cell)
+
+let eval_cond state env expr =
+  let cell = ref env in
+  if cond state cell expr then Some !cell else None
 
 let free_vars expr =
   let seen = Hashtbl.create 8 in

@@ -67,7 +67,11 @@ val state_of_fun : (Item.t -> Value.t option) -> state
 exception Eval_error of string
 
 val eval : state -> env -> t -> Value.t * env
-(** Full evaluation.  Binding equalities extend the environment.
+(** Full evaluation.  Binding equalities extend the environment.  This
+    is the rule language's one interpreter (the shell's conditions and
+    {!Validity}'s go through it, via {!eval_cond}): per node it
+    allocates no tuple and shares its boolean results, and the
+    environment grows only where a binding equality binds.
     @raise Eval_error on unbound variables in non-binding positions,
     wildcards, or type errors. *)
 
@@ -75,9 +79,6 @@ val eval_cond : state -> env -> t -> env option
 (** Evaluate as a condition: [Some env'] if truthy (with any new
     bindings), [None] if falsy.
     @raise Eval_error as {!eval}. *)
-
-val eval_item : state -> env -> string * t list -> Item.t
-(** Resolve a parameterized item reference to a concrete item name. *)
 
 val free_vars : t -> string list
 (** Variables occurring anywhere in the expression, without duplicates,

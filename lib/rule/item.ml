@@ -14,7 +14,9 @@ let to_string t =
   | [] -> t.base
   | ps -> t.base ^ "(" ^ String.concat ", " (List.map Value.to_string ps) ^ ")"
 
-let hash t = Hashtbl.hash (t.base, List.map Value.to_string t.params)
+let hash t =
+  List.fold_left (fun h v -> (h * 31) + Value.hash v) (Hashtbl.hash t.base) t.params
+  land max_int
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

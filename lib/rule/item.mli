@@ -15,6 +15,8 @@ val make : ?params:Value.t list -> string -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+(** Agrees with {!equal}: parameters hash through {!Value.hash}.
+    Allocates nothing. *)
 
 val to_string : t -> string
 (** [Salary1("emp7", 3)] style rendering; 0-ary items render bare. *)

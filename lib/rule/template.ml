@@ -27,45 +27,60 @@ let make name args =
    | _ -> ());
   { name; args }
 
+(* Matching threads the environment and gives up by raising [Mismatch],
+   so a match allocates only the bindings it adds and its result. *)
+exception Mismatch
+
 let match_value x v env =
   match Expr.Env.find_opt x env with
-  | None -> Some (Expr.Env.add x (Expr.Bval v) env)
-  | Some (Expr.Bval v') -> if Value.equal v v' then Some env else None
-  | Some (Expr.Bitem _) -> None
+  | None -> Expr.Env.add x (Expr.Bval v) env
+  | Some (Expr.Bval v') -> if Value.equal v v' then env else raise_notrace Mismatch
+  | Some (Expr.Bitem _) -> raise_notrace Mismatch
 
 let match_item_binding x item env =
   match Expr.Env.find_opt x env with
-  | None -> Some (Expr.Env.add x (Expr.Bitem item) env)
-  | Some (Expr.Bitem it') -> if Item.equal item it' then Some env else None
-  | Some (Expr.Bval _) -> None
+  | None -> Expr.Env.add x (Expr.Bitem item) env
+  | Some (Expr.Bitem it') -> if Item.equal item it' then env else raise_notrace Mismatch
+  | Some (Expr.Bval _) -> raise_notrace Mismatch
+
+(* A template argument against a value: an event's, or an item
+   parameter's, matched in place. *)
+let match_scalar targ v env =
+  match targ with
+  | Expr.Wildcard -> env
+  | Expr.Const c -> if Value.equal c v then env else raise_notrace Mismatch
+  | Expr.Var x -> match_value x v env
+  | Expr.Item _ | Expr.Unop _ | Expr.Binop _ | Expr.Exists _ -> raise_notrace Mismatch
+
+let rec match_params targs vs env =
+  match targs, vs with
+  | [], [] -> env
+  | targ :: targs, v :: vs -> match_params targs vs (match_scalar targ v env)
+  | [], _ :: _ | _ :: _, [] -> raise_notrace Mismatch
+
+let match_arg targ earg env =
+  match targ, earg with
+  | _, Event.Av v -> match_scalar targ v env
+  | Expr.Wildcard, Event.Ai _ -> env
+  | Expr.Var x, Event.Ai item -> match_item_binding x item env
+  | Expr.Item (base, params), Event.Ai item ->
+    if String.equal base item.Item.base then match_params params item.Item.params env
+    else raise_notrace Mismatch
+  | (Expr.Const _ | Expr.Unop _ | Expr.Binop _ | Expr.Exists _), Event.Ai _ ->
+    raise_notrace Mismatch
 
 let rec match_args targs eargs env =
   match targs, eargs with
-  | [], [] -> Some env
-  | [], _ | _, [] -> None
-  | targ :: targs, earg :: eargs -> (
-    match match_arg targ earg env with
-    | None -> None
-    | Some env -> match_args targs eargs env)
-
-and match_arg targ earg env =
-  match targ, earg with
-  | Expr.Wildcard, _ -> Some env
-  | Expr.Const c, Event.Av v -> if Value.equal c v then Some env else None
-  | Expr.Const _, Event.Ai _ -> None
-  | Expr.Var x, Event.Av v -> match_value x v env
-  | Expr.Var x, Event.Ai item -> match_item_binding x item env
-  | Expr.Item (base, params), Event.Ai item ->
-    if String.equal base item.Item.base then
-      match_args params (List.map (fun v -> Event.Av v) item.Item.params) env
-    else None
-  | Expr.Item _, Event.Av _ -> None
-  | (Expr.Unop _ | Expr.Binop _ | Expr.Exists _), _ -> None
+  | [], [] -> env
+  | targ :: targs, earg :: eargs -> match_args targs eargs (match_arg targ earg env)
+  | [], _ :: _ | _ :: _, [] -> raise_notrace Mismatch
 
 let matches t (desc : Event.desc) ~seed =
   if is_false t then None
   else if not (String.equal t.name desc.Event.name) then None
-  else match_args t.args desc.Event.args seed
+  else match match_args t.args desc.Event.args seed with
+    | env -> Some env
+    | exception Mismatch -> None
 
 let instantiate_value env e =
   match e with

@@ -24,6 +24,23 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* Numbers hash by magnitude, as [compare] orders them: [Int i] hashes
+   as [Float (float_of_int i)], so [Int 3] meets [Float 3.0], [-0.0]
+   meets [0.0] and every nan meets every other.  An integral magnitude
+   an int holds hashes as that int; any other hashes its bits.  Nothing
+   here boxes a float. *)
+let[@inline] hash_magnitude m =
+  if Float.abs m < 0x1p62 && Float.trunc m = m then Hashtbl.hash (int_of_float m)
+  else if m <> m then 0
+  else Hashtbl.hash (Int64.to_int (Int64.bits_of_float m))
+
+let hash = function
+  | Null -> 1
+  | Bool b -> if b then 2 else 3
+  | Int i -> hash_magnitude (float_of_int i)
+  | Float f -> hash_magnitude f
+  | Str s -> Hashtbl.hash s
+
 let to_float = function
   | Int i -> float_of_int i
   | Float f -> f

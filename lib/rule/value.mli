@@ -22,6 +22,10 @@ val compare : t -> t -> int
 (** Total order consistent with {!equal}; values of different kinds order
     by kind (Null < Bool < numeric < Str). *)
 
+val hash : t -> int
+(** Agrees with {!equal}: [Int 3] and [Float 3.0], [0.0] and [-0.0], and
+    any two nans hash alike.  Allocates nothing. *)
+
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t

@@ -282,6 +282,27 @@ let silent_drop_flagged_within_kappa () =
 let ev id time desc =
   { Event.id; time; site = "s"; desc; kind = Event.Spontaneous }
 
+(* Instances are keyed by parameter values, not their "%g" rendering:
+   X(1.0000001) and X(1.0000002) print alike but are two instances,
+   watched as X(1) and X(2) are. *)
+let instances_keyed_by_params () =
+  let violations p1 p2 =
+    let m = Monitor.create () in
+    Monitor.watch_copy m ~source:"X" ~target:"Y" ~kappa:None;
+    let w base p b = Event.w (Item.make base ~params:[ p ]) (Value.Int b) in
+    List.iteri
+      (fun id (time, desc) -> Monitor.feed m (ev id time desc))
+      [ (1.0, w "X" p1 5); (2.0, w "X" p2 6); (3.0, w "Y" p2 7) ];
+    Monitor.finalize m ~horizon:10.0;
+    let verdicts = Monitor.family_verdicts m ~source:"X" ~target:"Y" in
+    (List.length verdicts,
+     List.fold_left (fun n (_, v) -> n + v.Monitor.v_violations) 0 verdicts)
+  in
+  let ints = violations (Value.Int 1) (Value.Int 2) in
+  Alcotest.(check (pair int int)) "two instances over X(1), X(2)" (6, 4) ints;
+  Alcotest.(check (pair int int)) "two instances over X(1.0000001), X(1.0000002)" ints
+    (violations (Value.Float 1.0000001) (Value.Float 1.0000002))
+
 let owns_y item = String.equal item.Item.base "y"
 
 (* The ROADMAP gap, unit-level: a crash between a violation and its
@@ -638,6 +659,7 @@ let () =
           Alcotest.test_case "silent drop within kappa + tick" `Quick
             silent_drop_flagged_within_kappa;
           Alcotest.test_case "observation only" `Quick observation_only;
+          Alcotest.test_case "instances keyed by params" `Quick instances_keyed_by_params;
         ] );
       ( "crash recovery",
         [

@@ -77,6 +77,83 @@ let item_equality () =
     (Item.equal (item "A" [ Value.Int 1 ]) (item "A" [ Value.Int 2 ]));
   Alcotest.(check bool) "diff base" false (Item.equal x y)
 
+(* ---------- hashing agrees with equality ---------- *)
+
+(* Numbers whose equality is easy to get wrong in a hash: signed zeros,
+   nans of either sign, ints a float cannot hold exactly, the ends of
+   the int range. *)
+let awkward_values =
+  let two53 = 1 lsl 53 in
+  [ Value.Null; Value.Bool true; Value.Bool false; Value.Str ""; Value.Str "0";
+    Value.Int 0; Value.Float 0.0; Value.Float (-0.0); Value.Float Float.nan;
+    Value.Float (-.Float.nan); Value.Int 3; Value.Float 3.0; Value.Float 0.5;
+    Value.Int max_int; Value.Float (float_of_int max_int); Value.Int min_int;
+    Value.Float (float_of_int min_int); Value.Int (two53 + 1); Value.Int two53;
+    Value.Float (float_of_int two53); Value.Float Float.infinity;
+    Value.Float Float.neg_infinity ]
+
+(* A value equal to [v] in another representation, where there is one. *)
+let twin = function
+  | Value.Int i -> Value.Float (float_of_int i)
+  | Value.Float f when Float.is_integer f && Float.abs f < 0x1p62 -> Value.Int (int_of_float f)
+  | Value.Float f when Float.is_nan f || f = 0.0 -> Value.Float (-.f)
+  | v -> v
+
+let gen_hash_value =
+  QCheck.Gen.(
+    oneof
+      [ oneofl awkward_values;
+        map (fun i -> Value.Int i) small_signed_int;
+        map (fun i -> Value.Float (float_of_int i)) small_signed_int ])
+
+(* Pairs that are often equal: a value and, half the time, its twin. *)
+let gen_hash_pair gen twin =
+  QCheck.Gen.(
+    gen >>= fun a -> map (fun b -> (a, b)) (oneof [ return (twin a); gen ]))
+
+let value_hash_agrees =
+  let print (a, b) = Value.to_string a ^ " / " ^ Value.to_string b in
+  QCheck.Test.make ~name:"equal values hash alike" ~count:2000
+    (QCheck.make ~print (gen_hash_pair gen_hash_value twin))
+    (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
+
+let item_hash_agrees =
+  let gen_item =
+    QCheck.Gen.(
+      map2 (fun base params -> Item.make base ~params)
+        (oneofl [ "X"; "Y" ]) (list_size (int_range 0 3) gen_hash_value))
+  in
+  let twin_item (it : Item.t) = Item.make it.Item.base ~params:(List.map twin it.Item.params) in
+  let print (a, b) = Item.to_string a ^ " / " ^ Item.to_string b in
+  QCheck.Test.make ~name:"equal items hash alike" ~count:2000
+    (QCheck.make ~print (gen_hash_pair gen_item twin_item))
+    (fun (a, b) -> (not (Item.equal a b)) || Item.hash a = Item.hash b)
+
+let hash_pairs () =
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if Value.equal a b && Value.hash a <> Value.hash b then
+            Alcotest.failf "%s = %s but their hashes differ" (Value.to_string a)
+              (Value.to_string b))
+        awkward_values)
+    awkward_values;
+  let x0 = item "X" [ Value.Float (-0.0) ] and x0' = item "X" [ Value.Float 0.0 ] in
+  Alcotest.(check bool) "X(-0.0) = X(0.0)" true (Item.equal x0 x0');
+  Alcotest.(check int) "X(-0.0) and X(0.0) hash alike" (Item.hash x0) (Item.hash x0')
+
+let hash_allocates_nothing () =
+  let items = List.map (fun v -> item "Salary" [ v; Value.Int 7 ]) awkward_values in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    List.iter (fun v -> ignore (Sys.opaque_identity (Value.hash v))) awkward_values;
+    List.iter (fun it -> ignore (Sys.opaque_identity (Item.hash it))) items
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "4 400 hashes allocate < 100 words (%.0f)" words) true
+    (words < 100.0)
+
 (* ---------- Expr ---------- *)
 
 let no_items = Expr.state_of_fun (fun _ -> None)
@@ -179,6 +256,163 @@ let expr_conditional_notify_condition () =
     (Expr.eval_cond no_items (env 100.0 120.0) cond <> None);
   Alcotest.(check bool) "small change filtered" true
     (Expr.eval_cond no_items (env 100.0 105.0) cond = None)
+
+(* ---------- the evaluator against its reference ---------- *)
+
+(* The evaluator as it was when it threaded a (value, environment) pair
+   through every node: the reference for what the allocation-light
+   evaluator computes — values, bindings and error messages. *)
+module Reference = struct
+  open Expr
+
+  let error fmt = Printf.ksprintf (fun s -> raise (Eval_error s)) fmt
+
+  let rec eval state env expr =
+    match expr with
+    | Const v -> (v, env)
+    | Wildcard -> error "wildcard cannot be evaluated"
+    | Var x -> (
+      match Env.find_opt x env with
+      | Some (Bval v) -> (v, env)
+      | Some (Bitem it) ->
+        error "parameter %s is bound to item %s, not a value" x (Item.to_string it)
+      | None -> error "unbound parameter %s" x)
+    | Item (base, args) -> (
+      let item = eval_item state env (base, args) in
+      match state.lookup item with
+      | Some v -> (v, env)
+      | None -> error "data item %s does not exist" (Item.to_string item))
+    | Exists (base, args) ->
+      let item = eval_item state env (base, args) in
+      (Value.Bool (state.lookup item <> None), env)
+    | Unop (op, e) ->
+      let v, env = eval state env e in
+      let r =
+        match op with
+        | Neg -> Value.neg v
+        | Abs -> Value.abs v
+        | Not -> Value.Bool (not (Value.truthy v))
+      in
+      (r, env)
+    | Binop (And, a, b) -> (
+      match eval_cond state env a with
+      | None -> (Value.Bool false, env)
+      | Some env' -> (
+        match eval_cond state env' b with
+        | None -> (Value.Bool false, env)
+        | Some env'' -> (Value.Bool true, env'')))
+    | Binop (Or, a, b) -> (
+      match eval_cond state env a with
+      | Some _ -> (Value.Bool true, env)
+      | None -> (
+        match eval_cond state env b with
+        | Some _ -> (Value.Bool true, env)
+        | None -> (Value.Bool false, env)))
+    | Binop (Eq, a, b) -> eval_eq state env a b
+    | Binop (Ne, a, b) ->
+      let r, env = eval_eq state env a b in
+      (Value.Bool (not (Value.truthy r)), env)
+    | Binop (op, a, b) ->
+      let va, env = eval state env a in
+      let vb, env = eval state env b in
+      let r =
+        match op with
+        | Add -> Value.add va vb
+        | Sub -> Value.sub va vb
+        | Mul -> Value.mul va vb
+        | Div -> Value.div va vb
+        | Lt -> Value.Bool (Value.compare va vb < 0)
+        | Le -> Value.Bool (Value.compare va vb <= 0)
+        | Gt -> Value.Bool (Value.compare va vb > 0)
+        | Ge -> Value.Bool (Value.compare va vb >= 0)
+        | Eq | Ne | And | Or -> assert false
+      in
+      (r, env)
+
+  and eval_eq state env a b =
+    let unbound = function Var x when not (Env.mem x env) -> Some x | _ -> None in
+    match unbound a, unbound b with
+    | Some x, None ->
+      let v, env = eval state env b in
+      (Value.Bool true, Env.add x (Bval v) env)
+    | None, Some x ->
+      let v, env = eval state env a in
+      (Value.Bool true, Env.add x (Bval v) env)
+    | Some x, Some _ -> error "equality between two unbound parameters (%s)" x
+    | None, None ->
+      let va, env = eval state env a in
+      let vb, env = eval state env b in
+      (Value.Bool (Value.equal va vb), env)
+
+  and eval_cond state env expr =
+    let v, env' = eval state env expr in
+    if Value.truthy v then Some env' else None
+
+  and eval_item state env (base, args) =
+    Item.make base ~params:(List.map (fun e -> fst (eval state env e)) args)
+end
+
+(* Expressions over three parameters, local reads of K(..) and E(..),
+   every operator, and constants of every kind. *)
+let gen_eval_expr =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [ map (fun i -> Expr.Const (Value.Int i)) (int_range 0 4);
+        oneofl
+          [ Expr.Const (Value.Float 1.0); Expr.Const (Value.Float Float.nan);
+            Expr.Const (Value.Bool true); Expr.Const (Value.Bool false);
+            Expr.Const Value.Null; Expr.Const (Value.Str "s"); Expr.Var "a";
+            Expr.Var "b"; Expr.Var "c"; Expr.Var "d"; Expr.Item ("K", []); Expr.Wildcard ] ]
+  in
+  let rec go depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [ (2, leaf);
+          ( 4,
+            map3
+              (fun op a b -> Expr.Binop (op, a, b))
+              (oneofl Expr.[ Add; Sub; Mul; Div; Eq; Eq; Ne; Lt; Le; Gt; Ge; And; And; Or ])
+              (go (depth - 1)) (go (depth - 1)) );
+          ( 1,
+            map2 (fun op e -> Expr.Unop (op, e)) (oneofl Expr.[ Neg; Not; Abs ]) (go (depth - 1)) );
+          (1, map (fun e -> Expr.Item ("K", [ e ])) (go (depth - 1)));
+          (1, map (fun e -> Expr.Exists ("K", [ e ])) (go (depth - 1))) ]
+  in
+  go 4
+
+(* [a] bound to a value, [b] to an item, [c] and [d] unbound. *)
+let eval_env =
+  Expr.Env.(
+    empty |> add "a" (Expr.Bval (Value.Int 2)) |> add "b" (Expr.Bitem (Item.make "X")))
+
+let eval_state =
+  Expr.state_of_fun (fun it ->
+      match it.Item.params with
+      | [] -> Some (Value.Int 1)
+      | [ Value.Int i ] when i < 3 -> Some (Value.Int (i + 1))
+      | _ -> None)
+
+type eval_outcome =
+  | Holds of Value.t * (string * Expr.binding) list
+  | Eval_failed of string
+  | Invalid of string
+
+let outcome f =
+  match f () with
+  | v, env -> Holds (v, Expr.Env.bindings env)
+  | exception Expr.Eval_error m -> Eval_failed m
+  | exception Invalid_argument m -> Invalid m
+
+let eval_matches_reference =
+  QCheck.Test.make ~name:"eval = reference (values, bindings, errors)" ~count:3000
+    (QCheck.make ~print:Expr.to_string gen_eval_expr)
+    (fun e ->
+      compare
+        (outcome (fun () -> Expr.eval eval_state eval_env e))
+        (outcome (fun () -> Reference.eval eval_state eval_env e))
+      = 0)
 
 (* ---------- Template matching ---------- *)
 
@@ -745,6 +979,13 @@ let () =
           Alcotest.test_case "to_string" `Quick item_string;
           Alcotest.test_case "equality" `Quick item_equality;
         ] );
+      ( "hash",
+        [
+          Alcotest.test_case "awkward pairs" `Quick hash_pairs;
+          Alcotest.test_case "allocates nothing" `Quick hash_allocates_nothing;
+          QCheck_alcotest.to_alcotest value_hash_agrees;
+          QCheck_alcotest.to_alcotest item_hash_agrees;
+        ] );
       ( "expr",
         [
           Alcotest.test_case "arith" `Quick expr_arith;
@@ -758,6 +999,7 @@ let () =
           Alcotest.test_case "bound var equality" `Quick expr_bound_var_equality_checks;
           Alcotest.test_case "free vars" `Quick expr_free_vars;
           Alcotest.test_case "10% filter" `Quick expr_conditional_notify_condition;
+          QCheck_alcotest.to_alcotest eval_matches_reference;
         ] );
       ( "template",
         [

@@ -223,6 +223,28 @@ let shell_after_cutover_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A shell added between propose and cutover would lack the proposed
+   epoch, and the cutover would fail after switching the others. *)
+let shell_during_proposal_rejected () =
+  let system, sa, sb = three_site_system () in
+  let evo = Cm_core.Evolution.create system in
+  let next =
+    { Strategy.strategy_name = "next"; description = "empty program"; rules = [];
+      aux_init = [] }
+  in
+  (match Cm_core.Evolution.propose evo next with
+   | Ok _ -> ()
+   | Error m -> Alcotest.fail m);
+  Alcotest.(check bool) "raises" true
+    (try
+       ignore (Sys_.add_shell system ~site:"c");
+       false
+     with Invalid_argument _ -> true);
+  (match Cm_core.Evolution.cutover evo with Ok _ -> () | Error m -> Alcotest.fail m);
+  Alcotest.(check (list int)) "every shell cut over" [ 1; 1 ]
+    [ Shell.rule_epoch sa; Shell.rule_epoch sb ];
+  Alcotest.(check int) "current epoch" 1 (Cm_core.Evolution.current_epoch evo)
+
 (* ---- Guarantee_view: §5 invalidation -> reset round trip ---- *)
 
 module GV = Sys_.Guarantee_view
@@ -304,6 +326,8 @@ let () =
             late_shell_gets_strategy;
           Alcotest.test_case "added after cutover rejected" `Quick
             shell_after_cutover_rejected;
+          Alcotest.test_case "added during a proposal rejected" `Quick
+            shell_during_proposal_rejected;
         ] );
       ( "guarantee view",
         [
