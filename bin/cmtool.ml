@@ -4,6 +4,8 @@
                normalized rules
    - suggest:  list applicable strategies + derived guarantees for a
                copy constraint over a configuration's interfaces
+   - derive:   the guarantees a configuration's program proves for a
+               copy constraint
    - config:   validate a CM-RID file and show what each source offers
    - demo:     run the §4.2 payroll scenario and report guarantees
 
@@ -69,12 +71,15 @@ let require_known_bases (config : Cm_core.Cmrid.t) rules flags =
           base)
     flags
 
-let suggest_cmd_run config_file rule_files source target =
+(* CONFIG built, its RULES declared as `cmtool check` merges them, and
+   the copy's bases checked: the program suggest and derive reason
+   from. *)
+let copy_program config_file rule_files ~source ~target =
   match Cmtool_cli.build_config config_file with
-  | Error c -> c
+  | Error c -> Error c
   | Ok (config, built) -> (
     match Cmtool_cli.parse_rule_files rule_files with
-    | Error c -> c
+    | Error c -> Error c
     | Ok extra_rules ->
       let system = built.Cm_core.Toolkit.system in
       Cmtool_cli.declare_rule_files system extra_rules;
@@ -83,29 +88,33 @@ let suggest_cmd_run config_file rule_files source target =
         @ Cm_core.System.interface_rules system
         @ Cm_core.System.strategy_rules system)
         [ ("--source", source); ("--target", target) ];
-      let constraint_def =
-        Cm_core.Constraint_def.Copy
-          {
-            source = Interface.family source [ "n" ];
-            target = Interface.family target [ "n" ];
-          }
-      in
-      (match
-         Suggest.for_constraint
-           ~interfaces:(Cm_core.System.interface_rules system)
-           constraint_def
-       with
-      | [] ->
-        Printf.printf
-          "No applicable strategy: the configuration's interfaces cannot support the \
-           constraint.\n"
-      | candidates ->
-        Printf.printf "Constraint: %s\n\n"
-          (Cm_core.Constraint_def.to_string constraint_def);
-        List.iteri
-          (fun i c -> Printf.printf "[%d] %s\n\n" (i + 1) (Suggest.describe c))
-          candidates);
-      0)
+      Ok system)
+
+let suggest_cmd_run config_file rule_files source target =
+  match copy_program config_file rule_files ~source ~target with
+  | Error c -> c
+  | Ok system ->
+    let constraint_def =
+      Cm_core.Constraint_def.Copy
+        {
+          source = Interface.family source [ "n" ];
+          target = Interface.family target [ "n" ];
+        }
+    in
+    (match
+       Suggest.for_constraint ~interfaces:(Cm_core.System.interface_rules system)
+         constraint_def
+     with
+    | [] ->
+      Printf.printf
+        "No applicable strategy: the configuration's interfaces cannot support the \
+         constraint.\n"
+    | candidates ->
+      Printf.printf "Constraint: %s\n\n" (Cm_core.Constraint_def.to_string constraint_def);
+      List.iteri
+        (fun i c -> Printf.printf "[%d] %s\n\n" (i + 1) (Suggest.describe c))
+        candidates);
+    0
 
 let suggest_cmd =
   let config_file = Cmtool_cli.config_pos in
@@ -131,43 +140,30 @@ let suggest_cmd =
 
 (* ---- derive ---- *)
 
-let derive_cmd_run interfaces_file strategy_file source target =
-  match
-    ( Cm_rule.Parser.parse_rules (read_file interfaces_file),
-      Cm_rule.Parser.parse_rules (read_file strategy_file) )
-  with
-  | exception Cm_rule.Parser.Parse_error { line; message; _ } ->
-    Printf.eprintf "parse error on line %d: %s\n" line message;
-    1
-  | exception Sys_error m ->
-    Printf.eprintf "%s\n" m;
-    1
-  | interfaces, strategy ->
-    let report =
-      Cm_core.Derive.copy_guarantees ~interfaces ~strategy
-        ~source:(Interface.family source [ "n" ])
-        ~target:(Interface.family target [ "n" ])
-    in
+let derive_cmd_run config_file rule_files source target =
+  match copy_program config_file rule_files ~source ~target with
+  | Error c -> c
+  | Ok system ->
+    Cm_core.System.declare_copies system [ (source, target) ];
+    let view = Option.get (Cm_core.System.copy_view system ~source ~target) in
     Printf.printf "Derivation for the copy constraint %s(n) = %s(n):\n\n%s\n" target
       source
-      (Cm_core.Derive.report_to_string report);
+      (Cm_core.Derive.report_to_string view.Cm_core.System.Guarantee_view.gv_report);
     0
 
 let derive_cmd =
-  let interfaces_file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"INTERFACES")
-  in
-  let strategy_file =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"STRATEGY")
+  let rule_files =
+    Cmtool_cli.rules_pos ~after:0
+      ~doc:"Rule files describing the running program, as in $(b,cmtool check)"
   in
   let source = Arg.(value & opt string "Salary1" & info [ "source" ] ~docv:"BASE") in
   let target = Arg.(value & opt string "Salary2" & info [ "target" ] ~docv:"BASE") in
   Cmd.v
     (Cmd.info "derive"
        ~doc:
-         "Derive which copy-constraint guarantees follow from interface and \
-          strategy rule files (the paper's proof rules, mechanized)")
-    Term.(const derive_cmd_run $ interfaces_file $ strategy_file $ source $ target)
+         "Derive which copy-constraint guarantees a CM-RID configuration's \
+          program proves (the paper's proof rules, mechanized)")
+    Term.(const derive_cmd_run $ Cmtool_cli.config_pos $ rule_files $ source $ target)
 
 (* ---- config ---- *)
 

@@ -10,7 +10,9 @@
 
    and, per §4.2.3, guarantees (1)-(4) hold.  Then the administrator at A
    withdraws the notify interface; with only a read interface left, the
-   CM must poll, and guarantee (2) is lost.
+   CM must poll: guarantee (2) is lost, and (4) holds only with κ
+   widened by the polling period, since B keeps an old salary until the
+   next poll.
 
    Run with: dune exec examples/quickstart.exe *)
 
@@ -20,7 +22,7 @@ module Guarantee = Cm_core.Guarantee
 module Payroll = Cm_workload.Payroll
 module Table = Cm_util.Table
 
-let show_guarantees ~title p ~horizon ~ignore_after =
+let show_guarantees ?kappa ~title p ~horizon ~ignore_after =
   let tl = Sys_.timeline ~initial:p.Payroll.initial p.Payroll.system in
   let table = Table.create ~title ~columns:[ "guarantee"; "statement"; "holds" ] in
   List.iter
@@ -28,7 +30,7 @@ let show_guarantees ~title p ~horizon ~ignore_after =
       let r = Guarantee.check ~horizon ~ignore_after tl g in
       Table.add_row table
         [ Guarantee.name g; Guarantee.to_string g; Table.cell_bool r.Guarantee.holds ])
-    (Payroll.guarantees p ~emp:"e1");
+    (Payroll.guarantees ?kappa p ~emp:"e1");
   Table.print table
 
 let () =
@@ -72,8 +74,13 @@ let () =
   Payroll.schedule_update p2 ~at:90.0 ~emp:"e1" ~salary:7200;
   Payroll.random_updates p2 ~mean_interarrival:100.0 ~until:1200.0;
   Sys_.run p2.Payroll.system ~until:1500.0;
-  show_guarantees ~title:"guarantees under polling" p2 ~horizon:1500.0 ~ignore_after:1200.0;
+  show_guarantees ~title:"guarantees under polling (kappa 10)" p2 ~horizon:1500.0
+    ~ignore_after:1200.0;
+  show_guarantees ~kappa:70.0 ~title:"guarantees under polling (kappa 60 + 10)" p2
+    ~horizon:1500.0 ~ignore_after:1200.0;
   print_endline
     "Guarantee (2) fails under polling: updates e1 -> 7000 and 7100 fell inside\n\
      one polling interval and were never reflected at B — exactly the paper's\n\
-     §4.2.3 observation.  The other guarantees are unaffected."
+     §4.2.3 observation.  Guarantee (4) binds every instant B holds a salary,\n\
+     so it needs kappa to cover the 60 s polling period as well; (1) and (3)\n\
+     are unaffected."

@@ -90,17 +90,14 @@ let to_json ~checked findings =
 (* ------------------------------------------------------------------ *)
 (* Analysis context                                                    *)
 
-(* An item declaration reduced to what the checks need. *)
+(* An item declaration reduced to what the checks need.  What the item
+   can do is what its translator's interface statements say
+   ({!offers}). *)
 type item_info = {
   ii_site : string;
   ii_arity : int;
   ii_line : int;
   ii_params : string list;
-  ii_readable : bool;
-  ii_writable : bool;
-  ii_deletable : bool;
-  ii_notifies : bool;  (* has a spontaneous (Ws-triggered) notify channel *)
-  ii_no_spontaneous : bool;
 }
 
 (* A rule with its provenance, for file:line diagnostics. *)
@@ -182,10 +179,25 @@ let body_string (r : Rule.t) =
   let p = String.length r.Rule.id + 2 in
   if String.length s >= p then String.sub s p (String.length s - p) else s
 
-let iface_kinds_for ctx base =
-  List.filter_map
-    (fun lr -> if Interface.served_base lr.rule = Some base then lr.kind else None)
+(* Whether an interface statement of kind [k] serves [base]: the one
+   capability authority, in both modes. *)
+let offers ctx base k =
+  List.exists
+    (fun lr -> lr.kind = Some k && Interface.served_base lr.rule = Some base)
     ctx.ifaces
+
+(* A base the resolution pass reports as undeclared (configuration mode
+   only): the capability checks stay quiet on it rather than cascade. *)
+let undeclared ctx base =
+  ctx.config_mode && not (Hashtbl.mem ctx.items base || Hashtbl.mem ctx.aux base)
+
+let site_of ctx base =
+  match Hashtbl.find_opt ctx.items base with
+  | Some ii -> Some ii.ii_site
+  | None -> (
+    match Hashtbl.find_opt ctx.aux base with
+    | Some (site, _) -> Some site
+    | None -> if ctx.config_mode then None else Some (ctx.locator (Item.make base)))
 
 let rule_ids lrs = List.sort_uniq compare (List.map (fun lr -> lr.rule.Rule.id) lrs)
 
@@ -309,71 +321,41 @@ let location_pass ~file (config : Cmrid.t) add =
 (* Pass 2: capability checking against the declared interfaces (§3.1.1) *)
 
 let capability_pass ctx add =
-  let declared base = Hashtbl.find_opt ctx.items base in
-  let has_kind base k = List.mem k (iface_kinds_for ctx base) in
-  let writable base =
-    if ctx.config_mode then
-      match declared base with Some ii -> Some ii.ii_writable | None -> None
-    else Some (has_kind base Interface.Write)
-  in
-  let deletable base =
-    if ctx.config_mode then
-      match declared base with Some ii -> Some ii.ii_deletable | None -> None
-    else Some (has_kind base Interface.Delete)
-  in
   let spontaneous_notify base =
-    (match declared base with Some ii -> ii.ii_notifies | None -> false)
-    || has_kind base Interface.Notify
-    || has_kind base Interface.Conditional_notify
+    offers ctx base Interface.Notify || offers ctx base Interface.Conditional_notify
   in
-  let periodic_notify base = has_kind base Interface.Periodic_notify in
-  let no_spontaneous base =
-    (match declared base with Some ii -> ii.ii_no_spontaneous | None -> false)
-    || has_kind base Interface.No_spontaneous_write
-  in
-  let site_of base =
-    match declared base with
-    | Some ii -> Some ii.ii_site
-    | None -> (
-      match Hashtbl.find_opt ctx.aux base with
-      | Some (site, _) -> Some site
-      | None -> if ctx.config_mode then None else Some (ctx.locator (Item.make base)))
-  in
+  let periodic_notify base = offers ctx base Interface.Periodic_notify in
+  let no_spontaneous base = offers ctx base Interface.No_spontaneous_write in
   List.iter
     (fun lr ->
       let file, line = where lr in
       let r = lr.rule in
       let id = r.Rule.id in
       let mk code severity base message =
-        add { code; severity; file; line; site = site_of base; message }
+        add { code; severity; file; line; site = site_of ctx base; message }
       in
       (* Requests the rule issues. *)
       List.iter
         (fun (s : Rule.step) ->
           match s.Rule.template.Template.name, Template.item_base s.Rule.template with
-          | "WR", Some base -> (
-            match writable base with
-            | Some false ->
-              mk "CAP001" Error base
-                (Printf.sprintf
-                   "rule %s issues the write request WR(%s), but %s has no write interface (§3.1.1) — the translator will reject it"
-                   id base base)
-            | _ -> ())
-          | "DR", Some base -> (
-            match deletable base with
-            | Some false ->
-              mk "CAP003" Error base
-                (Printf.sprintf
-                   "rule %s issues the delete request DR(%s), but %s has no delete interface (§3.1.1)"
-                   id base base)
-            | _ -> ())
+          | "WR", Some base
+            when not (undeclared ctx base || offers ctx base Interface.Write) ->
+            mk "CAP001" Error base
+              (Printf.sprintf
+                 "rule %s issues the write request WR(%s), but %s has no write interface (§3.1.1) — the translator will reject it"
+                 id base base)
+          | "DR", Some base
+            when not (undeclared ctx base || offers ctx base Interface.Delete) ->
+            mk "CAP003" Error base
+              (Printf.sprintf
+                 "rule %s issues the delete request DR(%s), but %s has no delete interface (§3.1.1)"
+                 id base base)
           | _ -> ())
         (Rule.rhs_steps r);
       (* Events the rule waits for. *)
       match r.Rule.lhs.Template.name, Template.item_base r.Rule.lhs with
       | "N", Some base ->
-        let known = ctx.config_mode = false || declared base <> None || Hashtbl.mem ctx.aux base in
-        if known then
+        if not (undeclared ctx base) then
           if
             not
               (spontaneous_notify base || periodic_notify base || emits ctx.strategy "N" base)
@@ -672,12 +654,7 @@ let reachability_pass ctx add =
       let id = r.Rule.id in
       let name = r.Rule.lhs.Template.name in
       let dead base message =
-        let site =
-          match Hashtbl.find_opt ctx.items base with
-          | Some ii -> Some ii.ii_site
-          | None -> Option.map fst (Hashtbl.find_opt ctx.aux base)
-        in
-        add { code = "HYG001"; severity = Warning; file; line; site; message }
+        add { code = "HYG001"; severity = Warning; file; line; site = site_of ctx base; message }
       in
       match Template.item_base r.Rule.lhs with
       | None -> ()  (* P(p) and item-free CM-internal events: reachable *)
@@ -702,7 +679,7 @@ let reachability_pass ctx add =
           | "R" ->
             if not (emitted "R") then (
               match info with
-              | Some ii when ii.ii_readable ->
+              | Some _ when offers ctx base Interface.Read ->
                 if not (emitted "RR") then
                   dead base
                     (Printf.sprintf
@@ -820,7 +797,7 @@ let dependency_pass ctx ~file (config : Cmrid.t) add =
       List.iter
         (fun base ->
           match declared base with
-          | Some ii when not ii.ii_writable ->
+          | Some ii when not (offers ctx base Interface.Write) ->
             mk "DEP003" Error (Some d.Cmrid.d_line) (Some ii.ii_site)
               (Printf.sprintf
                  "dependency %s: its repair writes %s, but %s offers no write interface (§3.1.1) — the chase-derived repair cannot execute"
@@ -903,21 +880,12 @@ let check_config ?(rule_files = []) ~file text =
     (fun (src : Cmrid.source_decl) ->
       List.iter
         (fun (it : Cmrid.item_decl) ->
-          let relational = src.Cmrid.s_kind = Cmrid.Relational in
           Hashtbl.replace items it.Cmrid.i_base
             {
               ii_site = src.Cmrid.s_site;
               ii_arity = List.length it.Cmrid.i_params;
               ii_line = it.Cmrid.i_line;
               ii_params = it.Cmrid.i_params;
-              ii_readable = (if relational then it.Cmrid.i_read <> None else true);
-              ii_writable =
-                (if relational then it.Cmrid.i_write <> None else it.Cmrid.i_writable);
-              ii_deletable =
-                (if relational then it.Cmrid.i_delete <> None else it.Cmrid.i_writable);
-              ii_notifies =
-                (match it.Cmrid.i_notify with Some n -> n.Cmrid.n_send | None -> false);
-              ii_no_spontaneous = it.Cmrid.i_no_spontaneous;
             })
         src.Cmrid.s_items)
     config.Cmrid.sources;

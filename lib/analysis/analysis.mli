@@ -49,14 +49,9 @@ type finding = {
   message : string;
 }
 
-val severity_to_string : severity -> string
-
 val rule_refs : Cm_rule.Rule.t -> (string * int) list
 (** Every item (base, parameter count) the rule names, in its templates
     or its conditions, sorted and without duplicates. *)
-
-val compare_finding : finding -> finding -> int
-(** Total order: file, line, code, site, message — the output order. *)
 
 val check_config :
   ?rule_files:(string * string) list -> file:string -> string -> finding list
@@ -67,7 +62,8 @@ val check_config :
     extend the interfaces synthesized from the item declarations;
     everything else is strategy.  Exact duplicate rules (same label,
     same body) across the configuration and rule files are merged.
-    Returns findings sorted by {!compare_finding}. *)
+    Returns findings sorted by file, line, code, site and message — the
+    output order. *)
 
 val check_rules :
   ?file:string ->

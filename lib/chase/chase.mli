@@ -66,7 +66,6 @@ val to_string : dep -> string
 (** Round-trips with {!parse} (canonical spacing). *)
 
 val atom_to_string : atom -> string
-val term_to_string : term -> string
 
 val kind_name : dep -> string
 (** ["tgd"] or ["egd"] — for machine-readable reports. *)
@@ -130,8 +129,6 @@ val interaction_cycles : dep list -> dep list list
 
 type const = Cval of Cm_rule.Value.t | Lnull of int
 (** A database constant or a labelled null [⊥n]. *)
-
-val const_to_string : const -> string
 
 type fact = { f_base : string; f_args : const list }
 

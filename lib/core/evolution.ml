@@ -202,7 +202,6 @@ let current_epoch t = t.current_epoch
 let draining t = t.draining
 let transitions t = List.rev t.rev_transitions
 let rollbacks t = List.rev t.rev_rollbacks
-let required t = t.required
 
 let stale_rejections t =
   List.fold_left

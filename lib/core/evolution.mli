@@ -135,15 +135,11 @@ val retire : t -> epoch:int -> (unit, string) result
 (** End the drain of a draining epoch: from now on its envelopes are
     rejected and counted at the shells. *)
 
-val quiesce_retire : t -> unit
-(** Retire every currently-draining epoch once the reliable transport is
-    quiescent (no unacknowledged envelopes), checking every simulated
-    second.  Without a reliable layer the epochs retire at the first
-    check. *)
-
 val evolve : ?quiesce:bool -> t -> Strategy.t -> (transition, string) result
 (** [propose] + [cutover] in one step; when [quiesce] (default [true]),
-    also arms {!quiesce_retire} for the now-draining old epoch. *)
+    also retires every draining epoch once the reliable transport is
+    quiescent (no unacknowledged envelopes), checking every simulated
+    second — without a reliable layer, at the first check. *)
 
 val current_epoch : t -> int
 val draining : t -> int list
@@ -156,7 +152,6 @@ val transitions : t -> transition list
 val rollbacks : t -> rollback list
 (** All automatic rollbacks, oldest first. *)
 
-val required : t -> (string * string) list
 val retirements : t -> int
 (** Epochs retired so far: the value of the [evolution_retirements]
     counter this evolver bumps on the system's registry. *)

@@ -163,24 +163,58 @@ let check_strictly tl ~horizon { leader; follower } =
   embed leader_seq (taken_until tl follower horizon);
   finish acc
 
+(* An item's changes as instants settle them: a value held only in the
+   middle of an instant is held at no instant. *)
+let rec settled = function
+  | (t, _) :: ((t', _) :: _ as rest) when t = t' -> settled rest
+  | change :: rest -> change :: settled rest
+  | [] -> []
+
+(* (4) binds every instant t1 <= horizon at which the follower holds a
+   value y: the leader held y at some t2 in (t1 - κ, t1], i.e. t1 lies
+   in the union of [a, b + κ) over the leader's intervals [a, b) holding
+   y.  Each take's holding span — its present intervals up to the next
+   take — must lie inside it; the take fails at the first instant it
+   does not: the take itself (or its return after a deletion), or the
+   instant the leader left y plus κ. *)
 let check_metric_follows tl ~horizon { leader; follower } kappa =
   let acc = fresh_acc () in
-  let leader_iv = intervals tl leader ~horizon in
-  List.iter
-    (fun (t1, y) ->
-      let ok =
-        List.exists
-          (fun (start, stop, v) ->
-            match v with
-            | Some v -> Value.equal v y && start <= t1 && stop > t1 -. kappa
-            | None -> false)
-          leader_iv
-      in
-      obligation acc ok (fun () ->
+  let rec coverage = function
+    | (a, Some v) :: rest ->
+      (a, (match rest with (b, _) :: _ -> b +. kappa | [] -> Float.infinity), v)
+      :: coverage rest
+    | (_, None) :: rest -> coverage rest
+    | [] -> []
+  in
+  let coverage = coverage (settled (Timeline.changes tl leader)) in
+  (* Coverage intervals come in start order, so one pass finds the
+     first instant at or after [p] that none of them covers. *)
+  let first_uncovered y p =
+    List.fold_left
+      (fun u (a, e, v) -> if a <= u && u < e && Value.equal v y then e else u)
+      p coverage
+  in
+  let takes = Array.of_list (taken_until tl follower horizon) in
+  let failed_at = Array.make (Array.length takes) None in
+  let k = ref 0 in
+  let rec present = function
+    | (p, Some y) :: rest when p <= horizon ->
+      let q = match rest with (q, _) :: _ -> q | [] -> Float.infinity in
+      while !k + 1 < Array.length takes && fst takes.(!k + 1) <= p do incr k done;
+      let u = first_uncovered y p in
+      if u < q && u <= horizon && failed_at.(!k) = None then failed_at.(!k) <- Some u;
+      present rest
+    | (p, None) :: rest when p <= horizon -> present rest
+    | _ -> ()
+  in
+  present (settled (Timeline.changes tl follower));
+  Array.iteri
+    (fun i (_, y) ->
+      obligation acc (failed_at.(i) = None) (fun () ->
           Printf.sprintf "%s = %s at %.3f but %s did not hold it within the last %gs"
-            (Item.to_string follower) (Value.to_string y) t1 (Item.to_string leader)
-            kappa))
-    (taken_until tl follower horizon);
+            (Item.to_string follower) (Value.to_string y)
+            (Option.get failed_at.(i)) (Item.to_string leader) kappa))
+    takes;
   finish acc
 
 let check_always_leq tl ~horizon ~smaller ~larger =

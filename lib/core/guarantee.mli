@@ -11,7 +11,8 @@
     - (2) {e X leads Y} — every value X takes eventually appears in Y;
     - (3) {e Y strictly follows X} — Y's values appear in the order X
       took them;
-    - (4) metric variant of (1): Y's value was held by X at most κ ago;
+    - (4) metric variant of (1): at every instant, Y's value was held by
+      X less than κ ago;
 
     plus the additional scenarios of §6: [Always_leq] (Demarcation
     Protocol), [Exists_within] (referential integrity with a bounded

@@ -13,12 +13,7 @@ module Ptbl = Hashtbl.Make (struct
   let hash params = List.fold_left (fun h v -> (h * 31) + Value.hash v) 0 params
 end)
 
-module Itbl = Hashtbl.Make (struct
-  type t = Item.t
-
-  let equal = Item.equal
-  let hash = Item.hash
-end)
+module Itbl = Hashtbl.Make (Item)
 
 type verdict = { v_holds : bool; v_points : int; v_violations : int }
 
@@ -47,46 +42,69 @@ let track_change tr v =
       tr.last_taken <- Some nv;
       Some nv)
 
-(* Mirror of Guarantee.intervals, kept incrementally and pruned to the κ
-   window.  Adjacent same-value raw entries are merged: for the metric
-   predicate (∃ interval v: start ≤ t1 ∧ stop > t1 − κ) splitting an
-   interval at an interior point is equivalence-preserving, so only real
-   value changes create boundaries — state is O(distinct values within
-   the window), not O(writes). *)
-type window = {
-  wd_kappa : float;
-  mutable wd_open : (float * Value.t) option;  (* start, value *)
-  mutable wd_closed : (float * float * Value.t) list;  (* newest first *)
+(* Guarantee (4)'s open obligation, in Guarantee.check's reading: the
+   follower's current take must be covered — held by the leader less
+   than κ ago — at every instant the follower holds it.  [due] is the
+   first instant it is not: infinity while the leader holds the value,
+   the instant it left plus κ once it has, −∞ if it never held it.  A
+   present follower fails the take (once) at [due]; the live staleness
+   verdict is the same comparison against the clock.  A new take looks
+   its value up in the ring of the leader's exits (oldest first), which
+   drops an exit once it can cover no later instant. *)
+type due = { mutable due : float }  (* all-float: updates allocate nothing *)
+
+type metric = {
+  kappa : float;
+  mutable lead : Value.t option;  (* the leader's value at the last flush *)
+  mutable take : Value.t option;  (* the follower's take at the last flush *)
+  mutable present : bool;  (* the follower held it at the last flush *)
+  mutable failed : bool;  (* that take has already violated *)
+  mutable takes : int;  (* follower takes in the batch being applied *)
+  ob : due;
+  mutable exit_at : float array;
+  mutable exit_val : Value.t array;
+  mutable first : int;
+  mutable len : int;
 }
 
-let fresh_window kappa = { wd_kappa = kappa; wd_open = None; wd_closed = [] }
+let fresh_metric kappa =
+  { kappa; lead = None; take = None; present = false; failed = false; takes = 0;
+    ob = { due = Float.infinity }; exit_at = [||]; exit_val = [||]; first = 0; len = 0 }
 
-let window_change w ~time v =
-  match w.wd_open, v with
-  | Some (_, ov), Some nv when Value.equal ov nv -> ()
-  | Some (s, ov), Some nv ->
-    w.wd_closed <- (s, time, ov) :: w.wd_closed;
-    w.wd_open <- Some (time, nv)
-  | Some (s, ov), None ->
-    w.wd_closed <- (s, time, ov) :: w.wd_closed;
-    w.wd_open <- None
-  | None, Some nv -> w.wd_open <- Some (time, nv)
-  | None, None -> ()
+let push_exit m ~at v =
+  let cap = Array.length m.exit_at in
+  while m.len > 0 && m.exit_at.(m.first) +. m.kappa <= at do
+    m.first <- (m.first + 1) mod cap;
+    m.len <- m.len - 1
+  done;
+  if m.len = cap then begin
+    let grow ring fill =
+      Array.init (max 4 (2 * cap)) (fun i -> if i < cap then ring.((m.first + i) mod cap) else fill)
+    in
+    m.exit_at <- grow m.exit_at 0.0;
+    m.exit_val <- grow m.exit_val Value.Null;
+    m.first <- 0
+  end;
+  let slot = (m.first + m.len) mod Array.length m.exit_at in
+  m.exit_at.(slot) <- at;
+  m.exit_val.(slot) <- v;
+  m.len <- m.len + 1
 
-let window_prune w ~now =
-  (* Safe because obligations are only ever evaluated at the current
-     instant: an interval with stop ≤ now − κ can satisfy no obligation
-     at t1 ≥ now either. *)
-  let cutoff = now -. w.wd_kappa in
-  w.wd_closed <- List.filter (fun (_, stop, _) -> stop > cutoff) w.wd_closed
+(* Ring slot of the newest exit from [y] among the first [i + 1], or -1. *)
+let rec newest_exit m y i =
+  if i < 0 then -1
+  else
+    let slot = (m.first + i) mod Array.length m.exit_at in
+    if Value.equal m.exit_val.(slot) y then slot else newest_exit m y (i - 1)
 
-let window_holds w ~at v =
-  (match w.wd_open with
-  | Some (s, ov) -> s <= at && Value.equal ov v
-  | None -> false)
-  || List.exists
-       (fun (s, stop, ov) -> Value.equal ov v && s <= at && stop > at -. w.wd_kappa)
-       w.wd_closed
+let set_due m =
+  match m.take, m.lead with
+  | None, _ -> m.ob.due <- Float.infinity
+  | Some y, Some v when Value.equal v y -> m.ob.due <- Float.infinity
+  | Some y, _ ->
+    let slot = newest_exit m y (m.len - 1) in
+    if slot < 0 then m.ob.due <- Float.neg_infinity
+    else m.ob.due <- m.exit_at.(slot) +. m.kappa
 
 (* --- per-guarantee state machines --- *)
 
@@ -97,7 +115,7 @@ type form =
       remaining : Value.t Queue.t;  (* unconsumed leader takes, in order *)
       pend : (float * Value.t) Queue.t;  (* follower takes awaiting a match *)
     }
-  | F_metric of window
+  | F_metric of metric
   | F_leq
 
 type watcher = {
@@ -118,20 +136,18 @@ type watcher = {
   mutable w_down : bool;
       (* homed at a crashed site: volatile state wiped, live feed
          suspended until {!relearn} rebuilds it from the history *)
+  mutable w_retired : bool;  (* replaced by a re-armed family's watcher *)
 }
 
 type handle = watcher
 
 (* --- copy families and live staleness --- *)
 
-(* Live staleness reads the instance's metric-follows watcher: the copy
-   is stale when its current value (the follower track) is not in the
-   leader's κ window. *)
-type stale_state = { ss_metric : watcher; mutable ss_stale : bool }
-
 type instance = {
-  in_watchers : watcher list;  (* §3.3.1 order *)
-  in_stale : stale_state option;
+  in_pair : Guarantee.copy_pair;
+  in_logical : watcher list;  (* (1)–(3), §3.3.1 order *)
+  mutable in_metric : watcher option;  (* (4), while the family has a κ *)
+  mutable in_stale : bool;  (* the last verdict: frozen while down *)
   mutable in_touched : bool;
   mutable in_down : bool;  (* mirrors its watchers' [w_down] *)
 }
@@ -139,7 +155,8 @@ type instance = {
 type family = {
   fa_source : string;
   fa_target : string;
-  fa_kappa : float option;
+  mutable fa_kappa : float option;  (* the κ its (4) watchers check *)
+  mutable fa_next : float option;  (* the κ last asked for, armed once its instant is over *)
   fa_instances : instance Ptbl.t;  (* by params *)
   mutable fa_order : Value.t list list;  (* params, rev insertion order *)
   mutable fa_stale : bool;  (* aggregate over instances *)
@@ -156,15 +173,6 @@ type t = {
   tick : float;
   mutable watchers : watcher list;  (* rev registration order *)
   by_item : watcher list ref Itbl.t;
-  watched_bases : (string, unit) Hashtbl.t;
-      (* bases of every watched item and copy family — the feed path's
-         one-lookup reject for events on items no watcher cares about *)
-  base_filter : Bytes.t;
-      (* 256-slot bitmap over the last byte of every watched base: one
-         array load rejects most unwatched bases before the hash lookup
-         above ever touches the table.  Monotone — bits are set on
-         registration and never cleared, so a miss here is definitive
-         while a hit merely falls through to [watched_bases]. *)
   state : Value.t option Itbl.t;  (* current value of every watched item *)
   mutable leqs : watcher list;  (* rev order; evaluated at every batch *)
   by_base : (string, family list ref) Hashtbl.t;
@@ -180,8 +188,9 @@ type t = {
     (source:string -> target:string -> at:float -> stale:bool -> unit) list;
   mutable finalized : bool;
   mutable ticking : bool;
-  mutable wiped_families : family list;  (* families with down instances *)
   mutable initial : (Item.t * Value.t) list;  (* {!note_initial}, in order *)
+  mutable trace : Trace.t option;  (* {!attach}ed: the history a re-arm replays *)
+  mutable rearm_at : float;  (* a [fa_next] asked for then awaits arming; ∞: none *)
 }
 
 let create ?sim ?(obs = Obs.noop) ?(tick = 1.0) () =
@@ -191,8 +200,6 @@ let create ?sim ?(obs = Obs.noop) ?(tick = 1.0) () =
     tick;
     watchers = [];
     by_item = Itbl.create 64;
-    watched_bases = Hashtbl.create 16;
-    base_filter = Bytes.make 256 '\000';
     state = Itbl.create 64;
     leqs = [];
     by_base = Hashtbl.create 16;
@@ -207,8 +214,9 @@ let create ?sim ?(obs = Obs.noop) ?(tick = 1.0) () =
     stale_subs = [];
     finalized = false;
     ticking = false;
-    wiped_families = [];
     initial = [];
+    trace = None;
+    rearm_at = Float.infinity;
   }
 
 let now_of t = match t.sim with Some sim -> Sim.now sim | None -> t.batch_time
@@ -233,15 +241,7 @@ let violate t w ~at detail =
   let v = { vi_at = at; vi_guarantee = w.w_g; vi_detail = detail } in
   List.iter (fun f -> f v) t.viol_subs
 
-let admit_base t base =
-  Hashtbl.replace t.watched_bases base ();
-  if String.length base > 0 then
-    Bytes.set t.base_filter
-      (Char.code (String.unsafe_get base (String.length base - 1)))
-      '\001'
-
 let register_item t item w =
-  admit_base t item.Item.base;
   match Itbl.find_opt t.by_item item with
   | Some bucket -> bucket := w :: !bucket
   | None -> Itbl.replace t.by_item item (ref [ w ])
@@ -253,7 +253,7 @@ let shape = function
   | Guarantee.Strictly_follows { leader; follower } ->
     leader, follower, F_strictly { remaining = Queue.create (); pend = Queue.create () }
   | Guarantee.Metric_follows ({ leader; follower }, kappa) ->
-    leader, follower, F_metric (fresh_window kappa)
+    leader, follower, F_metric (fresh_metric kappa)
   | Guarantee.Always_leq { smaller; larger } -> smaller, larger, F_leq
   | g ->
     invalid_arg
@@ -281,6 +281,7 @@ let make_watcher t ?ignore_after g =
       w_left_takes = [];
       w_right_takes = [];
       w_down = false;
+      w_retired = false;
     }
   in
   t.watchers <- w :: t.watchers;
@@ -324,13 +325,42 @@ let eval_leq t w ~at =
            (Value.to_string a) (Item.to_string w.w_right) (Value.to_string b))
   | _ -> ()
 
+let fail_take t w m ~at =
+  m.failed <- true;
+  violate t w ~at
+    (Printf.sprintf "%s = %s at %.3f but %s did not hold it within the last %gs"
+       (Item.to_string w.w_right)
+       (match m.take with Some y -> Value.to_string y | None -> "")
+       at (Item.to_string w.w_left) m.kappa)
+
+(* One instant of guarantee (4): close the span the last flush opened,
+   apply the instant's settled leader and follower states, and check
+   the instant itself. *)
+let flush_metric t w m ~at =
+  if m.present && (not m.failed) && m.ob.due < at then fail_take t w m ~at:m.ob.due;
+  let moved = not (Option.equal Value.equal w.w_lt.cur m.lead) in
+  if moved then begin
+    (match m.lead with Some v -> push_exit m ~at v | None -> ());
+    m.lead <- w.w_lt.cur
+  end;
+  if m.takes > 0 then begin
+    w.w_points <- w.w_points + m.takes;
+    m.takes <- 0;
+    m.take <- w.w_rt.last_taken;
+    m.failed <- false;
+    set_due m
+  end
+  else if moved then set_due m;
+  m.present <- w.w_rt.cur <> None;
+  if m.present && (not m.failed) && m.ob.due <= at then fail_take t w m ~at
+
 let flush_watcher t w ~at =
   w.w_touched <- false;
   let left_takes = List.rev w.w_left_takes in
   let right_takes = List.rev w.w_right_takes in
   w.w_left_takes <- [];
   w.w_right_takes <- [];
-  (match w.w_form with
+  match w.w_form with
   | F_follows seen ->
     List.iter
       (fun (t1, y) ->
@@ -341,17 +371,7 @@ let flush_watcher t w ~at =
                (Item.to_string w.w_right) (Value.to_string y) t1
                (Item.to_string w.w_left)))
       right_takes
-  | F_metric window ->
-    window_prune window ~now:at;
-    List.iter
-      (fun (t1, y) ->
-        w.w_points <- w.w_points + 1;
-        if not (window_holds window ~at:t1 y) then
-          violate t w ~at
-            (Printf.sprintf "%s = %s at %.3f but %s did not hold it within the last %gs"
-               (Item.to_string w.w_right) (Value.to_string y) t1
-               (Item.to_string w.w_left) window.wd_kappa))
-      right_takes
+  | F_metric m -> flush_metric t w m ~at
   | F_leads st ->
     List.iter
       (fun (t1, x) ->
@@ -382,16 +402,20 @@ let flush_watcher t w ~at =
       if seek_consume st.remaining y then ignore (Queue.pop st.pend)
       else continue := false
     done
-  | F_leq -> ())
+  | F_leq -> ()
 
 (* --- staleness --- *)
 
-let eval_stale ss ~now =
-  match ss.ss_metric.w_rt.cur, ss.ss_metric.w_form with
-  | Some v, F_metric window ->
-    window_prune window ~now;
-    not (window_holds window ~at:now v)
-  | _ -> false
+(* A copy instance is stale when its follower holds a take the leader's
+   history no longer covers: a read of (4)'s obligation.  A down
+   instance keeps its verdict from before the crash. *)
+let instance_stale inst ~now =
+  if not inst.in_down then
+    inst.in_stale <-
+      (match inst.in_metric with
+      | Some { w_form = F_metric m; _ } -> m.present && m.ob.due <= now
+      | _ -> false);
+  inst.in_stale
 
 (* Publish a family's aggregate verdict when it changes. *)
 let publish_stale t fa ~now stale =
@@ -408,31 +432,16 @@ let publish_stale t fa ~now stale =
   end
 
 let refresh_family t fa ~now =
-  let stale = ref false in
-  Ptbl.iter
-    (fun _ inst ->
-      match inst.in_stale with
-      | None -> ()
-      | Some ss ->
-        (* A down instance's verdict is frozen at its pre-crash value
-           until the relearn rebuilds its metric watcher. *)
-        if not inst.in_down then ss.ss_stale <- eval_stale ss ~now;
-        if ss.ss_stale then stale := true)
-    fa.fa_instances;
-  publish_stale t fa ~now !stale
+  publish_stale t fa ~now
+    (Ptbl.fold (fun _ inst acc -> instance_stale inst ~now || acc) fa.fa_instances false)
 
 let refresh_instance t fa inst ~now =
   inst.in_touched <- false;
-  (match inst.in_stale with
-  | None -> ()
-  | Some ss -> ss.ss_stale <- eval_stale ss ~now);
+  ignore (instance_stale inst ~now);
   (* Aggregate over the whole family, so one instance going fresh does
      not mask another still stale. *)
   publish_stale t fa ~now
-    (Ptbl.fold
-       (fun _ i acc ->
-         acc || match i.in_stale with Some ss -> ss.ss_stale | None -> false)
-       fa.fa_instances false)
+    (Ptbl.fold (fun _ i acc -> acc || i.in_stale) fa.fa_instances false)
 
 (* --- the batch engine --- *)
 
@@ -465,10 +474,10 @@ let flush t =
                  (Option.join (Itbl.find_opt t.state item))
                  ~default:Value.Null)
         in
-        if Itbl.mem t.by_item item then Itbl.replace t.state item v;
         (match Itbl.find_opt t.by_item item with
         | None -> ()
         | Some bucket ->
+          Itbl.replace t.state item v;
           List.iter
             (fun w ->
               if w.w_down then ()  (* crashed site: its monitor is dead;
@@ -482,7 +491,6 @@ let flush t =
                 (match w.w_form with
                 | F_follows seen -> (
                   match v with Some nv -> Vtbl.replace seen nv () | None -> ())
-                | F_metric window -> window_change window ~time:at v
                 | _ -> ());
                 match track_change w.w_lt v with
                 | Some taken -> (
@@ -509,9 +517,10 @@ let flush t =
                         st.pending
                   | None, _ -> ())
                 | _ -> ());
-                match track_change w.w_rt v with
-                | Some taken -> w.w_right_takes <- (at, taken) :: w.w_right_takes
-                | None -> ()
+                match track_change w.w_rt v, w.w_form with
+                | Some _, F_metric m -> m.takes <- m.takes + 1
+                | Some taken, _ -> w.w_right_takes <- (at, taken) :: w.w_right_takes
+                | None, _ -> ()
               end
               end)
             !bucket);
@@ -544,6 +553,8 @@ let flush t =
     t.touched_instances <- []
   end
 
+let metric_watcher t pair kappa = make_watcher t (Guarantee.Metric_follows (pair, kappa))
+
 (* Create family instances lazily at an item's first event; the new
    watchers join [by_item] before the entry is applied, so they see it. *)
 let ensure_instances t item =
@@ -554,23 +565,19 @@ let ensure_instances t item =
       (fun fa ->
         let params = item.Item.params in
         if not (Ptbl.mem fa.fa_instances params) then begin
-          let source = Item.make fa.fa_source ~params in
-          let target = Item.make fa.fa_target ~params in
-          let pair = { Guarantee.leader = source; follower = target } in
-          let logical =
-            List.map (fun g -> make_watcher t g)
-              [ Guarantee.Follows pair; Guarantee.Leads pair;
-                Guarantee.Strictly_follows pair ]
-          in
-          let metric =
-            Option.map
-              (fun kappa -> make_watcher t (Guarantee.Metric_follows (pair, kappa)))
-              fa.fa_kappa
+          let pair =
+            { Guarantee.leader = Item.make fa.fa_source ~params;
+              follower = Item.make fa.fa_target ~params }
           in
           Ptbl.replace fa.fa_instances params
             {
-              in_watchers = logical @ Option.to_list metric;
-              in_stale = Option.map (fun w -> { ss_metric = w; ss_stale = false }) metric;
+              in_pair = pair;
+              in_logical =
+                List.map (fun g -> make_watcher t g)
+                  [ Guarantee.Follows pair; Guarantee.Leads pair;
+                    Guarantee.Strictly_follows pair ];
+              in_metric = Option.map (metric_watcher t pair) fa.fa_kappa;
+              in_stale = false;
               in_touched = false;
               in_down = false;
             };
@@ -578,41 +585,24 @@ let ensure_instances t item =
         end)
       !fams
 
-let push_change t ~time item change =
+(* Only events on watched items — or any state change while an
+   always-leq watcher samples every instant — enter a batch. *)
+let admitted t item =
+  ensure_instances t item;
+  Itbl.mem t.by_item item || t.leqs <> []
+
+let rec push_change t ~time item change =
   if t.finalized then invalid_arg "Monitor: feed after finalize";
   if time < t.batch_time then
     invalid_arg
       (Printf.sprintf "Monitor: event at %g precedes batch at %g" time t.batch_time);
   if t.have_batch && time > t.batch_time then flush t;
+  if t.rearm_at < time then rearm t ~before:time ~now:time;
   t.batch_time <- time;
   t.have_batch <- true;
   t.batch <- (item, change) :: t.batch
 
-(* An unwatched item still marks an always-leq sample point (the fold
-   samples at every global change time), but otherwise costs one
-   base-string lookup: with no leq watchers, events on bases no watcher
-   or family cares about are rejected without touching the item tables,
-   spawning family instances, or allocating the change. *)
-(* The bitmap probe costs one load where the hash lookup costs a string
-   hash plus a chain walk through cold table nodes; with distinct last
-   bytes it rejects without ever touching [watched_bases]. *)
-let base_maybe_watched t base =
-  let n = String.length base in
-  n = 0
-  || Bytes.unsafe_get t.base_filter (Char.code (String.unsafe_get base (n - 1)))
-     <> '\000'
-
-let admitted t item =
-  if
-    base_maybe_watched t item.Item.base
-    && Hashtbl.mem t.watched_bases item.Item.base
-  then begin
-    ensure_instances t item;
-    Itbl.mem t.by_item item || t.leqs <> []
-  end
-  else t.leqs <> []
-
-let feed t (e : Event.t) =
+and feed t (e : Event.t) =
   (* Cheap reject first: most events (N, RR, fires, chains) change no
      item state and must cost almost nothing with monitors on.  The
      state-changing shapes mirror [Event.written_value] plus INS/DEL —
@@ -627,7 +617,62 @@ let feed t (e : Event.t) =
     if admitted t item then push_change t ~time:e.Event.time item Cdel
   | _ -> ()
 
-let note_initial t bindings =
+(* Rebuild [ws] from the history: the {!note_initial} bindings and the
+   events before [before] run through the live engine on throwaway
+   twins, whose state then replaces theirs.  Silent — the twins' points
+   and violations reach no subscriber; with [adopt] they become the
+   watchers' own (a watcher new to a re-armed family), otherwise the
+   watchers keep what they scored live. *)
+and replay t ws events ~before ~adopt =
+  let m = create () in
+  let twins =
+    List.map (fun w -> (w, watch ?ignore_after:w.w_ignore_after m w.w_g)) ws
+  in
+  note_initial m t.initial;
+  List.iter (fun (e : Event.t) -> if e.time < before then feed m e) events;
+  flush m;
+  List.iter
+    (fun (w, twin) ->
+      w.w_lt <- twin.w_lt;
+      w.w_rt <- twin.w_rt;
+      w.w_form <- twin.w_form;
+      w.w_down <- false;
+      if adopt then begin
+        w.w_points <- twin.w_points;
+        w.w_bad <- twin.w_bad;
+        if twin.w_bad > 0 && Obs.enabled t.obs then
+          Obs.gauge t.obs "monitor_holds" ~labels:w.w_labels 0.0
+      end)
+    twins
+
+(* Arm every family whose κ was re-derived since: each instance's (4)
+   watcher is replaced by one at the new κ (or dropped), rebuilt from
+   the attached trace as if the family had been declared with it. *)
+and rearm t ~before ~now =
+  t.rearm_at <- Float.infinity;
+  List.iter
+    (fun fa ->
+      if not (Option.equal Float.equal fa.fa_next fa.fa_kappa) then begin
+        fa.fa_kappa <- fa.fa_next;
+        let rebuilt =
+          List.filter_map
+            (fun params ->
+              let inst = Ptbl.find fa.fa_instances params in
+              Option.iter (fun w -> w.w_retired <- true) inst.in_metric;
+              inst.in_metric <- Option.map (metric_watcher t inst.in_pair) fa.fa_kappa;
+              inst.in_metric)
+            (List.rev fa.fa_order)
+        in
+        let live w = not w.w_retired in
+        t.watchers <- List.filter live t.watchers;
+        Itbl.iter (fun _ bucket -> bucket := List.filter live !bucket) t.by_item;
+        let events = match t.trace with Some tr -> Trace.events tr | None -> [] in
+        replay t rebuilt events ~before ~adopt:true;
+        refresh_family t fa ~now
+      end)
+    (List.rev t.families)
+
+and note_initial t bindings =
   t.initial <- t.initial @ bindings;
   List.iter
     (fun (item, v) ->
@@ -635,7 +680,9 @@ let note_initial t bindings =
       push_change t ~time:0.0 item (Cset v))
     bindings
 
-let attach t trace = Trace.on_record trace (fun e -> feed t e)
+let attach t trace =
+  t.trace <- Some trace;
+  Trace.on_record trace (fun e -> feed t e)
 
 (* --- staleness public face --- *)
 
@@ -646,10 +693,12 @@ let find_family t ~source ~target =
 
 let sync_to_now t =
   (* A completed batch strictly before the current instant must apply
-     before staleness is read; an in-progress batch at the current
-     instant stays open (its obligations evaluate when it completes). *)
+     before staleness is read, and a κ re-derived at an earlier instant
+     armed; an in-progress batch at the current instant stays open (its
+     obligations evaluate when it completes). *)
   let now = now_of t in
   if t.have_batch && t.batch_time < now then flush t;
+  if t.rearm_at < now then rearm t ~before:now ~now;
   now
 
 let copy_stale t ~source ~target =
@@ -682,13 +731,19 @@ let start_tick t =
 
 let watch_copy t ~source ~target ~kappa =
   match find_family t ~source ~target with
-  | Some _ -> ()
+  | Some fa ->
+    (* A re-derived κ is armed once its instant is over, so one that
+       changes and changes back within an instant re-arms nothing. *)
+    let now = sync_to_now t in
+    fa.fa_next <- kappa;
+    if not (Option.equal Float.equal kappa fa.fa_kappa) then t.rearm_at <- now
   | None ->
     let fa =
       {
         fa_source = source;
         fa_target = target;
         fa_kappa = kappa;
+        fa_next = kappa;
         fa_instances = Ptbl.create 8;
         fa_order = [];
         fa_stale = false;
@@ -696,9 +751,6 @@ let watch_copy t ~source ~target ~kappa =
     in
     t.families <- fa :: t.families;
     let add base =
-      (* Family instances spawn lazily, so the feed path's base-level
-         reject must admit these bases before any instance exists. *)
-      admit_base t base;
       match Hashtbl.find_opt t.by_base base with
       | Some bucket -> bucket := fa :: !bucket
       | None -> Hashtbl.replace t.by_base base (ref [ fa ])
@@ -709,21 +761,11 @@ let watch_copy t ~source ~target ~kappa =
 
 (* --- crash recovery: volatile wipe + relearn from the history ---
 
-   A site's monitor runs at the site: its watcher state is volatile and
-   dies with a crash.  [crash_wipe] models the loss — every watcher
-   whose monitored (right-hand) item lives at the crashed site loses its
-   tracks, value sets, pending obligations and κ windows, and stops
-   consuming the live feed.  [relearn] is the §5 recovery step: the
-   event history before the open instant runs through the live engine
-   on a throwaway monitor holding one fresh twin per wiped watcher, and
-   the twins' state moves into the wiped watchers — silently, since the
-   throwaway's points and violations are discarded (those instants were
-   checked in the previous life; re-learning must rebuild knowledge, not
-   re-report or double-count) — after which the live feed resumes.  An
-   obligation that was pending at the crash (e.g. a leads take the
-   follower had not yet reflected) is thereby restored and still fails
-   at finalize if never discharged: a crash between a violation and its
-   detection does not bury it. *)
+   A site's monitor runs at the site, so its watchers' state dies with a
+   crash ([crash_wipe]); [relearn], the §5 recovery step, rebuilds it
+   with {!replay}: knowledge, not re-reported verdicts, but every
+   obligation pending at the crash, so a crash between a violation and
+   its detection does not bury it. *)
 
 let wipe_watcher w =
   let _, _, form = shape w.w_g in
@@ -731,6 +773,8 @@ let wipe_watcher w =
   w.w_rt <- fresh_track ();
   w.w_form <- form;
   w.w_down <- true
+
+let instance_watchers inst = inst.in_logical @ Option.to_list inst.in_metric
 
 let crash_wipe t ~owns =
   (* The watchers heard every completed instant before the crash. *)
@@ -745,19 +789,11 @@ let crash_wipe t ~owns =
     t.watchers;
   List.iter
     (fun fa ->
-      let touched = ref false in
       Ptbl.iter
         (fun _ inst ->
-          if
-            (not inst.in_down)
-            && List.exists (fun w -> w.w_down) inst.in_watchers
-          then begin
-            touched := true;
-            inst.in_down <- true
-          end)
-        fa.fa_instances;
-      if !touched && not (List.memq fa t.wiped_families) then
-        t.wiped_families <- fa :: t.wiped_families)
+          if List.exists (fun w -> w.w_down) (instance_watchers inst) then
+            inst.in_down <- true)
+        fa.fa_instances)
     t.families;
   !n
 
@@ -766,31 +802,17 @@ let relearn t events =
   let now = sync_to_now t in
   let down = List.filter (fun w -> w.w_down) t.watchers in
   if down <> [] then begin
-    let m = create () in
-    let twins =
-      List.map (fun w -> (w, watch ?ignore_after:w.w_ignore_after m w.w_g)) down
-    in
-    note_initial m t.initial;
     (* The open instant's events are in the live batch, which the
        revived watchers hear when it completes. *)
-    let open_at = if t.have_batch then t.batch_time else Float.infinity in
-    List.iter (fun (e : Event.t) -> if e.time < open_at then feed m e) events;
-    flush m;
-    List.iter
-      (fun (w, twin) ->
-        w.w_lt <- twin.w_lt;
-        w.w_rt <- twin.w_rt;
-        w.w_form <- twin.w_form;
-        w.w_down <- false)
-      twins;
+    let before = if t.have_batch then t.batch_time else Float.infinity in
+    replay t down events ~before ~adopt:false;
     List.iter
       (fun fa ->
         Ptbl.iter (fun _ inst -> inst.in_down <- false) fa.fa_instances;
-        (* Verdict recomputed from the relearned windows; subscribers
-           hear only genuine transitions. *)
+        (* Verdicts recomputed from the relearned obligations;
+           subscribers hear only genuine transitions. *)
         refresh_family t fa ~now)
-      (List.rev t.wiped_families);
-    t.wiped_families <- []
+      t.families
   end
 
 (* --- finalize: resolve the eventually-properties --- *)
@@ -798,6 +820,7 @@ let relearn t events =
 let finalize t ~horizon =
   flush t;
   if not t.finalized then begin
+    if t.rearm_at < Float.infinity then rearm t ~before:Float.infinity ~now:horizon;
     t.finalized <- true;
     (* The fold samples always-leq at 0.0 even on an empty trace. *)
     if (not t.did_zero) && t.leqs <> [] then begin
@@ -840,7 +863,11 @@ let finalize t ~horizon =
                      (Item.to_string w.w_left)))
             st.pend;
           Queue.clear st.pend
-        | F_follows _ | F_metric _ | F_leq -> ())
+        | F_metric m ->
+          (* The last span runs through the horizon itself. *)
+          if m.present && (not m.failed) && m.ob.due <= horizon then
+            fail_take t w m ~at:m.ob.due
+        | F_follows _ | F_leq -> ())
       (List.rev t.watchers)
   end
 
@@ -860,6 +887,6 @@ let family_verdicts t ~source ~target =
     in
     List.concat_map
       (fun params ->
-        let inst = Ptbl.find fa.fa_instances params in
-        List.map (fun w -> (w.w_g, verdict w)) inst.in_watchers)
+        List.map (fun w -> (w.w_g, verdict w))
+          (instance_watchers (Ptbl.find fa.fa_instances params)))
       (List.sort by_text (List.rev fa.fa_order))

@@ -17,10 +17,10 @@
       order-embedding: a queue of unconsumed leader takes plus a FIFO of
       follower takes awaiting a future leader occurrence; residuals are
       embedded exactly like the fold at {!finalize}.
-    - {b (4) metric-follows κ} — the leader's value intervals pruned to
-      the κ window (adjacent same-value entries merged, which is
-      equivalence-preserving for the fold's predicate); a follower take
-      is checked against the window at its own timestamp.
+    - {b (4) metric-follows κ} — the open obligation of the follower's
+      current take: the instant its coverage ends (the leader left its
+      value plus κ).  Like the fold, it binds every instant the follower
+      holds the take, and fails the take at that instant.
     - {b always-leq} — evaluated at every instant at which any item
       changed, mirroring the fold's sample points.
 
@@ -32,7 +32,7 @@
     in [test/test_monitor.ml] locks this equivalence trace-by-trace.
 
     State per guarantee is bounded by current activity, not trace
-    length: the κ window holds only intervals newer than [now − κ], the
+    length: (4) keeps only the leader's value changes of the last κ, the
     leads pending set only undischarged takes, the strictly queues only
     unmatched takes (all empty on a converged copy); the follows value
     set grows with {e distinct} leader values only.
@@ -40,11 +40,12 @@
     On top of the per-guarantee verdicts, a per-copy {b live staleness}
     verdict drives the self-healing layer: a copy is stale at time T
     when its current value was not held by the leader within (T − κ, T]
-    — which catches the §5 [Silent_drop] failure (the leader's writes
-    keep appearing in the trace while notifications silently die) within
-    κ plus one monitor tick, where the post-hoc fold only notices at the
-    end of the run.  {!force_refresh} re-evaluates a copy synchronously
-    — the probe step of the router's quarantine machinery. *)
+    — a read of (4)'s obligation, [T ≥] the instant its coverage ends.
+    It catches the §5 [Silent_drop] failure (the leader's writes keep
+    appearing in the trace while notifications silently die) within κ
+    plus one monitor tick.  {!force_refresh} re-evaluates a copy
+    synchronously — the probe step of the router's quarantine
+    machinery. *)
 
 type t
 
@@ -74,7 +75,8 @@ val create : ?sim:Cm_sim.Sim.t -> ?obs:Obs.t -> ?tick:float -> unit -> t
 
 val attach : t -> Cm_rule.Trace.t -> unit
 (** Subscribe to the trace: every subsequent {!Cm_rule.Trace.record} is
-    {!feed}ed automatically.  Observation only — the monitor never
+    {!feed}ed automatically, and the trace is the history a re-armed
+    {!watch_copy} family replays.  Observation only — the monitor never
     records events, schedules no PRNG draws, and leaves the trace
     byte-identical to an unmonitored run. *)
 
@@ -104,7 +106,11 @@ val watch_copy :
 (** Watch a [constraint copy] pair as a {e family}: per parameter
     vector, the three logical forms plus — when [kappa] is proved —
     metric-follows and the live staleness verdict.  Instances appear
-    lazily at their first event.  Idempotent per (source, target). *)
+    lazily at their first event.  Watching the pair again with another
+    κ re-arms the family once the current instant is over (a κ changed
+    back within it re-arms nothing): its metric-follows watchers are
+    rebuilt from the {!attach}ed trace, silently, as if watched at the
+    new κ all along. *)
 
 val on_violation : t -> (violation -> unit) -> unit
 (** Subscribe to every point violation, in detection order. *)
@@ -127,14 +133,12 @@ val force_refresh : t -> source:string -> target:string -> bool
 val crash_wipe : t -> owns:(Cm_rule.Item.t -> bool) -> int
 (** Model a site crash: monitor state is volatile, so every watcher
     homed at the crashed site (its follower/right item satisfies
-    [owns]) loses its in-memory state — value tracks, metric windows,
-    pending leads obligations, strictly queues — and stops hearing the
-    live feed.  A batch completed before the current instant is flushed
-    first: the watchers heard it before they died.  Copy-family
-    instances whose watchers went down freeze their staleness verdict
-    until recovery.  Returns the number of watchers wiped.  Accumulated
-    points/violations are kept: those were already reported before the
-    crash.  Pair with {!relearn} at restart. *)
+    [owns]) loses its tracks, obligations and queues, and stops hearing
+    the live feed; a batch completed before the current instant is
+    flushed first.  Copy-family instances whose watchers went down
+    freeze their staleness verdict until recovery.  Accumulated
+    points/violations are kept.  Returns the number of watchers wiped.
+    Pair with {!relearn} at restart. *)
 
 val relearn : t -> Cm_rule.Event.t list -> unit
 (** Recovery for watchers downed by {!crash_wipe}.  [events] is the
@@ -142,24 +146,20 @@ val relearn : t -> Cm_rule.Event.t list -> unit
     bindings and every event before the still-open instant run through
     the live engine on fresh twins of the wiped watchers, whose state
     then replaces theirs; the open instant's events stay in the live
-    batch, which the revived watchers hear when it completes.  The
-    rebuild is {e silent} — no points are scored, no violations
-    reported, no staleness transitions published during the replay,
-    because the surviving watchers already observed (and reported on)
-    this history live.  What the replay restores is the
-    {e obligations}: a leads trigger before the crash re-enters the
-    pending set, so a violation that occurred before the crash but
-    whose detection deadline falls after it is still reported at
-    {!finalize} — the crash cannot launder a violation.  Watchers then
-    resume hearing the live feed, and revived copy instances re-evaluate
-    staleness once (subscribers hear only genuine transitions).  Like
-    {!crash_wipe}, flushes a completed batch first.
+    batch.  The rebuild is {e silent} — no points, violations or
+    staleness transitions, since this history was reported on live —
+    but it restores the {e obligations}: a leads take pending at the
+    crash still fails at {!finalize} if never discharged, so a crash
+    cannot launder a violation.  Revived copy instances then
+    re-evaluate staleness once.  Like {!crash_wipe}, flushes a completed
+    batch first.
     @raise Invalid_argument after {!finalize}. *)
 
 val finalize : t -> horizon:float -> unit
 (** Resolve the eventually-properties: close open intervals at
-    [horizon], discharge or fail the remaining leads obligations, embed
-    the residual strictly-follows queues.  Verdicts then equal
+    [horizon], discharge or fail the remaining leads obligations, fail
+    the (4) obligations whose coverage ends by [horizon], embed the
+    residual strictly-follows queues.  Verdicts then equal
     [Guarantee.check ~horizon] over the same events (with matching
     [ignore_after]), provided every fed event has time ≤ [horizon].
     One-shot: further {!feed}s raise. *)

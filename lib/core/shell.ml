@@ -92,8 +92,6 @@ let set_peer_sites t sites =
     List.sort_uniq String.compare
       (List.filter (fun s -> not (String.equal s t.site)) sites)
 
-let local_state t = t.state
-
 let make_state sim translator_by_base store =
   Expr.state_of_fun (fun item ->
       (* "Clock" is a built-in pseudo-item holding the local time; binding

@@ -92,10 +92,6 @@ val read_aux : t -> Cm_rule.Item.t -> Cm_rule.Value.t option
 val write_aux : t -> Cm_rule.Item.t -> Cm_rule.Value.t -> unit
 (** Host-language write to the private store; recorded as a [W] event. *)
 
-val local_state : t -> Cm_rule.Expr.state
-(** The local-data oracle: translator current values for owned items,
-    private store otherwise.  Built once per shell. *)
-
 val on_custom : t -> string -> (Cm_rule.Event.t -> unit) -> unit
 (** Host-language hook on a (usually custom) event name occurring at this
     shell — the paper's "implemented using the host language of the CM"

@@ -151,19 +151,6 @@ let refint_cache ?prefix ~delta ~parent ~cache () =
     aux_init = [];
   }
 
-let end_of_day ?prefix ~delta ~source ~target () =
-  {
-    strategy_name = "end-of-day";
-    description = "forward read responses (paired with an end-of-day read sweep)";
-    rules =
-      [
-        Rule.make ~id:(rid prefix "eod") ~delta
-          ~lhs:(Template.make "R" [ source; var "b" ])
-          (Rule.Steps [ step (Template.make "WR" [ target; var "b" ]) ]);
-      ];
-    aux_init = [];
-  }
-
 let combine ts =
   {
     strategy_name = String.concat "+" (List.map (fun t -> t.strategy_name) ts);

@@ -77,11 +77,5 @@ val refint_cache :
     integrity sweep needs (§6.2):
     [INS(P(k)) →δ W(C(k), true)] and [DEL(P(k)) →δ W(C(k), false)]. *)
 
-val end_of_day :
-  ?prefix:string -> delta:float -> source:Cm_rule.Expr.t -> target:Cm_rule.Expr.t -> unit -> t
-(** The propagation half of the banking scenario (§6.4):
-    [R(X, b) →δ WR(Y, b)] — paired with a host-driven end-of-day read
-    sweep issuing the RR requests. *)
-
 val combine : t list -> t
 (** Union of rules and aux data; name/description concatenated. *)

@@ -37,7 +37,7 @@ module Config = struct
 end
 
 type guarantee_entry = {
-  guarantee : Guarantee.t;
+  mutable guarantee : Guarantee.t;  (* a copy's follows its re-derived κ *)
   invalidated_by : (string * Msg.failure_kind, unit) Hashtbl.t;
       (* declared-site membership lives in [guarantees_by_site] buckets,
          so a failure probe never scans sites the entry doesn't mention *)
@@ -315,9 +315,27 @@ let derive t ~source ~target =
     ~source:(Interface.family source [ "n" ])
     ~target:(Interface.family target [ "n" ])
 
+(* A copy's κ lives in its report; the live metric handle and the
+   monitor family follow every re-derivation.  An unprovable copy's
+   handle says κ 0.0, which routing skips as "unprovable" first. *)
+let copy_metric ~source ~target report =
+  Guarantee.Metric_follows
+    ( { Guarantee.leader = Item.make source; follower = Item.make target },
+      Option.value (Derive.kappa report) ~default:0.0 )
+
+let set_report t cp report =
+  cp.cp_report <- report;
+  cp.cp_handle.guarantee <-
+    copy_metric ~source:cp.cp_source ~target:cp.cp_target report;
+  Option.iter
+    (fun m ->
+      Monitor.watch_copy m ~source:cp.cp_source ~target:cp.cp_target
+        ~kappa:(Derive.kappa report))
+    t.monitor
+
 let rederive t =
   Hashtbl.iter
-    (fun _ cp -> cp.cp_report <- derive t ~source:cp.cp_source ~target:cp.cp_target)
+    (fun _ cp -> set_report t cp (derive t ~source:cp.cp_source ~target:cp.cp_target))
     t.copies
 
 let register_translator t ~shell (cmi : Cmi.t) =
@@ -418,39 +436,33 @@ let declare_copies t pairs =
     (fun (source, target) ->
       let key = (source, target) in
       if not (Hashtbl.mem t.copies key) then begin
-        let report = derive t ~source ~target in
         let master_site = t.locator (Item.make source) in
         let site = t.locator (Item.make target) in
-        (* The live handle is the metric guarantee: it is what §5 failures
-           invalidate (metric guarantees fall to both failure kinds), and
-           what the read router polls per decision.  An unprovable copy
-           still gets a handle — κ 0.0 is never consulted because routing
-           skips it as "unprovable" first. *)
-        let handle =
-          declare_guarantee t ~sites:[ master_site; site ]
-            (Guarantee.Metric_follows
-               ( { Guarantee.leader = Item.make source;
-                   follower = Item.make target },
-                 Option.value (Derive.kappa report) ~default:0.0 ))
-        in
-        Hashtbl.replace t.copies key
+        let report = derive t ~source ~target in
+        let cp =
           {
             cp_source = source;
             cp_target = target;
             cp_master_site = master_site;
             cp_site = site;
             cp_report = report;
-            cp_handle = handle;
+            (* The live handle is the metric guarantee: it is what §5
+               failures invalidate (metric guarantees fall to both
+               failure kinds), and what the read router polls per
+               decision. *)
+            cp_handle =
+              declare_guarantee t ~sites:[ master_site; site ]
+                (copy_metric ~source ~target report);
             cp_cutover = None;
-          };
+          }
+        in
+        Hashtbl.replace t.copies key cp;
         t.copy_order <- t.copy_order @ [ key ];
         (* Under a monitored configuration every declared copy gets
            streaming §3.3 monitors: the three logical forms per
            parameter vector, plus metric-follows and the live staleness
-           verdict when κ is proved. *)
-        Option.iter
-          (fun m -> Monitor.watch_copy m ~source ~target ~kappa:(Derive.kappa report))
-          t.monitor
+           verdict while κ is proved. *)
+        set_report t cp report
       end)
     pairs
 
@@ -467,7 +479,7 @@ let cutover t ~epoch (strategy : Strategy.t) =
     (fun cp ->
       let before = cp.cp_report in
       let after = derive t ~source:cp.cp_source ~target:cp.cp_target in
-      cp.cp_report <- after;
+      set_report t cp after;
       cp.cp_cutover <- Some (epoch, before.Derive.metric_follows);
       (cp.cp_source, cp.cp_target, before, after))
     (declared_copies t)

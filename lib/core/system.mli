@@ -232,8 +232,10 @@ val declare_copies : t -> (string * string) list -> unit
     [constraint copy] directives): derive each report from the program,
     locate master and copy sites, and declare the live metric-guarantee
     handle over both.  Idempotent per pair; declaration order is
-    preserved by {!guarantee_view}.  The handle and the {!monitor}'s
-    watchers keep the κ derived at declaration. *)
+    preserved by {!guarantee_view}.  The report's κ is the copy's only
+    κ: the handle and the {!monitor}'s family follow every
+    re-derivation (the family re-armed from the {!trace} once the
+    instant of the change is over). *)
 
 val copy_view :
   t -> source:string -> target:string -> Guarantee_view.entry option

@@ -151,8 +151,7 @@ let rec require_params params = function
 
 (* One hash key per [Value.equal] class, so [2] and [2.0], or [0.0] and
    [-0.0], share an index slot: integral floats in int range become ints,
-   and every NaN is one NaN.  (Beyond 2^53, where int-to-float conversion
-   rounds, [Value.equal] itself is not transitive.) *)
+   and every NaN is one NaN. *)
 let index_key = function
   | Value.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
     Value.Int (Float.to_int f)

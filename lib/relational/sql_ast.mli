@@ -56,7 +56,6 @@ type stmt =
   | Drop_table of { table : string }
 
 val col_type_to_string : col_type -> string
-val agg_to_string : agg -> string
 val sel_item_to_string : sel_item -> string
 val expr_to_string : expr -> string
 val stmt_to_string : stmt -> string

@@ -44,7 +44,6 @@ val desc_to_string : desc -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
-val arg_equal : arg -> arg -> bool
 val desc_equal : desc -> desc -> bool
 
 (** {2 Standard descriptor constructors} *)

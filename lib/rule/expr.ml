@@ -170,14 +170,20 @@ and item_of state env base args =
            v)
          args)
 
+(* Value fails an operand of the wrong kind, or a division by zero, with
+   [Invalid_argument]: one handler per call reports it as [Eval_error]. *)
 let eval state env expr =
   let cell = ref env in
-  let v = ev state cell expr in
-  (v, !cell)
+  match ev state cell expr with
+  | v -> (v, !cell)
+  | exception Invalid_argument m -> raise (Eval_error m)
 
 let eval_cond state env expr =
   let cell = ref env in
-  if cond state cell expr then Some !cell else None
+  match cond state cell expr with
+  | true -> Some !cell
+  | false -> None
+  | exception Invalid_argument m -> raise (Eval_error m)
 
 let free_vars expr =
   let seen = Hashtbl.create 8 in

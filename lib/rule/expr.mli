@@ -72,8 +72,10 @@ val eval : state -> env -> t -> Value.t * env
     {!Validity}'s go through it, via {!eval_cond}): per node it
     allocates no tuple and shares its boolean results, and the
     environment grows only where a binding equality binds.
-    @raise Eval_error on unbound variables in non-binding positions,
-    wildcards, or type errors. *)
+    @raise Eval_error on every evaluation failure: unbound variables in
+    non-binding positions, wildcards, missing items, operands of the
+    wrong kind (a non-boolean condition, [b + "s"]) or division by
+    zero. *)
 
 val eval_cond : state -> env -> t -> env option
 (** Evaluate as a condition: [Some env'] if truthy (with any new

@@ -12,7 +12,6 @@
     descriptor uses the rule language's concrete syntax, e.g.
     [W(Salary2("e1"), 1500)].  Lines starting with [#] are comments. *)
 
-val write_channel : out_channel -> Trace.t -> unit
 val write_file : string -> Trace.t -> unit
 
 val read_string : string -> (Trace.t, string) result
@@ -21,6 +20,3 @@ val read_string : string -> (Trace.t, string) result
 val read_file : string -> (Trace.t, string) result
 
 val event_to_line : Event.t -> string
-val event_of_line : string -> (Event.t, string) result
-(** Parses one line; the id inside the line must match the caller's
-    expectation (checked by [read_*], not here). *)

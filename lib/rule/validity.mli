@@ -53,6 +53,3 @@ val check :
     are not reported — the response may legitimately still be pending.
     Conditions are re-evaluated against the reconstructed state, so the
     checker is independent of the engine that produced the trace. *)
-
-val valid : violations:violation list -> bool
-(** [violations = []]. *)

@@ -11,34 +11,42 @@ let kind_rank = function
   | Int _ | Float _ -> 2
   | Str _ -> 3
 
+(* An int against a float, exactly — the int is never rounded, so
+   equality stays transitive across kinds.  nan sorts below every
+   number, where Stdlib.compare puts it among floats. *)
+let compare_int_float x y =
+  if Float.is_nan y then 1
+  else if y >= 0x1p62 then -1
+  else if y < -0x1p62 then 1
+  else
+    let whole = Float.trunc y in
+    match Int.compare x (int_of_float whole) with 0 -> Float.compare whole y | c -> c
+
 let compare a b =
   match a, b with
   | Null, Null -> 0
   | Bool x, Bool y -> Stdlib.compare x y
   | Int x, Int y -> Stdlib.compare x y
   | Float x, Float y -> Stdlib.compare x y
-  | Int x, Float y -> Stdlib.compare (float_of_int x) y
-  | Float x, Int y -> Stdlib.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> -compare_int_float y x
   | Str x, Str y -> Stdlib.compare x y
   | _ -> Stdlib.compare (kind_rank a) (kind_rank b)
 
 let equal a b = compare a b = 0
 
-(* Numbers hash by magnitude, as [compare] orders them: [Int i] hashes
-   as [Float (float_of_int i)], so [Int 3] meets [Float 3.0], [-0.0]
-   meets [0.0] and every nan meets every other.  An integral magnitude
-   an int holds hashes as that int; any other hashes its bits.  Nothing
-   here boxes a float. *)
-let[@inline] hash_magnitude m =
-  if Float.abs m < 0x1p62 && Float.trunc m = m then Hashtbl.hash (int_of_float m)
-  else if m <> m then 0
-  else Hashtbl.hash (Int64.to_int (Int64.bits_of_float m))
-
+(* Hashing agrees with [equal]: an int hashes as itself, and a float
+   that holds an int exactly hashes as that int, so [Int 3] meets
+   [Float 3.0] and [-0.0] meets [0.0]; every nan meets every other, and
+   any other float hashes its bits.  Nothing here boxes a float. *)
 let hash = function
   | Null -> 1
   | Bool b -> if b then 2 else 3
-  | Int i -> hash_magnitude (float_of_int i)
-  | Float f -> hash_magnitude f
+  | Int i -> Hashtbl.hash i
+  | Float f ->
+    if f >= -0x1p62 && f < 0x1p62 && Float.trunc f = f then Hashtbl.hash (int_of_float f)
+    else if Float.is_nan f then 0
+    else Hashtbl.hash (Int64.to_int (Int64.bits_of_float f))
   | Str s -> Hashtbl.hash s
 
 let to_float = function

@@ -16,7 +16,9 @@ type t =
 val equal : t -> t -> bool
 (** Structural equality, except numeric values compare by magnitude
     ([Int 3] equals [Float 3.0]) — sources of different data models store
-    the "same" number differently. *)
+    the "same" number differently.  An int equals a float only when the
+    float holds it exactly ([Int (2{^53} + 1)] equals no float), so
+    equality is transitive. *)
 
 val compare : t -> t -> int
 (** Total order consistent with {!equal}; values of different kinds order

@@ -28,8 +28,8 @@
     ({!Cm_net.Net.draws.Keyed}) and workload randomness from per-tag
     keyed streams ({!rng}), both pure functions of seed and name — but
     the {e interleaving} of causally unrelated same-window events, and
-    therefore raw trace ids, may differ.  The canonical forms
-    ({!canonical_lines}, {!trace_digest}) quotient exactly that away:
+    therefore raw trace ids, may differ.  The canonical form behind
+    {!trace_digest} quotients exactly that away:
     events are rendered without ids (generated events name their trigger
     structurally rather than by id) and sorted.  Two runs of the same
     world agree on {!trace_digest} whenever their event {e sets} agree,
@@ -76,12 +76,6 @@ module Fabric : sig
   val system : t -> int -> Cm_core.System.t
   (** The shard's underlying system — journals, recovery manager,
       per-shard registry, raw trace. *)
-
-  val owner : t -> site:string -> Cm_core.System.t
-  (** The system owning [site].  @raise Invalid_argument for a site the
-      fabric has never seen. *)
-
-  val shard_of : t -> site:string -> int
 
   (** {1 World assembly}
 
@@ -163,16 +157,14 @@ module Fabric : sig
   (** All shards' trace events, sorted by (time, site, descriptor,
       kind, id).  Ids are the per-shard strided originals. *)
 
-  val canonical_lines : t -> string list
-  (** One line per event — [time site kind descriptor], no event id;
-      generated events render their trigger structurally as
-      [gen:<rule>@<trigger-time>@<trigger-site>@<trigger-desc>] —
-      sorted.  Equal across shard layouts whenever the event sets are
-      equal. *)
-
   val trace_digest : t -> string
-  (** MD5 hex of {!canonical_lines} — the cross-layout comparison key
-      pinned by the differential and golden suites. *)
+  (** MD5 hex of the canonical trace: one line per event — [time site
+      kind descriptor], no event id; generated events render their
+      trigger structurally as
+      [gen:<rule>@<trigger-time>@<trigger-site>@<trigger-desc>] —
+      sorted, so equal across shard layouts whenever the event sets are
+      equal.  The cross-layout comparison key pinned by the
+      differential and golden suites. *)
 
   val counter_value : ?labels:Cm_core.Obs.labels -> t -> string -> int
   (** Sum of one labelled counter across every shard's registry. *)

@@ -23,18 +23,6 @@ type t = {
 val day : float
 (** 86 400 s. *)
 
-val business_open : float
-(** 9 h, offset within a day. *)
-
-val business_close : float
-(** 17 h. *)
-
-val window_start : float
-(** 17 h 15, when the guarantee window opens. *)
-
-val window_end : float
-(** 8 h next day, as an offset > [day]. *)
-
 val create : ?config:Cm_core.System.Config.t -> ?accounts:int -> unit -> t
 (** Installs the end-of-day strategy and schedules the daily sweep. *)
 

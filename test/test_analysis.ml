@@ -267,6 +267,20 @@ let test_check_rules_standalone () =
   Alcotest.(check bool) "CAP001 fires" true (List.mem "CAP001" codes);
   Alcotest.(check bool) "CAP002 fires" true (List.mem "CAP002" codes)
 
+(* A kvfile translator offers read, write and delete only: a notify line
+   under a kvfile item declares no notification interface, so a rule
+   waiting for its N events can never fire. *)
+let test_kvfile_notify_is_no_interface () =
+  let text =
+    String.concat "\n"
+      [ "source sf kvfile"; "  item Doc(n)"; "    key doc.$n"; "    notify docs.v key k";
+        ""; "source ny kvfile"; "  item Copy(n)"; "    key copy.$n"; "    writable"; "";
+        "rule prop: N(Doc(n), b) ->[5] WR(Copy(n), b)"; "" ]
+  in
+  let findings = Analysis.check_config ~file:"kv.cmrid" text in
+  Alcotest.(check (list string)) "only CAP002" [ "CAP002" ] (distinct_codes findings);
+  expect findings ~site:"sf" ~sev:Analysis.Error ~file:"kv.cmrid" ~line:11 "CAP002"
+
 (* --- the parser front half (satellite: error accumulation) ------------ *)
 
 let test_parse_accumulates_errors () =
@@ -337,6 +351,8 @@ let () =
         ] );
       ( "rules mode",
         [
+          Alcotest.test_case "kvfile notify line is no interface" `Quick
+            test_kvfile_notify_is_no_interface;
           Alcotest.test_case "standalone capability check" `Quick
             test_check_rules_standalone;
         ] );

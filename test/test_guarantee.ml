@@ -3,6 +3,7 @@
 
 open Cm_rule
 module Guarantee = Cm_core.Guarantee
+module Monitor = Cm_core.Monitor
 
 let x = Item.make "X"
 let y = Item.make "Y"
@@ -119,16 +120,48 @@ let metric_holds_within_kappa () =
   assert_holds tl (Guarantee.Metric_follows (pair, 5.0))
 
 let metric_fails_beyond_kappa () =
-  (* X held 5 only during [10, 11); Y adopts it at 20 — staler than 5 s. *)
-  let tl = timeline [ (10.0, x, iv 5); (11.0, x, iv 6); (20.0, y, iv 5) ] in
+  (* X held 5 only during [10, 11); Y adopts it at 20 — staler than 5 s —
+     and holds it until it catches up with 6 at 22. *)
+  let tl =
+    timeline [ (10.0, x, iv 5); (11.0, x, iv 6); (20.0, y, iv 5); (22.0, y, iv 6) ]
+  in
   assert_fails tl (Guarantee.Metric_follows (pair, 5.0));
-  (* but a large enough kappa accepts it *)
+  (* but a κ covering all of [20, 22) accepts it *)
   assert_holds tl (Guarantee.Metric_follows (pair, 15.0))
 
 let metric_still_held_counts () =
   (* X still holds the value at t1: staleness 0 regardless of when set. *)
-  let tl = timeline [ (10.0, x, iv 5); (500.0, y, iv 5) ] in
+  let tl = timeline ~initial:[ (x, iv 0) ] [ (10.0, x, iv 5); (500.0, y, iv 5) ] in
   assert_holds tl (Guarantee.Metric_follows (pair, 1.0))
+
+(* (4) binds every instant Y holds a value, not only the instants it
+   takes one: Y keeps 1 for 30 s after X moved on, and fails when the
+   value X left at 10 is κ old. *)
+let late_copy_fails_at_coverage_end () =
+  let tl = timeline ~initial:[ (x, iv 1); (y, iv 1) ] [ (10.0, x, iv 2); (40.0, y, iv 2) ] in
+  let g = Guarantee.Metric_follows (pair, 5.0) in
+  let r = check ~horizon:50.0 tl g in
+  Alcotest.(check bool) "fold fails" false r.Guarantee.holds;
+  Alcotest.(check int) "fold points" 2 r.Guarantee.checked_points;
+  Alcotest.(check (list string)) "fold attributes the violation to 15"
+    [ "Y = 1 at 15.000 but X did not hold it within the last 5s" ]
+    r.Guarantee.counterexamples;
+  let m = Monitor.create () in
+  let seen = ref [] in
+  Monitor.on_violation m (fun v -> seen := v :: !seen);
+  let h = Monitor.watch m g in
+  Monitor.note_initial m [ (x, iv 1); (y, iv 1) ];
+  List.iteri
+    (fun id (time, desc) ->
+      Monitor.feed m { Event.id; time; site = "s"; desc; kind = Event.Spontaneous })
+    [ (10.0, Event.w x (iv 2)); (40.0, Event.w y (iv 2)) ];
+  Monitor.finalize m ~horizon:50.0;
+  let v = Monitor.verdict h in
+  Alcotest.(check (triple bool int int)) "stream: fails, 2 points, 1 violation"
+    (false, 2, 1)
+    (v.Monitor.v_holds, v.Monitor.v_points, v.Monitor.v_violations);
+  Alcotest.(check (list (float 1e-9))) "stream attributes it to 15" [ 15.0 ]
+    (List.map (fun v -> v.Monitor.vi_at) !seen)
 
 (* ---- always_leq ---- *)
 
@@ -393,6 +426,192 @@ let qcheck_metric_monotone =
       in
       (not (holds k_small)) || holds k_big)
 
+(* ---- (4) against a dense reference ---- *)
+
+(* A random X/Y trace: writes over a three-value domain, deletions,
+   re-insertions, same-value rewrites and same-instant clusters, at
+   times on a half-second grid, so that a change plus κ often lands
+   exactly on a later change. *)
+type case = {
+  kappa : float;
+  initial : (Item.t * Value.t) list;
+  events : (float * Event.desc) list;  (* time order *)
+  horizon : float;
+}
+
+let gen_case =
+  let open QCheck.Gen in
+  let* kappa = oneofl [ 0.5; 1.0; 2.5; 4.0 ] in
+  let* ix = opt (int_range 1 3) and* iy = opt (int_range 1 3) in
+  let* steps =
+    list_size (int_range 0 25)
+      (triple
+         (oneofl [ 0.0; 0.0; 0.5; 1.0; 1.5; 2.5; 4.0 ])
+         bool
+         (frequency
+            [ (6, map (fun v -> `W v) (int_range 1 3)); (1, return `Del);
+              (1, return `Ins); (2, return `Same) ]))
+  in
+  let+ tail = oneofl [ 0.0; 0.5; 2.5; 4.0; 10.0 ] in
+  let initial =
+    List.filter_map
+      (fun (item, v) -> Option.map (fun v -> (item, iv v)) v)
+      [ (x, ix); (y, iy) ]
+  in
+  let cur = Hashtbl.create 2 in
+  List.iter (fun (item, v) -> Hashtbl.replace cur item v) initial;
+  let time = ref 0.0 in
+  let events =
+    List.map
+      (fun (gap, on_x, op) ->
+        time := !time +. gap;
+        let item = if on_x then x else y in
+        let desc =
+          match op with
+          | `W v -> Event.w item (iv v)
+          | `Del -> Event.del item
+          | `Ins -> Event.ins item
+          | `Same ->
+            Event.w item (Option.value (Hashtbl.find_opt cur item) ~default:(iv 1))
+        in
+        (match op with
+        | `W v -> Hashtbl.replace cur item (iv v)
+        | `Same -> Hashtbl.replace cur item (Option.value (Hashtbl.find_opt cur item) ~default:(iv 1))
+        | `Del -> Hashtbl.remove cur item
+        | `Ins -> ());
+        (!time, desc))
+      steps
+  in
+  { kappa; initial; events; horizon = !time +. tail }
+
+let print_case c =
+  Printf.sprintf "kappa %g horizon %g initial [%s] events [%s]" c.kappa c.horizon
+    (String.concat "; "
+       (List.map (fun (i, v) -> Item.to_string i ^ "=" ^ Value.to_string v) c.initial))
+    (String.concat "; "
+       (List.map (fun (t, d) -> Printf.sprintf "%g %s" t (Event.desc_to_string d)) c.events))
+
+let case_timeline c =
+  let tr = Trace.create () in
+  List.iter (fun (time, desc) -> ignore (Trace.record tr ~time ~site:"s" desc)) c.events;
+  Timeline.of_trace ~initial:c.initial tr
+
+(* §3.3.1's (4) read literally, at every critical instant up to the
+   horizon: each change time, each change time + κ, and the midpoints
+   between consecutive ones — the truth of "X held Y's value within
+   (t1 − κ, t1]" can only flip at the first two kinds.  Returns the
+   instants, whether each is stale, the takes, and per violated take
+   (in take order) its value and first uncovered instant. *)
+let reference c =
+  let tl = case_timeline c in
+  let changes = List.filter (fun t -> t <= c.horizon) (Timeline.change_times tl) in
+  let marks =
+    List.sort_uniq Float.compare
+      ((0.0 :: c.horizon :: changes) @ List.map (fun t -> t +. c.kappa) changes)
+    |> List.filter (fun t -> t <= c.horizon)
+  in
+  let rec with_midpoints = function
+    | a :: (b :: _ as rest) -> a :: ((a +. b) /. 2.0) :: with_midpoints rest
+    | l -> l
+  in
+  let instants = with_midpoints marks in
+  let x_changes = List.map fst (Timeline.changes tl x) in
+  let x_is t v = Option.equal Value.equal (Timeline.value_at tl x t) (Some v) in
+  let stale t1 =
+    match Timeline.value_at tl y t1 with
+    | None -> false
+    | Some v ->
+      not
+        (x_is (t1 -. c.kappa) v
+        || List.exists (fun t2 -> t2 > t1 -. c.kappa && t2 <= t1 && x_is t2 v) x_changes)
+  in
+  let takes =
+    Array.of_list (List.filter (fun (t, _) -> t <= c.horizon) (Timeline.values_taken tl y))
+  in
+  let first_uncovered = Array.make (Array.length takes) None in
+  let verdicts = List.map (fun t1 -> (t1, stale t1)) instants in
+  List.iter
+    (fun (t1, is_stale) ->
+      if is_stale then begin
+        let k = ref 0 in
+        Array.iteri (fun i (t, _) -> if t <= t1 then k := i) takes;
+        if first_uncovered.(!k) = None then first_uncovered.(!k) <- Some t1
+      end)
+    verdicts;
+  let violated =
+    List.filter_map
+      (fun (i, (_, v)) -> Option.map (fun t1 -> (v, t1)) first_uncovered.(i))
+      (List.mapi (fun i take -> (i, take)) (Array.to_list takes))
+  in
+  (verdicts, Array.length takes, violated)
+
+let metric c = Guarantee.Metric_follows (pair, c.kappa)
+
+let fold_agrees c =
+  let _, points, violated = reference c in
+  let r = Guarantee.check ~horizon:c.horizon (case_timeline c) (metric c) in
+  let expected =
+    List.filteri (fun i _ -> i < 5) violated
+    |> List.map (fun (v, t1) ->
+           Printf.sprintf "Y = %s at %.3f but X did not hold it within the last %gs"
+             (Value.to_string v) t1 c.kappa)
+  in
+  r.Guarantee.holds = (violated = [])
+  && r.Guarantee.checked_points = points
+  && r.Guarantee.counterexamples = expected
+
+let stream_agrees c =
+  let _, points, violated = reference c in
+  let m = Monitor.create () in
+  let seen = ref [] in
+  Monitor.on_violation m (fun v -> seen := v.Monitor.vi_at :: !seen);
+  let h = Monitor.watch m (metric c) in
+  Monitor.note_initial m c.initial;
+  List.iteri
+    (fun id (time, desc) ->
+      Monitor.feed m { Event.id; time; site = "s"; desc; kind = Event.Spontaneous })
+    c.events;
+  Monitor.finalize m ~horizon:c.horizon;
+  let v = Monitor.verdict h in
+  v.Monitor.v_holds = (violated = [])
+  && v.Monitor.v_points = points
+  && v.Monitor.v_violations = List.length violated
+  && List.sort Float.compare !seen = List.sort Float.compare (List.map snd violated)
+
+(* The live verdict, probed through the simulation clock at every
+   critical instant that carries no event or initial value (an
+   instant's own events are still an open batch when it is probed). *)
+let staleness_agrees c =
+  let verdicts, _, _ = reference c in
+  let sim = Cm_sim.Sim.create () in
+  let trace = Trace.create () in
+  let m = Monitor.create ~sim () in
+  Monitor.attach m trace;
+  Monitor.watch_copy m ~source:"X" ~target:"Y" ~kappa:(Some c.kappa);
+  Monitor.note_initial m c.initial;
+  List.iter
+    (fun (time, desc) ->
+      Cm_sim.Sim.schedule_at sim time (fun () ->
+          ignore (Trace.record trace ~time ~site:"s" desc)))
+    c.events;
+  let disagreements = ref 0 in
+  List.iter
+    (fun (t1, stale) ->
+      let initial_at = if c.initial = [] then [] else [ 0.0 ] in
+      if not (List.mem t1 initial_at || List.exists (fun (t, _) -> t = t1) c.events)
+      then
+        Cm_sim.Sim.schedule_at sim t1 (fun () ->
+            if Monitor.force_refresh m ~source:"X" ~target:"Y" <> stale then
+              incr disagreements))
+    verdicts;
+  Cm_sim.Sim.run sim ~until:c.horizon;
+  !disagreements = 0
+
+let arb_case = QCheck.make ~print:print_case gen_case
+
+let qcheck_dense name agrees =
+  QCheck.Test.make ~name:("(4) " ^ name ^ " = dense reference") ~count:500 arb_case agrees
+
 let () =
   Alcotest.run "cm_guarantee"
     [
@@ -422,6 +641,8 @@ let () =
           Alcotest.test_case "within kappa" `Quick metric_holds_within_kappa;
           Alcotest.test_case "beyond kappa" `Quick metric_fails_beyond_kappa;
           Alcotest.test_case "still held" `Quick metric_still_held_counts;
+          Alcotest.test_case "late copy fails at t = 15" `Quick
+            late_copy_fails_at_coverage_end;
         ] );
       ( "always-leq",
         [
@@ -461,5 +682,14 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_propagation_satisfies_all;
           QCheck_alcotest.to_alcotest qcheck_follows_subsequence;
           QCheck_alcotest.to_alcotest qcheck_metric_monotone;
+        ] );
+      (* No suite name is wider than "exists-within": a wider one shifts
+         the column Alcotest prints and shortens the truncated names of
+         the longest tests above. *)
+      ( "metric-ref",
+        [
+          QCheck_alcotest.to_alcotest (qcheck_dense "fold" fold_agrees);
+          QCheck_alcotest.to_alcotest (qcheck_dense "stream" stream_agrees);
+          QCheck_alcotest.to_alcotest (qcheck_dense "live staleness" staleness_agrees);
         ] );
     ]

@@ -232,6 +232,57 @@ let staleness_verdict_no_sim () =
       (String.concat "; "
          (List.map (fun (at, s) -> Printf.sprintf "(%.1f,%b)" at s) ts))
 
+(* A re-derived κ re-arms the copy's family once its instant is over,
+   and one changed back within the instant — a cutover rolled back on
+   the spot — re-arms nothing.  C keeps 1 after S moves to 2 at 5: stale
+   from 5 + κ. *)
+let kappa_rearm ~flip_back =
+  let sim = Cm_sim.Sim.create () in
+  let trace = Trace.create () in
+  let m = Monitor.create ~sim () in
+  Monitor.attach m trace;
+  Monitor.watch_copy m ~source:"S" ~target:"C" ~kappa:(Some 2.0);
+  let transitions = ref [] in
+  Monitor.on_staleness m (fun ~source:_ ~target:_ ~at ~stale ->
+      transitions := (at, stale) :: !transitions);
+  let s = Item.make "S" and c = Item.make "C" in
+  List.iter
+    (fun (time, desc) ->
+      Cm_sim.Sim.schedule_at sim time (fun () ->
+          ignore (Trace.record trace ~time ~site:"s" desc)))
+    [ (1.0, Event.w s (Value.Int 1)); (1.0, Event.w c (Value.Int 1));
+      (5.0, Event.w s (Value.Int 2)) ];
+  Cm_sim.Sim.schedule_at sim 10.0 (fun () ->
+      if flip_back then begin
+        Monitor.watch_copy m ~source:"S" ~target:"C" ~kappa:None;
+        Monitor.watch_copy m ~source:"S" ~target:"C" ~kappa:(Some 2.0)
+      end
+      else Monitor.watch_copy m ~source:"S" ~target:"C" ~kappa:(Some 10.0));
+  Cm_sim.Sim.run sim ~until:20.0;
+  Monitor.finalize m ~horizon:20.0;
+  let metric =
+    List.filter_map
+      (fun (g, v) ->
+        match g with
+        | Guarantee.Metric_follows (_, k) -> Some (k, v.Monitor.v_violations)
+        | _ -> None)
+      (Monitor.family_verdicts m ~source:"S" ~target:"C")
+  in
+  (List.rev !transitions, metric)
+
+let kappa_rearm_follows_rederivation () =
+  let transitions = Alcotest.(list (pair (float 1e-9) bool)) in
+  let t, metric = kappa_rearm ~flip_back:true in
+  Alcotest.(check transitions) "flip within the instant: stale at 7 only"
+    [ (7.0, true) ] t;
+  Alcotest.(check (list (pair (float 1e-9) int))) "still kappa 2, one violation"
+    [ (2.0, 1) ] metric;
+  let t, metric = kappa_rearm ~flip_back:false in
+  Alcotest.(check transitions) "kappa 10 armed after 10: fresh at 11, stale at 15"
+    [ (7.0, true); (11.0, false); (15.0, true) ] t;
+  Alcotest.(check (list (pair (float 1e-9) int))) "rebuilt at kappa 10" [ (10.0, 1) ]
+    metric
+
 (* §5 Silent_drop regression over the real payroll pipeline: writes keep
    landing on the source database (and in the trace), the notifications
    die silently.  The live verdict must flag the copy within κ plus one
@@ -660,6 +711,8 @@ let () =
             silent_drop_flagged_within_kappa;
           Alcotest.test_case "observation only" `Quick observation_only;
           Alcotest.test_case "instances keyed by params" `Quick instances_keyed_by_params;
+          Alcotest.test_case "kappa re-arm follows re-derivation" `Quick
+            kappa_rearm_follows_rederivation;
         ] );
       ( "crash recovery",
         [

@@ -448,7 +448,7 @@ let golden_reports =
     ("churn seed 7, 150 events, 3 crashes, 3 cutovers",
      payroll ~seed:7 ~events:150 ~churn:3 3, "ce618205bbddb413c28a56ea02196985");
     ("heal seed 42", { Chaos.default_spec with mode = Chaos.Heal },
-     "347556cf3c8ae2edc39df86fca05abc5");
+     "6954e75693633d9fbe15613aae098be0");
     ("ring seed 42, 1 shard", ring ~seed:42 ~shards:1 2,
      "6e347588a0ea17f906c053aa7622ffd2");
     ("ring seed 42, 2 shards", ring ~seed:42 ~shards:2 2,

@@ -438,6 +438,48 @@ let quarantine_probe_readmission () =
   Alcotest.(check (list (triple string string (float 1e-9))))
     "quarantine list empty at the end" [] (Route.quarantined route)
 
+(* The monitor family checks the κ of the copy's current report: a copy
+   declared before the no-spontaneous-write statement its κ needs is
+   watched like one declared after it.  A silent drop at 30, a dropped
+   write at 35 (stale from 35 + κ = 46), a read at 70: the master
+   serves it and the copy is quarantined once, in either order. *)
+let monitor_follows_declarations () =
+  let module Monitor = Cm_core.Monitor in
+  let module Health = Cm_sources.Health in
+  let run ~copy_first =
+    let config = Sys_.Config.with_monitor true (Sys_.Config.seeded 1703) in
+    let p = Payroll.create ~config ~employees:1 () in
+    Payroll.install_propagation p;
+    let system = p.Payroll.system in
+    let sim = Sys_.sim system in
+    let monitor = Option.get (Sys_.monitor system) in
+    let nsw () =
+      Sys_.declare_interfaces system
+        [ Interface.no_spontaneous_write Payroll.target_pattern ]
+    in
+    if not copy_first then nsw ();
+    let route = Route.create system ~constraints:[ ("Salary1", "Salary2") ] in
+    if copy_first then nsw ();
+    Monitor.note_initial monitor p.Payroll.initial;
+    let emp = List.hd p.Payroll.employees in
+    let health = Cm_core.Tr_relational.health p.Payroll.tr_a in
+    Payroll.schedule_update p ~at:10.0 ~emp ~salary:1111;
+    Cm_sim.Sim.schedule_at sim 30.0 (fun () -> Health.set health Health.Silent_drop);
+    Payroll.schedule_update p ~at:35.0 ~emp ~salary:2222;
+    let decision = ref None in
+    Cm_sim.Sim.schedule_at sim 70.0 (fun () ->
+        decision := Some (Route.read route ~client_site:Payroll.site_b "Salary1"));
+    Sys_.run system ~until:80.0;
+    let d = Option.get !decision in
+    ( Route.outcome_to_string d.Route.d_outcome,
+      Monitor.copy_stale monitor ~source:"Salary1" ~target:"Salary2",
+      Route.quarantines route )
+  in
+  let expected = ("master", true, 1) in
+  Alcotest.(check (triple string bool int)) "statement first" expected
+    (run ~copy_first:false);
+  Alcotest.(check (triple string bool int)) "copy first" expected (run ~copy_first:true)
+
 (* -- deterministic reports -- *)
 
 let reports_are_deterministic () =
@@ -511,6 +553,8 @@ let () =
         [
           Alcotest.test_case "stale -> quarantine -> probe -> readmit" `Quick
             quarantine_probe_readmission;
+          Alcotest.test_case "monitor follows declarations" `Quick
+            monitor_follows_declarations;
         ] );
       ( "reports",
         [

@@ -92,9 +92,13 @@ let awkward_values =
     Value.Float (float_of_int two53); Value.Float Float.infinity;
     Value.Float Float.neg_infinity ]
 
-(* A value equal to [v] in another representation, where there is one. *)
+(* A value equal to [v] in another representation, where there is one:
+   an int has a float twin only when a float holds it exactly. *)
 let twin = function
-  | Value.Int i -> Value.Float (float_of_int i)
+  | Value.Int i
+    when let f = float_of_int i in
+         f >= -0x1p62 && f < 0x1p62 && int_of_float f = i ->
+    Value.Float (float_of_int i)
   | Value.Float f when Float.is_integer f && Float.abs f < 0x1p62 -> Value.Int (int_of_float f)
   | Value.Float f when Float.is_nan f || f = 0.0 -> Value.Float (-.f)
   | v -> v
@@ -136,7 +140,19 @@ let hash_pairs () =
         (fun b ->
           if Value.equal a b && Value.hash a <> Value.hash b then
             Alcotest.failf "%s = %s but their hashes differ" (Value.to_string a)
-              (Value.to_string b))
+              (Value.to_string b);
+          if Value.compare a b <> -Value.compare b a then
+            Alcotest.failf "%s and %s compare asymmetrically" (Value.to_string a)
+              (Value.to_string b);
+          (* Equality is transitive: 2^53 + 1 must not meet 2^53 through
+             the float both round to. *)
+          List.iter
+            (fun c ->
+              if Value.equal a b && Value.equal b c && not (Value.equal a c) then
+                Alcotest.failf "%s = %s = %s but %s <> %s" (Value.to_string a)
+                  (Value.to_string b) (Value.to_string c) (Value.to_string a)
+                  (Value.to_string c))
+            awkward_values)
         awkward_values)
     awkward_values;
   let x0 = item "X" [ Value.Float (-0.0) ] and x0' = item "X" [ Value.Float 0.0 ] in
@@ -405,13 +421,18 @@ let outcome f =
   | exception Expr.Eval_error m -> Eval_failed m
   | exception Invalid_argument m -> Invalid m
 
+(* Expr.eval reports every failure as [Eval_error], including the
+   operand-kind and division failures Value raises as
+   [Invalid_argument] (which the reference lets through). *)
 let eval_matches_reference =
   QCheck.Test.make ~name:"eval = reference (values, bindings, errors)" ~count:3000
     (QCheck.make ~print:Expr.to_string gen_eval_expr)
     (fun e ->
       compare
         (outcome (fun () -> Expr.eval eval_state eval_env e))
-        (outcome (fun () -> Reference.eval eval_state eval_env e))
+        (outcome (fun () ->
+             try Reference.eval eval_state eval_env e
+             with Invalid_argument m -> raise (Expr.Eval_error m)))
       = 0)
 
 (* ---------- Template matching ---------- *)

@@ -279,8 +279,8 @@ let registration_order () =
 (* ---- LHS conditions: range discrimination ---- *)
 
 (* Event values and bounds, with the awkward numbers: nan orders below
-   every number and equals itself, -0.0 equals 0.0, and 2^53 + 1 equals
-   the float 2^53 but exceeds the int 2^53. *)
+   every number and equals itself, -0.0 equals 0.0, and 2^53 + 1 exceeds
+   both the int 2^53 and the float 2^53 it rounds to. *)
 let gen_scalar rng =
   match Prng.int rng 16 with
   | 0 -> Value.Null
@@ -472,8 +472,7 @@ let range_skip () =
   Rule_index.add plain ~lhs ~site:(Some "s") 0;
   Alcotest.(check (list int)) "no condition, no range" [ 0 ] (select plain (Value.Str "z"));
   (* A variable first bound inside an item gets no range: the binding is
-     the parameter, which need only equal the later argument — the int
-     2^53 + 1 equals the float 2^53, yet only the int exceeds 2^53. *)
+     the item's parameter, which the later argument need only equal. *)
   let inner = Rule_index.create () in
   let two53 = 1 lsl 53 in
   Rule_index.add inner

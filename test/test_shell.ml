@@ -94,6 +94,39 @@ let guard_sequences_evaluate_in_order () =
   Sys_.run system ~until:15.0;
   Alcotest.(check int) "cache suppressed repeat" 1 !hits
 
+(* A guard that cannot be evaluated — its value is not a boolean, its
+   arithmetic mixes kinds, or it divides by zero — is a failed guard:
+   counted as a rejection on its side, never an exception out of the
+   shell. *)
+let failed_evaluation_is_a_failed_guard () =
+  let run rules =
+    let obs = Cm_core.Obs.create () in
+    let system =
+      Sys_.create
+        ~config:Sys_.Config.(seeded 5 |> with_obs obs)
+        (fun item -> match item.Item.base with "X" -> "a" | _ -> "b")
+    in
+    let sa = Sys_.add_shell system ~site:"a" in
+    let sb = Sys_.add_shell system ~site:"b" in
+    Sys_.install system (strategy_of rules);
+    Shell.write_aux sa (Item.make "X") (Value.Int 3);
+    Sys_.run system ~until:10.0;
+    ( Shell.read_aux sb (Item.make "Y"),
+      Cm_core.Obs.counter_value obs "shell_guard_rejections"
+        ~labels:[ ("site", "a"); ("rule", "r"); ("side", "lhs") ],
+      Cm_core.Obs.counter_value obs "shell_guard_rejections"
+        ~labels:[ ("site", "b"); ("rule", "r"); ("side", "rhs") ] )
+  in
+  List.iter
+    (fun cond ->
+      Alcotest.(check (triple (option value) int int))
+        ("LHS " ^ cond) (None, 1, 0)
+        (run (Printf.sprintf "r: W(X, b) && %s ->[1] W(Y, b)" cond));
+      Alcotest.(check (triple (option value) int int))
+        ("RHS " ^ cond) (None, 0, 1)
+        (run (Printf.sprintf "r: W(X, b) ->[1] (%s) ? W(Y, b)" cond)))
+    [ "b + 1"; "b / 0 > 1"; "b + \"s\" > 1" ]
+
 let clock_item_binds_time () =
   let system, _sa, sb = two_shells () in
   Sys_.install system
@@ -296,6 +329,8 @@ let () =
           Alcotest.test_case "lhs condition" `Quick lhs_condition_gates_firing;
           Alcotest.test_case "guard sequence" `Quick guard_sequences_evaluate_in_order;
           Alcotest.test_case "clock item" `Quick clock_item_binds_time;
+          Alcotest.test_case "failed evaluation is a failed guard" `Quick
+            failed_evaluation_is_a_failed_guard;
           Alcotest.test_case "duplicate ids" `Quick duplicate_rule_ids_rejected;
           Alcotest.test_case "counters" `Quick counters_track_activity;
         ] );
