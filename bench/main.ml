@@ -168,6 +168,16 @@ let exp_e2 () =
 (* E3: metric bound kappa follows from the interface deltas (§3.3.1)   *)
 (* ------------------------------------------------------------------ *)
 
+(* The κ Derive proves for a payroll world's salary copy, once the
+   copy's target is declared free of spontaneous writes. *)
+let proved_kappa what (p : Payroll.t) =
+  Sys_.declare_interfaces p.Payroll.system
+    [ Interface.no_spontaneous_write Payroll.target_pattern ];
+  Sys_.declare_copies p.Payroll.system [ ("Salary1", "Salary2") ];
+  match Sys_.copy_qualifies p.Payroll.system ~source:"Salary1" ~target:"Salary2" with
+  | Ok k -> k
+  | Error e -> failwith (what ^ ": notify copy has no kappa: " ^ e)
+
 let exp_e3 () =
   let table =
     Table.create
@@ -195,8 +205,7 @@ let exp_e3 () =
           Payroll.random_updates p ~mean_interarrival:30.0 ~until:2000.0;
           Sys_.run p.Payroll.system ~until:2500.0;
           let tl = Sys_.timeline ~initial:p.Payroll.initial p.Payroll.system in
-          (* kappa: notify delta + rule delta + write delta (translator). *)
-          let kappa = (notify_latency *. 2.0) +. 5.0 +. (2.0 *. net_base) +. 1.0 in
+          let kappa = proved_kappa "E3" p in
           (* measured staleness per source change *)
           let staleness =
             List.concat_map
@@ -692,18 +701,12 @@ let exp_e8 () =
 
 let exp_e10 () =
   (* (4) is checked at the κ Derive proves for the unfiltered notify
-     configuration, once the copy's target is declared free of
-     spontaneous writes: the bound a filtering source would have to
-     keep to stand in for it. *)
+     configuration: the bound a filtering source would have to keep to
+     stand in for it. *)
   let kappa =
     let p = Payroll.create ~config:(Cm_core.System.Config.seeded 1000) ~employees:1 () in
     Payroll.install_propagation p;
-    Sys_.declare_interfaces p.Payroll.system
-      [ Interface.no_spontaneous_write Payroll.target_pattern ];
-    Sys_.declare_copies p.Payroll.system [ ("Salary1", "Salary2") ];
-    match Sys_.copy_qualifies p.Payroll.system ~source:"Salary1" ~target:"Salary2" with
-    | Ok k -> k
-    | Error e -> failwith ("E10: notify copy has no kappa: " ^ e)
+    proved_kappa "E10" p
   in
   let table =
     Table.create

@@ -9,8 +9,8 @@
    - config:   validate a CM-RID file and show what each source offers
    - demo:     run the §4.2 payroll scenario and report guarantees
 
-   Flag conventions, positional parsing, file loading, and the static
-   preflight gates shared by the subcommands live in Cmtool_cli. *)
+   Flag conventions, positional parsing, file loading, and route's
+   static preflight gate live in Cmtool_cli. *)
 
 open Cmdliner
 module Interface = Cm_core.Interface
@@ -19,8 +19,6 @@ module Analysis = Cm_analysis.Analysis
 module Json = Cm_util.Json
 
 let read_file = Cmtool_cli.read_file
-let preflight = Cmtool_cli.preflight
-let no_check_arg = Cmtool_cli.no_check_arg
 
 (* ---- parse ---- *)
 
@@ -678,10 +676,9 @@ let run_demo seed minutes dump_trace =
    | None -> ());
   0
 
-let demo_cmd_run seed minutes dump_trace no_check =
+let demo_cmd_run seed minutes dump_trace =
   Cmtool_cli.require_at_least "--minutes" ~min:1 minutes;
-  if not (preflight ~label:"payroll" ~no_check Cm_chaos.Chaos.Payroll) then 1
-  else run_demo seed minutes dump_trace
+  run_demo seed minutes dump_trace
 
 let demo_cmd =
   let seed = Cmtool_cli.seed_arg () in
@@ -691,7 +688,7 @@ let demo_cmd =
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Run the payroll scenario and check its guarantees")
-    Term.(const demo_cmd_run $ seed $ minutes $ dump_trace $ no_check_arg)
+    Term.(const demo_cmd_run $ seed $ minutes $ dump_trace)
 
 (* ---- faults ---- *)
 
@@ -797,14 +794,13 @@ let run_faults seed drop dup minutes employees no_reliable heartbeat =
     checks;
   if List.for_all snd checks then 0 else 1
 
-let faults_cmd_run seed drop dup minutes employees no_reliable heartbeat no_check =
+let faults_cmd_run seed drop dup minutes employees no_reliable heartbeat =
   Cmtool_cli.require_probability "--drop" drop;
   Cmtool_cli.require_probability "--dup" dup;
   Cmtool_cli.require_at_least "--minutes" ~min:1 minutes;
   Cmtool_cli.require_at_least "--employees" ~min:1 employees;
   Cmtool_cli.require_seconds "--heartbeat" heartbeat;
-  if not (preflight ~label:"payroll" ~no_check Cm_chaos.Chaos.Payroll) then 1
-  else run_faults seed drop dup minutes employees no_reliable heartbeat
+  run_faults seed drop dup minutes employees no_reliable heartbeat
 
 let faults_cmd =
   let seed = Cmtool_cli.seed_arg () in
@@ -836,12 +832,12 @@ let faults_cmd =
              network, once with loss and duplication on every link plus the \
              reliable-delivery layer — and verify the final states are identical")
     Term.(const faults_cmd_run $ seed $ drop $ dup $ minutes $ employees
-          $ no_reliable $ heartbeat $ no_check_arg)
+          $ no_reliable $ heartbeat)
 
 (* ---- chaos ---- *)
 
 let chaos_cmd_run seed events crashes crash_min crash_max workload durability
-    churn heal shards sites no_check =
+    churn heal shards sites =
   let module Chaos = Cm_chaos.Chaos in
   Cmtool_cli.require_at_least "--events" ~min:0 events;
   Cmtool_cli.require_at_least "--crashes" ~min:0 crashes;
@@ -878,12 +874,9 @@ let chaos_cmd_run seed events crashes crash_min crash_max workload durability
       | Chaos.Payroll -> Chaos.Payroll_faults { plan; churn }
       | Chaos.Bank -> Chaos.Bank_faults plan
   in
-  if shards = 0 && not (preflight ~label:workload ~no_check chaos_workload) then 1
-  else begin
-    let report = Chaos.run { Chaos.seed; events; durability; mode } in
-    print_string (Chaos.report_to_string report);
-    if Chaos.passed report then 0 else 1
-  end
+  let report = Chaos.run { Chaos.seed; events; durability; mode } in
+  print_string (Chaos.report_to_string report);
+  if Chaos.passed report then 0 else 1
 
 let chaos_cmd =
   let seed = Cmtool_cli.seed_arg () in
@@ -960,8 +953,7 @@ let chaos_cmd =
              duplicated.  Output is byte-identical for identical arguments; \
              exits non-zero if any invariant fails")
     Term.(const chaos_cmd_run $ seed $ events $ crashes $ crash_min $ crash_max
-          $ workload $ durability $ churn $ heal $ shards $ sites
-          $ no_check_arg)
+          $ workload $ durability $ churn $ heal $ shards $ sites)
 
 (* ---- stats / spans ---- *)
 

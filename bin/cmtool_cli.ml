@@ -2,8 +2,8 @@
    re-declared by hand (--json, --deny-warnings, --no-check, --seed),
    the CONFIG [RULES…] positional convention, config/rule-file loading
    with uniform error reporting, declaring extra rule files on a built
-   system with check's merge rule, and the static-check preflight
-   gates. *)
+   system with check's merge rule, and route's static-check preflight
+   gate. *)
 
 open Cmdliner
 module Interface = Cm_core.Interface
@@ -129,33 +129,11 @@ let declare_rule_files system rules =
         rules = strategy;
         aux_init = [] }
 
-(* ---- preflight gates ---- *)
+(* ---- preflight gate ---- *)
 
-(* Static preflight over a built-in workload's rule set: refuse to run a
-   scenario whose specifications the checker rejects (gate with
-   --no-check).  Warnings never block, and are kept off the output so
-   byte-compared runs stay stable. *)
-let preflight ~label ~no_check workload =
-  no_check
-  ||
-  let interfaces, strategy, locator = Cm_chaos.Chaos.static_rules workload in
-  let findings = Analysis.check_rules ~file:label ~interfaces ~strategy ~locator () in
-  let errors, _, _ = Analysis.summary findings in
-  if errors = 0 then true
-  else begin
-    List.iter
-      (fun (f : Analysis.finding) ->
-        if f.Analysis.severity = Analysis.Error then
-          Printf.eprintf "%s\n" (Analysis.finding_to_string f))
-      findings;
-    Printf.eprintf
-      "%s: static check found %d error(s) in the workload's rules; \
-       pass --no-check to run anyway\n"
-      label errors;
-    false
-  end
-
-(* Same gate over a CM-RID config + rule files (cmtool route). *)
+(* Static preflight over a CM-RID config + rule files (cmtool route):
+   refuse to route over a configuration the checker rejects (gate with
+   --no-check).  Warnings never block. *)
 let preflight_config ~no_check ~file rule_files =
   no_check
   ||

@@ -1174,22 +1174,6 @@ let run_ring (spec : spec) sched ~sites:m ~shards ~crashes =
       live_during_crash;
     } )
 
-let static_rules w =
-  (* A throwaway fault-free instance: workload constructors install the
-     same rules every run, so its specifications are the workload's. *)
-  let config = Sys_.Config.seeded 0 in
-  let system =
-    match w with
-    | Payroll ->
-      let p = Pw.create ~config ~employees:1 () in
-      Pw.install_propagation p;
-      p.Pw.system
-    | Bank ->
-      let b = Bw.create ~config ~policy:Cm_core.Demarcation.Conservative () in
-      b.Bw.system
-  in
-  (Sys_.interface_rules system, Sys_.strategy_rules system, Sys_.locator system)
-
 (* ------------------------------------------------------------------ *)
 (* The pipeline: spec -> schedule -> run -> invariants -> report       *)
 (* ------------------------------------------------------------------ *)

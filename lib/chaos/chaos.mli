@@ -197,13 +197,6 @@ type report = {
   invariants : invariant list;
 }
 
-val static_rules :
-  workload ->
-  Cm_rule.Rule.t list * Cm_rule.Rule.t list * Cm_rule.Item.locator
-(** (interface rules, strategy rules, locator) of a fault-free instance
-    of the workload — what [cmtool] feeds {!Cm_analysis.Analysis} as a
-    preflight check before running chaos. *)
-
 val run : spec -> report
 (** Derive the schedule, run it, and check invariants.  Pure in the
     spec: no wall clock, no global state.

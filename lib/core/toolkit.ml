@@ -74,7 +74,7 @@ let relational_binding (item : Cmrid.item_decl) =
     periodic = None;
   }
 
-(* The key template only matters to a built store: [build] refuses an
+(* The key template only matters to a built store: [attach] refuses an
    item without one, while [item_interfaces] derives its statements. *)
 let kvfile_binding (item : Cmrid.item_decl) =
   {
@@ -94,7 +94,7 @@ let item_interfaces decl item =
     let _, delta = kvfile_timing decl in
     Tr_kvfile.interfaces ~site ~delta (kvfile_binding item)
 
-let build ?(config = System.Config.default) cmrid =
+let attach system cmrid =
   let ( let* ) r f = Result.bind r f in
   let* () =
     (* duplicate item bases across sources are configuration errors *)
@@ -110,10 +110,17 @@ let build ?(config = System.Config.default) cmrid =
     if dupes = [] then Ok ()
     else Error ("duplicate item bases: " ^ String.concat ", " dupes)
   in
-  let locator = Cmrid.locator cmrid in
-  let system = System.create ~config locator in
+  (* One shell per site, created in declaration order (sources, then
+     [location] lines): same-instant events at different sites, such as
+     heartbeats, run in creation order. *)
   let shells =
-    List.map (fun site -> (site, System.add_shell system ~site)) (Cmrid.sites cmrid)
+    List.fold_left
+      (fun acc site ->
+        if List.mem_assoc site acc then acc
+        else acc @ [ (site, System.add_shell system ~site) ])
+      []
+      (List.map (fun s -> s.Cmrid.s_site) cmrid.Cmrid.sources
+      @ List.map (fun l -> l.Cmrid.l_site) cmrid.Cmrid.locations)
   in
   let shell_of site = List.assoc site shells in
   let build_source acc decl =
@@ -204,6 +211,9 @@ let build ?(config = System.Config.default) cmrid =
       databases = List.rev databases;
       stores = List.rev stores;
     }
+
+let build ?(config = System.Config.default) cmrid =
+  attach (System.create ~config (Cmrid.locator cmrid)) cmrid
 
 let interface_summary built =
   let by_base = Hashtbl.create 16 in

@@ -18,9 +18,17 @@ type built = {
   stores : (string * Cm_sources.Kvfile.t) list;
 }
 
+val attach : System.t -> Cmrid.t -> (built, string) result
+(** Everything [build] does after creating the system, over an existing
+    one: shells (created in declaration order), sources, translators and
+    the configuration's rules.
+    Fails on bad SQL in item templates or [init] statements and on
+    duplicate item bases.  The workloads build their federations this
+    way, so a system they are handed (a shard fabric's, say) keeps its
+    own configuration and locator. *)
+
 val build : ?config:System.Config.t -> Cmrid.t -> (built, string) result
-(** Fails on unknown sites in [location] lines, bad SQL in item
-    templates or [init] statements, and duplicate item bases.  The
+(** [attach] over [System.create ~config (Cmrid.locator cmrid)].  The
     {!System.Config.t} (default {!System.Config.default}) carries the
     seed, network latency/fault model, optional reliable-delivery layer,
     and optional observability registry (see {!System.create}). *)

@@ -3,6 +3,8 @@ module Shell = Cm_core.Shell
 module Tr_rel = Cm_core.Tr_relational
 module Db = Cm_relational.Database
 module Demarcation = Cm_core.Demarcation
+module Cmrid = Cm_core.Cmrid
+module Toolkit = Cm_core.Toolkit
 open Cm_rule
 
 type t = {
@@ -17,75 +19,59 @@ type t = {
   y : Demarcation.side;
 }
 
-let locator item =
-  match item.Item.base with
-  | "Xbal" | "Xlim" | "PendX" -> "branch_a"
-  | _ -> "branch_b"
+(* The federation as one CM-RID description (§4.1): each branch's row
+   and its CHECK (the local constraint manager), with the pending-request
+   items placed at their own side. *)
+let description =
+  match
+    Cmrid.parse
+      {|source branch_a relational
+  init CREATE TABLE acct (id TEXT PRIMARY KEY, bal INT NOT NULL, lim INT NOT NULL, CHECK (bal <= lim))
+  init INSERT INTO acct VALUES ('x', 0, 50)
+  item Xbal
+    read SELECT bal FROM acct
+    write UPDATE acct SET bal = $b
+    notify acct.bal key id observe
+  item Xlim
+    read SELECT lim FROM acct
+    write UPDATE acct SET lim = $b
+    notify acct.lim key id observe
 
-let must = function
-  | Ok r -> r
-  | Error e -> failwith (Db.error_to_string e)
+source branch_b relational
+  init CREATE TABLE acct (id TEXT PRIMARY KEY, bal INT NOT NULL, lim INT NOT NULL, CHECK (bal >= lim))
+  init INSERT INTO acct VALUES ('y', 100, 50)
+  item Ybal
+    read SELECT bal FROM acct
+    write UPDATE acct SET bal = $b
+    notify acct.bal key id observe
+  item Ylim
+    read SELECT lim FROM acct
+    write UPDATE acct SET lim = $b
+    notify acct.lim key id observe
 
-let binding base col =
-  {
-    Tr_rel.base;
-    params = [];
-    read_sql = Some (Printf.sprintf "SELECT %s FROM acct" col);
-    write_sql = Some (Printf.sprintf "UPDATE acct SET %s = $b" col);
-    delete_sql = None;
-    notify =
-      Some
-        {
-          Tr_rel.table = "acct";
-          column = col;
-          key_column = "id";
-          send = false;
-          filter = None;
-          filter_expr = None;
-        };
-    no_spontaneous = false;
-    periodic = None;
-  }
+location PendX branch_a
+location PendY branch_b|}
+  with
+  | Ok cmrid -> cmrid
+  | Error errors -> failwith (Cmrid.errors_to_string errors)
 
-let create ?(config = Sys_.Config.default) ?system ?(x_init = (0, 50))
-    ?(y_init = (100, 50)) ~policy () =
+let locator = Cmrid.locator ~default:"branch_b" description
+
+let create ?(config = Sys_.Config.default) ?system ~policy () =
   let system =
     match system with Some s -> s | None -> Sys_.create ~config locator
   in
-  let shell_a = Sys_.add_shell system ~site:"branch_a" in
-  let shell_b = Sys_.add_shell system ~site:"branch_b" in
-  let db_a = Db.create () and db_b = Db.create () in
-  let xb, xl = x_init and yb, yl = y_init in
-  ignore
-    (must
-       (Db.exec db_a
-          "CREATE TABLE acct (id TEXT PRIMARY KEY, bal INT NOT NULL, lim INT NOT NULL, CHECK (bal <= lim))"));
-  ignore
-    (must
-       (Db.exec db_a "INSERT INTO acct VALUES ('x', $b, $l)"
-          ~params:[ ("b", Value.Int xb); ("l", Value.Int xl) ]));
-  ignore
-    (must
-       (Db.exec db_b
-          "CREATE TABLE acct (id TEXT PRIMARY KEY, bal INT NOT NULL, lim INT NOT NULL, CHECK (bal >= lim))"));
-  ignore
-    (must
-       (Db.exec db_b "INSERT INTO acct VALUES ('y', $b, $l)"
-          ~params:[ ("b", Value.Int yb); ("l", Value.Int yl) ]));
-  let tr_a =
-    Tr_rel.create ~sim:(Sys_.sim system) ~db:db_a ~site:"branch_a"
-      ~emit:(Shell.emitter_for shell_a ~site:"branch_a")
-      ~report:(fun k -> Shell.report_failure shell_a k)
-      [ binding "Xbal" "bal"; binding "Xlim" "lim" ]
+  let built =
+    match Toolkit.attach system description with
+    | Ok built -> built
+    | Error m -> failwith m
   in
-  let tr_b =
-    Tr_rel.create ~sim:(Sys_.sim system) ~db:db_b ~site:"branch_b"
-      ~emit:(Shell.emitter_for shell_b ~site:"branch_b")
-      ~report:(fun k -> Shell.report_failure shell_b k)
-      [ binding "Ybal" "bal"; binding "Ylim" "lim" ]
+  let at site =
+    ( List.assoc site built.Toolkit.shells,
+      List.assoc site built.relational,
+      List.assoc site built.databases )
   in
-  Sys_.register_translator system ~shell:shell_a (Tr_rel.cmi tr_a);
-  Sys_.register_translator system ~shell:shell_b (Tr_rel.cmi tr_b);
+  let shell_a, tr_a, db_a = at "branch_a" and shell_b, tr_b, db_b = at "branch_b" in
   let x = { Demarcation.bal = "Xbal"; lim = "Xlim"; pend = "PendX" } in
   let y = { Demarcation.bal = "Ybal"; lim = "Ylim"; pend = "PendY" } in
   Sys_.install system (Demarcation.rules ~policy ~delta:30.0 ~x ~y ());

@@ -6,7 +6,11 @@
     the local constraint manager.  Application operations that fit the
     limit succeed locally with no messages; operations that cross it are
     rejected by the CHECK, and {!try_set_x}/{!try_set_y} then file a
-    limit-change request with the CM and report [`Requested]. *)
+    limit-change request with the CM and report [`Requested].
+
+    The two branches are one CM-RID description (§4.1) — their tables,
+    items, and [location] lines for the pending-request items — built by
+    {!Cm_core.Toolkit.attach}. *)
 
 type t = {
   system : Cm_core.System.t;
@@ -21,18 +25,17 @@ type t = {
 }
 
 val locator : Cm_rule.Item.locator
-(** X-side items → "branch_a", everything else → "branch_b"; see
-    {!Cm_workload.Payroll.locator} for the [?system] protocol. *)
+(** The description's locator: X-side items → "branch_a", everything
+    else → "branch_b"; see {!Cm_workload.Payroll.locator} for the
+    [?system] protocol. *)
 
 val create :
   ?config:Cm_core.System.Config.t ->
   ?system:Cm_core.System.t ->
-  ?x_init:int * int ->
-  ?y_init:int * int ->
   policy:Cm_core.Demarcation.policy ->
   unit ->
   t
-(** Defaults: X starts at (0, limit 50), Y at (100, limit 50).
+(** X starts at (0, limit 50), Y at (100, limit 50).
     [config] carries the seed and the network/reliability/observability
     setup (see {!Cm_core.System.create}); [system] substitutes a
     pre-built system (created over {!locator}) and [config] is then

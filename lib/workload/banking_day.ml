@@ -4,6 +4,8 @@ module Shell = Cm_core.Shell
 module Tr_rel = Cm_core.Tr_relational
 module Db = Cm_relational.Database
 module Strategy = Cm_core.Strategy
+module Cmrid = Cm_core.Cmrid
+module Toolkit = Cm_core.Toolkit
 open Cm_rule
 
 type t = {
@@ -24,44 +26,37 @@ let business_close = 17.0 *. 3600.0
 let window_start = (17.0 *. 3600.0) +. (15.0 *. 60.0)
 let window_end = day +. (8.0 *. 3600.0)
 
-let locator item =
-  match item.Item.base with "Bal1" -> "branch" | _ -> "ho"
-
 let must = function
   | Ok r -> r
   | Error e -> failwith (Db.error_to_string e)
 
-let setup_db db accounts =
-  ignore
-    (must (Db.exec db "CREATE TABLE accounts (acct TEXT PRIMARY KEY, bal INT NOT NULL)"));
-  List.iteri
-    (fun i acct ->
-      ignore
-        (must
-           (Db.exec db "INSERT INTO accounts VALUES ($n, $b)"
-              ~params:[ ("n", Value.Str acct); ("b", Value.Int (1000 * (i + 1))) ])))
-    accounts
+let initial_balance i = 1000 * (i + 1)
 
-let binding base =
-  {
-    Tr_rel.base;
-    params = [ "n" ];
-    read_sql = Some "SELECT bal FROM accounts WHERE acct = $n";
-    write_sql = Some "UPDATE accounts SET bal = $b WHERE acct = $n";
-    delete_sql = None;
-    notify =
-      Some
-        {
-          Tr_rel.table = "accounts";
-          column = "bal";
-          key_column = "acct";
-          send = false;
-          filter = None;
-          filter_expr = None;
-        };
-    no_spontaneous = false;
-    periodic = None;
-  }
+(* The federation as one CM-RID description (§4.1): the branch's and the
+   head office's accounts tables, observed only — the strategy reads the
+   branch at the end of the day. *)
+let description accounts =
+  let source site base =
+    Printf.sprintf
+      "source %s relational\n\
+      \  init CREATE TABLE accounts (acct TEXT PRIMARY KEY, bal INT NOT NULL)\n\
+       %s\
+      \  item %s(n)\n\
+      \    read SELECT bal FROM accounts WHERE acct = $n\n\
+      \    write UPDATE accounts SET bal = $b WHERE acct = $n\n\
+      \    notify accounts.bal key acct observe\n"
+      site
+      (String.concat ""
+         (List.mapi
+            (fun i acct ->
+              Printf.sprintf "  init INSERT INTO accounts VALUES ('%s', %d)\n" acct
+                (initial_balance i))
+            accounts))
+      base
+  in
+  match Cmrid.parse (source "branch" "Bal1" ^ source "ho" "Bal2") with
+  | Ok cmrid -> cmrid
+  | Error errors -> failwith (Cmrid.errors_to_string errors)
 
 let eod_rules =
   (* Eod(Bal1(n)) is the custom event the end-of-day job emits per account. *)
@@ -71,26 +66,21 @@ let eod_rules =
 
 let create ?(config = Sys_.Config.default) ?(accounts = 5) () =
   let accounts = List.init accounts (fun i -> "a" ^ string_of_int (i + 1)) in
-  let system = Sys_.create ~config locator in
-  let shell_branch = Sys_.add_shell system ~site:"branch" in
-  let shell_ho = Sys_.add_shell system ~site:"ho" in
-  let db_branch = Db.create () and db_ho = Db.create () in
-  setup_db db_branch accounts;
-  setup_db db_ho accounts;
-  let tr_branch =
-    Tr_rel.create ~sim:(Sys_.sim system) ~db:db_branch ~site:"branch"
-      ~emit:(Shell.emitter_for shell_branch ~site:"branch")
-      ~report:(fun k -> Shell.report_failure shell_branch k)
-      [ binding "Bal1" ]
+  let description = description accounts in
+  (* Bal1 at the branch; everything else at the head office. *)
+  let system = Sys_.create ~config (Cmrid.locator ~default:"ho" description) in
+  let built =
+    match Toolkit.attach system description with
+    | Ok built -> built
+    | Error m -> failwith m
   in
-  let tr_ho =
-    Tr_rel.create ~sim:(Sys_.sim system) ~db:db_ho ~site:"ho"
-      ~emit:(Shell.emitter_for shell_ho ~site:"ho")
-      ~report:(fun k -> Shell.report_failure shell_ho k)
-      [ binding "Bal2" ]
+  let at site =
+    ( List.assoc site built.Toolkit.shells,
+      List.assoc site built.relational,
+      List.assoc site built.databases )
   in
-  Sys_.register_translator system ~shell:shell_branch (Tr_rel.cmi tr_branch);
-  Sys_.register_translator system ~shell:shell_ho (Tr_rel.cmi tr_ho);
+  let shell_branch, tr_branch, db_branch = at "branch"
+  and shell_ho, tr_ho, db_ho = at "ho" in
   Sys_.install system
     {
       Strategy.strategy_name = "end-of-day";
@@ -102,7 +92,7 @@ let create ?(config = Sys_.Config.default) ?(accounts = 5) () =
     List.concat
       (List.mapi
          (fun i acct ->
-           let v = Value.Int (1000 * (i + 1)) in
+           let v = Value.Int (initial_balance i) in
            [
              (Item.make "Bal1" ~params:[ Value.Str acct ], v);
              (Item.make "Bal2" ~params:[ Value.Str acct ], v);

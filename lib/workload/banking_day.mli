@@ -6,7 +6,11 @@
     end-of-day job reads every balance and the strategy rule
     [R(bal1(n), b) →δ WR(bal2(n), b)] propagates it.  The resulting
     {e periodic guarantee}: the copies are equal from 5:15 p.m. until
-    8 a.m. the next morning, every day. *)
+    8 a.m. the next morning, every day.
+
+    The two accounts tables are one CM-RID description (§4.1) built by
+    {!Cm_core.Toolkit.attach}; balance items other than the branch's
+    live at the head office. *)
 
 type t = {
   system : Cm_core.System.t;

@@ -5,6 +5,8 @@ module Tr_rel = Cm_core.Tr_relational
 module Db = Cm_relational.Database
 module Strategy = Cm_core.Strategy
 module Interface = Cm_core.Interface
+module Cmrid = Cm_core.Cmrid
+module Toolkit = Cm_core.Toolkit
 open Cm_rule
 
 type source_mode = Notify | Conditional of float | Read_only
@@ -24,11 +26,6 @@ type t = {
 let site_a = "sf"
 let site_b = "ny"
 
-let locator item =
-  match item.Item.base with
-  | "Salary1" -> site_a
-  | _ -> site_b
-
 let source_item emp = Item.make "Salary1" ~params:[ Value.Str emp ]
 let target_item emp = Item.make "Salary2" ~params:[ Value.Str emp ]
 let source_pattern = Interface.family "Salary1" [ "n" ]
@@ -40,102 +37,69 @@ let must = function
 
 let initial_salary i = 1000 + (100 * i)
 
-let setup_db db employees =
-  ignore
-    (must
-       (Db.exec db "CREATE TABLE employees (empid TEXT PRIMARY KEY, salary INT NOT NULL)"));
-  List.iteri
-    (fun i emp ->
-      ignore
-        (must
-           (Db.exec db "INSERT INTO employees VALUES ($n, $s)"
-              ~params:[ ("n", Value.Str emp); ("s", Value.Int (initial_salary i)) ])))
-    employees
-
-let binding ~base ~mode =
+(* The federation as one CM-RID description (§4.1): both sites hold the
+   employees table; A's salaries offer the [mode]'s notify interface, B's
+   are observed only.  Floats are printed so they parse back exactly. *)
+let description ~employees ~mode ~notify_latency ~notify_delta =
+  let source site base notify =
+    Printf.sprintf
+      "source %s relational\n\
+      \  init CREATE TABLE employees (empid TEXT PRIMARY KEY, salary INT NOT NULL)\n\
+       %s\
+      \  item %s(n)\n\
+      \    read SELECT salary FROM employees WHERE empid = $n\n\
+      \    write UPDATE employees SET salary = $b WHERE empid = $n\n\
+      \    notify employees.salary key empid %s\n"
+      site
+      (String.concat ""
+         (List.mapi
+            (fun i emp ->
+              Printf.sprintf "  init INSERT INTO employees VALUES ('%s', %d)\n" emp
+                (initial_salary i))
+            employees))
+      base notify
+  in
   let notify =
     match mode with
-    | Read_only ->
-      (* Observe only: ground truth Ws without a notify interface. *)
-      Some
-        {
-          Tr_rel.table = "employees";
-          column = "salary";
-          key_column = "empid";
-          send = false;
-          filter = None;
-          filter_expr = None;
-        }
-    | Notify ->
-      Some
-        {
-          Tr_rel.table = "employees";
-          column = "salary";
-          key_column = "empid";
-          send = true;
-          filter = None;
-          filter_expr = None;
-        }
-    | Conditional threshold ->
-      Some
-        {
-          Tr_rel.table = "employees";
-          column = "salary";
-          key_column = "empid";
-          send = true;
-          filter =
-            Some
-              (fun ~old_value ~new_value ->
-                Float.abs (Value.to_float new_value -. Value.to_float old_value)
-                > threshold *. Value.to_float old_value);
-          filter_expr = Some (Interface.relative_change_condition ~threshold);
-        }
+    | Notify -> ""
+    | Conditional threshold -> Printf.sprintf "threshold %.17g" threshold
+    | Read_only -> "observe"
   in
-  {
-    Tr_rel.base;
-    params = [ "n" ];
-    read_sql = Some "SELECT salary FROM employees WHERE empid = $n";
-    write_sql = Some "UPDATE employees SET salary = $b WHERE empid = $n";
-    delete_sql = None;
-    notify;
-    no_spontaneous = false;
-    periodic = None;
-  }
+  match
+    Cmrid.parse
+      (source site_a "Salary1" notify
+      ^ Printf.sprintf "  latency notify %.17g\n  delta notify %.17g\n" notify_latency
+          notify_delta
+      ^ source site_b "Salary2" "observe")
+  with
+  | Ok cmrid -> cmrid
+  | Error errors -> failwith (Cmrid.errors_to_string errors)
+
+(* Salary1 at A; everything else, CM-auxiliary items included, at B. *)
+let locator =
+  Cmrid.locator ~default:site_b
+    (description ~employees:[] ~mode:Notify ~notify_latency:1.0 ~notify_delta:5.0)
 
 let create ?(config = Sys_.Config.default) ?system ?(employees = 10)
-    ?(mode = Notify) ?(notify_latency = 1.0) ?(notify_delta = 5.0)
-    ?(write_latency = 0.2) () =
+    ?(mode = Notify) ?(notify_latency = 1.0) ?(notify_delta = 5.0) () =
   let employees = List.init employees (fun i -> "e" ^ string_of_int (i + 1)) in
   let system =
     match system with Some s -> s | None -> Sys_.create ~config locator
   in
-  let shell_a = Sys_.add_shell system ~site:site_a in
-  let shell_b = Sys_.add_shell system ~site:site_b in
-  let db_a = Db.create () and db_b = Db.create () in
-  setup_db db_a employees;
-  setup_db db_b employees;
-  let latencies lat_notify =
-    { Tr_rel.read = 0.2; write = write_latency; notify = lat_notify; delete = 0.2 }
+  let built =
+    match
+      Toolkit.attach system
+        (description ~employees ~mode ~notify_latency ~notify_delta)
+    with
+    | Ok built -> built
+    | Error m -> failwith m
   in
-  let deltas =
-    { Tr_rel.read = 1.0; write = 1.0; notify = notify_delta; delete = 1.0 }
+  let at site =
+    ( List.assoc site built.Toolkit.shells,
+      List.assoc site built.relational,
+      List.assoc site built.databases )
   in
-  let tr_a =
-    Tr_rel.create ~sim:(Sys_.sim system) ~db:db_a ~site:site_a
-      ~emit:(Shell.emitter_for shell_a ~site:site_a)
-      ~report:(fun k -> Shell.report_failure shell_a k)
-      ~latencies:(latencies notify_latency) ~deltas
-      [ binding ~base:"Salary1" ~mode ]
-  in
-  let tr_b =
-    Tr_rel.create ~sim:(Sys_.sim system) ~db:db_b ~site:site_b
-      ~emit:(Shell.emitter_for shell_b ~site:site_b)
-      ~report:(fun k -> Shell.report_failure shell_b k)
-      ~latencies:(latencies 1.0) ~deltas
-      [ binding ~base:"Salary2" ~mode:Read_only ]
-  in
-  Sys_.register_translator system ~shell:shell_a (Tr_rel.cmi tr_a);
-  Sys_.register_translator system ~shell:shell_b (Tr_rel.cmi tr_b);
+  let shell_a, tr_a, db_a = at site_a and shell_b, tr_b, db_b = at site_b in
   let initial =
     List.concat
       (List.mapi

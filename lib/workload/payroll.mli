@@ -7,7 +7,12 @@
     — [`Notify] (trigger-based, the paper's first scenario),
     [`Conditional of threshold] (10 %-change filtering), or [`Read_only]
     (the paper's §4.2.3 change of interface, which forces polling).
-    B always offers write + read. *)
+    B always offers write + read.
+
+    The federation is one CM-RID description (§4.1) — both sources,
+    their items, [init] statements and A's notify timing — built by
+    {!Cm_core.Toolkit.attach}; [examples/config/payroll.cmrid] is the
+    same federation at three employees. *)
 
 type source_mode = Notify | Conditional of float | Read_only
 
@@ -27,9 +32,10 @@ val site_a : string
 val site_b : string
 
 val locator : Cm_rule.Item.locator
-(** Salary1(…) → {!site_a}, everything else → {!site_b} — the locator
-    the internally-built system uses; pass it to an externally-built
-    system (e.g. a shard fabric) handed in via [?system]. *)
+(** The description's locator: Salary1(…) → {!site_a}, everything else
+    → {!site_b} — the locator the internally-built system uses; pass it
+    to an externally-built system (e.g. a shard fabric) handed in via
+    [?system]. *)
 
 val create :
   ?config:Cm_core.System.Config.t ->
@@ -38,11 +44,11 @@ val create :
   ?mode:source_mode ->
   ?notify_latency:float ->
   ?notify_delta:float ->
-  ?write_latency:float ->
   unit ->
   t
 (** Defaults: 10 employees ("e1"…), [`Notify], 1 s notification latency
-    with a 5 s bound, 0.2 s writes.  [config] (default
+    with a 5 s bound; reads and writes take the translator's default
+    0.2 s with a 1 s bound.  [config] (default
     {!Cm_core.System.Config.default}) carries the seed, network model,
     reliable-delivery layer, durability mode, and observability registry
     (see {!Cm_core.System.create}).  [system] substitutes a pre-built

@@ -370,6 +370,12 @@ let rollback_survives_crash_replay () =
 
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
+(* A shipped example file, from the test directory (dune runtest) or
+   from the repository root (dune exec test/test_evolution.exe). *)
+let example name =
+  let in_tests = "../examples/config/" ^ name in
+  if Sys.file_exists in_tests then in_tests else "examples/config/" ^ name
+
 (* The same inputs `cmtool evolve examples/config/payroll.cmrid
    examples/config/poll.rules examples/config/interfaces.rules` uses.
    Of interfaces.rules only t_quiet survives the (kind, base) merge —
@@ -377,16 +383,14 @@ let read_file path = In_channel.with_open_text path In_channel.input_all
    already declare. *)
 let payroll_4_2_3_survivals () =
   let config =
-    match Cmrid.parse_file "../examples/config/payroll.cmrid" with
+    match Cmrid.parse_file (example "payroll.cmrid") with
     | Ok c -> c
     | Error _ -> Alcotest.fail "payroll.cmrid must parse"
   in
   let built = ok_or_fail "build" (Toolkit.build config) in
   let system = built.Toolkit.system in
-  let proposed = Parser.parse_rules (read_file "../examples/config/poll.rules") in
-  let declared =
-    Parser.parse_rules (read_file "../examples/config/interfaces.rules")
-  in
+  let proposed = Parser.parse_rules (read_file (example "poll.rules")) in
+  let declared = Parser.parse_rules (read_file (example "interfaces.rules")) in
   let is_iface r = Interface.classify r <> None in
   let novel =
     List.filter

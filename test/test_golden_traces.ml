@@ -9,6 +9,10 @@
    their full Trace_io dump against digests recorded at the commit just
    before the index was introduced.
 
+   The workloads build their federations from CM-RID descriptions
+   through the toolkit, so two more digests pin that path: E13 run on
+   the shipped examples/config/payroll.cmrid, and a banking day.
+
    If a change to rule dispatch, translator lookup, or shell bookkeeping
    reorders so much as one event, the digest moves and the test names
    the workload that diverged.  To re-record after an *intentional*
@@ -21,6 +25,9 @@ module Sys_ = Cm_core.System
 module Reliable = Cm_core.Reliable
 module Payroll = Cm_workload.Payroll
 module Bank = Cm_workload.Bank
+module Banking_day = Cm_workload.Banking_day
+module Cmrid = Cm_core.Cmrid
+module Toolkit = Cm_core.Toolkit
 
 let digest_of_trace trace =
   let buf = Buffer.create 4096 in
@@ -60,20 +67,77 @@ let e4_trace () =
   Sys_.trace b.Bank.system
 
 (* E13: propagation over a lossy network behind the reliable layer. *)
-let e13_trace () =
-  let p =
-    Payroll.create
-      ~config:
-        Sys_.Config.(
-          seeded 1300
-          |> with_faults { Net.drop_prob = 0.2; dup_prob = 0.1 }
-          |> with_reliable Reliable.default_config)
-      ~employees:3 ()
-  in
+let e13_config =
+  Sys_.Config.(
+    seeded 1300
+    |> with_faults { Net.drop_prob = 0.2; dup_prob = 0.1 }
+    |> with_reliable Reliable.default_config)
+
+let drive_e13 p =
   Payroll.install_propagation p;
   Payroll.random_updates p ~mean_interarrival:20.0 ~until:500.0;
   Sys_.run p.Payroll.system ~until:700.0;
   Sys_.trace p.Payroll.system
+
+let e13_trace () = drive_e13 (Payroll.create ~config:e13_config ~employees:3 ())
+
+(* ---- the shipped payroll.cmrid is the payroll workload -------------
+
+   examples/config/payroll.cmrid, the file `cmtool check/derive/suggest/
+   route/evolve` analyse, describes the payroll federation at three
+   employees.  Built by the toolkit without its rule line and driven as
+   E13 is, it must reproduce E13's digest; its interface statements and
+   its [prop] rule must be the workload's. *)
+
+let shipped_payroll () =
+  (* From the test directory (dune runtest) or the repository root
+     (dune exec test/test_golden_traces.exe). *)
+  let in_tests = "../examples/config/payroll.cmrid" in
+  let path = if Sys.file_exists in_tests then in_tests else "examples/config/payroll.cmrid" in
+  match Cmrid.parse_file path with
+  | Ok cmrid -> cmrid
+  | Error errors -> Alcotest.fail (Cmrid.errors_to_string errors)
+
+let build_shipped ?config cmrid =
+  match Toolkit.build ?config cmrid with
+  | Ok built -> built
+  | Error m -> Alcotest.fail m
+
+let e13_from_config_trace () =
+  let built = build_shipped ~config:e13_config { (shipped_payroll ()) with rules = [] } in
+  let at site =
+    ( List.assoc site built.Toolkit.shells,
+      List.assoc site built.relational,
+      List.assoc site built.databases )
+  in
+  let shell_a, tr_a, db_a = at Payroll.site_a and shell_b, tr_b, db_b = at Payroll.site_b in
+  drive_e13
+    { Payroll.system = built.system; shell_a; shell_b; tr_a; tr_b; db_a; db_b;
+      employees = [ "e1"; "e2"; "e3" ]; initial = [] }
+
+let rules_text rules = List.map Rule.to_string rules
+
+let shipped_interfaces_are_payrolls () =
+  let built = build_shipped (shipped_payroll ()) in
+  let p = Payroll.create ~employees:3 () in
+  Alcotest.(check (list string)) "interface statements"
+    (rules_text (Sys_.interface_rules p.Payroll.system))
+    (rules_text (Sys_.interface_rules built.Toolkit.system))
+
+let shipped_rule_is_install_propagation () =
+  let built = build_shipped (shipped_payroll ()) in
+  let p = Payroll.create ~employees:3 () in
+  Payroll.install_propagation p;
+  Alcotest.(check (list string)) "prop rule"
+    (rules_text (Sys_.strategy_rules p.Payroll.system))
+    (rules_text (Sys_.strategy_rules built.Toolkit.system))
+
+(* Banking day (E12's world): three days of business-hours updates and
+   end-of-day sweeps. *)
+let banking_day_trace () =
+  let b = Banking_day.create ~config:(Sys_.Config.seeded 800) ~accounts:4 () in
+  Banking_day.run_days b ~days:3 ~updates_per_day:15;
+  Sys_.trace b.Banking_day.system
 
 (* ---- sharded runs of the same workloads ----------------------------
 
@@ -225,18 +289,24 @@ let goldens =
     ("e1-propagation-sharded", e1_sharded_trace);
     ("e4-demarcation-sharded", e4_sharded_trace);
     ("e13-lossy-reliable-sharded", e13_sharded_trace);
+    ("e13-from-payroll-cmrid", e13_from_config_trace);
+    ("banking-day", banking_day_trace);
   ]
 
 (* Digests recorded on the pre-index dispatch path (commit b3e2a08).
    The -sharded variants run the same workloads through a one-shard
-   fabric and must hit the very same bytes. *)
+   fabric, and e13-from-payroll-cmrid runs E13 on the shipped
+   configuration; both must hit the very same bytes.  banking-day was
+   recorded at commit 44d8d5c, where Banking_day still wired its sources
+   by hand. *)
 let expected = function
   | "e1-propagation" | "e1-propagation-sharded" ->
     "2f775ff9655ece706b10c6c48fbc1dcb"
   | "e4-demarcation" | "e4-demarcation-sharded" ->
     "42ab225224d9340d38cb80ef6c0b0fbd"
-  | "e13-lossy-reliable" | "e13-lossy-reliable-sharded" ->
+  | "e13-lossy-reliable" | "e13-lossy-reliable-sharded" | "e13-from-payroll-cmrid" ->
     "d4e49c4049e9940d6eb614e74a6f9538"
+  | "banking-day" -> "a6d5d3800c9bdc804a37ac98f4359d1a"
   | name -> Alcotest.fail ("no golden digest recorded for " ^ name)
 
 let check_golden name trace () =
@@ -261,6 +331,11 @@ let () =
         List.map
           (fun (name, trace) -> Alcotest.test_case name `Quick (check_golden name trace))
           goldens );
+      ( "shipped payroll.cmrid",
+        [
+          Alcotest.test_case "interface statements" `Quick shipped_interfaces_are_payrolls;
+          Alcotest.test_case "prop rule" `Quick shipped_rule_is_install_propagation;
+        ] );
       ( "canonical digest across shard layouts",
         [
           Alcotest.test_case "chain-1-shard" `Quick (check_chain_golden 1);
