@@ -73,7 +73,8 @@ val check_rules :
   unit ->
   finding list
 (** Rule-level subset of {!check_config} for already-built systems
-    (the preflight gate of [cmtool chaos]): well-formedness, capability
+    (the preflight gate of a proposed epoch in [cmtool evolve], and the
+    check of the built-in workloads' rules): well-formedness, capability
     checks against [interfaces], and conflict/cycle analysis.  No
     declaration-dependent passes run. *)
 

@@ -208,25 +208,11 @@ let stale_rejections t =
     (fun acc (_, shell) -> acc + Shell.stale_epoch_rejections shell)
     0 (System.shells t.system)
 
-let duplicate_rule_id rules =
-  let seen = Hashtbl.create 8 in
-  List.fold_left
-    (fun acc r ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        if Hashtbl.mem seen r.Rule.id then Some r.Rule.id
-        else begin
-          Hashtbl.replace seen r.Rule.id ();
-          None
-        end)
-    None rules
-
 let propose t (strategy : Strategy.t) =
   match t.proposed with
   | Some (n, _) -> Error (Printf.sprintf "epoch %d is already proposed" n)
   | None -> (
-    match duplicate_rule_id strategy.Strategy.rules with
+    match Rule.duplicate_id strategy.Strategy.rules with
     | Some id -> Error ("duplicate rule id in proposed program: " ^ id)
     | None ->
       let epoch = t.next_epoch in

@@ -2,7 +2,7 @@ type failure_kind = Metric | Logical
 
 type t =
   | Fire of {
-      rule_id : string;
+      rule : Cm_rule.Rule.t;
       rule_epoch : int;
       env : Cm_rule.Expr.env;
       trigger_id : int;
@@ -18,11 +18,11 @@ type t =
 let failure_kind_to_string = function Metric -> "metric" | Logical -> "logical"
 
 let rec summary = function
-  | Fire { rule_id; rule_epoch; trigger_id; _ } ->
+  | Fire { rule = { Cm_rule.Rule.id; _ }; rule_epoch; trigger_id; _ } ->
     (* The epoch tag only appears once a site has evolved past the base
        program, keeping journal bytes stable for non-evolving systems. *)
-    if rule_epoch = 0 then Printf.sprintf "Fire(%s#%d)" rule_id trigger_id
-    else Printf.sprintf "Fire(%s#%d@e%d)" rule_id trigger_id rule_epoch
+    if rule_epoch = 0 then Printf.sprintf "Fire(%s#%d)" id trigger_id
+    else Printf.sprintf "Fire(%s#%d@e%d)" id trigger_id rule_epoch
   | Failure_notice { origin_site; kind } ->
     Printf.sprintf "Failure(%s,%s)" origin_site (failure_kind_to_string kind)
   | Reset_notice { origin_site } -> Printf.sprintf "Reset(%s)" origin_site

@@ -1,9 +1,10 @@
 (** Messages exchanged between CM-Shells over the network.
 
     Rule distribution (paper §4.1) places each rule at the shell of its
-    LHS site; when it matches there, the binding environment travels to
-    the shell of the RHS site as a {!Fire} envelope, where conditions are
-    evaluated against local data and the RHS events are produced.
+    LHS site only; when it matches there, the rule and its bindings
+    travel to the shell of the RHS site as a {!Fire} envelope, where
+    conditions are evaluated against local data and the RHS events are
+    produced.
     Failure notices propagate between shells so that affected guarantees
     can be marked invalid at every site (§5).
 
@@ -20,15 +21,14 @@ type failure_kind = Metric | Logical
 
 type t =
   | Fire of {
-      rule_id : string;
+      rule : Cm_rule.Rule.t;  (** the fired rule; the RHS shell stores none *)
       rule_epoch : int;
           (** Rule epoch (see {!Cm_core.Evolution}) the firing was
               produced under: [0] is the base program installed at
               configuration time.  The RHS shell executes the envelope
-              under this epoch's program while it is still draining, and
-              rejects (and counts) it once that epoch is retired — an
-              in-flight firing is never silently re-interpreted under a
-              newer program. *)
+              while this epoch is active or draining, and rejects (and
+              counts) it once that epoch is retired — an in-flight
+              firing is never executed after its program has ended. *)
       env : Cm_rule.Expr.env;  (** the LHS match's bindings *)
       trigger_id : int;
       span : int;
@@ -60,4 +60,5 @@ val failure_kind_to_string : failure_kind -> string
 
 val summary : t -> string
 (** Compact single-line rendering, stable across runs — used by the
-    crash-recovery journal's deterministic serialization. *)
+    crash-recovery journal's deterministic serialization ({!Fire} by
+    rule id). *)

@@ -14,15 +14,17 @@ type ctx = {
   ctx_journals : Journal.registry option;
 }
 
-(* One versioned rule program at this site (ISSUE 6).  Epoch 0 is the
-   base program installed at configuration time; later epochs are staged
-   by Cm_core.Evolution.  The phase vocabulary is Journal's so that the
-   state machine journals and replays without translation. *)
+(* One versioned rule program at this site.  Epoch 0 is the base
+   program installed at configuration time; later epochs are staged by
+   Cm_core.Evolution.  The phase vocabulary is Journal's so that the
+   state machine journals and replays without translation.  A shell
+   keeps only its share of each program: the rules it fires (§4.1).  The
+   rules it executes for other shells arrive inside their Fire
+   envelopes. *)
 type rule_epoch = {
   re_number : int;
   mutable re_phase : Journal.epoch_phase;
-  mutable re_rules : Rule.t list;  (* registration order *)
-  re_by_id : (string, Rule.t) Hashtbl.t;
+  mutable re_rules : Rule.t list;  (* this shell's share, registration order *)
 }
 
 (* A rule of the active epoch whose LHS site this shell handles, with
@@ -82,8 +84,6 @@ type t = {
 }
 
 let site t = t.site
-let sim t = t.sim
-let trace t = t.trace
 
 let set_route t route = t.route <- route
 
@@ -137,54 +137,51 @@ let active_program t = Hashtbl.find t.epochs t.active_epoch
 let journal_append t r =
   match t.journal with Some j -> Journal.append j r | None -> ()
 
-let lhs_site_if_handled t rule =
-  let lhs_site = Rule.lhs_site rule t.locator in
-  let handled =
-    match lhs_site with
-    | Some s -> Hashtbl.mem t.handled_sites s
-    | None -> true
-  in
-  (lhs_site, handled)
+(* This shell's share of a program: the rules whose LHS site it
+   handles, and the site-free ones every shell runs. *)
+let share t rules =
+  List.filter
+    (fun rule ->
+      match Rule.lhs_site rule t.locator with
+      | Some s -> Hashtbl.mem t.handled_sites s
+      | None -> true)
+    rules
 
 let index_add t rule =
-  let lhs_site, handled = lhs_site_if_handled t rule in
-  if handled then
-    let lr_rhs_site = Option.value (Rule.rhs_site rule t.locator) ~default:t.site in
-    Rule_index.add t.lhs_rules ~lhs:rule.Rule.lhs ~cond:rule.Rule.lhs_cond ~site:lhs_site
-      { lr_rule = rule; lr_rhs_site }
+  let lr_rhs_site = Option.value (Rule.rhs_site rule t.locator) ~default:t.site in
+  Rule_index.add t.lhs_rules ~lhs:rule.Rule.lhs ~cond:rule.Rule.lhs_cond
+    ~site:(Rule.lhs_site rule t.locator) { lr_rule = rule; lr_rhs_site }
 
 let index_remove t rule =
-  let lhs_site, handled = lhs_site_if_handled t rule in
-  if handled then
-    ignore
-      (Rule_index.remove t.lhs_rules ~lhs:rule.Rule.lhs ~site:lhs_site (fun lr ->
-           String.equal lr.lr_rule.Rule.id rule.Rule.id))
+  ignore
+    (Rule_index.remove t.lhs_rules ~lhs:rule.Rule.lhs ~site:(Rule.lhs_site rule t.locator)
+       (fun lr -> String.equal lr.lr_rule.Rule.id rule.Rule.id))
 
-(* Structural rule identity for the cutover delta: Rule.t is pure data
-   and [to_string] is canonical, so equal strings mean the new epoch
-   kept the rule unchanged. *)
-let rule_eq a b = String.equal (Rule.to_string a) (Rule.to_string b)
+let by_id rules =
+  let table = Hashtbl.create 16 in
+  List.iter (fun r -> Hashtbl.replace table r.Rule.id r) rules;
+  table
+
+(* Whether a share's [by_id] table holds [r] unchanged: Rule.t is pure
+   data and [to_string] is canonical, so equal strings mean the same
+   rule. *)
+let holds table r =
+  match Hashtbl.find_opt table r.Rule.id with
+  | Some r' -> String.equal (Rule.to_string r) (Rule.to_string r')
+  | None -> false
 
 let propose_epoch_aux t ~journal ~epoch rules =
   if Hashtbl.mem t.epochs epoch then
     invalid_arg (Printf.sprintf "Shell.propose_epoch: epoch %d already exists" epoch);
   if epoch <= t.active_epoch then
     invalid_arg "Shell.propose_epoch: epoch numbers must advance";
-  let by_id = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      if Hashtbl.mem by_id r.Rule.id then
-        invalid_arg ("Shell.propose_epoch: duplicate rule id " ^ r.Rule.id);
-      Hashtbl.replace by_id r.Rule.id r)
-    rules;
   (* Write-ahead: the proposal (with its full program) hits stable
      storage before the volatile epoch table, so a crash mid-transition
      replays into the same state. *)
   if journal then
     journal_append t (Journal.Epoch_proposed { time = Sim.now t.sim; epoch; rules });
   Hashtbl.replace t.epochs epoch
-    { re_number = epoch; re_phase = Journal.Ep_proposed; re_rules = rules;
-      re_by_id = by_id }
+    { re_number = epoch; re_phase = Journal.Ep_proposed; re_rules = share t rules }
 
 let cutover_epoch_aux t ~journal ~epoch =
   match Hashtbl.find_opt t.epochs epoch with
@@ -196,22 +193,14 @@ let cutover_epoch_aux t ~journal ~epoch =
     if journal then
       journal_append t (Journal.Epoch_cutover { time = Sim.now t.sim; epoch });
     let old = active_program t in
-    (* Incremental index update: rules the new program keeps verbatim
+    (* Incremental index update: rules the new share keeps verbatim
        retain their index entries (and registration order); removed or
        changed ones leave their buckets, added or changed ones are
-       appended.  O(program delta), not an O(all rules) rebuild. *)
-    List.iter
-      (fun r ->
-        match Hashtbl.find_opt e.re_by_id r.Rule.id with
-        | Some r' when rule_eq r r' -> ()
-        | _ -> index_remove t r)
-      old.re_rules;
-    List.iter
-      (fun r' ->
-        match Hashtbl.find_opt old.re_by_id r'.Rule.id with
-        | Some r when rule_eq r r' -> ()
-        | _ -> index_add t r')
-      e.re_rules;
+       appended.  Index work is O(share delta), not an O(share)
+       rebuild. *)
+    let old_by_id = by_id old.re_rules and new_by_id = by_id e.re_rules in
+    List.iter (fun r -> if not (holds new_by_id r) then index_remove t r) old.re_rules;
+    List.iter (fun r -> if not (holds old_by_id r) then index_add t r) e.re_rules;
     old.re_phase <- Journal.Ep_draining;
     e.re_phase <- Journal.Ep_active;
     t.active_epoch <- epoch
@@ -288,8 +277,7 @@ let fire_if_matched t (event : Event.t) { lr_rule = rule; lr_rhs_site } =
       in
       t.send_msg ~from_site:t.site ~to_site
         (Msg.Fire
-           { rule_id = rule.Rule.id; rule_epoch = t.active_epoch; env;
-             trigger_id = event.id; span });
+           { rule; rule_epoch = t.active_epoch; env; trigger_id = event.id; span });
       if Obs.enabled t.obs then Obs.end_span t.obs ~id:span ~at:(Sim.now t.sim))
 
 let rec occurred t (event : Event.t) =
@@ -351,35 +339,23 @@ and dispatch t desc ~kind =
     (* Custom / chaining event: occurs at this shell's site. *)
     ignore (emit_at t ~site:t.site desc ~kind)
 
-and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
-  let epoch_entry = Hashtbl.find_opt t.epochs rule_epoch in
-  let executable =
-    match epoch_entry with
-    | Some ({ re_phase = Journal.Ep_active | Journal.Ep_draining; _ } as e) ->
-      Some e
-    | Some _ | None -> None
-  in
-  match executable with
-  | None ->
+and handle_fire t ~rule ~rule_epoch ~env ~trigger_id ~parent_span =
+  let rule_id = rule.Rule.id in
+  match Hashtbl.find_opt t.epochs rule_epoch with
+  | Some { re_phase = Journal.Ep_proposed | Journal.Ep_retired; _ } | None as entry ->
     (* The envelope's origin epoch is retired (or unknown, after a crash
        forgot un-journaled epochs): reject it and count it.  Executing
-       it under a different program would re-interpret an old firing
-       under new rules; dropping it silently would hide the loss. *)
+       it would run an old firing after its program has ended; dropping
+       it silently would hide the loss. *)
     t.stale_epoch_rejections <- t.stale_epoch_rejections + 1;
     bump_rule t rule_id (fun ro -> ro.ro_stale_epoch_rejections);
     Logs.warn (fun m ->
         m "shell %s: Fire %s#%d rejected: rule epoch %d is %s" t.site rule_id
           trigger_id rule_epoch
-          (match epoch_entry with
+          (match entry with
           | Some e -> Journal.epoch_phase_to_string e.re_phase
           | None -> "unknown"))
-  | Some program -> (
-    match Hashtbl.find_opt program.re_by_id rule_id with
-    | None ->
-      Logs.err (fun m ->
-          m "shell %s: Fire for unknown rule %s (epoch %d)" t.site rule_id
-            rule_epoch)
-    | Some rule ->
+  | Some { re_phase = Journal.Ep_active | Journal.Ep_draining; _ } ->
     t.fires_executed <- t.fires_executed + 1;
     (* The RHS half of the trace: child of the LHS "fire" span that
        travelled inside the envelope. *)
@@ -422,12 +398,11 @@ and handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span =
             steps env' (i + 1) rest))
     in
     steps env 0 (Rule.rhs_steps rule);
-    if Obs.enabled t.obs then
-      Obs.end_span t.obs ~id:exec_span ~at:(Sim.now t.sim))
+    if Obs.enabled t.obs then Obs.end_span t.obs ~id:exec_span ~at:(Sim.now t.sim)
 
 and handle_msg t = function
-  | Msg.Fire { rule_id; rule_epoch; env; trigger_id; span } ->
-    handle_fire t ~rule_id ~rule_epoch ~env ~trigger_id ~parent_span:span
+  | Msg.Fire { rule; rule_epoch; env; trigger_id; span } ->
+    handle_fire t ~rule ~rule_epoch ~env ~trigger_id ~parent_span:span
   | Msg.Failure_notice { origin_site; kind } ->
     List.iter (fun f -> f ~origin:origin_site kind) t.failure_listeners
   | Msg.Reset_notice { origin_site } ->
@@ -490,9 +465,7 @@ let create ctx ~site =
     }
   in
   Hashtbl.replace t.handled_sites site ();
-  Hashtbl.replace t.epochs 0
-    { re_number = 0; re_phase = Journal.Ep_active; re_rules = [];
-      re_by_id = Hashtbl.create 16 };
+  Hashtbl.replace t.epochs 0 { re_number = 0; re_phase = Journal.Ep_active; re_rules = [] };
   (match reliable with
    | Some r -> Reliable.register r ~site (handle_msg t)
    | None -> Net.register net ~site (handle_msg t));
@@ -511,20 +484,9 @@ let emitter_for t ~site : Cmi.emit = fun desc ~kind -> emit_at t ~site desc ~kin
 let install_strategy t rules =
   (* Installs extend the currently active epoch — for a configured (not
      yet evolved) system that is the base program, epoch 0. *)
-  let e = active_program t in
-  let installed = ref [] in
-  (* One append for the whole batch, also when a duplicate stops it. *)
-  Fun.protect
-    ~finally:(fun () -> e.re_rules <- e.re_rules @ List.rev !installed)
-    (fun () ->
-      List.iter
-        (fun rule ->
-          if Hashtbl.mem e.re_by_id rule.Rule.id then
-            invalid_arg ("Shell.install_strategy: duplicate rule id " ^ rule.Rule.id);
-          Hashtbl.replace e.re_by_id rule.Rule.id rule;
-          index_add t rule;
-          installed := rule :: !installed)
-        rules)
+  let e = active_program t and mine = share t rules in
+  List.iter (index_add t) mine;
+  e.re_rules <- e.re_rules @ mine
 
 let register_periodic t ?site ~period () =
   let site = Option.value site ~default:t.site in
@@ -569,9 +531,7 @@ let fires_sent t = t.fires_sent
 let fires_executed t = t.fires_executed
 let events_seen t = Obs.Counter.value t.obs_events
 
-(* -- crash-recovery hooks (driven by Cm_core.Recovery) -- *)
-
-let journal t = t.journal
+(* -- crash-recovery hook (driven by Cm_core.Recovery) -- *)
 
 let recover t ~store ~epochs =
   Store.clear t.store;

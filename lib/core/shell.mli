@@ -6,22 +6,27 @@
       timers, records them in the global trace, and matches them against
       the strategy rules whose LHS site it handles;
     - on a match, evaluates the LHS condition against {e local} data and
-      forwards the binding environment to the shell of the rule's RHS
-      site as a {!Msg.Fire} envelope (rule distribution by LHS site);
-      the candidates come from a {!Cm_rule.Rule_index} keyed by LHS
-      site, event name, leading item base and the range of the LHS
-      condition's leading comparisons, with each rule's sites and range
-      resolved once, at install or cutover;
-    - on receiving an envelope, evaluates each RHS step's guard against
-      local data and produces the step's event: requests (WR/RR/DR) go
-      to the owning translator, [W] on CM-local items updates the
-      private store, and any other name is recorded locally and fed back
-      into matching, which is how multi-rule strategies chain;
+      forwards the rule with its binding environment to the shell of
+      the rule's RHS site as a {!Msg.Fire} envelope (rule distribution
+      by LHS site); the candidates come from a {!Cm_rule.Rule_index}
+      keyed by LHS site, event name, leading item base and the range of
+      the LHS condition's leading comparisons, with each rule's sites
+      and range resolved once, at install or cutover;
+    - on receiving an envelope, evaluates each RHS step's guard of the
+      carried rule against local data and produces the step's event:
+      requests (WR/RR/DR) go to the owning translator, [W] on CM-local
+      items updates the private store, and any other name is recorded
+      locally and fed back into matching, which is how multi-rule
+      strategies chain;
     - propagates failure notices between sites (§5).
 
     A shell may handle several sites: a database without a shell of its
     own is served by another site's shell (Figure 1, site 3) by
     attaching its translator here and routing its sites to this shell.
+
+    A shell stores only its share of each rule program: the rules whose
+    LHS site it handles, and the site-free ones every shell runs.  The
+    rules it executes for other shells arrive inside their envelopes.
 
     No global data, no global transactions: every condition is evaluated
     against data co-located with the evaluating shell (§7.2).
@@ -59,8 +64,6 @@ val create : ctx -> site:string -> t
     {!Msg.Reset_notice}. *)
 
 val site : t -> string
-val sim : t -> Cm_sim.Sim.t
-val trace : t -> Cm_rule.Trace.t
 
 val attach_translator : t -> Cmi.t -> unit
 (** The translator's sites become handled by this shell. *)
@@ -76,10 +79,11 @@ val set_route : t -> (string -> string) -> unit
     default).  Needed only when shells handle foreign sites. *)
 
 val install_strategy : t -> Cm_rule.Rule.t list -> unit
-(** Install strategy rules.  The shell matches those whose LHS site it
-    handles and executes the RHS of any rule it receives a Fire for.
-    Interface rules are {e not} installed here — they describe translator
-    behaviour, not shell behaviour. *)
+(** Install strategy rules into the active epoch: the shell keeps its
+    share, in the given order, and drops the rest.  Rule ids must be
+    unique within the program ({!System.install} checks them).
+    Interface rules are {e not} installed here — they describe
+    translator behaviour, not shell behaviour. *)
 
 val register_periodic : t -> ?site:string -> period:float -> unit -> unit
 (** Start a [P(period)] event source at [site] (default: the shell's own
@@ -122,16 +126,15 @@ val events_seen : t -> int
 
 (** {2 Rule epochs}
 
-    The site's installed rule program is versioned (ISSUE 6): epoch 0 is
-    the base program from configuration time; {!Evolution} stages later
-    ones.  The lifecycle per epoch is proposed → active → draining →
-    retired.  Outbound {!Msg.Fire} envelopes carry the epoch they were
-    produced under; an inbound envelope executes under its origin
-    epoch's program while that epoch is active or draining, and is
-    rejected and counted once it is retired — never re-interpreted under
-    a newer program, never silently dropped.  Transitions are journaled
-    write-ahead so {!Recovery} replays a crashed site back into the
-    epoch it had reached. *)
+    The site's installed rule program is versioned: epoch 0 is the base
+    program from configuration time; {!Evolution} stages later ones.
+    The lifecycle per epoch is proposed → active → draining → retired.
+    Outbound {!Msg.Fire} envelopes carry their rule and the epoch they
+    were produced under; an inbound envelope executes while its origin
+    epoch is active or draining, and is rejected and counted once it is
+    retired — never executed after its program has ended, never silently
+    dropped.  Transitions are journaled write-ahead so {!Recovery}
+    replays a crashed site back into the epoch it had reached. *)
 
 val rule_epoch : t -> int
 (** The active epoch — what outbound firings are tagged with. *)
@@ -147,22 +150,23 @@ val stale_epoch_rejections : t -> int
 
 val propose_epoch : t -> epoch:int -> Cm_rule.Rule.t list -> unit
 (** Stage a new program under a fresh epoch number (> the active one).
-    The program (with all its rules) is journaled before the volatile
-    epoch table changes.  Raises [Invalid_argument] on a reused number
-    or duplicate rule ids. *)
+    The whole program is journaled before the volatile epoch table
+    changes; the epoch keeps this shell's share.  Raises
+    [Invalid_argument] on a reused number; {!Evolution.propose} checks
+    rule ids. *)
 
 val cutover_epoch : t -> epoch:int -> unit
 (** Make a proposed epoch the active program: new events dispatch under
     it from now on, the previously active epoch starts draining.  The
-    dispatch index is updated incrementally — rules the new program
-    keeps verbatim retain their entries; only the program delta is
+    dispatch index is updated incrementally — rules the new share keeps
+    verbatim retain their entries; only the share's delta is
     removed/added. *)
 
 val retire_epoch : t -> epoch:int -> unit
 (** End a draining epoch: firings tagged with it are rejected and
     counted from now on.  Only a draining epoch can retire. *)
 
-(** {2 Crash-recovery hooks}
+(** {2 Crash-recovery hook}
 
     Driven by {!Recovery}; not meant for application use.  When the
     shell has a journal, every event it records, every firing decision,
@@ -170,8 +174,6 @@ val retire_epoch : t -> epoch:int -> unit
     detector's {!Msg.Suspect_down} verdicts are reported as {e metric}
     instead of logical failures — a journaled site's updates arrive
     late, not never (§5). *)
-
-val journal : t -> Journal.t option
 
 val recover :
   t ->
@@ -184,8 +186,8 @@ val recover :
     dropped (the base program is configuration and survives).  Then
     [store] is written back without emitting or journaling events, and
     [epochs] — a checkpoint's [rule_epochs], ascending — is replayed
-    without journaling: every proposal, then a cutover to every epoch
-    past its proposed phase, then every retirement.  The site ends in
-    the epoch it had reached, with the dispatch index its live cutovers
-    built.  Counters and trace survive: they are measurement, not
+    without journaling: every proposal (keeping this shell's share),
+    then a cutover to every epoch past its proposed phase, then every
+    retirement.  The site ends in the epoch it had reached, with the
+    dispatch index its live cutovers built.  Counters and trace survive: they are measurement, not
     state. *)

@@ -1,7 +1,9 @@
 (** The menu of proven constraint-management strategies (paper §3.2, §4).
 
     A strategy is a set of rules (plus any CM auxiliary data it needs);
-    the toolkit distributes the rules to shells by LHS site and registers
+    the toolkit ({!System.install}) distributes the rules to shells by
+    LHS site — each rule is stored at the shell that fires it, and a
+    firing carries its rule to the shell of its RHS site — and registers
     the periodic timers the rules mention.  Item arguments are patterns:
     {!Interface.plain} items or {!Interface.family} families — family
     strategies cover every instance through parameter binding, like the

@@ -391,12 +391,36 @@ let register_strategy_periodics t rules =
             ("System.install: polling rule " ^ rule.Rule.id ^ " has no resolvable site")))
     rules
 
+(* §4.1 in one pass, so that no shell scans the whole program: each
+   rule goes to the shell of its LHS site, a site-free rule to every
+   shell, each shell's rules in program order.  A rule whose site has no
+   shell yet goes nowhere: [add_shell] hands the new shell its share of
+   the running strategy. *)
+let distribute t rules =
+  let shares = Hashtbl.create 16 in
+  let give shell rule =
+    let share = Option.value (Hashtbl.find_opt shares (Shell.site shell)) ~default:[] in
+    Hashtbl.replace shares (Shell.site shell) (rule :: share)
+  in
+  List.iter
+    (fun rule ->
+      match Rule.lhs_site rule t.locator with
+      | None -> Hashtbl.iter (fun _ shell -> give shell rule) t.shells
+      | Some s -> Option.iter (fun shell -> give shell rule) (Hashtbl.find_opt t.site_to_shell s))
+    rules;
+  Hashtbl.iter
+    (fun site share -> Shell.install_strategy (Hashtbl.find t.shells site) (List.rev share))
+    shares
+
 let install t (strategy : Strategy.t) =
+  let program = t.strategy_rules @ strategy.Strategy.rules in
+  Option.iter
+    (fun id -> invalid_arg ("System.install: duplicate rule id " ^ id))
+    (Rule.duplicate_id program);
   Obs.incr t.obs "system_strategy_installs"
     ~labels:[ ("strategy", strategy.Strategy.strategy_name) ];
-  t.strategy_rules <- t.strategy_rules @ strategy.Strategy.rules;
-  Hashtbl.iter (fun _ shell -> Shell.install_strategy shell strategy.Strategy.rules)
-    t.shells;
+  t.strategy_rules <- program;
+  distribute t strategy.Strategy.rules;
   apply_aux_init t strategy.Strategy.aux_init;
   register_strategy_periodics t strategy.Strategy.rules;
   rederive t

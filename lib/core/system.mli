@@ -128,8 +128,8 @@ val trace : t -> Cm_rule.Trace.t
 val locator : t -> Cm_rule.Item.locator
 
 val add_shell : t -> site:string -> Shell.t
-(** One shell per site.  A shell added after {!install} receives the
-    running strategy like the shells that were there.
+(** One shell per site.  A shell added after {!install} receives its
+    share of the running strategy like the shells that were there.
     @raise Invalid_argument on duplicates, after a {!cutover} (the new
     shell would hold no history of the epochs before it), and while a
     shell holds a proposed epoch (the cutover would find the new shell
@@ -169,9 +169,12 @@ val interface_rules : t -> Cm_rule.Rule.t list
     joined the program. *)
 
 val install : t -> Strategy.t -> unit
-(** Distribute the strategy's rules to all shells, write its auxiliary
-    data, register [P(p)] timers for its polling rules, and append its
-    rules to the running strategy. *)
+(** Append the strategy's rules to the running strategy, give each to
+    the shell of its LHS site (§4.1; a site-free rule to every shell),
+    write its auxiliary data, and register [P(p)] timers for its
+    polling rules.
+    @raise Invalid_argument, before anything changes, when a rule id
+    occurs twice in the running strategy and the new rules. *)
 
 val strategy_rules : t -> Cm_rule.Rule.t list
 (** The running strategy. *)

@@ -29,6 +29,12 @@ let make ?id ?(lhs_cond = Expr.Const (Value.Bool true)) ?(delta = infinity) ~lhs
 
 let rhs_steps t = match t.rhs with False -> [] | Steps steps -> steps
 
+let duplicate_id rules =
+  let seen = Hashtbl.create 64 in
+  List.find_map
+    (fun r -> if Hashtbl.mem seen r.id then Some r.id else (Hashtbl.add seen r.id (); None))
+    rules
+
 let first_item_site steps locator =
   List.find_map (fun s -> Template.site s.template locator) steps
 

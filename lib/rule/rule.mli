@@ -46,6 +46,11 @@ val make :
 val rhs_steps : t -> step list
 (** [] for [False]. *)
 
+val duplicate_id : t list -> string option
+(** The first id that labels two rules of a program, if any.  Ids must
+    be unique within a program: firings, provenance and the journal name
+    rules by id. *)
+
 val lhs_site : t -> Item.locator -> Item.site option
 (** Site responsible for detecting the trigger: the site of the LHS
     template's item, or of the first RHS item for item-free LHS forms

@@ -94,9 +94,10 @@ module Fabric : sig
       its own lives with the shell that serves it). *)
 
   val install : t -> Cm_core.Strategy.t -> unit
-  (** Install on every shard; each shard keeps the rules whose sites it
-      holds (auxiliary writes and periodic timers for foreign sites are
-      the owning shard's job). *)
+  (** Install on every shard; each shard's shells store the rules whose
+      LHS sites they hold, and a cross-shard firing carries its rule
+      (auxiliary writes and periodic timers for foreign sites are the
+      owning shard's job). *)
 
   (** {1 Workload scheduling} *)
 

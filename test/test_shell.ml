@@ -147,6 +147,19 @@ let duplicate_rule_ids_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* §4.1 end to end: a rule installed only at the shell of its LHS site
+   fires there and runs at the shell of its RHS site, which never stored
+   it — the firing carries its rule. *)
+let rule_travels_with_its_firing () =
+  let system, sa, sb = two_shells () in
+  Shell.install_strategy sa (Parser.parse_rules "r: W(Xa, v) ->[5] W(Yb, v)");
+  Shell.write_aux sa (Item.make "Xa") (Value.Int 7);
+  Sys_.run system ~until:10.0;
+  Alcotest.(check (pair int int)) "fires sent at a, executed at b" (1, 1)
+    (Shell.fires_sent sa, Shell.fires_executed sb);
+  Alcotest.(check (option value)) "Yb written" (Some (Value.Int 7))
+    (Shell.read_aux sb (Item.make "Yb"))
+
 let counters_track_activity () =
   let system, sa, sb = two_shells () in
   Sys_.install system (strategy_of "r1: Ping(Xa, v) ->[5] W(Cache, v)");
@@ -333,6 +346,8 @@ let () =
             failed_evaluation_is_a_failed_guard;
           Alcotest.test_case "duplicate ids" `Quick duplicate_rule_ids_rejected;
           Alcotest.test_case "counters" `Quick counters_track_activity;
+          Alcotest.test_case "rule travels with its firing" `Quick
+            rule_travels_with_its_firing;
         ] );
       ( "periodic",
         [

@@ -160,6 +160,81 @@ let all_rules_combines () =
   (* No translators in this fixture: all_rules = strategy rules. *)
   Alcotest.(check int) "all rules" 1 (List.length (Sys_.all_rules system))
 
+(* A duplicate rule id rejects the whole install before anything
+   changes: the program keeps its rules, no shell runs a rejected one,
+   and the rejected strategy's auxiliary data is not written. *)
+let rejected_install_changes_nothing () =
+  let system, sa, sb = three_site_system () in
+  let strategy name rules aux_init =
+    { Strategy.strategy_name = name; description = name;
+      rules = Parser.parse_rules rules; aux_init }
+  in
+  Sys_.install system (strategy "p" "p: W(Xa, v) ->[1] W(Pb, v)" []);
+  let rejected =
+    strategy "dup"
+      {|r: W(Xa, v) ->[1] W(Ya, v)
+        r: W(Xb, v) ->[1] W(Yb, v)|}
+      [ (Item.make "AuxA", Value.Int 1) ]
+  in
+  Alcotest.(check bool) "raises" true
+    (try
+       Sys_.install system rejected;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check (list string)) "program unchanged" [ "p" ]
+    (List.map (fun r -> r.Rule.id) (Sys_.strategy_rules system));
+  Shell.write_aux sa (Item.make "Xa") (Value.Int 7);
+  Shell.write_aux sb (Item.make "Xb") (Value.Int 8);
+  Sys_.run system ~until:10.0;
+  Alcotest.(check (pair int int)) "fires sent at a, b: only p" (1, 0)
+    (Shell.fires_sent sa, Shell.fires_sent sb);
+  Alcotest.(check (list (option value))) "Pb, Ya, Yb, AuxA"
+    [ Some (Value.Int 7); None; None; None ]
+    [ Shell.read_aux sb (Item.make "Pb"); Shell.read_aux sb (Item.make "Ya");
+      Shell.read_aux sb (Item.make "Yb"); Shell.read_aux sa (Item.make "AuxA") ]
+
+(* Each shell stores only its share of the program, so an install costs
+   a bounded number of live words per rule however many shells there
+   are (about 34 here; 991 when every shell kept every rule).  The ring
+   has E20's shape: site s owns rules U(Xs_k, v) -> W(X(s+1)_k, v). *)
+let install_memory_linear () =
+  let sites = 128 and per_site = 64 in
+  let base s k = Printf.sprintf "X%d_%d" s k in
+  let locator item =
+    let b = item.Item.base in
+    "s" ^ String.sub b 1 (String.index b '_' - 1)
+  in
+  let system = Sys_.create locator in
+  for s = 0 to sites - 1 do
+    ignore (Sys_.add_shell system ~site:("s" ^ string_of_int s))
+  done;
+  let rules =
+    List.concat
+      (List.init sites (fun s ->
+           List.init per_site (fun k ->
+               Rule.make
+                 ~id:(Printf.sprintf "r%d_%d" s k)
+                 ~delta:5.0
+                 ~lhs:(Template.make "U" [ Expr.Item (base s k, []); Expr.Var "v" ])
+                 (Rule.Steps
+                    [ { Rule.guard = Expr.Const (Value.Bool true);
+                        template =
+                          Template.make "W"
+                            [ Expr.Item (base ((s + 1) mod sites) k, []); Expr.Var "v" ] } ]))))
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  Sys_.install system
+    { Strategy.strategy_name = "ring"; description = "ring"; rules; aux_init = [] };
+  let added = live () - before in
+  ignore (Sys.opaque_identity system);
+  let per_rule = float_of_int added /. float_of_int (sites * per_site) in
+  if not (per_rule < 100.0) then
+    Alcotest.failf "install added %.1f live words per rule (bound 100)" per_rule
+
 let shell_lookup_by_site () =
   let system, sa, sb = three_site_system () in
   Alcotest.(check string) "a" (Shell.site sa) (Shell.site (Sys_.shell system ~site:"a"));
@@ -317,6 +392,10 @@ let () =
           Alcotest.test_case "timer registration" `Quick polling_rule_registers_timer;
           Alcotest.test_case "unplaceable aux" `Quick install_rejects_unplaceable_aux;
           Alcotest.test_case "all_rules" `Quick all_rules_combines;
+          Alcotest.test_case "rejected install: no change" `Quick
+            rejected_install_changes_nothing;
+          Alcotest.test_case "install memory linear" `Quick
+            install_memory_linear;
         ] );
       ( "shells",
         [
