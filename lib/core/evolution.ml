@@ -212,20 +212,26 @@ let propose t (strategy : Strategy.t) =
   match t.proposed with
   | Some (n, _) -> Error (Printf.sprintf "epoch %d is already proposed" n)
   | None -> (
+    (* Refused before any shell stages it, so a proposal can always cut
+       over: [System.add_shell] refuses a shell while one is
+       outstanding, so its placements still hold then. *)
     match Rule.duplicate_id strategy.Strategy.rules with
     | Some id -> Error ("duplicate rule id in proposed program: " ^ id)
-    | None ->
-      let epoch = t.next_epoch in
-      t.next_epoch <- epoch + 1;
-      List.iter
-        (fun (_, shell) -> Shell.propose_epoch shell ~epoch strategy.Strategy.rules)
-        (System.shells t.system);
-      t.proposed <- Some (epoch, strategy);
-      let obs = System.obs t.system in
-      if Obs.enabled obs then
-        Obs.incr obs "evolution_proposals"
-          ~labels:[ ("strategy", strategy.Strategy.strategy_name) ];
-      Ok epoch)
+    | None -> (
+      match System.placeable t.system strategy with
+      | Error e -> Error e
+      | Ok () ->
+        let epoch = t.next_epoch in
+        t.next_epoch <- epoch + 1;
+        List.iter
+          (fun (_, shell) -> Shell.propose_epoch shell ~epoch strategy.Strategy.rules)
+          (System.shells t.system);
+        t.proposed <- Some (epoch, strategy);
+        let obs = System.obs t.system in
+        if Obs.enabled obs then
+          Obs.incr obs "evolution_proposals"
+            ~labels:[ ("strategy", strategy.Strategy.strategy_name) ];
+        Ok epoch))
 
 let rec cutover t =
   match t.proposed with
@@ -235,12 +241,9 @@ let rec cutover t =
     and old_rules = System.strategy_rules t.system in
     let old_strategy = t.current_strategy in
     let at = Sim.now (System.sim t.system) in
-    List.iter
-      (fun (_, shell) -> Shell.cutover_epoch shell ~epoch)
-      (System.shells t.system);
-    (* The system re-derives every declared copy from the running
-       program to the incoming one; the read router sees the new
-       reports at once. *)
+    (* The system switches every shell to the new epoch and re-derives
+       every declared copy from the running program to the incoming
+       one; the read router sees the new reports at once. *)
     let survivals =
       List.map
         (fun (source, target, before, after) ->

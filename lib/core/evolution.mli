@@ -115,16 +115,18 @@ val create : ?required:(string * string) list -> System.t -> t
 val propose : t -> Strategy.t -> (int, string) result
 (** Stage [strategy] as the next epoch at every shell (journaled
     write-ahead).  At most one outstanding proposal; returns the
-    assigned epoch number. *)
+    assigned epoch number.  A program with a repeated rule id, or one
+    that is not {!System.placeable}, is refused before any shell
+    stages it. *)
 
 val cutover : t -> (transition, string) result
-(** Switch dispatch to the proposed epoch at every shell, hand the
-    incoming strategy to {!System.cutover} (auxiliary initialization,
-    periodic timers, running strategy, re-derived copies), and move the
-    old epoch to draining.  Records each declared copy's guarantee
-    survival on the returned transition (and in Obs:
-    [evolution_epoch] gauge, [evolution_guarantee_survival] counters,
-    [evolution_guarantee_held] gauges).
+(** Hand the proposed epoch to {!System.cutover} (dispatch switched at
+    every shell, auxiliary initialization, periodic timers, running
+    strategy, re-derived copies), and move the old epoch to draining.
+    Records each declared copy's guarantee survival on the returned
+    transition (and in Obs: [evolution_epoch] gauge,
+    [evolution_guarantee_survival] counters, [evolution_guarantee_held]
+    gauges).
 
     If the survival report loses a guarantee of a [required] pair the
     cutover is rolled back before returning (see {!create}); the

@@ -269,9 +269,9 @@ type registry = { reg_obs : Obs.t; by_site : (string, t) Hashtbl.t }
 let create_registry ?(obs = Obs.noop) () = { reg_obs = obs; by_site = Hashtbl.create 8 }
 
 let for_site reg ~site =
-  match Hashtbl.find_opt reg.by_site site with
-  | Some j -> j
-  | None ->
+  match Hashtbl.find reg.by_site site with
+  | j -> j
+  | exception Not_found ->
     let obs = reg.reg_obs in
     let j =
       {

@@ -113,10 +113,14 @@ let create ~sim ~net ?(config = default_config) ?(obs = Obs.noop) ?journals () =
 
 let config t = t.cfg
 
-let journal_for t site =
+(* Whether this layer journals; asking creates [site]'s journal, as
+   every journal lookup does. *)
+let durable t site =
   match t.journals with
-  | Some reg -> Some (Journal.for_site reg ~site)
-  | None -> None
+  | Some reg ->
+    ignore (Journal.for_site reg ~site);
+    true
+  | None -> false
 
 let suspect_threshold t =
   if t.cfg.suspect_after > 0.0 then t.cfg.suspect_after
@@ -124,9 +128,9 @@ let suspect_threshold t =
 
 let link t ~from_site ~to_site =
   let key = (from_site, to_site) in
-  match Hashtbl.find_opt t.links key with
-  | Some l -> l
-  | None ->
+  match Hashtbl.find t.links key with
+  | l -> l
+  | exception Not_found ->
     let counter ?(from_site = from_site) ?(to_site = to_site) name =
       Obs.Counter.make t.obs name ~labels:[ ("from", from_site); ("to", to_site) ]
     in
@@ -186,9 +190,9 @@ let suspect t ep peer =
   end
 
 let rec transmit t ~from_site ~to_site l ~seq ~attempt ~timeout =
-  match Hashtbl.find_opt l.outstanding seq with
-  | None -> ()
-  | Some (epoch, mid, payload) ->
+  match Hashtbl.find l.outstanding seq with
+  | exception Not_found -> ()
+  | epoch, mid, payload ->
     Net.send t.net ~from_site ~to_site
       (Msg.Data { from_site; epoch; seq; mid; payload });
     Sim.schedule t.sim ~delay:timeout (fun () ->
@@ -196,8 +200,8 @@ let rec transmit t ~from_site ~to_site l ~seq ~attempt ~timeout =
            by a later incarnation (recovery resets the sequence space, so
            the same seq can name a different message under a new epoch);
            this timer only owns the (epoch, seq) pair it transmitted. *)
-        match Hashtbl.find_opt l.outstanding seq with
-        | Some (e, _, _) when e = epoch ->
+        match Hashtbl.find l.outstanding seq with
+        | e, _, _ when e = epoch ->
           if attempt = t.cfg.max_retries then begin
             (* Chain exhausted: raise the suspicion either way.  With a
                journal the frame is durable, so abandoning it would only
@@ -207,7 +211,7 @@ let rec transmit t ~from_site ~to_site l ~seq ~attempt ~timeout =
                waiting to hear the peer again is not enough).  Without a
                journal there is nothing to re-queue from later; the
                frame is dropped, which is the pre-recovery protocol. *)
-            let durable = Option.is_some (journal_for t from_site) in
+            let durable = durable t from_site in
             if not durable then Hashtbl.remove l.outstanding seq;
             Obs.Counter.incr l.lo.lo_give_ups;
             (match Hashtbl.find_opt t.endpoints from_site with
@@ -233,15 +237,15 @@ let rec transmit t ~from_site ~to_site l ~seq ~attempt ~timeout =
                let id =
                  Obs.span t.obs ~parent:span ~name:"retransmit" ~at:now
                    ~labels:
-                     [ ("from", from_site); ("to", to_site);
-                       ("attempt", string_of_int (attempt + 1)) ]
+                     [ ("attempt", string_of_int (attempt + 1));
+                       ("from", from_site); ("to", to_site) ]
                in
                Obs.end_span t.obs ~id ~at:now
              | _ -> ());
             transmit t ~from_site ~to_site l ~seq ~attempt:(attempt + 1)
               ~timeout:(Float.min (timeout *. t.cfg.backoff) t.cfg.max_timeout)
           end
-        | _ -> ())
+        | _ | (exception Not_found) -> ())
 
 (* Any frame from [peer] counts as a sign of life. *)
 let heard t ep peer =
@@ -257,10 +261,10 @@ let heard t ep peer =
 let enqueue t ~from_site ~to_site l ~mid payload =
   let seq = l.next_seq in
   l.next_seq <- seq + 1;
-  (match journal_for t from_site with
-   | Some j ->
+  (match t.journals with
+   | Some reg ->
      (* Write-ahead: the message is remembered before it is on the wire. *)
-     Journal.append j
+     Journal.append (Journal.for_site reg ~site:from_site)
        (Journal.Outbound
           { time = Sim.now t.sim; to_site; mid; epoch = l.epoch; seq; payload })
    | None -> ());
@@ -287,9 +291,9 @@ let consume_slot t ep l ~from_site ~epoch ~seq ~mid payload =
   l.expected <- seq + 1;
   let fresh = not (Hashtbl.mem l.delivered_mids mid) in
   Hashtbl.replace l.delivered_mids mid ();
-  (match journal_for t ep.ep_site with
-   | Some j ->
-     Journal.append j
+  (match t.journals with
+   | Some reg ->
+     Journal.append (Journal.for_site reg ~site:ep.ep_site)
        (Journal.Delivered
           { time = Sim.now t.sim; from_site; epoch; seq; mid; applied = fresh })
    | None -> ());
@@ -298,6 +302,31 @@ let consume_slot t ep l ~from_site ~epoch ~seq ~mid payload =
     ep.deliver payload
   end
   else Obs.Counter.incr l.lo.lo_dup_suppressed
+
+(* The receiver's replies to one Data frame, top-level so that a frame
+   allocates no closure. *)
+let ack t ep l ~from_site ~epoch ~seq =
+  Obs.Counter.incr l.lo.lo_acks_sent;
+  Net.send t.net ~from_site:ep.ep_site ~to_site:from_site
+    (Msg.Ack { from_site = ep.ep_site; epoch; seq })
+
+let suppress l = Obs.Counter.incr l.lo.lo_dup_suppressed
+
+let hold l ~seq ~mid payload =
+  Obs.Counter.incr l.lo.lo_reordered;
+  Hashtbl.replace l.held seq (mid, payload)
+
+(* Consume the held frames that are now in order. *)
+let rec drain t ep l ~from_site ~ack_each =
+  if Hashtbl.mem l.held l.expected then begin
+    let held_seq = l.expected in
+    let held_mid, held_payload = Hashtbl.find l.held held_seq in
+    Hashtbl.remove l.held held_seq;
+    consume_slot t ep l ~from_site ~epoch:l.in_epoch ~seq:held_seq ~mid:held_mid
+      held_payload;
+    if ack_each then ack t ep l ~from_site ~epoch:l.in_epoch ~seq:held_seq;
+    drain t ep l ~from_site ~ack_each
+  end
 
 let receive t ep frame =
   match frame with
@@ -320,45 +349,23 @@ let receive t ep frame =
         l.expected <- 0;
         Hashtbl.reset l.held
       end;
-      let ack ~epoch ~seq =
-        Obs.Counter.incr l.lo.lo_acks_sent;
-        Net.send t.net ~from_site:ep.ep_site ~to_site:from_site
-          (Msg.Ack { from_site = ep.ep_site; epoch; seq })
-      in
-      let suppress () = Obs.Counter.incr l.lo.lo_dup_suppressed in
-      let hold () =
-        Obs.Counter.incr l.lo.lo_reordered;
-        Hashtbl.replace l.held seq (mid, payload)
-      in
-      let consume_and_drain () =
-        consume_slot t ep l ~from_site ~epoch ~seq ~mid payload;
-        let rec drain ack_each =
-          match Hashtbl.find_opt l.held l.expected with
-          | None -> ()
-          | Some (held_mid, held_payload) ->
-            let held_seq = l.expected in
-            Hashtbl.remove l.held held_seq;
-            consume_slot t ep l ~from_site ~epoch:l.in_epoch ~seq:held_seq
-              ~mid:held_mid held_payload;
-            if ack_each then ack ~epoch:l.in_epoch ~seq:held_seq;
-            drain ack_each
-        in
-        drain
-      in
-      if not (Option.is_some (journal_for t ep.ep_site)) then begin
+      if not (durable t ep.ep_site) then begin
         (* No journal: receiver state survives crashes (nothing is
            wiped), so buffered frames may be acknowledged on arrival.
            This branch is the pre-recovery protocol, byte for byte. *)
-        ack ~epoch ~seq;
-        if seq < l.expected || Hashtbl.mem l.held seq then suppress ()
-        else if seq = l.expected then (consume_and_drain ()) false
-        else hold ()
+        ack t ep l ~from_site ~epoch ~seq;
+        if seq < l.expected || Hashtbl.mem l.held seq then suppress l
+        else if seq = l.expected then begin
+          consume_slot t ep l ~from_site ~epoch ~seq ~mid payload;
+          drain t ep l ~from_site ~ack_each:false
+        end
+        else hold l ~seq ~mid payload
       end
       else if seq < l.expected then begin
         (* Consumed in order earlier, so it is in the journal; the
            previous ack may have been lost — ack again. *)
-        ack ~epoch ~seq;
-        suppress ()
+        ack t ep l ~from_site ~epoch ~seq;
+        suppress l
       end
       else if Hashtbl.mem l.held seq then
         (* Buffered but not consumed: held frames are volatile, and a
@@ -366,27 +373,28 @@ let receive t ep frame =
            delivered.  The ack waits until in-order consumption journals
            the frame; until then the sender's retransmissions land in
            this branch. *)
-        suppress ()
+        suppress l
       else if seq = l.expected then begin
         (* Write-ahead order: consume_slot journals the delivery before
            the ack releases the sender's copy. *)
-        (consume_and_drain ()) true;
-        ack ~epoch ~seq
+        consume_slot t ep l ~from_site ~epoch ~seq ~mid payload;
+        drain t ep l ~from_site ~ack_each:true;
+        ack t ep l ~from_site ~epoch ~seq
       end
-      else hold ()
+      else hold l ~seq ~mid payload
     end
   | Msg.Ack { from_site = acker; epoch; seq } ->
     heard t ep acker;
     let l = link t ~from_site:ep.ep_site ~to_site:acker in
-    (match Hashtbl.find_opt l.outstanding seq with
-     | Some (e, mid, _) when e = epoch ->
+    (match Hashtbl.find l.outstanding seq with
+     | e, mid, _ when e = epoch ->
        Hashtbl.remove l.outstanding seq;
-       (match journal_for t ep.ep_site with
-        | Some j ->
-          Journal.append j
+       (match t.journals with
+        | Some reg ->
+          Journal.append (Journal.for_site reg ~site:ep.ep_site)
             (Journal.Acked { time = Sim.now t.sim; to_site = acker; mid })
         | None -> ())
-     | _ ->
+     | _ | (exception Not_found) ->
        (* Ack for a frame this incarnation no longer owns (already acked,
           given up, or sent in a previous life) — ignore. *)
        ())

@@ -271,7 +271,7 @@ let fire_if_matched t (event : Event.t) { lr_rule = rule; lr_rhs_site } =
           Obs.Counter.incr (rule_obs t rule.Rule.id).ro_fires_sent;
           Obs.span t.obs ~name:"fire" ~at:event.time
             ~labels:
-              [ ("site", t.site); ("rule", rule.Rule.id); ("to", to_site);
+              [ ("rule", rule.Rule.id); ("site", t.site); ("to", to_site);
                 ("trigger", string_of_int event.id) ]
         end
       in
@@ -364,7 +364,7 @@ and handle_fire t ~rule ~rule_epoch ~env ~trigger_id ~parent_span =
       else begin
         Obs.Counter.incr (rule_obs t rule_id).ro_fires_executed;
         Obs.span t.obs ~parent:parent_span ~name:"execute" ~at:(Sim.now t.sim)
-          ~labels:[ ("site", t.site); ("rule", rule_id) ]
+          ~labels:[ ("rule", rule_id); ("site", t.site) ]
       end
     in
     let kind = Event.Generated { rule_id; trigger = trigger_id } in
@@ -383,9 +383,8 @@ and handle_fire t ~rule ~rule_epoch ~env ~trigger_id ~parent_span =
               else
                 Obs.span t.obs ~parent:exec_span ~name:"step" ~at:(Sim.now t.sim)
                   ~labels:
-                    [ ("site", t.site); ("rule", rule_id);
-                      ("index", string_of_int i);
-                      ("event", desc.Event.name) ]
+                    [ ("event", desc.Event.name); ("index", string_of_int i);
+                      ("rule", rule_id); ("site", t.site) ]
             in
             dispatch t desc ~kind;
             if Obs.enabled t.obs then

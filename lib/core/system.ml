@@ -357,39 +357,62 @@ let period_of_rule rule =
   | _ -> None
 
 (* Strategy plumbing shared between config-time install and a runtime
-   epoch cutover: auxiliary-item initialization and periodic timers for
-   P-rules. *)
-let apply_aux_init t aux_init =
-  List.iter
-    (fun (item, v) ->
-      let site = t.locator item in
-      match Hashtbl.find_opt t.site_to_shell site with
-      | Some shell -> Shell.write_aux shell item v
-      | None when t.partitioned -> ()  (* the owning shard writes it *)
-      | None ->
-        invalid_arg
-          (Printf.sprintf "System.install: no shell handles site %s for aux item %s"
-             site (Item.to_string item)))
-    aux_init
-
-let register_strategy_periodics t rules =
-  List.iter
-    (fun rule ->
-      match period_of_rule rule with
-      | None -> ()
-      | Some period -> (
-        match Rule.lhs_site rule t.locator with
-        | Some site -> (
-          match Hashtbl.find_opt t.site_to_shell site with
-          | Some sh -> Shell.register_periodic sh ~site ~period ()
-          | None when t.partitioned -> ()  (* the owning shard ticks it *)
+   epoch cutover: where the auxiliary-item writes and the P-rules'
+   periodic timers land.  They are resolved before anything changes, so
+   an install or cutover refused for a placement leaves the system as it
+   was; [Ok place] applies them.  A partitioned system skips what
+   another shard owns: that shard writes the aux item and ticks the
+   timer. *)
+let placements t (strategy : Strategy.t) =
+  let exception Unplaced of string in
+  let shell_at site = Hashtbl.find_opt t.site_to_shell site in
+  let unplaced msg = raise (Unplaced msg) in
+  match
+    let aux =
+      List.filter_map
+        (fun (item, v) ->
+          let site = t.locator item in
+          match shell_at site with
+          | Some shell -> Some (shell, item, v)
+          | None when t.partitioned -> None
           | None ->
-            invalid_arg
-              ("System.install: no shell for polling rule site " ^ site))
-        | None ->
-          invalid_arg
-            ("System.install: polling rule " ^ rule.Rule.id ^ " has no resolvable site")))
-    rules
+            unplaced
+              (Printf.sprintf "no shell handles site %s for aux item %s" site
+                 (Item.to_string item)))
+        strategy.Strategy.aux_init
+    in
+    let timers =
+      List.filter_map
+        (fun rule ->
+          match period_of_rule rule with
+          | None -> None
+          | Some period -> (
+            match Rule.lhs_site rule t.locator with
+            | Some site -> (
+              match shell_at site with
+              | Some shell -> Some (shell, site, period)
+              | None when t.partitioned -> None
+              | None -> unplaced ("no shell for polling rule site " ^ site))
+            | None -> unplaced ("polling rule " ^ rule.Rule.id ^ " has no resolvable site")))
+        strategy.Strategy.rules
+    in
+    (aux, timers)
+  with
+  | exception Unplaced msg -> Error msg
+  | aux, timers ->
+    Ok
+      (fun () ->
+        List.iter (fun (shell, item, v) -> Shell.write_aux shell item v) aux;
+        List.iter
+          (fun (shell, site, period) -> Shell.register_periodic shell ~site ~period ())
+          timers)
+
+let placeable t strategy = Result.map ignore (placements t strategy)
+
+let placements_exn ~caller t strategy =
+  match placements t strategy with
+  | Ok place -> place
+  | Error msg -> invalid_arg (caller ^ ": " ^ msg)
 
 (* §4.1 in one pass, so that no shell scans the whole program: each
    rule goes to the shell of its LHS site, a site-free rule to every
@@ -417,12 +440,12 @@ let install t (strategy : Strategy.t) =
   Option.iter
     (fun id -> invalid_arg ("System.install: duplicate rule id " ^ id))
     (Rule.duplicate_id program);
+  let place = placements_exn ~caller:"System.install" t strategy in
   Obs.incr t.obs "system_strategy_installs"
     ~labels:[ ("strategy", strategy.Strategy.strategy_name) ];
   t.strategy_rules <- program;
   distribute t strategy.Strategy.rules;
-  apply_aux_init t strategy.Strategy.aux_init;
-  register_strategy_periodics t strategy.Strategy.rules;
+  place ();
   rederive t
 
 let shells t =
@@ -493,11 +516,12 @@ let declare_copies t pairs =
 let declared_copies t = List.map (fun key -> Hashtbl.find t.copies key) t.copy_order
 
 let cutover t ~epoch (strategy : Strategy.t) =
+  let place = placements_exn ~caller:"System.cutover" t strategy in
+  List.iter (fun (_, shell) -> Shell.cutover_epoch shell ~epoch) (shells t);
   (* The incoming strategy starts from its own auxiliary state: a stale
      cache inherited across epochs could wrongly skip a forward (an
      actual leads violation), so aux items are re-initialized. *)
-  apply_aux_init t strategy.Strategy.aux_init;
-  register_strategy_periodics t strategy.Strategy.rules;
+  place ();
   t.strategy_rules <- strategy.Strategy.rules;
   List.map
     (fun cp ->

@@ -174,7 +174,15 @@ val install : t -> Strategy.t -> unit
     write its auxiliary data, and register [P(p)] timers for its
     polling rules.
     @raise Invalid_argument, before anything changes, when a rule id
-    occurs twice in the running strategy and the new rules. *)
+    occurs twice in the running strategy and the new rules, or when the
+    site of an auxiliary item or of a polling rule has no shell (a
+    shard's system leaves such a site to the shard that owns it). *)
+
+val placeable : t -> Strategy.t -> (unit, string) result
+(** [Error] naming the first auxiliary item or polling rule of the
+    strategy whose site has no shell ({!install} and {!cutover} raise
+    on it before changing anything).  A shard's system leaves another
+    shard's site to that shard. *)
 
 val strategy_rules : t -> Cm_rule.Rule.t list
 (** The running strategy. *)
@@ -187,12 +195,15 @@ val cutover :
   Strategy.t ->
   (string * string * Derive.report * Derive.report) list
 (** The system's half of a rule-epoch cutover, run by {!Evolution} once
-    every shell has switched to [epoch]: write the incoming strategy's
-    auxiliary items (an epoch never inherits another strategy's stale
-    auxiliary state, e.g. a propagation cache), register its periodic
-    timers, make its rules the running strategy, and re-derive every
-    declared copy.  Returns [(source, target, before, after)] per
-    declared copy, in declaration order. *)
+    every shell holds [epoch] as proposed: switch every shell to
+    [epoch], write the incoming strategy's auxiliary items (an epoch
+    never inherits another strategy's stale auxiliary state, e.g. a
+    propagation cache), register its periodic timers, make its rules
+    the running strategy, and re-derive every declared copy.  Returns
+    [(source, target, before, after)] per declared copy, in declaration
+    order.
+    @raise Invalid_argument, before anything changes, when the strategy
+    is not {!placeable}. *)
 
 type guarantee_handle
 

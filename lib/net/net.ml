@@ -93,9 +93,9 @@ let create ~sim ?(latency = default_latency) ?(fifo = true) ?(faults = no_faults
 
 let link t ~from_site ~to_site =
   let key = (from_site, to_site) in
-  match Hashtbl.find_opt t.links key with
-  | Some l -> l
-  | None ->
+  match Hashtbl.find t.links key with
+  | l -> l
+  | exception Not_found ->
     let labels = [ ("from", from_site); ("to", to_site) ] in
     let l =
       {
@@ -237,9 +237,9 @@ let send t ~from_site ~to_site msg =
   Obs.Counter.incr l.net_sent;
   if not (Queue.is_empty t.send_hooks) then
     Queue.iter (fun hook -> hook ~from_site ~to_site) t.send_hooks;
-  match Hashtbl.find_opt t.handlers to_site with
-  | Some handler -> send_via t l ~from_site ~to_site (Local handler) msg
-  | None ->
+  match Hashtbl.find t.handlers to_site with
+  | handler -> send_via t l ~from_site ~to_site (Local handler) msg
+  | exception Not_found ->
     if t.remote_site to_site then send_via t l ~from_site ~to_site Forward msg
     else record_drop l Unroutable
 

@@ -8,8 +8,15 @@ module Stats = Cm_util.Stats
 
 type labels = (string * string) list
 
+(* A call site that passes its labels already in canonical order (keys
+   strictly ascending) gets its own list back, sorted by nothing. *)
+let rec ascending = function
+  | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b < 0 && ascending rest
+  | [ _ ] | [] -> true
+
 let canon labels =
-  List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) labels
+  if ascending labels then labels
+  else List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) labels
 
 type instrument =
   | Counter of int ref
@@ -28,20 +35,23 @@ type span = {
 type t = {
   enabled : bool;
   instruments : (string * labels, instrument) Hashtbl.t;
-  mutable span_log : span list;  (* reverse chronological *)
+  mutable span_tab : span array;  (* span [id] at [id - 1]; the rest [no_span] *)
   mutable next_span : int;
 }
+
+let no_span =
+  { id = 0; parent = 0; span_name = ""; span_labels = []; started = 0.0; ended = None }
 
 let create () =
   {
     enabled = true;
     instruments = Hashtbl.create 64;
-    span_log = [];
+    span_tab = [||];
     next_span = 1;
   }
 
 let noop =
-  { enabled = false; instruments = Hashtbl.create 1; span_log = []; next_span = 1 }
+  { enabled = false; instruments = Hashtbl.create 1; span_tab = [||]; next_span = 1 }
 
 let enabled t = t.enabled
 
@@ -172,21 +182,22 @@ let span ?(parent = 0) ?(labels = []) t ~name ~at =
   if not t.enabled then 0
   else begin
     let id = t.next_span in
-    t.next_span <- id + 1;
-    t.span_log <-
+    if id > Array.length t.span_tab then begin
+      let tab = Array.make (max 64 (2 * Array.length t.span_tab)) no_span in
+      Array.blit t.span_tab 0 tab 0 (id - 1);
+      t.span_tab <- tab
+    end;
+    t.span_tab.(id - 1) <-
       { id; parent; span_name = name; span_labels = canon labels;
-        started = at; ended = None }
-      :: t.span_log;
+        started = at; ended = None };
+    t.next_span <- id + 1;
     id
   end
 
 let end_span t ~id ~at =
-  if t.enabled && id > 0 then
-    match List.find_opt (fun s -> s.id = id) t.span_log with
-    | Some s -> s.ended <- Some at
-    | None -> ()
+  if id > 0 && id < t.next_span then t.span_tab.(id - 1).ended <- Some at
 
-let spans t = List.rev t.span_log
+let spans t = List.init (t.next_span - 1) (fun i -> t.span_tab.(i))
 
 (* -- snapshots -- *)
 

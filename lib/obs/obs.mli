@@ -34,7 +34,9 @@ type labels = (string * string) list
 (** Label sets are canonicalized: sorted by key, duplicate keys
     collapsed (first binding per key wins after sorting).  Two calls
     with the same bindings in different orders hit the same
-    instrument. *)
+    instrument.  A set whose keys already ascend strictly is kept as
+    given, unsorted and uncopied, so a per-event call site passes its
+    labels in that order. *)
 
 val create : unit -> t
 (** A fresh, enabled registry. *)
@@ -124,7 +126,8 @@ val span : ?parent:int -> ?labels:labels -> t -> name:string -> at:float -> int
     registry returns [0], the "no span" sentinel carried by envelopes. *)
 
 val end_span : t -> id:int -> at:float -> unit
-(** Close a span.  Ignored for id [0] or unknown ids. *)
+(** Close a span, in O(1): spans are stored by id.  Ignored for id [0]
+    or unknown ids; closing a closed span again moves its end to [at]. *)
 
 type span = {
   id : int;

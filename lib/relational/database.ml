@@ -18,6 +18,7 @@ type change =
 type t = {
   tables : (string, table) Hashtbl.t;
   mutable observers : (change -> unit) list;  (* in registration order *)
+  parsed : (string, stmt) Hashtbl.t;  (* SQL text -> its statement *)
 }
 
 type error =
@@ -50,7 +51,13 @@ let error_to_string = function
   | Unbound_param p -> "unbound parameter $" ^ p
   | Table_exists t -> "table already exists: " ^ t
 
-let create () = { tables = Hashtbl.create 8; observers = [] }
+(* [exec] keeps at most this many parsed texts and empties its table
+   when full: an application that builds a fresh text per call parses
+   each once, as it would without the table. *)
+let max_parsed = 64
+
+let create () =
+  { tables = Hashtbl.create 8; observers = []; parsed = Hashtbl.create max_parsed }
 
 let on_change db f = db.observers <- db.observers @ [ f ]
 
@@ -517,10 +524,19 @@ let exec_stmt db ?(params = []) stmt =
          Done)
   with Fail e -> Error e
 
+(* Statements are immutable and their execution reads only [db], so one
+   parse serves every later call with the same text.  A text that fails
+   to parse is never kept: it fails the same way on every call. *)
 let exec db ?params src =
-  match Sql_parser.parse src with
-  | exception Sql_parser.Parse_error m -> Error (Parse_failed m)
+  match Hashtbl.find db.parsed src with
   | stmt -> exec_stmt db ?params stmt
+  | exception Not_found -> (
+    match Sql_parser.parse src with
+    | exception Sql_parser.Parse_error m -> Error (Parse_failed m)
+    | stmt ->
+      if Hashtbl.length db.parsed >= max_parsed then Hashtbl.clear db.parsed;
+      Hashtbl.replace db.parsed src stmt;
+      exec_stmt db ?params stmt)
 
 let table_names db =
   Hashtbl.fold (fun name _ acc -> name :: acc) db.tables [] |> List.sort compare

@@ -70,7 +70,10 @@ val exec :
   ?params:(string * Cm_rule.Value.t) list ->
   string ->
   (result, error) Stdlib.result
-(** Parse and execute one statement. *)
+(** Parse and execute one statement.  The database keeps the statements
+    of the last texts it parsed (at most 64; the table empties when
+    full), so a text run again is not parsed again.  A text that fails
+    to parse is never kept and gives the same error on every call. *)
 
 val exec_stmt :
   t ->

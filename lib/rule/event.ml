@@ -14,12 +14,26 @@ type t = {
   kind : kind;
 }
 
-let arg_to_string = function
-  | Av v -> Value.to_string v
-  | Ai item -> Item.to_string item
+let add_arg buf = function
+  | Av v -> Buffer.add_string buf (Value.to_string v)
+  | Ai item -> Item.add_to_buffer buf item
 
+let rec add_args buf = function
+  | [] -> ()
+  | [ a ] -> add_arg buf a
+  | a :: rest ->
+    add_arg buf a;
+    Buffer.add_string buf ", ";
+    add_args buf rest
+
+(* One buffer per text: the journal renders every event it records. *)
 let desc_to_string d =
-  d.name ^ "(" ^ String.concat ", " (List.map arg_to_string d.args) ^ ")"
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf d.name;
+  Buffer.add_char buf '(';
+  add_args buf d.args;
+  Buffer.add_char buf ')';
+  Buffer.contents buf
 
 let to_string e =
   let origin =

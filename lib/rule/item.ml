@@ -9,10 +9,30 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let rec add_params buf = function
+  | [] -> ()
+  | v :: rest ->
+    Buffer.add_string buf ", ";
+    Buffer.add_string buf (Value.to_string v);
+    add_params buf rest
+
+let add_to_buffer buf t =
+  Buffer.add_string buf t.base;
+  match t.params with
+  | [] -> ()
+  | v :: rest ->
+    Buffer.add_char buf '(';
+    Buffer.add_string buf (Value.to_string v);
+    add_params buf rest;
+    Buffer.add_char buf ')'
+
 let to_string t =
   match t.params with
   | [] -> t.base
-  | ps -> t.base ^ "(" ^ String.concat ", " (List.map Value.to_string ps) ^ ")"
+  | _ ->
+    let buf = Buffer.create 16 in
+    add_to_buffer buf t;
+    Buffer.contents buf
 
 let hash t =
   List.fold_left (fun h v -> (h * 31) + Value.hash v) (Hashtbl.hash t.base) t.params

@@ -21,6 +21,9 @@ val hash : t -> int
 val to_string : t -> string
 (** [Salary1("emp7", 3)] style rendering; 0-ary items render bare. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s text. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t

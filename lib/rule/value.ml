@@ -94,7 +94,7 @@ let to_string = function
   | Bool b -> string_of_bool b
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%g" f
-  | Str s -> Printf.sprintf "%S" s
+  | Str s -> "\"" ^ String.escaped s ^ "\""  (* [%S]'s text, without Printf *)
 
 let of_string_literal s =
   let n = String.length s in

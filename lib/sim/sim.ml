@@ -23,6 +23,9 @@ exception Stop
 
 let entry_leq a b = a.at < b.at || (a.at = b.at && a.seq <= b.seq)
 
+(* Fills the queue's unused slots; never run. *)
+let no_entry = { at = infinity; seq = max_int; timer = None; action = ignore }
+
 let create ?(seed = 42) () =
   {
     clock = 0.0;
@@ -30,7 +33,7 @@ let create ?(seed = 42) () =
     processed = 0;
     live = 0;
     timers = [];
-    queue = Cm_util.Heap.create ~leq:entry_leq;
+    queue = Cm_util.Heap.create ~leq:entry_leq ~dummy:no_entry;
     rng = Cm_util.Prng.create ~seed;
   }
 
@@ -69,9 +72,9 @@ let every t ?start ~period action ~cancel =
   enqueue t first timer tick
 
 let step t =
-  match Cm_util.Heap.pop t.queue with
-  | None -> false
-  | Some e ->
+  if Cm_util.Heap.is_empty t.queue then false
+  else begin
+    let e = Cm_util.Heap.pop_exn t.queue in
     (* Off the books before the action runs, so an action that raises
        leaves the count exact. *)
     (match e.timer with
@@ -81,17 +84,17 @@ let step t =
     t.processed <- t.processed + 1;
     e.action ();
     true
+  end
 
 let run ?until t =
   let continue () =
-    match Cm_util.Heap.min t.queue with
-    | None -> false
-    | Some e -> (
-      match until with
-      | Some horizon when e.at > horizon ->
-        t.clock <- horizon;
-        false
-      | _ -> true)
+    (not (Cm_util.Heap.is_empty t.queue))
+    &&
+    match until with
+    | Some horizon when (Cm_util.Heap.min_exn t.queue).at > horizon ->
+      t.clock <- horizon;
+      false
+    | _ -> true
   in
   try
     while continue () do
@@ -105,9 +108,10 @@ let run ?until t =
 
 let advance ?(inclusive = false) t ~until =
   let continue () =
-    match Cm_util.Heap.min t.queue with
-    | None -> false
-    | Some e -> if inclusive then e.at <= until else e.at < until
+    (not (Cm_util.Heap.is_empty t.queue))
+    &&
+    let at = (Cm_util.Heap.min_exn t.queue).at in
+    if inclusive then at <= until else at < until
   in
   (try
      while continue () do
@@ -116,7 +120,8 @@ let advance ?(inclusive = false) t ~until =
    with Stop -> ());
   if t.clock < until then t.clock <- until
 
-let next_at t = Option.map (fun e -> e.at) (Cm_util.Heap.min t.queue)
+let next_at t =
+  if Cm_util.Heap.is_empty t.queue then None else Some (Cm_util.Heap.min_exn t.queue).at
 
 let pending t =
   List.fold_left

@@ -107,6 +107,35 @@ let state_machine_walkthrough () =
   Alcotest.(check (option (float 0.0))) "evolution_epoch gauge" (Some 1.0)
     (gauge "evolution_epoch")
 
+(* A program whose aux item lands at a site no shell handles is refused
+   at propose, before any shell stages it: no shell switches, the
+   running program stays, and the next proposal is free to go. *)
+let unplaceable_proposal_changes_nothing () =
+  let locator item =
+    match item.Item.base with "Xa" -> "a" | "Ghost" -> "ghost" | _ -> "b"
+  in
+  let system = Sys_.create ~config:(Sys_.Config.seeded 3) locator in
+  let sa = Sys_.add_shell system ~site:"a" and sb = Sys_.add_shell system ~site:"b" in
+  let program id aux_init =
+    { Strategy.strategy_name = id; description = "one rule";
+      rules = Parser.parse_rules (id ^ ": W(Xa, v) ->[1] W(Qb, v)"); aux_init }
+  in
+  Sys_.install system (program "p" []);
+  let evo = Evolution.create system in
+  (match Evolution.propose evo (program "q" [ (Item.make "Ghost", Value.Int 0) ]) with
+  | Ok _ -> Alcotest.fail "unplaceable program proposed"
+  | Error e ->
+    Alcotest.(check string) "reason" "no shell handles site ghost for aux item Ghost" e);
+  Alcotest.(check (pair string string)) "nothing staged" ("absent", "absent")
+    (phase sa ~epoch:1, phase sb ~epoch:1);
+  expect_error "nothing to cut over" (Evolution.cutover evo);
+  Alcotest.(check (list string)) "program unchanged" [ "p" ]
+    (List.map (fun r -> r.Rule.id) (Sys_.strategy_rules system));
+  Alcotest.(check (pair int int)) "shells still on epoch 0" (0, 0)
+    (Shell.rule_epoch sa, Shell.rule_epoch sb);
+  let tr = ok_or_fail "next proposal" (Evolution.evolve ~quiesce:false evo (program "r" [])) in
+  Alcotest.(check int) "it cuts over" 1 tr.Evolution.tr_to
+
 (* -- cutover redirects new dispatch -- *)
 
 let new_epoch_takes_dispatch () =
@@ -493,6 +522,8 @@ let () =
             state_machine_walkthrough;
           Alcotest.test_case "cutover redirects dispatch" `Quick
             new_epoch_takes_dispatch;
+          Alcotest.test_case "unplaceable proposal: no change" `Quick
+            unplaceable_proposal_changes_nothing;
         ] );
       ( "drain",
         [

@@ -821,6 +821,62 @@ let csv_quotes_label_values () =
   | [ row ] -> Alcotest.(check string) "span label" "rule=r,1" (List.nth row 3)
   | rows -> Alcotest.failf "%d span rows" (List.length rows)
 
+(* Closing by id: 0 and ids never issued are ignored, and closing a
+   closed span moves its end to the later call's time. *)
+let end_span_by_id () =
+  let t = Obs.create () in
+  let a = Obs.span t ~name:"fire" ~at:1.0 in
+  let b = Obs.span t ~parent:a ~name:"execute" ~at:2.0 in
+  let ends () = List.map (fun s -> s.Obs.ended) (Obs.spans t) in
+  List.iter (fun id -> Obs.end_span t ~id ~at:9.0) [ 0; -1; 3; 1000 ];
+  Alcotest.(check (list (option (float 0.0)))) "0 and unknown ids ignored"
+    [ None; None ] (ends ());
+  Obs.end_span t ~id:b ~at:3.0;
+  Obs.end_span t ~id:a ~at:4.0;
+  Alcotest.(check (list (option (float 0.0)))) "closed by id"
+    [ Some 4.0; Some 3.0 ] (ends ());
+  Obs.end_span t ~id:a ~at:5.0;
+  Alcotest.(check (list (option (float 0.0)))) "closing again moves the end"
+    [ Some 5.0; Some 3.0 ] (ends ());
+  let c = Obs.span t ~name:"fire" ~at:6.0 in
+  Alcotest.(check int) "ids continue" 3 c
+
+(* Labels are canonical whatever order a call site passes them in. *)
+let span_label_order () =
+  let labels = [ ("rule", "r1"); ("site", "a"); ("to", "b"); ("trigger", "7") ] in
+  let json order =
+    let t = Obs.create () in
+    for i = 0 to 99 do
+      let id = Obs.span t ~name:"fire" ~at:(float_of_int i) ~labels:(order labels) in
+      Obs.end_span t ~id ~at:(float_of_int (i + 1))
+    done;
+    Obs.spans_to_json t
+  in
+  let canonical = json Fun.id in
+  List.iter
+    (fun (what, order) -> Alcotest.(check string) what canonical (json order))
+    [ ("reversed", List.rev);
+      ("rotated", fun l -> List.tl l @ [ List.hd l ]);
+      ("duplicate key, first wins", fun l -> l @ [ ("site", "z") ]) ]
+
+(* An enabled span open and close, labels already canonical: the span
+   record and its end time's option, 9 words.  Sorting the labels or
+   walking a list to find the span would add to it. *)
+let span_allocation () =
+  let t = Obs.create () in
+  let labels = [ ("rule", "r1"); ("site", "a") ] in
+  let at = 1.0 in
+  let spans = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to spans do
+    let id = Obs.span t ~name:"fire" ~at ~labels in
+    Obs.end_span t ~id ~at
+  done;
+  let per_span = (Gc.minor_words () -. before) /. float_of_int spans in
+  if per_span > 12.0 then
+    Alcotest.failf "span + end_span allocates %.1f words (bound 12)" per_span;
+  Alcotest.(check int) "all recorded" spans (List.length (Obs.spans t))
+
 (* ---- no-op mode ---- *)
 
 let noop_mode () =
@@ -860,6 +916,9 @@ let () =
         [
           Alcotest.test_case "parent-child invariants" `Quick span_invariants;
           Alcotest.test_case "counters wired" `Quick counters_wired;
+          Alcotest.test_case "end_span by id" `Quick end_span_by_id;
+          Alcotest.test_case "label order" `Quick span_label_order;
+          Alcotest.test_case "span allocation" `Quick span_allocation;
         ] );
       ( "determinism",
         [

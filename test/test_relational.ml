@@ -763,6 +763,82 @@ let differential_pk_vs_scan () =
   Alcotest.(check bool) "probes exercised" true (coverage.probe_hits > 500);
   Alcotest.(check bool) "key rejections exercised" true (coverage.key_rejections > 1000)
 
+(* ---- parsed statements ---- *)
+
+(* The reference path: parse on every call. *)
+let exec_parsing db ?params src =
+  match Sql_parser.parse src with
+  | exception Sql_parser.Parse_error m -> Error (Database.Parse_failed m)
+  | stmt -> Database.exec_stmt db ?params stmt
+
+(* A mixed stream, every text run twice over: DDL, parameterised DML,
+   queries, and each kind of error, including a parse error. *)
+let mixed_stream =
+  let p k v = (k, v) in
+  [ ("CREATE TABLE acct (id TEXT PRIMARY KEY, bal INT, lim INT, CHECK (bal <= lim))", []);
+    ("INSERT INTO acct VALUES ($id, $bal, 100)", [ p "id" (V.Str "a"); p "bal" (V.Int 5) ]);
+    ("INSERT INTO acct VALUES ($id, $bal, 100)", [ p "id" (V.Str "b"); p "bal" (V.Int 7) ]);
+    ("INSERT INTO acct VALUES ($id, $bal, 100)", [ p "id" (V.Str "a"); p "bal" (V.Int 1) ]);
+    ("UPDATE acct SET bal = bal + $d WHERE id = $id", [ p "d" (V.Int 90); p "id" (V.Str "a") ]);
+    ("UPDATE acct SET bal = bal + $d WHERE id = $id", [ p "d" (V.Int 90); p "id" (V.Str "a") ]);
+    ("UPDATE acct SET bal = bal + $d WHERE id = $id", [ p "id" (V.Str "a") ]);
+    ("SELECT id, bal FROM acct ORDER BY bal DESC", []);
+    ("SELECT COUNT(*) FROM acct", []);
+    ("SELECT nope FROM acct", []);
+    ("SELECT * FROM missing", []);
+    ("SELEKT * FROM acct", []);
+    ("DELETE FROM acct WHERE id = $id", [ p "id" (V.Str "b") ]);
+    ("SELECT id, bal FROM acct ORDER BY bal DESC", []);
+    ("DROP TABLE acct", []) ]
+
+let cold_and_warm_agree () =
+  let db = Database.create () and reference = Database.create () in
+  List.iteri
+    (fun i (src, params) ->
+      let got = Database.exec db ~params src in
+      let want = exec_parsing reference ~params src in
+      if got <> want then
+        Alcotest.failf "statement %d (%s): %s, want %s" i src
+          (match got with Ok _ -> "ok" | Error e -> Database.error_to_string e)
+          (match want with Ok _ -> "ok" | Error e -> Database.error_to_string e))
+    (mixed_stream @ mixed_stream)
+
+let parse_error_every_call () =
+  let db = fresh () in
+  let errors = List.init 3 (fun _ -> Database.exec db "SELEKT * FROM emp") in
+  List.iter
+    (expect_error (function Database.Parse_failed _ -> true | _ -> false) "parse")
+    errors;
+  Alcotest.(check bool) "same error each call" true
+    (List.for_all (( = ) (List.hd errors)) errors)
+
+let first_text_after_many () =
+  let db = fresh () in
+  insert db "e1" 100 "sales";
+  let first = "SELECT salary FROM emp WHERE id = 'e1'" in
+  Alcotest.check value "first run" (V.Int 100) (List.hd (List.hd (rows (ok (Database.exec db first)))));
+  for i = 1 to 10_000 do
+    ignore (ok (Database.exec db (Printf.sprintf "SELECT salary FROM emp WHERE salary = %d" i)))
+  done;
+  ignore (ok (Database.exec db "UPDATE emp SET salary = 7 WHERE id = 'e1'"));
+  Alcotest.check value "after 10 000 other texts" (V.Int 7)
+    (List.hd (List.hd (rows (ok (Database.exec db first)))))
+
+let drop_then_create_same_text () =
+  let db = Database.create () in
+  let create = "CREATE TABLE t (k INT PRIMARY KEY, v TEXT)" in
+  let insert = "INSERT INTO t VALUES (1, 'x')" in
+  ignore (ok (Database.exec db create));
+  ignore (ok (Database.exec db insert));
+  ignore (ok (Database.exec db "DROP TABLE t"));
+  ignore (ok (Database.exec db create));
+  Alcotest.(check (option int)) "recreated empty" (Some 0) (Database.row_count db "t");
+  ignore (ok (Database.exec db insert));
+  Alcotest.(check (option int)) "insert again" (Some 1) (Database.row_count db "t");
+  expect_error
+    (function Database.Table_exists _ -> true | _ -> false)
+    "table exists" (Database.exec db create)
+
 let () =
   Alcotest.run "cm_relational"
     [
@@ -828,5 +904,13 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_insert_select;
           QCheck_alcotest.to_alcotest qcheck_sql_roundtrip;
+        ] );
+      ( "parsed",
+        [
+          Alcotest.test_case "cold and warm agree" `Quick cold_and_warm_agree;
+          Alcotest.test_case "parse error on every call" `Quick parse_error_every_call;
+          Alcotest.test_case "first text after 10 000 others" `Quick first_text_after_many;
+          Alcotest.test_case "drop then create, same text" `Quick
+            drop_then_create_same_text;
         ] );
     ]

@@ -306,6 +306,35 @@ let reliable_layer_is_transparent_when_network_is_clean () =
     (List.length (Sys_.check_validity ~initial:wrapped.Payroll.initial
                     wrapped.Payroll.system))
 
+(* One journaled Data/Ack round trip on a clean link, from send to the
+   spent retransmit timer: frames, envelopes, timer closures, journal
+   records and table cells, about 130 words.  Per-frame closures or an
+   option per lookup would add to it. *)
+let round_trip_allocation () =
+  let sim = Sim.create ~seed:7 () in
+  let net = Net.create ~sim ~latency:{ Net.base = 0.05; jitter = 0.0 } () in
+  let journals = Cm_core.Journal.create_registry () in
+  let r = Reliable.create ~sim ~net ~journals () in
+  let got = ref 0 in
+  Reliable.register r ~site:"a" (fun _ -> ());
+  Reliable.register r ~site:"b" (fun _ -> incr got);
+  let msg = tag 1 in
+  let round_trips n =
+    for _ = 1 to n do
+      Reliable.send r ~from_site:"a" ~to_site:"b" msg;
+      Sim.run sim
+    done
+  in
+  round_trips 100;
+  let n = 2_000 in
+  let before = Gc.minor_words () in
+  round_trips n;
+  let per_trip = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every frame delivered" (n + 100) !got;
+  Alcotest.(check int) "nothing outstanding" 0 (Reliable.pending r);
+  if per_trip > 160.0 then
+    Alcotest.failf "a round trip allocates %.1f words (bound 160)" per_trip
+
 let () =
   Alcotest.run "cm_reliable"
     [
@@ -319,6 +348,7 @@ let () =
           Alcotest.test_case "give-up suspects peer" `Quick give_up_suspects_peer;
           Alcotest.test_case "heartbeat detect + recover" `Quick
             heartbeat_detects_crash_and_recovery;
+          Alcotest.test_case "round trip allocation" `Quick round_trip_allocation;
         ] );
       ( "end-to-end",
         [

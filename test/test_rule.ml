@@ -70,6 +70,58 @@ let item_string () =
   Alcotest.(check string) "params" "Salary1(\"e7\")"
     (Item.to_string (item "Salary1" [ Value.Str "e7" ]))
 
+(* Event text from one buffer equals the rendering built by
+   concatenation, with strings through Printf's [%S]: values of every
+   kind (strings with quotes, escapes and bytes past ASCII), items with
+   0-3 parameters, 0-3 arguments. *)
+let concatenated_desc_text (d : Event.desc) =
+  let value = function
+    | Value.Null -> "null"
+    | Value.Bool b -> string_of_bool b
+    | Value.Int i -> string_of_int i
+    | Value.Float f -> Printf.sprintf "%g" f
+    | Value.Str s -> Printf.sprintf "%S" s
+  in
+  let item (i : Item.t) =
+    match i.Item.params with
+    | [] -> i.Item.base
+    | ps -> i.Item.base ^ "(" ^ String.concat ", " (List.map value ps) ^ ")"
+  in
+  let arg = function Event.Av v -> value v | Event.Ai i -> item i in
+  d.Event.name ^ "(" ^ String.concat ", " (List.map arg d.Event.args) ^ ")"
+
+let desc_text_matches_concatenation =
+  let gen_value =
+    QCheck.Gen.(
+      oneof
+        [ return Value.Null;
+          map (fun b -> Value.Bool b) bool;
+          map (fun i -> Value.Int i) int;
+          map (fun f -> Value.Float f) float;
+          oneofl (List.map (fun f -> Value.Float f) [ nan; infinity; -0.0; 1e-300; 0.1 ]);
+          map (fun s -> Value.Str s) (string_size ~gen:char (int_range 0 6));
+          oneofl
+            (List.map (fun s -> Value.Str s)
+               [ "\\"; "say \"hi\""; "a\\b"; "tab\there\n"; "\xff\x00"; "" ]) ])
+  in
+  let gen_item =
+    QCheck.Gen.(
+      map2 (fun base params -> Item.make base ~params)
+        (oneofl [ "X"; "Salary1"; "" ]) (list_size (int_range 0 3) gen_value))
+  in
+  let gen_desc =
+    QCheck.Gen.(
+      map2
+        (fun name args -> { Event.name; args })
+        (oneofl [ "W"; "Ws"; "N"; "Custom_1" ])
+        (list_size (int_range 0 3)
+           (oneof
+              [ map (fun v -> Event.Av v) gen_value; map (fun i -> Event.Ai i) gen_item ])))
+  in
+  QCheck.Test.make ~name:"event text = concatenation" ~count:2000
+    (QCheck.make ~print:concatenated_desc_text gen_desc)
+    (fun d -> String.equal (Event.desc_to_string d) (concatenated_desc_text d))
+
 let item_equality () =
   Alcotest.(check bool) "same" true
     (Item.equal (item "A" [ Value.Int 1 ]) (item "A" [ Value.Int 1 ]));
@@ -999,6 +1051,7 @@ let () =
         [
           Alcotest.test_case "to_string" `Quick item_string;
           Alcotest.test_case "equality" `Quick item_equality;
+          QCheck_alcotest.to_alcotest desc_text_matches_concatenation;
         ] );
       ( "hash",
         [

@@ -392,6 +392,27 @@ let pending_differential () =
     pending_sequence seed
   done
 
+(* The step loop's own cost: scheduling and running one preallocated
+   closure, with 1 024 later entries queued.  Words are the entry record
+   and its boxed time (7 words); a persistent heap would add O(log n)
+   nodes per add and pop, and an option per pop. *)
+let schedule_step_allocation () =
+  let sim = Sim.create () in
+  let noop () = () in
+  for _ = 1 to 1024 do
+    Sim.schedule sim ~delay:1e9 noop
+  done;
+  let pairs = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to pairs do
+    Sim.schedule sim ~delay:1.0 noop;
+    ignore (Sim.step sim)
+  done;
+  let per_pair = (Gc.minor_words () -. before) /. float_of_int pairs in
+  if per_pair > 10.0 then
+    Alcotest.failf "schedule + step allocates %.1f words (bound 10)" per_pair;
+  Alcotest.(check int) "background entries still queued" 1024 (Sim.pending sim)
+
 let () =
   Alcotest.run "cm_sim"
     [
@@ -417,6 +438,7 @@ let () =
             pending_ignores_cancelled_periodics;
           Alcotest.test_case "rng determinism" `Quick rng_determinism;
           Alcotest.test_case "schedule_at past clamped" `Quick schedule_at_past_clamped;
+          Alcotest.test_case "schedule + step allocation" `Quick schedule_step_allocation;
         ] );
       ( "differential",
         [

@@ -193,6 +193,30 @@ let rejected_install_changes_nothing () =
     [ Shell.read_aux sb (Item.make "Pb"); Shell.read_aux sb (Item.make "Ya");
       Shell.read_aux sb (Item.make "Yb"); Shell.read_aux sa (Item.make "AuxA") ]
 
+(* An install refused for a placement changes nothing either: the aux
+   item's site has no shell, so neither the program nor any shell gets
+   the rule. *)
+let unplaceable_install_changes_nothing () =
+  let locator item =
+    match item.Item.base with "Xa" -> "a" | "Ghost" -> "ghost" | _ -> "b"
+  in
+  let system = Sys_.create ~config:(Cm_core.System.Config.seeded 3) locator in
+  let sa = Sys_.add_shell system ~site:"a" in
+  let _sb = Sys_.add_shell system ~site:"b" in
+  let strategy =
+    { Strategy.strategy_name = "q"; description = "aux at a site without a shell";
+      rules = Parser.parse_rules "q: W(Xa, v) ->[1] W(Qb, v)";
+      aux_init = [ (Item.make "Ghost", Value.Int 0) ] }
+  in
+  Alcotest.check_raises "refused"
+    (Invalid_argument "System.install: no shell handles site ghost for aux item Ghost")
+    (fun () -> Sys_.install system strategy);
+  Alcotest.(check (list string)) "program unchanged" []
+    (List.map (fun r -> r.Rule.id) (Sys_.strategy_rules system));
+  Shell.write_aux sa (Item.make "Xa") (Value.Int 1);
+  Sys_.run system ~until:10.0;
+  Alcotest.(check int) "W(Xa, 1) fires nothing" 0 (Shell.fires_sent sa)
+
 (* Each shell stores only its share of the program, so an install costs
    a bounded number of live words per rule however many shells there
    are (about 34 here; 991 when every shell kept every rule).  The ring
@@ -394,6 +418,8 @@ let () =
           Alcotest.test_case "all_rules" `Quick all_rules_combines;
           Alcotest.test_case "rejected install: no change" `Quick
             rejected_install_changes_nothing;
+          Alcotest.test_case "unplaceable install: no change" `Quick
+            unplaceable_install_changes_nothing;
           Alcotest.test_case "install memory linear" `Quick
             install_memory_linear;
         ] );

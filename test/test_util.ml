@@ -58,30 +58,32 @@ let prng_invalid_args () =
     (fun () -> ignore (Cm_util.Prng.pick g [||]))
 
 let heap_sorts () =
-  let h = Cm_util.Heap.of_list ~leq:( <= ) [ 5; 3; 9; 1; 7; 3 ] in
+  let h = Cm_util.Heap.of_list ~leq:( <= ) ~dummy:0 [ 5; 3; 9; 1; 7; 3 ] in
   Alcotest.(check (list int)) "sorted drain" [ 1; 3; 3; 5; 7; 9 ]
     (Cm_util.Heap.to_sorted_list h)
 
 let heap_empty () =
-  let h = Cm_util.Heap.create ~leq:( <= ) in
+  let h = Cm_util.Heap.create ~leq:( <= ) ~dummy:0 in
   Alcotest.(check bool) "is_empty" true (Cm_util.Heap.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Cm_util.Heap.pop h);
-  Alcotest.(check (option int)) "min empty" None (Cm_util.Heap.min h)
+  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.min_exn: empty heap")
+    (fun () -> ignore (Cm_util.Heap.pop_exn h));
+  Alcotest.check_raises "min empty" (Invalid_argument "Heap.min_exn: empty heap")
+    (fun () -> ignore (Cm_util.Heap.min_exn h))
 
 let heap_min_then_pop () =
-  let h = Cm_util.Heap.of_list ~leq:( <= ) [ 4; 2 ] in
-  Alcotest.(check (option int)) "min" (Some 2) (Cm_util.Heap.min h);
+  let h = Cm_util.Heap.of_list ~leq:( <= ) ~dummy:0 [ 4; 2 ] in
+  Alcotest.(check int) "min" 2 (Cm_util.Heap.min_exn h);
   Alcotest.(check int) "size unchanged by min" 2 (Cm_util.Heap.size h);
-  Alcotest.(check (option int)) "pop" (Some 2) (Cm_util.Heap.pop h);
+  Alcotest.(check int) "pop" 2 (Cm_util.Heap.pop_exn h);
   Alcotest.(check int) "size after pop" 1 (Cm_util.Heap.size h)
 
 let heap_clear () =
-  let h = Cm_util.Heap.of_list ~leq:( <= ) [ 1; 2; 3 ] in
+  let h = Cm_util.Heap.of_list ~leq:( <= ) ~dummy:0 [ 1; 2; 3 ] in
   Cm_util.Heap.clear h;
   Alcotest.(check int) "cleared" 0 (Cm_util.Heap.size h)
 
 let heap_fold () =
-  let h = Cm_util.Heap.of_list ~leq:( <= ) [ 5; 3; 9; 1 ] in
+  let h = Cm_util.Heap.of_list ~leq:( <= ) ~dummy:0 [ 5; 3; 9; 1 ] in
   (* Order is unspecified; fold must visit every element exactly once
      and leave the heap intact. *)
   Alcotest.(check int) "sum over all elements" 18
@@ -90,28 +92,105 @@ let heap_fold () =
     (Cm_util.Heap.fold (fun n _ -> n + 1) 0 h);
   Alcotest.(check (list int)) "heap untouched by fold" [ 1; 3; 5; 9 ]
     (Cm_util.Heap.to_sorted_list h);
-  let empty = Cm_util.Heap.create ~leq:( <= ) in
+  let empty = Cm_util.Heap.create ~leq:( <= ) ~dummy:0 in
   Alcotest.(check int) "fold over empty" 0 (Cm_util.Heap.fold ( + ) 0 empty)
 
 let heap_qcheck =
   QCheck.Test.make ~name:"heap drains any int list sorted" ~count:200
     QCheck.(list int)
     (fun xs ->
-      let h = Cm_util.Heap.of_list ~leq:( <= ) xs in
+      let h = Cm_util.Heap.of_list ~leq:( <= ) ~dummy:0 xs in
       Cm_util.Heap.to_sorted_list h = List.sort compare xs)
 
 let heap_size_qcheck =
   QCheck.Test.make ~name:"heap size tracks adds and pops" ~count:200
     QCheck.(list small_int)
     (fun xs ->
-      let h = Cm_util.Heap.create ~leq:( <= ) in
+      let h = Cm_util.Heap.create ~leq:( <= ) ~dummy:0 in
       List.iter (Cm_util.Heap.add h) xs;
       let n = List.length xs in
       let popped = ref 0 in
-      while Cm_util.Heap.pop h <> None do
+      while not (Cm_util.Heap.is_empty h) do
+        ignore (Cm_util.Heap.pop_exn h);
         incr popped
       done;
       !popped = n && Cm_util.Heap.is_empty h)
+
+(* Random add/pop/min/clear interleavings, equal keys included, against
+   a sorted-list model.  Elements are (key, id) ordered by key alone, so
+   the heap may pop any of several equal keys; the model removes exactly
+   the element popped, which must hold the smallest key. *)
+type heap_op = Add of int | Pop | Min | Clear
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (5, map (fun k -> Add k) (int_bound 4)); (3, return Pop); (1, return Min);
+        (1, return Clear) ])
+
+let heap_op_print = function
+  | Add k -> Printf.sprintf "Add %d" k
+  | Pop -> "Pop"
+  | Min -> "Min"
+  | Clear -> "Clear"
+
+let heap_model_qcheck =
+  QCheck.Test.make ~name:"heap ops agree with a sorted-list model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map heap_op_print ops))
+       QCheck.Gen.(list_size (int_bound 200) heap_op_gen))
+    (fun ops ->
+      let h = Cm_util.Heap.create ~leq:(fun (a, _) (b, _) -> a <= b) ~dummy:(-1, -1) in
+      let model = ref [] and next_id = ref 0 in
+      let smallest_key () = match !model with (k, _) :: _ -> Some k | [] -> None in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Add k ->
+              incr next_id;
+              Cm_util.Heap.add h (k, !next_id);
+              model := List.merge compare [ (k, !next_id) ] !model;
+              true
+            | (Min | Pop) when Cm_util.Heap.is_empty h -> !model = []
+            | Min ->
+              let k, id = Cm_util.Heap.min_exn h in
+              Some k = smallest_key () && List.mem (k, id) !model
+            | Pop ->
+              let k, id = Cm_util.Heap.pop_exn h in
+              let ok = Some k = smallest_key () && List.mem (k, id) !model in
+              model := List.filter (fun e -> e <> (k, id)) !model;
+              ok
+            | Clear ->
+              Cm_util.Heap.clear h;
+              model := [];
+              true
+          in
+          agrees && Cm_util.Heap.size h = List.length !model)
+        ops
+      && Cm_util.Heap.to_sorted_list h |> List.map fst = List.map fst !model)
+
+(* A popped or cleared element is garbage: the heap keeps no reference
+   to it in the slot it vacated. *)
+let heap_drops_popped () =
+  let h = Cm_util.Heap.create ~leq:(fun a b -> !a <= !b) ~dummy:(ref 0) in
+  let popped = Weak.create 2 and kept = Weak.create 1 in
+  List.iter
+    (fun k ->
+      let x = ref k in
+      Cm_util.Heap.add h x;
+      if k < 3 then Weak.set popped (k - 1) (Some x) else Weak.set kept 0 (Some x))
+    [ 3; 1; 2 ];
+  ignore (Sys.opaque_identity (Cm_util.Heap.pop_exn h));
+  ignore (Sys.opaque_identity (Cm_util.Heap.pop_exn h));
+  Gc.full_major ();
+  Alcotest.(check (pair bool bool)) "both popped elements collected" (false, false)
+    (Weak.check popped 0, Weak.check popped 1);
+  Alcotest.(check bool) "element still queued is kept" true (Weak.check kept 0);
+  Alcotest.(check int) "one left" 1 (Cm_util.Heap.size h);
+  Cm_util.Heap.clear h;
+  Gc.full_major ();
+  Alcotest.(check bool) "cleared element collected" false (Weak.check kept 0)
 
 let stats_mean () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Cm_util.Stats.mean [ 1.0; 2.0; 3.0 ]);
@@ -225,6 +304,8 @@ let () =
           Alcotest.test_case "fold" `Quick heap_fold;
           QCheck_alcotest.to_alcotest heap_qcheck;
           QCheck_alcotest.to_alcotest heap_size_qcheck;
+          QCheck_alcotest.to_alcotest heap_model_qcheck;
+          Alcotest.test_case "popped elements collectable" `Quick heap_drops_popped;
         ] );
       ( "stats",
         [
